@@ -12,7 +12,8 @@ is in flight can therefore never touch the bytes of epoch e-1, which stays
 the valid recovery point.
 
 Payload layout (little-endian): epoch u64, iteration u64, count u64, then
-count pairs of (sample id u64, center u64).
+count pairs of (sample id u64, center u64).  Entries travel as the `(m, 2)`
+record arrays of `parallel`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -44,10 +47,6 @@ SEG_MIRROR = 1   # snapshots I hold for my right neighbor
 HEADER = struct.Struct("<QQQ")
 
 
-class MirrorTopology(enum.Enum):
-    RING_LEFT = "ring_left"
-
-
 class CommitMode(enum.Enum):
     # commit in the same checkpoint step that started the epoch
     EAGER = "eager"
@@ -60,7 +59,6 @@ class CommitMode(enum.Enum):
 class CheckpointPolicy:
     interval: int
     mode: CommitMode = CommitMode.EAGER
-    topology: MirrorTopology = MirrorTopology.RING_LEFT
 
     def __post_init__(self) -> None:
         if self.interval < 1:
@@ -99,14 +97,13 @@ def slot_offset(epoch: int, max_entries: int) -> int:
     return slot_size(max_entries) * (epoch % 2)
 
 
-def encode_snapshot(epoch: int, iteration: int,
-                    entries: list[tuple[int, int]]) -> bytes:
+def encode_snapshot(epoch: int, iteration: int, entries: np.ndarray) -> bytes:
     if epoch < 1:
         raise ConfigError(f"epoch must be >= 1, got {epoch}")
     return HEADER.pack(epoch, iteration, len(entries)) + encode_records(entries)
 
 
-def decode_snapshot(buf: bytes) -> tuple[int, int, list[tuple[int, int]]]:
+def decode_snapshot(buf: bytes) -> tuple[int, int, np.ndarray]:
     if len(buf) < HEADER.size:
         raise ConfigError(f"snapshot buffer too short: {len(buf)} bytes")
     epoch, iteration, count = HEADER.unpack_from(buf, 0)
@@ -144,8 +141,7 @@ class Checkpointer:
     def outstanding_epoch(self) -> int | None:
         return self._outstanding[0] if self._outstanding is not None else None
 
-    def start(self, epoch: int, iteration: int,
-              entries: list[tuple[int, int]]) -> None:
+    def start(self, epoch: int, iteration: int, entries: np.ndarray) -> None:
         """Capture local state and launch the mirror transfer."""
         if self._outstanding is not None:
             raise SequenceError(
@@ -182,7 +178,7 @@ class Checkpointer:
         """Forget an outstanding start (used when recovery supersedes it)."""
         self._outstanding = None
 
-    def fetch(self, epoch: int) -> tuple[int, list[tuple[int, int]]]:
+    def fetch(self, epoch: int) -> tuple[int, np.ndarray]:
         """Recover this position's payload for `epoch`.
 
         Reads the local slot first; a survivor always satisfies that.  A
@@ -208,14 +204,12 @@ class Checkpointer:
                 f"or its mirror holder {self.target}")
         return got
 
-    def adopt(self, epoch: int, iteration: int,
-              entries: list[tuple[int, int]]) -> None:
+    def adopt(self, epoch: int, iteration: int, entries: np.ndarray) -> None:
         """Write a fetched payload into the local slot (heals a replacement)."""
         payload = encode_snapshot(epoch, iteration, entries)
         self.ctx.write_local(SEG_LOCAL, slot_offset(epoch, self.max_entries), payload)
 
-    def _try_decode(self, buf: bytes,
-                    epoch: int) -> tuple[int, list[tuple[int, int]]] | None:
+    def _try_decode(self, buf: bytes, epoch: int) -> tuple[int, np.ndarray] | None:
         try:
             got_epoch, iteration, entries = decode_snapshot(buf)
         except ConfigError:

@@ -29,6 +29,10 @@ class UnrecoverableError(KmftError):
     """Failure state from which the run cannot continue."""
 
 
+class InvariantError(KmftError):
+    """An internal invariant broke; indicates a bug, not bad input."""
+
+
 class CommError(KmftError):
     """Base class for communication failures surfaced to callers."""
 

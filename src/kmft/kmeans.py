@@ -5,7 +5,8 @@ against, so floating-point accumulation order is pinned everywhere: distances
 accumulate coordinate by coordinate, per-cluster sums run over samples in
 ascending index order, and nearest-center ties resolve to the lowest center
 index.  Any assignment path that must agree bitwise with this module has to go
-through the same kernels (`pairwise_sqdist`, `assign_labels`, `group_means`).
+through the same kernels (`pairwise_sqdist`, `assign_labels`, and `center_sums`
+with `center_means` under `group_means`).
 """
 
 from __future__ import annotations
@@ -170,17 +171,36 @@ def initial_assignment(n: int, k: int) -> AssignmentTable:
     return AssignmentTable(np.zeros(n, dtype=np.int64), True, counts)
 
 
+def center_sums(values: np.ndarray, rows: np.ndarray, labels: np.ndarray,
+                centers: range) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate sums and member counts of each center in `centers`.
+
+    Row `rows[i]` of `values` is labelled `labels[i]`.  `rows` must ascend, so
+    every sum adds its members in ascending sample order.
+    """
+    sums = np.zeros((len(centers), values.shape[1]), dtype=np.float64)
+    counts = np.zeros(len(centers), dtype=np.int64)
+    for i, c in enumerate(centers):
+        members = rows[labels == c]
+        if members.size:
+            sums[i] = np.sum(values[members], axis=0)
+            counts[i] = members.size
+    return sums, counts
+
+
+def center_means(sums: np.ndarray, counts: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Sums over counts; a center with no members keeps its previous row."""
+    out = prev.copy()
+    filled = counts > 0
+    out[filled] = sums[filled] / counts[filled, np.newaxis]
+    return out
+
+
 def group_means(values: np.ndarray, labels: np.ndarray, k: int,
                 prev: np.ndarray) -> np.ndarray:
     """Per-cluster means; a cluster with no samples keeps its previous row."""
-    out = np.empty((k, values.shape[1]), dtype=np.float64)
-    for c in range(k):
-        rows = np.flatnonzero(labels == c)
-        if rows.size:
-            out[c] = np.sum(values[rows], axis=0) / rows.size
-        else:
-            out[c] = prev[c]
-    return out
+    sums, counts = center_sums(values, np.arange(len(labels)), labels, range(k))
+    return center_means(sums, counts, prev)
 
 
 def lloyd_step(data: Dataset, centroids: CentroidSet,

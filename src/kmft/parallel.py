@@ -14,26 +14,31 @@ order and every position performs the same division.  Assignments match the
 sequential pass exactly; centroids agree to rounding because the summation
 tree differs.
 
-The per-iteration math lives in small pure functions.  `run_parallel` drives
-them position by position in one process (no simulated cluster, no failure
-handling); the fault-tolerant runtime drives the same functions from real
-rank programs.
+Each decomposition is one per-position state class (`CentersPosition`,
+`SamplesPosition`) that holds what a position owns in numpy arrays and does
+all of its math, with no notion of a cluster.  `run_parallel` steps every
+position in one loop (no simulated cluster, no failure handling); the
+fault-tolerant runtime gives each rank one position and only adds the
+messages and collectives between the same calls.  Ownership records and
+snapshot entries are both `(m, 2)` little-endian u64 arrays of
+(sample id, center) pairs.
 """
 
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError, UnrecoverableError
 from .kmeans import (
     AssignmentTable,
     CentroidSet,
     Dataset,
     KmeansConfig,
+    center_means,
+    center_sums,
     init_centroids,
     pairwise_sqdist,
 )
@@ -64,27 +69,49 @@ def partition(total: int, parts: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def owner_position(blocks: list[tuple[int, int]], center: int) -> int:
-    """Position whose block contains `center`."""
-    for p, (lo, hi) in enumerate(blocks):
-        if lo <= center < hi:
-            return p
-    raise ConfigError(f"center {center} outside every block")
+# 16-byte ownership record: sample id, new center id, both little-endian u64
+_U8 = np.dtype("<u8")
+RECORD_SIZE = 2 * _U8.itemsize
 
 
-# 16-byte ownership record: sample id, new center id
-_RECORD = struct.Struct("<QQ")
-RECORD_SIZE = _RECORD.size
+def make_records(ids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(m, 2) records pairing each sample id with its center."""
+    out = np.empty((len(ids), 2), dtype=_U8)
+    out[:, 0] = ids
+    out[:, 1] = labels
+    return out
 
 
-def encode_records(pairs: list[tuple[int, int]]) -> bytes:
-    return b"".join(_RECORD.pack(sid, ctr) for sid, ctr in pairs)
+def encode_records(records: np.ndarray) -> bytes:
+    return np.asarray(records, dtype=_U8).tobytes()
 
 
-def decode_records(buf: bytes) -> list[tuple[int, int]]:
+def decode_records(buf: bytes) -> np.ndarray:
     if len(buf) % RECORD_SIZE:
         raise ConfigError(f"record buffer length {len(buf)} is not a multiple of {RECORD_SIZE}")
-    return [_RECORD.unpack_from(buf, off) for off in range(0, len(buf), RECORD_SIZE)]
+    return np.frombuffer(buf, dtype=_U8).reshape(-1, 2)
+
+
+def gather_labels(fragments: list[np.ndarray], n: int) -> np.ndarray:
+    """The full label array from every position's records."""
+    owned = np.concatenate(fragments)
+    assign = np.full(n, -1, dtype=np.int64)
+    assign[owned[:, 0]] = owned[:, 1]
+    if np.any(assign < 0):
+        missing = int(np.flatnonzero(assign < 0)[0])
+        raise InvariantError(f"sample {missing} lost its owner")
+    return assign
+
+
+def needs_recompute(changed: bool, t: int) -> bool:
+    """Whether pass `t` recomputes the centers.
+
+    The declared all-zeros bootstrap assignment was never derived from
+    distances, so a pass-1 convergence (k=1) still establishes the means;
+    from pass 2 on a settled pass is a fixed point and its recompute is
+    skipped.
+    """
+    return changed or t == 1
 
 
 # -- splitting the centers ---------------------------------------------------
@@ -94,64 +121,85 @@ class CentersPass:
     """Result of one assignment pass over the samples a position owns."""
 
     changed: bool
-    staying: dict[int, int]                       # sid -> center, kept here
-    outgoing: dict[int, list[tuple[int, int]]]    # dst position -> records
+    kept: np.ndarray                        # (m, 2) records that stay here
+    outgoing: dict[int, np.ndarray]         # dst position -> (m, 2) records
 
 
-def centers_compute(values: np.ndarray, centers: np.ndarray,
-                    owned: dict[int, int],
-                    blocks: list[tuple[int, int]], my_pos: int) -> CentersPass:
-    """Reassign this position's samples against the full center list."""
-    if not owned:
-        return CentersPass(changed=False, staying={}, outgoing={})
-    ids = sorted(owned)
-    rows = np.asarray(ids, dtype=np.int64)
-    dists = pairwise_sqdist(values[rows], centers)
-    new = np.argmin(dists, axis=1)
-    changed = False
-    staying: dict[int, int] = {}
-    outgoing: dict[int, list[tuple[int, int]]] = {}
-    lo, hi = blocks[my_pos]
-    for i, sid in enumerate(ids):
-        ctr = int(new[i])
-        if ctr != owned[sid]:
-            changed = True
-        if lo <= ctr < hi:
-            staying[sid] = ctr
-        else:
-            outgoing.setdefault(owner_position(blocks, ctr), []).append((sid, ctr))
-    return CentersPass(changed=changed, staying=staying, outgoing=outgoing)
+def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
+                    labels: np.ndarray, block_ends: np.ndarray,
+                    my_pos: int) -> CentersPass:
+    """Reassign this position's samples against the full center list.
+
+    `ids` ascend and `labels` are their current centers.  A new center is
+    owned by the first block that ends after it, which skips empty blocks.
+    """
+    if len(ids) == 0:
+        return CentersPass(changed=False, kept=make_records(ids, labels), outgoing={})
+    new = np.argmin(pairwise_sqdist(values[ids], centers), axis=1)
+    dest = np.searchsorted(block_ends, new, side="right")
+    outgoing = {}
+    for pos in np.unique(dest):
+        if pos != my_pos:
+            go = dest == pos
+            outgoing[int(pos)] = make_records(ids[go], new[go])
+    stay = dest == my_pos
+    return CentersPass(changed=not np.array_equal(new, labels),
+                       kept=make_records(ids[stay], new[stay]), outgoing=outgoing)
 
 
-def centers_recompute(values: np.ndarray, owned: dict[int, int],
-                      centers_prev: np.ndarray,
-                      block: tuple[int, int]) -> np.ndarray:
+def centers_recompute(values: np.ndarray, ids: np.ndarray, labels: np.ndarray,
+                      centers_prev: np.ndarray, block: tuple[int, int]) -> np.ndarray:
     """New rows for the owned center block; empty centers keep their row."""
     lo, hi = block
-    out = centers_prev[lo:hi].copy()
-    if hi == lo:
-        return out
-    members: dict[int, list[int]] = {}
-    for sid, ctr in owned.items():
-        members.setdefault(ctr, []).append(sid)
-    for ctr in range(lo, hi):
-        ids = members.get(ctr)
-        if not ids:
-            continue
-        ids.sort()
-        rows = values[np.asarray(ids, dtype=np.int64)]
-        out[ctr - lo] = np.sum(rows, axis=0) / len(ids)
-    return out
+    sums, counts = center_sums(values, ids, labels, range(lo, hi))
+    return center_means(sums, counts, centers_prev[lo:hi])
 
 
-def merge_incoming(staying: dict[int, int],
-                   batches: list[list[tuple[int, int]]]) -> dict[int, int]:
-    """Fold handed-over records (in source order) into the kept set."""
-    owned = dict(staying)
-    for batch in batches:
-        for sid, ctr in batch:
-            owned[sid] = ctr
-    return owned
+class CentersPosition:
+    """One position of the center split: its center block and the samples
+    currently assigned to it, as ascending ids with aligned labels."""
+
+    def __init__(self, values: np.ndarray, k: int, procs: int, position: int):
+        self.values = values
+        self.blocks = partition(k, procs)
+        self.block_ends = np.array([hi for _, hi in self.blocks], dtype=np.int64)
+        self.reset(position)
+
+    def reset(self, position: int) -> None:
+        """The bootstrap state: every sample starts on center 0, owned by
+        position 0."""
+        self.position = position
+        n = len(self.values) if position == 0 else 0
+        self.ids = np.arange(n, dtype=np.int64)
+        self.labels = np.zeros(n, dtype=np.int64)
+
+    @property
+    def load(self) -> int:
+        return len(self.ids)
+
+    def compute(self, centers: np.ndarray) -> CentersPass:
+        return centers_compute(self.values, centers, self.ids, self.labels,
+                               self.block_ends, self.position)
+
+    def absorb(self, out: CentersPass, batches: list[np.ndarray]) -> None:
+        """Keep what stayed and take over the records handed to this position."""
+        self._own(np.concatenate([out.kept, *batches]))
+
+    def recompute(self, centers: np.ndarray) -> np.ndarray:
+        return centers_recompute(self.values, self.ids, self.labels, centers,
+                                 self.blocks[self.position])
+
+    def entries(self) -> np.ndarray:
+        return make_records(self.ids, self.labels)
+
+    def restore(self, entries: np.ndarray, position: int) -> None:
+        self.position = position
+        self._own(entries)
+
+    def _own(self, records: np.ndarray) -> None:
+        order = np.argsort(records[:, 0])
+        self.ids = records[order, 0].astype(np.int64)
+        self.labels = records[order, 1].astype(np.int64)
 
 
 # -- splitting the samples ---------------------------------------------------
@@ -168,24 +216,63 @@ def samples_compute(values_block: np.ndarray, centers: np.ndarray,
 def samples_partials(values_block: np.ndarray, assign: np.ndarray,
                      k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-center coordinate sums and member counts for one block."""
-    d = values_block.shape[1]
-    sums = np.zeros((k, d), dtype=np.float64)
-    counts = np.zeros(k, dtype=np.int64)
-    for ctr in range(k):
-        rows = np.flatnonzero(assign == ctr)
-        if rows.size:
-            sums[ctr] = np.sum(values_block[rows], axis=0)
-            counts[ctr] = rows.size
-    return sums, counts
+    return center_sums(values_block, np.arange(len(assign)), assign, range(k))
 
 
-def samples_divide(sums: np.ndarray, counts: np.ndarray,
-                   centers_prev: np.ndarray) -> np.ndarray:
-    out = centers_prev.copy()
-    for ctr in range(len(counts)):
-        if counts[ctr] > 0:
-            out[ctr] = sums[ctr] / counts[ctr]
-    return out
+class SamplesPosition:
+    """One position of the sample split: a fixed block of samples and their
+    labels."""
+
+    def __init__(self, values: np.ndarray, k: int, procs: int, position: int):
+        self.values = values
+        self.k = k
+        self.blocks = partition(len(values), procs)
+        self.reset(position)
+
+    def reset(self, position: int) -> None:
+        """The bootstrap state: every sample starts on center 0."""
+        self.position = position
+        lo, hi = self.blocks[position]
+        self.labels = np.zeros(hi - lo, dtype=np.int64)
+
+    @property
+    def load(self) -> int:
+        return len(self.labels)
+
+    def _block(self) -> np.ndarray:
+        lo, hi = self.blocks[self.position]
+        return self.values[lo:hi]
+
+    def compute(self, centers: np.ndarray) -> bool:
+        """Reassign the block; True when a label changed."""
+        self.labels, changed = samples_compute(self._block(), centers, self.labels)
+        return changed
+
+    def partials(self) -> tuple[np.ndarray, np.ndarray]:
+        return samples_partials(self._block(), self.labels, self.k)
+
+    def means(self, sums: np.ndarray, counts: np.ndarray,
+              centers_prev: np.ndarray) -> np.ndarray:
+        """Centers from the sums and counts combined over every position."""
+        if int(counts.sum()) != len(self.values):
+            raise InvariantError(
+                f"count conservation violated: {int(counts.sum())} != {len(self.values)}")
+        return center_means(sums, counts, centers_prev)
+
+    def entries(self) -> np.ndarray:
+        lo, hi = self.blocks[self.position]
+        return make_records(np.arange(lo, hi), self.labels)
+
+    def restore(self, entries: np.ndarray, position: int) -> None:
+        lo, hi = self.blocks[position]
+        if not np.array_equal(entries[:, 0], np.arange(lo, hi)):
+            raise UnrecoverableError(
+                f"snapshot does not cover block {lo}:{hi} of position {position}")
+        self.position = position
+        self.labels = entries[:, 1].astype(np.int64)
+
+
+POSITIONS = {Method.CENTERS: CentersPosition, Method.SAMPLES: SamplesPosition}
 
 
 # -- single-process driver ---------------------------------------------------
@@ -207,11 +294,37 @@ class ParallelResult:
     transfers: list[int] = field(default_factory=list)   # CENTERS only
 
 
-def _assemble_table(assign: np.ndarray, k: int, changed: bool) -> AssignmentTable:
-    counts = np.bincount(assign, minlength=k).astype(np.int64)
-    table = AssignmentTable(assign=assign.astype(np.int64), changed=changed, counts=counts)
-    table.validate(k)
-    return table
+def _centers_step(states: list[CentersPosition], centers: np.ndarray,
+                  t: int, transfers: list[int]) -> tuple[np.ndarray, bool]:
+    passes = [s.compute(centers) for s in states]
+    changed = any(out.changed for out in passes)
+    moved = 0
+    for p, state in enumerate(states):
+        batches = [out.outgoing[p] for src, out in enumerate(passes)
+                   if src != p and p in out.outgoing]
+        moved += sum(len(b) for b in batches)
+        state.absorb(passes[p], batches)
+    transfers.append(moved)
+    if not needs_recompute(changed, t):
+        return centers, changed
+    new_centers = centers.copy()
+    for state in states:
+        lo, hi = state.blocks[state.position]
+        new_centers[lo:hi] = state.recompute(centers)
+    return new_centers, changed
+
+
+def _samples_step(states: list[SamplesPosition], centers: np.ndarray,
+                  t: int, transfers: list[int]) -> tuple[np.ndarray, bool]:
+    changed = False
+    for state in states:
+        changed = state.compute(centers) or changed
+    if not needs_recompute(changed, t):
+        return centers, changed
+    parts = [s.partials() for s in states]     # ascending fold, same as the reduction
+    sums = sum(ps for ps, _ in parts)
+    counts = sum(pc for _, pc in parts)
+    return states[0].means(sums, counts, centers), changed
 
 
 def run_parallel(data: Dataset, cfg: KmeansConfig, procs: int, method: Method,
@@ -225,26 +338,9 @@ def run_parallel(data: Dataset, cfg: KmeansConfig, procs: int, method: Method,
     """
     if procs < 1:
         raise ConfigError(f"procs must be >= 1, got {procs}")
-    if method is Method.CENTERS:
-        return _run_centers(data, cfg, procs, record_history, force_iters)
-    return _run_samples(data, cfg, procs, record_history, force_iters)
-
-
-def _history_append(history: list[IterationRecord], record: bool, it: int,
-                    centers: np.ndarray, assign: np.ndarray) -> None:
-    if record:
-        history.append(IterationRecord(it, centers.copy(), assign.copy()))
-
-
-def _run_centers(data: Dataset, cfg: KmeansConfig, procs: int,
-                 record_history: bool, force_iters: int | None) -> ParallelResult:
-    values = data.values
-    k = cfg.k
-    blocks = partition(k, procs)
-    centers = init_centroids(data, k).centers.copy()
-    # every sample starts on center 0, so position 0 owns the whole set
-    owned: list[dict[int, int]] = [{} for _ in range(procs)]
-    owned[0] = {sid: 0 for sid in range(data.n)}
+    states = [POSITIONS[method](data.values, cfg.k, procs, p) for p in range(procs)]
+    step = _centers_step if method is Method.CENTERS else _samples_step
+    centers = init_centroids(data, cfg.k).centers.copy()
 
     limit = force_iters if force_iters is not None else cfg.max_iters
     history: list[IterationRecord] = []
@@ -252,110 +348,25 @@ def _run_centers(data: Dataset, cfg: KmeansConfig, procs: int,
     iterations = 0
     converged = False
     for t in range(1, limit + 1):
-        passes = [centers_compute(values, centers, owned[p], blocks, p)
-                  for p in range(procs)]
-        changed = False
-        for p in range(procs):
-            changed = changed or passes[p].changed
-        moved = 0
-        for p in range(procs):
-            batches = []
-            for src in range(procs):
-                if src == p:
-                    continue
-                batch = passes[src].outgoing.get(p, [])
-                moved += len(batch)
-                batches.append(batch)
-            owned[p] = merge_incoming(passes[p].staying, batches)
-        transfers.append(moved)
+        centers, changed = step(states, centers, t, transfers)
         iterations = t
-        # the declared all-zeros bootstrap assignment was never derived from
-        # distances, so a pass-1 convergence (k=1) still establishes the means;
-        # from pass 2 on the recompute is a fixed point and is skipped
-        if not changed and t > 1 and force_iters is None:
-            converged = True
-            _history_append(history, record_history, t, centers, _gather_assign(owned, data.n))
-            break
         if not changed:
             converged = True
-        new_centers = centers.copy()
-        for p in range(procs):
-            lo, hi = blocks[p]
-            new_centers[lo:hi] = centers_recompute(values, owned[p], centers, blocks[p])
-        centers = new_centers
-        _history_append(history, record_history, t, centers, _gather_assign(owned, data.n))
+        if record_history:
+            assign = gather_labels([s.entries() for s in states], data.n)
+            history.append(IterationRecord(t, centers.copy(), assign))
         if converged and force_iters is None:
             break
 
-    assign = _gather_assign(owned, data.n)
+    assign = gather_labels([s.entries() for s in states], data.n)
+    counts = np.bincount(assign, minlength=cfg.k).astype(np.int64)
+    table = AssignmentTable(assign=assign, changed=not converged, counts=counts)
+    table.validate(cfg.k)
     return ParallelResult(
         centroids=CentroidSet(centers),
-        table=_assemble_table(assign, k, changed=not converged),
+        table=table,
         iterations=iterations,
         converged=converged,
         history=history,
         transfers=transfers,
-    )
-
-
-def _gather_assign(owned: list[dict[int, int]], n: int) -> np.ndarray:
-    assign = np.full(n, -1, dtype=np.int64)
-    for dct in owned:
-        for sid, ctr in dct.items():
-            assign[sid] = ctr
-    if np.any(assign < 0):
-        missing = int(np.flatnonzero(assign < 0)[0])
-        raise ConfigError(f"sample {missing} lost its owner")
-    return assign
-
-
-def _run_samples(data: Dataset, cfg: KmeansConfig, procs: int,
-                 record_history: bool, force_iters: int | None) -> ParallelResult:
-    values = data.values
-    k = cfg.k
-    blocks = partition(data.n, procs)
-    centers = init_centroids(data, k).centers.copy()
-    assign = np.zeros(data.n, dtype=np.int64)
-
-    limit = force_iters if force_iters is not None else cfg.max_iters
-    history: list[IterationRecord] = []
-    iterations = 0
-    converged = False
-    for t in range(1, limit + 1):
-        news = []
-        changed = False
-        for p in range(procs):
-            lo, hi = blocks[p]
-            new_block, chg = samples_compute(values[lo:hi], centers, assign[lo:hi])
-            news.append(new_block)
-            changed = changed or chg
-        for p in range(procs):
-            lo, hi = blocks[p]
-            assign[lo:hi] = news[p]
-        iterations = t
-        # same pass-1 rule as the center split: means must be established once
-        if not changed and t > 1 and force_iters is None:
-            converged = True
-            _history_append(history, record_history, t, centers, assign)
-            break
-        if not changed:
-            converged = True
-        sums = np.zeros((k, values.shape[1]), dtype=np.float64)
-        counts = np.zeros(k, dtype=np.int64)
-        for p in range(procs):          # ascending fold, same as the reduction
-            lo, hi = blocks[p]
-            ps, pc = samples_partials(values[lo:hi], assign[lo:hi], k)
-            sums = sums + ps
-            counts = counts + pc
-        centers = samples_divide(sums, counts, centers)
-        _history_append(history, record_history, t, centers, assign)
-        if converged and force_iters is None:
-            break
-
-    return ParallelResult(
-        centroids=CentroidSet(centers),
-        table=_assemble_table(assign, k, changed=not converged),
-        iterations=iterations,
-        converged=converged,
-        history=history,
     )

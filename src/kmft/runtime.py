@@ -12,6 +12,10 @@ rank's mirror holder), recompute centroids from the restored assignments,
 and re-protect the restored state with a fresh checkpoint so the ring is
 fully redundant again before normal iterations resume.
 
+Each rank holds one `parallel` position state, the same one the lockstep
+driver steps; this module adds only the messages and collectives between
+its calls, the checkpoints and the recovery.
+
 A failure before the first commit rolls back to the deterministic initial
 state instead of a snapshot; that state needs no re-protection because it
 is reconstructible from the run configuration alone.
@@ -37,7 +41,7 @@ from .checkpoint import (
     mirror_target,
     segment_spec,
 )
-from .errors import ConfigError, PeerDead, Timeout, UnrecoverableError
+from .errors import ConfigError, InvariantError, PeerDead, Timeout, UnrecoverableError
 from .kmeans import (
     AssignmentTable,
     CentroidSet,
@@ -46,16 +50,14 @@ from .kmeans import (
     init_centroids,
 )
 from .parallel import (
+    POSITIONS,
+    CentersPosition,
     Method,
-    centers_compute,
-    centers_recompute,
+    SamplesPosition,
     decode_records,
     encode_records,
-    merge_incoming,
-    partition,
-    samples_compute,
-    samples_divide,
-    samples_partials,
+    gather_labels,
+    needs_recompute,
 )
 from .simcluster import (
     DEFAULT_TIMEOUT,
@@ -138,7 +140,7 @@ def detect_failures(ctx: RankContext, group: Group, round_no: int,
     return tuple(m for m in group.members if sv[m] is Health.CORRUPT)
 
 
-def _digest(entries: list[tuple[int, int]], epoch: int, iteration: int) -> str:
+def _digest(entries: np.ndarray, epoch: int, iteration: int) -> str:
     h = hashlib.sha256()
     h.update(epoch.to_bytes(8, "little"))
     h.update(iteration.to_bytes(8, "little"))
@@ -146,168 +148,88 @@ def _digest(entries: list[tuple[int, int]], epoch: int, iteration: int) -> str:
     return h.hexdigest()
 
 
-class _CentersState:
-    """Per-rank state of the center-split method."""
+# -- per-method communication around the parallel.py position state ---------
+#
+# A pass function runs one assignment pass and returns whether any rank's
+# labels changed; a means function returns the new replicated centers.  With
+# `t` None the means are a post-restore rebuild, charged to RESTORE.
 
-    def __init__(self, data: Dataset, cfg: KmeansConfig, procs: int):
-        self.data = data
-        self.cfg = cfg
-        self.blocks = partition(cfg.k, procs)
-        self.init_centers = init_centroids(data, cfg.k).centers.copy()
-        self.centers = self.init_centers.copy()
-        self.owned: dict[int, int] = {}
-        self.position = 0
-
-    def reset_initial(self, position: int) -> None:
-        self.position = position
-        self.centers = self.init_centers.copy()
-        self.owned = {sid: 0 for sid in range(self.data.n)} if position == 0 else {}
-
-    def capture_entries(self) -> list[tuple[int, int]]:
-        return sorted(self.owned.items())
-
-    def restore_entries(self, entries: list[tuple[int, int]], position: int) -> None:
-        self.position = position
-        self.owned = {sid: ctr for sid, ctr in entries}
-
-    def run_pass(self, ctx: RankContext, group: Group, t: int,
-                 skip_recompute_when_settled: bool) -> bool:
-        members = group.members
-        position = self.position
-        with ctx.phase(VtPhase.COMPUTE):
-            ctx.charge(ctx.costs.compute_per_sample * len(self.owned))
-            out = centers_compute(self.data.values, self.centers, self.owned,
-                                  self.blocks, position)
-        with ctx.phase(VtPhase.COMM):
-            for dst_pos in range(len(members)):
-                if dst_pos == position:
-                    continue
-                records = out.outgoing.get(dst_pos, [])
-                if records:
-                    ctx.send(members[dst_pos], encode_records(records))
-                ctx.send(members[dst_pos], b"")      # end of this batch
-            batches = []
-            for src_pos in range(len(members)):
-                if src_pos == position:
-                    continue
-                batch: list[tuple[int, int]] = []
-                while True:
-                    chunk = ctx.recv(members[src_pos])
-                    if chunk == b"":
-                        break
-                    batch.extend(decode_records(chunk))
-                batches.append(batch)
-            merged = merge_incoming(out.staying, batches)
-            changed = ctx.reduce_all(group, out.changed, ReduceOp.OR, ("chg", t))
-        self.owned = merged
-        if not changed and skip_recompute_when_settled:
-            return False
-        self._recompute_and_share(ctx, group, ("cb", t))
-        return bool(changed)
-
-    def rebuild_centroids(self, ctx: RankContext, group: Group) -> None:
-        """Post-restore: derive every center block from assignments, then share."""
-        self.centers = self.init_centers.copy()
-        self._recompute_and_share(ctx, group, ("rcb",),
-                                  (VtPhase.RESTORE, VtPhase.RESTORE))
-
-    def _recompute_and_share(self, ctx: RankContext, group: Group, tag: tuple,
-                             phases=(VtPhase.COMPUTE, VtPhase.COMM)) -> None:
-        with ctx.phase(phases[0]):
-            lo, hi = self.blocks[self.position]
-            mine = centers_recompute(self.data.values, self.owned, self.centers,
-                                     (lo, hi))
-            ctx.charge(ctx.costs.compute_per_sample * len(self.owned))
-        with ctx.phase(phases[1]):
-            new_centers = self.centers.copy()
-            for pos in range(len(group.members)):
-                blo, bhi = self.blocks[pos]
-                if bhi == blo:
-                    continue
-                payload = mine if pos == self.position else None
-                rows = ctx.broadcast(group, group.members[pos], payload, tag + (pos,))
-                new_centers[blo:bhi] = rows
-            self.centers = new_centers
-
-    def local_fragment(self) -> list[tuple[int, int]]:
-        return sorted(self.owned.items())
+def _phases(t: int | None) -> tuple[VtPhase, VtPhase]:
+    """Ledger phases of a means step's local work and of its exchange."""
+    if t is None:
+        return VtPhase.RESTORE, VtPhase.RESTORE
+    return VtPhase.COMPUTE, VtPhase.COMM
 
 
-class _SamplesState:
-    """Per-rank state of the sample-split method."""
-
-    def __init__(self, data: Dataset, cfg: KmeansConfig, procs: int):
-        self.data = data
-        self.cfg = cfg
-        self.blocks = partition(data.n, procs)
-        self.init_centers = init_centroids(data, cfg.k).centers.copy()
-        self.centers = self.init_centers.copy()
-        self.assign = np.zeros(0, dtype=np.int64)
-        self.position = 0
-
-    def reset_initial(self, position: int) -> None:
-        self.position = position
-        lo, hi = self.blocks[position]
-        self.centers = self.init_centers.copy()
-        self.assign = np.zeros(hi - lo, dtype=np.int64)
-
-    def capture_entries(self) -> list[tuple[int, int]]:
-        lo, _ = self.blocks[self.position]
-        return [(lo + i, int(ctr)) for i, ctr in enumerate(self.assign)]
-
-    def restore_entries(self, entries: list[tuple[int, int]], position: int) -> None:
-        self.position = position
-        lo, hi = self.blocks[position]
-        if [sid for sid, _ in entries] != list(range(lo, hi)):
-            raise UnrecoverableError(
-                f"snapshot does not cover block {lo}:{hi} of position {position}")
-        self.assign = np.array([ctr for _, ctr in entries], dtype=np.int64)
-
-    def run_pass(self, ctx: RankContext, group: Group, t: int,
-                 skip_recompute_when_settled: bool) -> bool:
-        lo, hi = self.blocks[self.position]
-        block = self.data.values[lo:hi]
-        with ctx.phase(VtPhase.COMPUTE):
-            ctx.charge(ctx.costs.compute_per_sample * (hi - lo))
-            new_assign, changed_local = samples_compute(block, self.centers,
-                                                        self.assign)
-        with ctx.phase(VtPhase.COMM):
-            changed = ctx.reduce_all(group, changed_local, ReduceOp.OR, ("chg", t))
-        self.assign = new_assign
-        if not changed and skip_recompute_when_settled:
-            return False
-        self._reduce_and_divide(ctx, group, ("ms", t))
-        return bool(changed)
-
-    def rebuild_centroids(self, ctx: RankContext, group: Group) -> None:
-        self.centers = self.init_centers.copy()
-        self._reduce_and_divide(ctx, group, ("rcs",),
-                                (VtPhase.RESTORE, VtPhase.RESTORE))
-
-    def _reduce_and_divide(self, ctx: RankContext, group: Group, tag: tuple,
-                           phases=(VtPhase.COMPUTE, VtPhase.COMM)) -> None:
-        lo, hi = self.blocks[self.position]
-        with ctx.phase(phases[0]):
-            sums, counts = samples_partials(self.data.values[lo:hi], self.assign,
-                                            self.cfg.k)
-            ctx.charge(ctx.costs.compute_per_sample * (hi - lo))
-        with ctx.phase(phases[1]):
-            gsums = ctx.reduce_all(group, sums, ReduceOp.SUM, tag + ("s",))
-            gcounts = ctx.reduce_all(group, counts, ReduceOp.SUM, tag + ("c",))
-        if int(gcounts.sum()) != self.data.n:
-            raise ConfigError(
-                f"count conservation violated: {int(gcounts.sum())} != {self.data.n}")
-        self.centers = samples_divide(gsums, gcounts, self.centers)
-
-    def local_fragment(self) -> list[tuple[int, int]]:
-        lo, _ = self.blocks[self.position]
-        return [(lo + i, int(ctr)) for i, ctr in enumerate(self.assign)]
+def _centers_pass(ctx: RankContext, group: Group, state: CentersPosition,
+                  centers: np.ndarray, t: int) -> bool:
+    members = group.members
+    position = state.position
+    with ctx.phase(VtPhase.COMPUTE):
+        ctx.charge(ctx.costs.compute_per_sample * state.load)
+        out = state.compute(centers)
+    with ctx.phase(VtPhase.COMM):
+        for dst_pos in range(len(members)):
+            if dst_pos == position:
+                continue
+            if dst_pos in out.outgoing:
+                ctx.send(members[dst_pos], encode_records(out.outgoing[dst_pos]))
+            ctx.send(members[dst_pos], b"")      # end of this batch
+        batches = []
+        for src_pos in range(len(members)):
+            if src_pos == position:
+                continue
+            while True:
+                chunk = ctx.recv(members[src_pos])
+                if chunk == b"":
+                    break
+                batches.append(decode_records(chunk))
+        state.absorb(out, batches)
+        return ctx.reduce_all(group, out.changed, ReduceOp.OR, ("chg", t))
 
 
-def _make_state(method: Method, data: Dataset, cfg: KmeansConfig, procs: int):
-    if method is Method.CENTERS:
-        return _CentersState(data, cfg, procs)
-    return _SamplesState(data, cfg, procs)
+def _centers_means(ctx: RankContext, group: Group, state: CentersPosition,
+                   centers: np.ndarray, t: int | None) -> np.ndarray:
+    tag = ("cb", t) if t is not None else ("rcb",)
+    work, exchange = _phases(t)
+    with ctx.phase(work):
+        mine = state.recompute(centers)
+        ctx.charge(ctx.costs.compute_per_sample * state.load)
+    with ctx.phase(exchange):
+        new_centers = centers.copy()
+        for pos, (lo, hi) in enumerate(state.blocks):
+            if hi == lo:
+                continue
+            payload = mine if pos == state.position else None
+            new_centers[lo:hi] = ctx.broadcast(group, group.members[pos], payload,
+                                               tag + (pos,))
+    return new_centers
+
+
+def _samples_pass(ctx: RankContext, group: Group, state: SamplesPosition,
+                  centers: np.ndarray, t: int) -> bool:
+    with ctx.phase(VtPhase.COMPUTE):
+        ctx.charge(ctx.costs.compute_per_sample * state.load)
+        changed = state.compute(centers)
+    with ctx.phase(VtPhase.COMM):
+        return ctx.reduce_all(group, changed, ReduceOp.OR, ("chg", t))
+
+
+def _samples_means(ctx: RankContext, group: Group, state: SamplesPosition,
+                   centers: np.ndarray, t: int | None) -> np.ndarray:
+    tag = ("ms", t) if t is not None else ("rcs",)
+    work, exchange = _phases(t)
+    with ctx.phase(work):
+        sums, counts = state.partials()
+        ctx.charge(ctx.costs.compute_per_sample * state.load)
+    with ctx.phase(exchange):
+        gsums = ctx.reduce_all(group, sums, ReduceOp.SUM, tag + ("s",))
+        gcounts = ctx.reduce_all(group, counts, ReduceOp.SUM, tag + ("c",))
+    return state.means(gsums, gcounts, centers)
+
+
+_EXCHANGES = {Method.CENTERS: (_centers_pass, _centers_means),
+              Method.SAMPLES: (_samples_pass, _samples_means)}
 
 
 class _ActiveDriver:
@@ -327,7 +249,10 @@ class _ActiveDriver:
 
         self.group = Group(tuple(range(layout.active)))
         self.position = 0
-        self.state = _make_state(method, data, cfg, layout.active)
+        self.state = POSITIONS[method](data.values, cfg.k, layout.active, 0)
+        self._pass, self._means = _EXCHANGES[method]
+        self.init_centers = init_centroids(data, cfg.k).centers.copy()
+        self.centers = self.init_centers.copy()
         self.it = 0
         self.detect_round = 0
         self.consumed_spares = 0
@@ -343,7 +268,7 @@ class _ActiveDriver:
     def start_fresh(self) -> None:
         self.position = self.group.position(self.ctx.rank)
         self.cp = Checkpointer(self.ctx, self.group, self.data.n)
-        self.state.reset_initial(self.position)
+        self._reset_initial()
 
     def start_from_wake(self, msg: tuple) -> None:
         (_, members, generation, last_committed, committed_count,
@@ -375,9 +300,10 @@ class _ActiveDriver:
             t = self.it + 1
             self.ctx.failure_point(t, FailPhase.DURING_COMPUTE)
             try:
-                changed = self.state.run_pass(
-                    self.ctx, self.group, t,
-                    skip_recompute_when_settled=(t > 1))
+                changed = self._pass(self.ctx, self.group, self.state, self.centers, t)
+                if needs_recompute(changed, t):
+                    self.centers = self._means(self.ctx, self.group, self.state,
+                                               self.centers, t)
             except (Timeout, PeerDead):
                 if not self._handle_comm_fault():
                     break
@@ -429,7 +355,7 @@ class _ActiveDriver:
         return True
 
     def _capture(self, epoch: int, iteration: int) -> None:
-        entries = self.state.capture_entries()
+        entries = self.state.entries()
         self.cp.start(epoch, iteration, entries)
         self.captures.append((epoch, iteration, _digest(entries, epoch, iteration)))
 
@@ -531,15 +457,21 @@ class _ActiveDriver:
             if epoch is None:
                 # nothing committed yet: back to the seed state, which wants
                 # no rebuild (its centroids are given, not derived)
-                self.state.reset_initial(self.position)
+                self._reset_initial()
                 self.it = 0
                 return None
             iteration, entries = self.cp.fetch(epoch)
             self.cp.adopt(epoch, iteration, entries)
-            self.state.restore_entries(entries, self.position)
+            self.state.restore(entries, self.position)
             self.it = iteration
-            self.state.rebuild_centroids(self.ctx, self.group)
+            # every center is derived from the restored labels again
+            self.centers = self._means(self.ctx, self.group, self.state,
+                                       self.init_centers, None)
         return _digest(entries, epoch, iteration)
+
+    def _reset_initial(self) -> None:
+        self.state.reset(self.position)
+        self.centers = self.init_centers.copy()
 
     def _reprotect(self) -> None:
         """Fresh checkpoint of the restored state heals ring redundancy."""
@@ -569,8 +501,8 @@ class _ActiveDriver:
             "position": self.position,
             "members": self.group.members,
             "generation": self.group.generation,
-            "centers": self.state.centers.copy(),
-            "fragment": self.state.local_fragment(),
+            "centers": self.centers.copy(),
+            "fragment": self.state.entries(),
             "iterations": self.it,
             "converged": self.converged,
             "recoveries": self.recoveries,
@@ -639,24 +571,19 @@ def _assemble(world: ClusterHandle, results: dict, data: Dataset,
     ref = min(finals, key=lambda v: v["position"])
     members = ref["members"]
     if any(v["members"] != members for v in finals):
-        raise ConfigError("surviving ranks disagree on the final group")
+        raise InvariantError("surviving ranks disagree on the final group")
     by_position = {v["position"]: v for v in finals}
 
     for key in ("iterations", "converged", "recoveries", "epochs_committed",
                 "reason", "generation"):
         vals = {repr(v[key]) for v in finals}
         if len(vals) != 1:
-            raise ConfigError(f"ranks disagree on {key}: {sorted(vals)}")
+            raise InvariantError(f"ranks disagree on {key}: {sorted(vals)}")
 
     centroids = None
     table = None
     if not ref["reason"]:
-        assign = np.full(data.n, -1, dtype=np.int64)
-        for v in finals:
-            for sid, ctr in v["fragment"]:
-                assign[sid] = ctr
-        if np.any(assign < 0):
-            raise ConfigError("assignment fragments do not cover the dataset")
+        assign = gather_labels([v["fragment"] for v in finals], data.n)
         counts = np.bincount(assign, minlength=cfg.k).astype(np.int64)
         table = AssignmentTable(assign=assign, changed=not ref["converged"],
                                 counts=counts)

@@ -76,7 +76,6 @@ class VtPhase(enum.Enum):
 class ReduceOp(enum.Enum):
     SUM = "sum"
     OR = "or"
-    MIN = "min"
 
 
 class BarrierStatus(enum.Enum):
@@ -193,7 +192,6 @@ class _Transfer:
     offset: int
     payload: bytes
     ready_at: int
-    delivered: bool = False
 
 
 class Token:
@@ -213,6 +211,7 @@ class _Collective:
     values: dict[int, object] = field(default_factory=dict)
     result: object = None
     combined: bool = False
+    returned: int = 0        # members that have left the operation
 
 
 class _RankFlag(enum.Enum):
@@ -392,9 +391,6 @@ class RankContext:
         self._world._op_failure_point(self.rank, iteration, phase, substep, self._vt_phase)
 
     # -- segments --------------------------------------------------------
-
-    def alloc_segment(self, seg: int, size: int) -> None:
-        self._world._op_alloc_segment(self.rank, seg, size)
 
     def write_local(self, seg: int, offset: int, payload: bytes) -> None:
         self._world._op_write_local(self.rank, seg, offset, payload)
@@ -578,14 +574,15 @@ class ClusterHandle:
         if not self._alive(owner):
             return
         now = self._vt[owner]
-        for xf in self._pending:
-            if xf.dst == owner and xf.seg == seg and not xf.delivered and xf.ready_at <= now:
-                self._deliver(xf)
+        for xf in [xf for xf in self._pending
+                   if xf.dst == owner and xf.seg == seg and xf.ready_at <= now]:
+            self._deliver(xf)
 
     def _deliver(self, xf: _Transfer) -> None:
+        """Land a pending transfer; only its token keeps it after this."""
         buf = self._segment(xf.dst, xf.seg)
         buf[xf.offset:xf.offset + len(xf.payload)] = xf.payload
-        xf.delivered = True
+        self._pending.remove(xf)
         self._trace_event("deliver", xf.src, xf.dst, xf.seg, xf.offset, len(xf.payload))
 
     def _alive(self, rank: int) -> bool:
@@ -618,15 +615,6 @@ class ClusterHandle:
             self._trace_event("kill", rank, iteration, phase.value, substep, self._vt[rank])
             self._cv.notify_all()
         raise _Killed()
-
-    def _op_alloc_segment(self, rank: int, seg: int, size: int) -> None:
-        self._sched.yield_slot(rank)
-        with self._cv:
-            if (rank, seg) in self._segments:
-                raise SegmentError(f"rank {rank} segment {seg} already allocated")
-            if size < 1:
-                raise SegmentError(f"segment size must be >= 1, got {size}")
-            self._segments[(rank, seg)] = bytearray(size)
 
     def _check_bounds(self, rank: int, seg: int, offset: int, length: int) -> None:
         buf = self._segment(rank, seg)
@@ -679,10 +667,10 @@ class ClusterHandle:
                 self._trace_event("token", rank, "failed", xf.dst)
                 return token.state
             # earlier writes to the same region land first, preserving order
-            for other in self._pending:
-                if (other.dst, other.seg) == (xf.dst, xf.seg) and \
-                        other.seq <= xf.seq and not other.delivered:
-                    self._deliver(other)
+            for other in [other for other in self._pending
+                          if (other.dst, other.seg) == (xf.dst, xf.seg)
+                          and other.seq <= xf.seq]:
+                self._deliver(other)
             self._sync_to(rank, xf.ready_at, phase)
             token.state = TokenState.DELIVERED
             self._trace_event("token", rank, "delivered", xf.dst)
@@ -775,6 +763,12 @@ class ClusterHandle:
             raise ConfigError(f"collective tag {key} reused with different shape")
         return coll
 
+    def _leave_slot(self, key: tuple, coll: _Collective) -> None:
+        """Retire a slot once every member has returned from it."""
+        coll.returned += 1
+        if coll.returned == len(coll.members):
+            del self._collectives[key]
+
     def _op_barrier(self, rank: int, group: Group, timeout: int, tag: object,
                     phase: VtPhase) -> BarrierStatus:
         self._sched.yield_slot(rank)
@@ -794,6 +788,7 @@ class ClusterHandle:
 
         self._sched.block_until(rank, ready)
         with self._cv:
+            self._leave_slot(key, coll)
             if len(coll.deposits) == len(coll.members):
                 done = max(coll.deposits.values()) + self.costs.barrier
                 self._sync_to(rank, done, phase)
@@ -823,6 +818,7 @@ class ClusterHandle:
 
         self._sched.block_until(rank, ready)
         with self._cv:
+            self._leave_slot(key, coll)
             if len(coll.deposits) != len(coll.members):
                 self._sync_to(rank, coll.deposits[rank] + DEFAULT_TIMEOUT, phase)
                 raise Timeout(f"reduce {tag}: a group member died before contributing")
@@ -852,6 +848,7 @@ class ClusterHandle:
 
         self._sched.block_until(rank, ready)
         with self._cv:
+            self._leave_slot(key, coll)
             if root not in coll.deposits:
                 self._sync_to(rank, self._vt[rank] + DEFAULT_TIMEOUT, phase)
                 raise Timeout(f"broadcast {tag}: root {root} died before sending")
@@ -881,12 +878,6 @@ def _combine(op: ReduceOp, values: list[object]) -> object:
         acc = False
         for v in values:
             acc = acc or bool(v)
-        return acc
-    if op is ReduceOp.MIN:
-        acc = values[0]
-        for v in values[1:]:
-            if v < acc:
-                acc = v
         return acc
     acc = values[0]
     if isinstance(acc, np.ndarray):

@@ -76,6 +76,11 @@ class TestMirrorPolicy:
         assert p.mode is CommitMode.EAGER
 
 
+def as_lists(got):
+    """A decoded (..., entries) tuple with the entries array as nested lists."""
+    return (*got[:-1], got[-1].tolist())
+
+
 class TestSnapshotBytes:
     def test_golden_layout(self):
         buf = encode_snapshot(3, 17, [(1, 2), (9, 4)])
@@ -91,12 +96,12 @@ class TestSnapshotBytes:
         assert buf == expect
 
     def test_roundtrip(self):
-        entries = [(5, 1), (6, 0), (2**50, 3)]
-        assert decode_snapshot(encode_snapshot(9, 120, entries)) == (9, 120, entries)
+        entries = [[5, 1], [6, 0], [2**50, 3]]
+        assert as_lists(decode_snapshot(encode_snapshot(9, 120, entries))) == (9, 120, entries)
 
     def test_trailing_slack_ignored(self):
         buf = encode_snapshot(2, 7, [(1, 1)]) + b"\x00" * 100
-        assert decode_snapshot(buf) == (2, 7, [(1, 1)])
+        assert as_lists(decode_snapshot(buf)) == (2, 7, [[1, 1]])
 
     def test_short_buffer_rejected(self):
         with pytest.raises(ConfigError):
@@ -115,8 +120,8 @@ class TestSnapshotBytes:
            entries=st.lists(st.tuples(st.integers(0, 2**63), st.integers(0, 2**20)),
                             max_size=30))
     def test_roundtrip_property(self, epoch, iteration, entries):
-        assert decode_snapshot(encode_snapshot(epoch, iteration, entries)) == \
-            (epoch, iteration, entries)
+        assert as_lists(decode_snapshot(encode_snapshot(epoch, iteration, entries))) == \
+            (epoch, iteration, [list(e) for e in entries])
 
     def test_slot_arithmetic(self):
         assert slot_size(0) == 24
@@ -132,7 +137,7 @@ SEGS = segment_spec(MAX_ENTRIES)
 
 
 def entries_for(rank, epoch):
-    return [(10 * rank + i, epoch) for i in range(3)]
+    return [[10 * rank + i, epoch] for i in range(3)]
 
 
 class TestTwoPhase:
@@ -141,7 +146,7 @@ class TestTwoPhase:
         big = 4096
         w = spawn_world(2, segments=segment_spec(big))
         g = Group(members=(0, 1))
-        payload_entries = [(i, 1) for i in range(4000)]
+        payload_entries = [[i, 1] for i in range(4000)]
 
         def writer(ctx):
             cp = Checkpointer(ctx, g, big)
@@ -160,7 +165,7 @@ class TestTwoPhase:
         res = w.run({0: writer, 1: holder})
         early, late = res[1].value
         assert early == b"\x00" * 24            # not yet updated
-        assert late == (1, 5, payload_entries)  # delivered after the cost
+        assert as_lists(late) == (1, 5, payload_entries)  # delivered after the cost
 
     def test_double_start_rejected(self):
         w = spawn_world(2, segments=SEGS)
@@ -228,14 +233,14 @@ class TestTwoPhase:
             status, last, fetched = res[r].value
             assert status is BarrierStatus.OK
             assert last == 1
-            assert fetched == (10, entries_for(r, 1))
+            assert as_lists(fetched) == (10, entries_for(r, 1))
         # each rank's mirror region holds its ring source's payload
         for r in range(4):
             src = mirror_source(r, g)
             buf = w.segment_bytes(r, SEG_MIRROR)
             off = slot_offset(1, MAX_ENTRIES)
             got = decode_snapshot(buf[off:off + slot_size(MAX_ENTRIES)])
-            assert got == (1, 10, entries_for(src, 1))
+            assert as_lists(got) == (1, 10, entries_for(src, 1))
 
     def test_commit_timeout_keeps_previous_epoch(self):
         """A kill between start and commit never disturbs the last commit."""
@@ -260,7 +265,7 @@ class TestTwoPhase:
             assert first is BarrierStatus.OK
             assert second is BarrierStatus.TIMEOUT
             assert last == 1
-            assert fetched == (10, entries_for(r, 1))
+            assert as_lists(fetched) == (10, entries_for(r, 1))
 
     def test_double_buffer_isolates_epochs(self):
         w = spawn_world(2, segments=SEGS)
@@ -279,7 +284,7 @@ class TestTwoPhase:
         for r in (0, 1):
             sync, fetched = res[r].value
             assert sync is BarrierStatus.OK
-            assert fetched == (10, entries_for(r, 1))
+            assert as_lists(fetched) == (10, entries_for(r, 1))
 
 
 class TestRestore:
@@ -305,7 +310,7 @@ class TestRestore:
             return cp.fetch(1)
 
         res = w.run({0: original, 1: original, 2: replacement})
-        assert res[2].value == (10, entries_for(0, 1))
+        assert as_lists(res[2].value) == (10, entries_for(0, 1))
 
     def test_buddy_loss_is_unrecoverable(self):
         plan = FailurePlan([FailureEvent(1, 1, FailPhase.DURING_COMPUTE)])
@@ -363,7 +368,7 @@ class TestRestore:
             return decode_snapshot(buf)
 
         res = w.run({0: original, 1: original, 2: replacement})
-        assert res[2].value == (1, 10, entries_for(0, 1))
+        assert as_lists(res[2].value) == (1, 10, entries_for(0, 1))
 
     def test_survivor_fetch_never_leaves_the_rank(self):
         costs = CostModel()

@@ -9,6 +9,7 @@ from kmft.errors import ConfigError
 from kmft.kmeans import (
     Dataset,
     KmeansConfig,
+    center_means,
     initial_assignment,
     init_centroids,
     lloyd_step,
@@ -16,17 +17,17 @@ from kmft.kmeans import (
 )
 from kmft.parallel import (
     RECORD_SIZE,
+    CentersPass,
+    CentersPosition,
     Method,
     centers_compute,
     centers_recompute,
     decode_records,
     encode_records,
-    merge_incoming,
-    owner_position,
+    make_records,
     partition,
     run_parallel,
     samples_compute,
-    samples_divide,
     samples_partials,
 )
 
@@ -80,14 +81,18 @@ class TestPartition:
         assert max(sizes) - min(sizes) <= 1
         assert sorted(sizes, reverse=True) == sizes
 
-    def test_owner_position(self):
-        blocks = partition(10, 4)
-        assert owner_position(blocks, 0) == 0
-        assert owner_position(blocks, 2) == 0
-        assert owner_position(blocks, 3) == 1
-        assert owner_position(blocks, 9) == 3
-        with pytest.raises(ConfigError):
-            owner_position(blocks, 10)
+    def test_records_routed_to_the_block_owner(self):
+        """Centers 0..9 over blocks (0,3) (3,6) (6,8) (8,10), with empty
+        blocks at positions 1 and 4 that must never receive a record."""
+        blocks = [(0, 3), (3, 3), (3, 6), (6, 8), (8, 8), (8, 10)]
+        ends = np.array([hi for _, hi in blocks])
+        values = np.arange(10, dtype=np.float64)[:, None]
+        centers = np.arange(10, dtype=np.float64)[:, None]
+        ids = np.arange(10, dtype=np.int64)
+        out = centers_compute(values, centers, ids, np.zeros(10, dtype=np.int64), ends, 0)
+        assert out.kept.tolist() == [[0, 0], [1, 1], [2, 2]]
+        assert {dst: recs.tolist() for dst, recs in out.outgoing.items()} == {
+            2: [[3, 3], [4, 4], [5, 5]], 3: [[6, 6], [7, 7]], 5: [[8, 8], [9, 9]]}
 
 
 class TestOwnershipRecords:
@@ -100,12 +105,12 @@ class TestOwnershipRecords:
         assert buf == b"\x01" + b"\x00" * 7 + b"\x02" + b"\x00" * 7
 
     def test_roundtrip(self):
-        pairs = [(0, 0), (12345, 6), (2**40, 2**33)]
-        assert decode_records(encode_records(pairs)) == pairs
+        pairs = [[0, 0], [12345, 6], [2**40, 2**33]]
+        assert decode_records(encode_records(pairs)).tolist() == pairs
 
     def test_empty(self):
         assert encode_records([]) == b""
-        assert decode_records(b"") == []
+        assert decode_records(b"").tolist() == []
 
     def test_ragged_buffer_rejected(self):
         with pytest.raises(ConfigError):
@@ -114,49 +119,56 @@ class TestOwnershipRecords:
     @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
                     max_size=20))
     def test_roundtrip_property(self, pairs):
-        assert decode_records(encode_records(pairs)) == pairs
+        assert decode_records(encode_records(pairs)).tolist() == [list(p) for p in pairs]
 
 
 class TestCentersPass:
     def test_hand_trace_first_pass(self):
         values = np.array([[0.0], [1.0], [9.0], [10.0]])
         centers = np.array([[0.0], [9.0]])
-        blocks = partition(2, 2)
-        owned0 = {0: 0, 1: 0, 2: 0, 3: 0}
-        out = centers_compute(values, centers, owned0, blocks, 0)
+        ends = np.array([1, 2])
+        out = centers_compute(values, centers, np.arange(4), np.zeros(4, dtype=np.int64),
+                              ends, 0)
         assert out.changed is True
-        assert out.staying == {0: 0, 1: 0}
-        assert out.outgoing == {1: [(2, 1), (3, 1)]}
+        assert out.kept.tolist() == [[0, 0], [1, 0]]
+        assert {dst: recs.tolist() for dst, recs in out.outgoing.items()} == \
+            {1: [[2, 1], [3, 1]]}
 
     def test_no_samples_no_change(self):
         values = np.zeros((2, 1))
         centers = np.zeros((1, 1))
-        out = centers_compute(values, centers, {}, partition(1, 2), 1)
-        assert out.changed is False and out.staying == {} and out.outgoing == {}
+        empty = np.zeros(0, dtype=np.int64)
+        out = centers_compute(values, centers, empty, empty, np.array([1, 1]), 1)
+        assert out.changed is False and out.kept.tolist() == [] and out.outgoing == {}
 
     def test_move_within_own_block_still_counts_as_change(self):
         values = np.array([[5.0]])
         centers = np.array([[0.0], [5.0]])
-        blocks = [(0, 2)]
-        out = centers_compute(values, centers, {0: 0}, blocks, 0)
+        out = centers_compute(values, centers, np.array([0]), np.array([0]),
+                              np.array([2]), 0)
         assert out.changed is True
-        assert out.staying == {0: 1}
+        assert out.kept.tolist() == [[0, 1]]
         assert out.outgoing == {}
 
-    def test_merge_incoming_applies_batches_in_order(self):
-        owned = merge_incoming({1: 0}, [[(2, 1)], [(3, 1), (4, 0)]])
-        assert owned == {1: 0, 2: 1, 3: 1, 4: 0}
+    def test_absorb_merges_batches_in_id_order(self):
+        state = CentersPosition(np.zeros((5, 1)), k=2, procs=2, position=1)
+        kept = CentersPass(changed=False, kept=make_records([1], [0]), outgoing={})
+        state.absorb(kept, [make_records([4], [1]), make_records([0, 3], [1, 0])])
+        assert state.ids.tolist() == [0, 1, 3, 4]
+        assert state.labels.tolist() == [1, 0, 0, 1]
+        assert state.entries().tolist() == [[0, 1], [1, 0], [3, 0], [4, 1]]
 
     def test_recompute_means_and_keep_empty(self):
         values = np.array([[0.0], [1.0], [9.0], [10.0]])
         prev = np.array([[0.0], [9.0], [77.0]])
-        rows = centers_recompute(values, {0: 0, 1: 0}, prev, (0, 3))
+        rows = centers_recompute(values, np.array([0, 1]), np.array([0, 0]), prev, (0, 3))
         assert np.array_equal(rows, np.array([[0.5], [9.0], [77.0]]))
 
     def test_recompute_empty_block(self):
         values = np.zeros((1, 2))
         prev = np.ones((3, 2))
-        rows = centers_recompute(values, {}, prev, (2, 2))
+        empty = np.zeros(0, dtype=np.int64)
+        rows = centers_recompute(values, empty, empty, prev, (2, 2))
         assert rows.shape == (0, 2)
 
     def test_recompute_matches_sequential_grouping_bitwise(self):
@@ -164,8 +176,7 @@ class TestCentersPass:
         values = rng.normal(size=(40, 3))
         labels = rng.integers(0, 4, size=40)
         prev = rng.normal(size=(4, 3))
-        owned = {int(s): int(labels[s]) for s in range(40)}
-        got = centers_recompute(values, owned, prev, (0, 4))
+        got = centers_recompute(values, np.arange(40), labels, prev, (0, 4))
         for ctr in range(4):
             rows = np.flatnonzero(labels == ctr)
             expect = np.sum(values[rows], axis=0) / rows.size if rows.size else prev[ctr]
@@ -196,7 +207,7 @@ class TestSamplesPass:
         sums = np.array([[4.0], [0.0]])
         counts = np.array([2, 0])
         prev = np.array([[9.0], [5.0]])
-        assert np.array_equal(samples_divide(sums, counts, prev), [[2.0], [5.0]])
+        assert np.array_equal(center_means(sums, counts, prev), [[2.0], [5.0]])
 
 
 class TestRunParallelCenters:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from kmft import parallel, runtime
 from kmft.checkpoint import CheckpointPolicy, CommitMode, mirror_target
-from kmft.errors import ConfigError
+from kmft.errors import ConfigError, InvariantError
 from kmft.kmeans import Dataset, KmeansConfig, objective, run_sequential
 from kmft.parallel import Method, run_parallel
 from kmft.runtime import WorldLayout, detect_failures, run_ft_kmeans
@@ -15,6 +16,7 @@ from kmft.simcluster import (
     Group,
     Mode,
     VtPhase,
+    spawn_world,
 )
 
 
@@ -50,7 +52,7 @@ class TestWorldLayout:
 
 
 class TestFailureFree:
-    @pytest.mark.parametrize("procs", [2, 4])
+    @pytest.mark.parametrize("procs", [2, 4, 8])   # 8 > k leaves empty center blocks
     def test_centers_matches_sequential_bitwise(self, procs):
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY,
                             WorldLayout(active=procs, spares=1))
@@ -327,3 +329,46 @@ class TestLazyMode:
         # commit lag: at detection only epoch 1 (iteration 5) was settled
         assert out.recovery_events[0]["epoch"] == 1
         assert out.recovery_events[0]["resumed_iteration"] == 5
+
+
+class TestLongRun:
+    """Simulator state stays bounded as the iteration count grows."""
+
+    @staticmethod
+    def _world_after(monkeypatch, iters, plan):
+        worlds = []
+
+        def spawn(*args, **kwargs):
+            worlds.append(spawn_world(*args, **kwargs))
+            return worlds[-1]
+
+        monkeypatch.setattr(runtime, "spawn_world", spawn)
+        out = run_ft_kmeans(DATA, CFG, Method.SAMPLES, CheckpointPolicy(interval=1),
+                            LAYOUT, plan=plan, force_iters=iters)
+        assert out.iterations == iters and out.epochs_committed >= iters - 2
+        return worlds[0]
+
+    @pytest.mark.parametrize("plan", [None, kill(2, 7)], ids=["failure-free", "one-kill"])
+    def test_delivered_transfers_and_finished_slots_are_dropped(self, monkeypatch, plan):
+        short = self._world_after(monkeypatch, 60, plan)
+        long = self._world_after(monkeypatch, 120, plan)
+        # every checkpoint transfer was waited on, so none is still held
+        assert short._pending == [] and long._pending == []
+        # only slots a dead member never left may stay, however long the run
+        assert len(short._collectives) == len(long._collectives)
+        assert len(long._collectives) == (0 if plan is None else 1)
+
+
+class TestInvariants:
+    def test_broken_count_conservation_is_not_a_config_error(self, monkeypatch):
+        real = parallel.samples_partials
+
+        def overcounting(values_block, assign, k):
+            sums, counts = real(values_block, assign, k)
+            counts[0] += 1
+            return sums, counts
+
+        monkeypatch.setattr(parallel, "samples_partials", overcounting)
+        with pytest.raises(InvariantError, match="count conservation"):
+            run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT)
+        assert not issubclass(InvariantError, ConfigError)

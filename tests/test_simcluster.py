@@ -555,19 +555,6 @@ class TestCollectives:
         res = w.run({r: prog(r) for r in range(4)})
         assert all(res[r].value == 10 for r in range(4))
 
-    def test_reduce_min(self):
-        w = spawn_world(3)
-        g = full_group(3)
-        vals = [7, 2, 5]
-
-        def prog(r):
-            def run(ctx):
-                return ctx.reduce_all(g, vals[r], ReduceOp.MIN, "m")
-            return run
-
-        res = w.run({r: prog(r) for r in range(3)})
-        assert all(res[r].value == 2 for r in range(3))
-
     def test_reduce_sum_arrays_bitwise_left_fold(self):
         """Array sums combine in ascending rank order; result is bitwise
         identical at every rank and to an explicit left fold."""
