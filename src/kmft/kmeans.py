@@ -126,17 +126,39 @@ def pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     ctr = np.asarray(centers, dtype=np.float64)
     out = np.zeros((pts.shape[0], ctr.shape[0]), dtype=np.float64)
+    diff = np.empty_like(out)
     for j in range(pts.shape[1]):
-        diff = pts[:, j, np.newaxis] - ctr[np.newaxis, :, j]
-        out += diff * diff
+        np.subtract(pts[:, j, np.newaxis], ctr[np.newaxis, :, j], out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
     return out
 
 
+# Distances per `assign_labels` block: 16,384 float64 are 128 KiB, glibc's
+# initial mmap threshold.  `pairwise_sqdist` holds two arrays of that size
+# per block (the distances and one scratch).  Rank threads each have a malloc
+# arena, and once glibc raises its mmap threshold an arena keeps the freed
+# temporaries; bounded blocks keep that to a few 128 KiB chunks rather than
+# n x k tables, which held peak RSS up.
+ASSIGN_BLOCK_CELLS = 16384
+
+
 def assign_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest-center label per row; ties go to the lowest center index."""
-    if len(points) == 0:
+    """Nearest-center label per row; ties go to the lowest center index.
+
+    Rows go through `pairwise_sqdist` in blocks of at most ASSIGN_BLOCK_CELLS
+    distances, so no n x k temporary is ever held; each distance does not
+    depend on the row slicing, so neither do the labels.
+    """
+    n = len(points)
+    if n == 0:
         return np.zeros(0, dtype=np.int64)
-    return np.argmin(pairwise_sqdist(points, centers), axis=1).astype(np.int64)
+    rows = max(1, ASSIGN_BLOCK_CELLS // len(centers))
+    labels = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, rows):
+        block = pairwise_sqdist(points[lo:lo + rows], centers)
+        labels[lo:lo + rows] = np.argmin(block, axis=1)
+    return labels
 
 
 def nearest_center(x: object, centroids: CentroidSet) -> int:

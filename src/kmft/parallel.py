@@ -37,10 +37,10 @@ from .kmeans import (
     CentroidSet,
     Dataset,
     KmeansConfig,
+    assign_labels,
     center_means,
     center_sums,
     init_centroids,
-    pairwise_sqdist,
 )
 
 
@@ -135,7 +135,7 @@ def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
     """
     if len(ids) == 0:
         return CentersPass(changed=False, kept=make_records(ids, labels), outgoing={})
-    new = np.argmin(pairwise_sqdist(values[ids], centers), axis=1)
+    new = assign_labels(values[ids], centers)
     dest = np.searchsorted(block_ends, new, side="right")
     outgoing = {}
     for pos in np.unique(dest):
@@ -208,8 +208,7 @@ def samples_compute(values_block: np.ndarray, centers: np.ndarray,
                     prev_assign: np.ndarray) -> tuple[np.ndarray, bool]:
     if values_block.shape[0] == 0:
         return prev_assign.copy(), False
-    dists = pairwise_sqdist(values_block, centers)
-    new = np.argmin(dists, axis=1).astype(np.int64)
+    new = assign_labels(values_block, centers)
     return new, not np.array_equal(new, prev_assign)
 
 

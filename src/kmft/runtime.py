@@ -24,6 +24,11 @@ Rendezvous discipline: collective tags carry the iteration or epoch they
 belong to, detection barriers a per-generation round counter, and the group
 generation separates the tag spaces of different incarnations, so a rank
 can never meet a stale slot after recovery rewinds the iteration counter.
+Point-to-point records travel under the group generation too: a survivor
+that recovers late drops its stale traffic without touching the records a
+faster survivor already sent under the new generation, and a rank still
+waiting in the old generation gets a Timeout from a peer that moved on.
+The coordinator sends a spare's wake under the new generation.
 """
 
 from __future__ import annotations
@@ -165,6 +170,7 @@ def _centers_pass(ctx: RankContext, group: Group, state: CentersPosition,
                   centers: np.ndarray, t: int) -> bool:
     members = group.members
     position = state.position
+    gen = group.generation
     with ctx.phase(VtPhase.COMPUTE):
         ctx.charge(ctx.costs.compute_per_sample * state.load)
         out = state.compute(centers)
@@ -173,14 +179,14 @@ def _centers_pass(ctx: RankContext, group: Group, state: CentersPosition,
             if dst_pos == position:
                 continue
             if dst_pos in out.outgoing:
-                ctx.send(members[dst_pos], encode_records(out.outgoing[dst_pos]))
-            ctx.send(members[dst_pos], b"")      # end of this batch
+                ctx.send(members[dst_pos], encode_records(out.outgoing[dst_pos]), gen)
+            ctx.send(members[dst_pos], b"", gen)      # end of this batch
         batches = []
         for src_pos in range(len(members)):
             if src_pos == position:
                 continue
             while True:
-                chunk = ctx.recv(members[src_pos])
+                chunk = ctx.recv(members[src_pos], gen)
                 if chunk == b"":
                     break
                 batches.append(decode_records(chunk))
@@ -419,7 +425,6 @@ class _ActiveDriver:
             members[self.group.position(dead)] = spare
         new_group = Group(tuple(members), self.group.generation + 1)
 
-        self.ctx.purge_incoming()
         self.consumed_spares += len(failed)
         self.recoveries += len(failed)
         completed = self.it
@@ -432,7 +437,7 @@ class _ActiveDriver:
                     "wake", tuple(members), new_group.generation,
                     self.cp.last_committed, self.cp.committed_count,
                     self.recoveries, self.consumed_spares, tuple(self.events),
-                    completed, failed, promoted))
+                    completed, failed, promoted), new_group.generation)
 
         self.group = new_group
         self.position = new_group.position(self.ctx.rank)
@@ -490,10 +495,7 @@ class _ActiveDriver:
         if not alive or self.ctx.rank != min(alive, key=self.group.position):
             return
         for spare in self.layout.spare_ids[self.consumed_spares:]:
-            try:
-                self.ctx.send(spare, ("shutdown",))
-            except PeerDead:
-                pass
+            self.ctx.send(spare, ("shutdown",), self.group.generation)
 
     def _result(self) -> dict:
         return {
@@ -514,21 +516,23 @@ class _ActiveDriver:
         }
 
 
+def _is_control(msg: object) -> bool:
+    return isinstance(msg, tuple) and msg[:1] in (("wake",), ("shutdown",))
+
+
 def _spare_program(ctx: RankContext, driver: _ActiveDriver) -> dict:
-    while True:
-        try:
-            with ctx.phase(VtPhase.COMM):     # parked time is waiting, not work
-                _, msg = ctx.recv_any()
-        except (Timeout, PeerDead):
-            # every active rank is gone without a shutdown; nothing to do
-            return {"role": "spare", "state": "orphaned"}
-        if not isinstance(msg, tuple) or not msg:
-            continue
-        if msg[0] == "shutdown":
-            return {"role": "spare", "state": "parked"}
-        if msg[0] == "wake":
-            driver.start_from_wake(msg)
-            return driver.run()
+    try:
+        with ctx.phase(VtPhase.COMM):     # parked time is waiting, not work
+            # data sent early to a just-promoted spare stays queued for its
+            # first pass
+            _, msg = ctx.recv_any(_is_control)
+    except Timeout:
+        # every active rank is gone without a shutdown; nothing to do
+        return {"role": "spare", "state": "orphaned"}
+    if msg[0] == "shutdown":
+        return {"role": "spare", "state": "parked"}
+    driver.start_from_wake(msg)
+    return driver.run()
 
 
 def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,

@@ -4,7 +4,13 @@ Rank programs are plain blocking Python callables.  Each rank runs in its own
 thread; what differs between the two modes is who gets to run:
 
 * DETERMINISTIC - a baton scheduler lets exactly one rank thread run at a
-  time.  Every cluster operation yields one scheduling slot, slots rotate in
+  time.  A rank keeps the baton until it must wait: an operation that only
+  touches the caller's own state or queues work for others (charge, a
+  failure point that does not fire, local and remote writes, send) never
+  switches, and a receive or collective switches only when it cannot
+  complete yet.  Operations that observe other ranks without waiting
+  (state vector, segment reads, token waits, advance) yield one slot first,
+  so a rank polling them cannot starve the rest.  The next rank is chosen in
   a seeded round-robin order, and blocked ranks are re-checked at every
   handoff.  Two runs with the same seed replay the identical event order.
 * CONCURRENT - rank threads run freely and synchronize on one shared
@@ -21,7 +27,22 @@ Failure model is crash-stop.  A FailurePlan names (rank, iteration, phase)
 instants; when the rank's program reaches that point its context is killed,
 its state flips to CORRUPT forever, and it never communicates again.  A
 barrier whose group contains a corrupt member that has not arrived resolves
-to TIMEOUT at every surviving caller; nobody is left blocked.
+to TIMEOUT at every surviving caller; nobody is left blocked.  A failure is
+reported only where it is decided in virtual time, never by where the
+victim's thread happened to run.  As in ULFM, a send raises PeerDead only
+to a rank the sender already knows is corrupt (from a state vector, a
+receive or a read that reported it); otherwise the message to a corrupt
+rank is lost, and the receive or collective that needs the rank reports
+it.  A token wait always completes at the transfer's ready time and reports
+FAILED when the destination's clock at its kill was below that time.
+
+Messages are scoped by group generation.  Each carries the generation it
+was sent under, and a rank enters a generation by sending under it or by
+joining one of its collectives.  A receive under generation g drops
+messages stamped older than g, returns one stamped g, and raises Timeout
+once the source has entered a later generation without sending one, so a
+rank that recovered early never meets a peer's stale traffic and a rank
+still in the old generation never waits for a peer that has moved on.
 
 One-sided writes land with all-or-nothing visibility: the payload becomes
 visible at the destination when the writer waits on the completion token, or
@@ -35,6 +56,7 @@ import contextlib
 import enum
 import random
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -409,17 +431,19 @@ class RankContext:
 
     # -- messages --------------------------------------------------------
 
-    def send(self, dst: int, payload: object) -> None:
-        self._world._op_send(self.rank, dst, payload, self._vt_phase)
+    def send(self, dst: int, payload: object, generation: int = 0) -> None:
+        self._world._op_send(self.rank, dst, payload, generation, self._vt_phase)
 
-    def recv(self, src: int) -> object:
-        return self._world._op_recv(self.rank, src, self._vt_phase)
+    def recv(self, src: int, generation: int = 0) -> object:
+        """Next message from `src` sent under `generation` (module docstring)."""
+        return self._world._op_recv(self.rank, src, generation, self._vt_phase)
 
-    def recv_any(self) -> tuple[int, object]:
-        return self._world._op_recv_any(self.rank, self._vt_phase)
+    def recv_any(self, match=None) -> tuple[int, object]:
+        """Next message `match` accepts, lowest source first, any generation.
 
-    def purge_incoming(self) -> None:
-        self._world._op_purge_incoming(self.rank)
+        Messages `match` rejects stay queued for a later `recv`.
+        """
+        return self._world._op_recv_any(self.rank, match, self._vt_phase)
 
     # -- collectives -----------------------------------------------------
 
@@ -471,7 +495,11 @@ class ClusterHandle:
         self._finished = {r: False for r in range(world_size)}
         self._vt = {r: 0 for r in range(world_size)}
         self._ledger = {r: {p: 0 for p in VtPhase} for r in range(world_size)}
-        self._channels: dict[tuple[int, int], list[tuple[object, int]]] = {}
+        # (src, dst) -> FIFO of (payload, arrival vt, generation)
+        self._channels: dict[tuple[int, int], deque[tuple[object, int, int]]] = {}
+        self._generation = {r: 0 for r in range(world_size)}   # entered so far
+        self._death_vt: dict[int, int] = {}      # killed rank -> its clock at the kill
+        self._known_dead = {r: set() for r in range(world_size)}   # reported to r
         self._segments: dict[tuple[int, int], bytearray] = {}
         self._pending: list[_Transfer] = []
         self._collectives: dict[tuple, _Collective] = {}
@@ -588,10 +616,20 @@ class ClusterHandle:
     def _alive(self, rank: int) -> bool:
         return self._health[rank] is Health.HEALTHY
 
+    def _enter_generation(self, rank: int, generation: int) -> None:
+        if generation > self._generation[rank]:
+            self._generation[rank] = generation
+            self._cv.notify_all()
+
+    def _channel(self, src: int, dst: int) -> deque:
+        queue = self._channels.get((src, dst))
+        if queue is None:
+            queue = self._channels[(src, dst)] = deque()
+        return queue
+
     # -- operations (called via RankContext) ---------------------------------
 
     def _op_charge(self, rank: int, ticks: int, phase: VtPhase) -> None:
-        self._sched.yield_slot(rank)
         with self._cv:
             self._charge(rank, ticks, phase)
             self._cv.notify_all()
@@ -607,11 +645,16 @@ class ClusterHandle:
 
     def _op_failure_point(self, rank: int, iteration: int, phase: FailPhase,
                           substep: int, vt_phase: VtPhase) -> None:
-        self._sched.yield_slot(rank)
         if not self.plan.match(rank, iteration, phase, substep):
             return
+        self._sched.yield_slot(rank)
         with self._cv:
             self._health[rank] = Health.CORRUPT
+            self._death_vt[rank] = self._vt[rank]
+            # nothing addressed to a dead rank is ever read again
+            for src in range(self.world_size):
+                self._channels.pop((src, rank), None)
+            self._pending = [xf for xf in self._pending if xf.dst != rank]
             self._trace_event("kill", rank, iteration, phase.value, substep, self._vt[rank])
             self._cv.notify_all()
         raise _Killed()
@@ -624,7 +667,6 @@ class ClusterHandle:
                 f"of rank {rank} (size {len(buf)})")
 
     def _op_write_local(self, rank: int, seg: int, offset: int, payload: bytes) -> None:
-        self._sched.yield_slot(rank)
         with self._cv:
             self._check_bounds(rank, seg, offset, len(payload))
             self._settle_segment(rank, seg)
@@ -642,7 +684,6 @@ class ClusterHandle:
 
     def _op_write_remote(self, rank: int, dst: int, seg: int, offset: int,
                          payload: bytes, phase: VtPhase) -> Token:
-        self._sched.yield_slot(rank)
         with self._cv:
             if not 0 <= dst < self.world_size:
                 raise ConfigError(f"no such rank {dst}")
@@ -662,7 +703,10 @@ class ClusterHandle:
             if token.state is not TokenState.PENDING:
                 return token.state
             xf = token._transfer
-            if not self._alive(xf.dst):
+            # the outcome is known at the ready time, whichever it is
+            self._sync_to(rank, xf.ready_at, phase)
+            died = self._death_vt.get(xf.dst)
+            if died is not None and died < xf.ready_at:
                 token.state = TokenState.FAILED
                 self._trace_event("token", rank, "failed", xf.dst)
                 return token.state
@@ -671,7 +715,6 @@ class ClusterHandle:
                           if (other.dst, other.seg) == (xf.dst, xf.seg)
                           and other.seq <= xf.seq]:
                 self._deliver(other)
-            self._sync_to(rank, xf.ready_at, phase)
             token.state = TokenState.DELIVERED
             self._trace_event("token", rank, "delivered", xf.dst)
             self._cv.notify_all()
@@ -682,6 +725,7 @@ class ClusterHandle:
         self._sched.yield_slot(rank)
         with self._cv:
             if not self._alive(owner):
+                self._known_dead[rank].add(owner)
                 raise PeerDead(f"rank {owner} is corrupt; its segments are unreadable")
             self._check_bounds(owner, seg, offset, size)
             self._settle_segment(owner, seg)
@@ -690,68 +734,81 @@ class ClusterHandle:
             self._trace_event("read", rank, owner, seg, offset, size)
             return bytes(buf[offset:offset + size])
 
-    def _op_send(self, rank: int, dst: int, payload: object, phase: VtPhase) -> None:
-        self._sched.yield_slot(rank)
+    def _op_send(self, rank: int, dst: int, payload: object, generation: int,
+                 phase: VtPhase) -> None:
         with self._cv:
             if not 0 <= dst < self.world_size:
                 raise ConfigError(f"no such rank {dst}")
+            if generation < self._generation[rank]:
+                raise ConfigError(f"rank {rank} sends under generation {generation} "
+                                  f"after entering {self._generation[rank]}")
+            self._enter_generation(rank, generation)
             self._charge(rank, self.costs.send, phase)
-            if not self._alive(dst):
+            if dst in self._known_dead[rank]:
                 raise PeerDead(f"send to corrupt rank {dst}")
-            arrival = self._vt[rank] + self.costs.msg_latency
-            self._channels.setdefault((rank, dst), []).append((_share(payload), arrival))
             self._trace_event("send", rank, dst)
+            if not self._alive(dst):
+                return
+            arrival = self._vt[rank] + self.costs.msg_latency
+            self._channel(rank, dst).append((_share(payload), arrival, generation))
             self._cv.notify_all()
 
-    def _op_recv(self, rank: int, src: int, phase: VtPhase) -> object:
-        self._sched.yield_slot(rank)
+    def _take(self, rank: int, src: int, queue: deque, index: int,
+              phase: VtPhase) -> object:
+        payload, arrival, _ = queue[index]
+        del queue[index]
+        self._sync_to(rank, arrival, phase)
+        self._charge(rank, self.costs.recv, phase)
+        self._trace_event("recv", rank, src)
+        return payload
+
+    def _op_recv(self, rank: int, src: int, generation: int, phase: VtPhase) -> object:
+        with self._cv:
+            queue = self._channel(src, rank)
 
         def ready() -> bool:
-            if self._channels.get((src, rank)):
+            # a sender's stamps never decrease, so the newest one decides
+            if queue and queue[-1][2] >= generation:
                 return True
-            return not self._alive(src) or self._finished[src]
+            return (self._generation[src] > generation or not self._alive(src)
+                    or self._finished[src])
 
         self._sched.block_until(rank, ready)
         with self._cv:
-            queue = self._channels.get((src, rank))
-            if queue:
-                payload, arrival = queue.pop(0)
-                self._sync_to(rank, arrival, phase)
-                self._charge(rank, self.costs.recv, phase)
-                self._trace_event("recv", rank, src)
-                return payload
+            while queue and queue[0][2] < generation:
+                queue.popleft()       # stale traffic of an earlier generation
+            if queue and queue[0][2] == generation:
+                return self._take(rank, src, queue, 0, phase)
             if not self._alive(src):
+                self._known_dead[rank].add(src)
                 raise PeerDead(f"recv from corrupt rank {src}")
-            raise Timeout(f"rank {src} finished without sending")
+            raise Timeout(f"rank {src} finished or left generation {generation} "
+                          "without sending")
 
-    def _op_recv_any(self, rank: int, phase: VtPhase) -> tuple[int, object]:
-        self._sched.yield_slot(rank)
+    def _op_recv_any(self, rank: int, match, phase: VtPhase) -> tuple[int, object]:
+        def find() -> tuple[int, int] | None:
+            for src in range(self.world_size):
+                queue = self._channels.get((src, rank))
+                if not queue:
+                    continue
+                for index, (payload, _, _) in enumerate(queue):
+                    if match is None or match(payload):
+                        return src, index
+            return None
 
         def ready() -> bool:
-            for src in range(self.world_size):
-                if self._channels.get((src, rank)):
-                    return True
+            if find() is not None:
+                return True
             return all(not self._alive(s) or self._finished[s]
                        for s in range(self.world_size) if s != rank)
 
         self._sched.block_until(rank, ready)
         with self._cv:
-            for src in range(self.world_size):
-                queue = self._channels.get((src, rank))
-                if queue:
-                    payload, arrival = queue.pop(0)
-                    self._sync_to(rank, arrival, phase)
-                    self._charge(rank, self.costs.recv, phase)
-                    self._trace_event("recv", rank, src)
-                    return src, payload
-            raise Timeout("every peer is corrupt or finished")
-
-    def _op_purge_incoming(self, rank: int) -> None:
-        self._sched.yield_slot(rank)
-        with self._cv:
-            for key in list(self._channels):
-                if key[1] == rank:
-                    self._channels[key] = []
+            found = find()
+            if found is None:
+                raise Timeout("every peer is corrupt or finished")
+            src, index = found
+            return src, self._take(rank, src, self._channels[(src, rank)], index, phase)
 
     def _coll_slot(self, key: tuple, kind: str, members: tuple[int, ...],
                    root: int | None = None) -> _Collective:
@@ -771,10 +828,10 @@ class ClusterHandle:
 
     def _op_barrier(self, rank: int, group: Group, timeout: int, tag: object,
                     phase: VtPhase) -> BarrierStatus:
-        self._sched.yield_slot(rank)
         key = (group.generation, "bar", tag)
         with self._cv:
             group.position(rank)  # membership check
+            self._enter_generation(rank, group.generation)
             coll = self._coll_slot(key, "bar", group.members)
             coll.deposits[rank] = self._vt[rank]
             self._trace_event("bar", rank, key)
@@ -800,10 +857,10 @@ class ClusterHandle:
 
     def _op_reduce(self, rank: int, group: Group, value: object, op: ReduceOp,
                    tag: object, phase: VtPhase) -> object:
-        self._sched.yield_slot(rank)
         key = (group.generation, "red", op.value, tag)
         with self._cv:
             group.position(rank)
+            self._enter_generation(rank, group.generation)
             coll = self._coll_slot(key, "red", group.members)
             coll.deposits[rank] = self._vt[rank]
             coll.values[rank] = _share(value)
@@ -831,11 +888,11 @@ class ClusterHandle:
 
     def _op_broadcast(self, rank: int, group: Group, root: int, payload: object,
                       tag: object, phase: VtPhase) -> object:
-        self._sched.yield_slot(rank)
         key = (group.generation, "bcast", tag)
         with self._cv:
             group.position(rank)
             group.position(root)
+            self._enter_generation(rank, group.generation)
             coll = self._coll_slot(key, "bcast", group.members, root=root)
             if rank == root:
                 coll.values[root] = _share(payload)
@@ -862,6 +919,8 @@ class ClusterHandle:
         with self._cv:
             self._charge(rank, self.costs.state_query, phase)
             self._trace_event("sv", rank)
+            self._known_dead[rank].update(r for r, h in self._health.items()
+                                          if h is Health.CORRUPT)
             return dict(self._health)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmft import kmeans
 from kmft.errors import ConfigError, InitError
 from kmft.kmeans import (
     AssignmentTable,
@@ -86,6 +87,19 @@ class TestPairwiseKernel:
         full = pairwise_sqdist(pts, ctr)
         part = pairwise_sqdist(pts[10:20], ctr)
         assert np.array_equal(full[10:20], part)
+
+    @pytest.mark.parametrize("cells", [1, 7, 24, 10**6])
+    def test_row_blocked_labels_match_one_block(self, monkeypatch, cells):
+        rng = np.random.default_rng(6)
+        pts = np.round(rng.normal(size=(50, 3)), 1)      # coarse grid: ties occur
+        ctr = np.round(rng.normal(size=(6, 3)), 1)
+        ctr[5] = ctr[2]                                  # an exact duplicate center
+        whole = np.argmin(pairwise_sqdist(pts, ctr), axis=1)
+        monkeypatch.setattr(kmeans, "ASSIGN_BLOCK_CELLS", cells)
+        labels = assign_labels(pts, ctr)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, whole)
+        assert not np.any(labels == 5)
 
 
 class TestNearestCenter:

@@ -318,6 +318,34 @@ class TestDeterminism:
         assert np.array_equal(conc.centroids.centers, det.centroids.centers)
         assert np.array_equal(conc.table.assign, det.table.assign)
 
+    @pytest.mark.parametrize("plan", [kill(2, 2, FailPhase.BEFORE_BARRIER),
+                                      kill(0, 2, FailPhase.DURING_COMPUTE)],
+                             ids=["barrier", "compute"])
+    def test_concurrent_kill_before_first_commit_converges(self, plan):
+        """Survivors recover at different times; none may eat another's
+        next-generation records or wait on a peer that moved on."""
+        out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT, plan=plan,
+                            mode=Mode.CONCURRENT, wall_guard=20.0)
+        assert out.converged and out.recoveries == 1 and not out.reason
+        assert np.array_equal(out.centroids.centers, SEQ_C.centers)
+        assert np.array_equal(out.table.assign, SEQ_T.assign)
+
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    @pytest.mark.parametrize("plan", [
+        kill(1, 2, FailPhase.DURING_COMPUTE),           # before the first commit
+        kill(3, 2, FailPhase.BEFORE_BARRIER),           # before the first commit
+        kill(2, 7, FailPhase.BEFORE_BARRIER),
+        kill(1, 5, FailPhase.DURING_CHECKPOINT, 0),     # a peer writes to the victim
+        kill(2, 10, FailPhase.DURING_CHECKPOINT, 1),    # ... which wrote its own
+        kill(0, 10, FailPhase.DURING_CHECKPOINT, 2),    # right after a commit
+    ], ids=["compute-2", "barrier-2", "barrier-7", "ckpt-5-0", "ckpt-10-1", "ckpt-10-2"])
+    def test_ledger_does_not_depend_on_the_schedule_seed(self, method, plan):
+        runs = [run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, plan=plan, seed=seed)
+                for seed in range(8)]
+        assert all(r.recoveries == 1 for r in runs)
+        assert all(r.vt_total == runs[0].vt_total for r in runs)
+        assert all(r.ledger == runs[0].ledger for r in runs)
+
 
 class TestLazyMode:
     def test_lazy_run_with_failure_still_converges(self):
@@ -335,7 +363,7 @@ class TestLongRun:
     """Simulator state stays bounded as the iteration count grows."""
 
     @staticmethod
-    def _world_after(monkeypatch, iters, plan):
+    def _world_after(monkeypatch, iters, plan, method=Method.SAMPLES):
         worlds = []
 
         def spawn(*args, **kwargs):
@@ -343,7 +371,7 @@ class TestLongRun:
             return worlds[-1]
 
         monkeypatch.setattr(runtime, "spawn_world", spawn)
-        out = run_ft_kmeans(DATA, CFG, Method.SAMPLES, CheckpointPolicy(interval=1),
+        out = run_ft_kmeans(DATA, CFG, method, CheckpointPolicy(interval=1),
                             LAYOUT, plan=plan, force_iters=iters)
         assert out.iterations == iters and out.epochs_committed >= iters - 2
         return worlds[0]
@@ -354,9 +382,19 @@ class TestLongRun:
         long = self._world_after(monkeypatch, 120, plan)
         # every checkpoint transfer was waited on, so none is still held
         assert short._pending == [] and long._pending == []
+        # every message was received or dropped with its generation
+        assert not any(long._channels.values())
         # only slots a dead member never left may stay, however long the run
         assert len(short._collectives) == len(long._collectives)
         assert len(long._collectives) == (0 if plan is None else 1)
+
+    def test_records_of_an_abandoned_pass_are_dropped(self, monkeypatch):
+        """Survivors send the failing pass's records to the dead peer and
+        leave the pass at its receive, before reading later peers; neither
+        kind of record may stay queued."""
+        world = self._world_after(monkeypatch, 20, kill(1, 7, FailPhase.DURING_COMPUTE),
+                                  Method.CENTERS)
+        assert not any(world._channels.values())
 
 
 class TestInvariants:

@@ -237,26 +237,109 @@ class TestMessages:
         res = w.run({0: collector, 1: sender("one"), 2: sender("two")})
         assert res[0].value == [(1, "one"), (2, "two")]
 
-    def test_purge_drops_queued_messages(self):
-        w = spawn_world(2)
-        g = full_group(2)
+    @pytest.mark.parametrize("mode", [Mode.DETERMINISTIC, Mode.CONCURRENT])
+    def test_recv_returns_only_its_generation(self, mode):
+        w = spawn_world(2, mode=mode, wall_guard=20.0)
 
         def sender(ctx):
-            ctx.send(1, "stale")
-            ctx.send(1, "stale2")
-            ctx.barrier(g, DEFAULT_TIMEOUT, "queued")
+            ctx.send(1, "old", 0)
+            ctx.send(1, "current", 1)
+            ctx.send(1, "next", 2)
 
         def receiver(ctx):
-            ctx.barrier(g, DEFAULT_TIMEOUT, "queued")  # both already in channel
-            ctx.purge_incoming()
+            got = [ctx.recv(0, generation=1)]       # "old" is dropped
             try:
-                ctx.recv(0)
+                ctx.recv(0, generation=1)           # "next" is not for g=1
             except Timeout:
-                return "empty"
-            return "leaked"
+                got.append("timeout")
+            got.append(ctx.recv(0, generation=2))   # ... and was kept
+            return got
 
         res = w.run({0: sender, 1: receiver})
-        assert res[1].value == "empty"
+        assert res[1].value == ["current", "timeout", "next"]
+
+    @pytest.mark.parametrize("mode", [Mode.DETERMINISTIC, Mode.CONCURRENT])
+    def test_recv_from_peer_in_later_generation_times_out(self, mode):
+        """The peer moved on without sending: raise instead of blocking."""
+        w = spawn_world(2, mode=mode, wall_guard=20.0)
+
+        def moved_on(ctx):
+            ctx.barrier(Group((0,), generation=1), DEFAULT_TIMEOUT, "enter")
+            return ctx.recv(1, generation=1)        # alive and waiting
+
+        def behind(ctx):
+            try:
+                ctx.recv(0, generation=0)
+            except Timeout:
+                ctx.send(0, "caught up", 1)
+                return "timeout"
+            return "unexpected"
+
+        res = w.run({0: moved_on, 1: behind})
+        assert res[1].value == "timeout"
+        assert res[0].value == "caught up"
+
+    def test_send_under_a_left_generation_rejected(self):
+        w = spawn_world(2)
+
+        def prog(ctx):
+            ctx.send(1, "new", 1)
+            ctx.send(1, "old", 0)
+
+        res = w.run({0: prog, 1: lambda ctx: None}, raise_errors=False)
+        assert isinstance(res[0].error, ConfigError)
+
+    def test_send_to_unreported_corrupt_peer_is_lost(self):
+        """Only a death the sender has seen raises at the send."""
+        plan = FailurePlan([FailureEvent(1, 1, FailPhase.DURING_COMPUTE)])
+        w = spawn_world(3, plan=plan)
+        pair = Group((0, 1))
+
+        def sender(ctx):
+            ctx.send(1, "never read")
+            ctx.barrier(pair, DEFAULT_TIMEOUT, "queued")
+            ctx.recv(2)                 # rank 1 is dead by now, but unseen
+            ctx.send(1, "lost")
+            ctx.state_vector()
+            try:
+                ctx.send(1, "refused")
+            except PeerDead:
+                return "peerdead"
+            return "sent"
+
+        def victim(ctx):
+            ctx.barrier(pair, DEFAULT_TIMEOUT, "queued")
+            ctx.failure_point(1, FailPhase.DURING_COMPUTE)
+
+        def witness(ctx):
+            while ctx.state_vector()[1] is Health.HEALTHY:
+                ctx.charge(1)
+            ctx.send(0, "go")
+
+        res = w.run({0: sender, 1: victim, 2: witness})
+        assert res[0].value == "peerdead"
+        assert not w._channels.get((0, 1))    # nothing kept for the dead rank
+
+    @pytest.mark.parametrize("mode", [Mode.DETERMINISTIC, Mode.CONCURRENT])
+    def test_matching_recv_any_leaves_other_messages_queued(self, mode):
+        """A parked spare's control wait keeps early data for its first pass."""
+        w = spawn_world(3, mode=mode, wall_guard=20.0)
+        g = Group((0, 2))
+
+        def coordinator(ctx):
+            ctx.barrier(g, DEFAULT_TIMEOUT, "data sent")
+            ctx.send(1, ("wake",), 1)
+
+        def early_peer(ctx):
+            ctx.send(1, b"records", 1)
+            ctx.barrier(g, DEFAULT_TIMEOUT, "data sent")
+
+        def spare(ctx):
+            src, msg = ctx.recv_any(lambda m: isinstance(m, tuple))
+            return src, msg, ctx.recv(2, generation=1)
+
+        res = w.run({0: coordinator, 1: spare, 2: early_peer})
+        assert res[1].value == (0, ("wake",), b"records")
 
     def test_payloads_are_isolated_copies(self):
         w = spawn_world(2)
@@ -385,6 +468,27 @@ class TestOneSidedWrites:
 
         res = w.run({0: writer, 1: victim})
         assert res[0].value is TokenState.FAILED
+
+    @pytest.mark.parametrize("lived, state", [(0, TokenState.FAILED),
+                                              (50, TokenState.DELIVERED)])
+    def test_token_outcome_follows_the_death_time(self, lived, state):
+        """A transfer lands iff its destination was alive at the ready time;
+        the writer learns which at that time, in both cases."""
+        plan = FailurePlan([FailureEvent(1, 1, FailPhase.DURING_COMPUTE)])
+        w = spawn_world(2, plan=plan, segments=self.SEG)
+
+        def writer(ctx):
+            tok = ctx.write_remote(1, 0, 0, b"payload")   # ready at 10 + 10
+            while ctx.state_vector()[1] is Health.HEALTHY:
+                pass
+            return ctx.wait(tok), ctx.vt
+
+        def victim(ctx):
+            ctx.charge(lived)
+            ctx.failure_point(1, FailPhase.DURING_COMPUTE)
+
+        res = w.run({0: writer, 1: victim})
+        assert res[0].value == (state, 20)
 
     def test_read_remote_from_corrupt_owner_raises(self):
         plan = FailurePlan([FailureEvent(1, 1, FailPhase.DURING_COMPUTE)])
