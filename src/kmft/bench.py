@@ -2,11 +2,11 @@
 
 One experiment produces one CSV row under the fixed header below.  The
 virtual-time columns are per-phase tick totals summed over every rank in
-the world, so a DETERMINISTIC-mode rerun of the same config reproduces
-every column except wall_ms bit for bit.  `overhead_frac` is the share of
-those ticks spent on protection (checkpoint start/commit, detection,
-restore).  Plain runs (sequential, or a single process) have no simulated
-cluster and report zero ticks.
+the world, so a rerun of the same config reproduces every column except
+wall_ms bit for bit.  `overhead_frac` is the share of those ticks spent on
+protection (checkpoint start/commit, detection, restore).  Plain runs
+(sequential, or a single process) have no simulated cluster and report
+zero ticks.
 
 `summarize` aggregates rows per (method, procs, k) and adds a speedup
 column against the smallest-procs row group of the same (method, k); row
@@ -70,7 +70,7 @@ class RunConfig:
     force_iters: int | None = None
     seed: int = 0
     failures: tuple[FailureEvent, ...] = ()
-    mode: Mode = Mode.DETERMINISTIC
+    mode: Mode = Mode.DETERMINISTIC       # the only mode; hashed into the id
     timeout: int = DEFAULT_TIMEOUT
     out: str | None = None                # report CSV target, not part of the id
 
@@ -81,6 +81,8 @@ class RunConfig:
             raise ConfigError(f"spares must be >= 0, got {self.spares}")
         if self.interval < 1:
             raise ConfigError(f"interval must be >= 1, got {self.interval}")
+        if self.timeout < 1:
+            raise ConfigError(f"timeout must be >= 1 tick, got {self.timeout}")
         if self.method not in ("sequential", "centers", "samples"):
             raise ConfigError(f"unknown method {self.method!r}")
         if self.method == "sequential" and self.force_iters is not None:
@@ -140,7 +142,7 @@ def run_experiment(data: Dataset, cfg: RunConfig) -> RunReport:
         CheckpointPolicy(interval=cfg.interval),
         WorldLayout(active=cfg.procs, spares=cfg.spares),
         plan=FailurePlan(cfg.failures) if cfg.failures else None,
-        mode=cfg.mode, seed=cfg.seed, timeout=cfg.timeout,
+        seed=cfg.seed, timeout=cfg.timeout,
         force_iters=cfg.force_iters)
     for col, phase in _VT_COLUMNS.items():
         row[col] = sum(ledger[phase] for ledger in out.ledger.values())

@@ -26,16 +26,13 @@ from .bench import (CSV_HEADER, RunConfig, append_rows, config_id, read_rows,
                     run_experiment, summarize, write_summary)
 from .datasets import make_blobs, read_dataset, write_dataset
 from .errors import ConfigError, UnrecoverableError
-from .simcluster import DEFAULT_TIMEOUT, FailPhase, FailureEvent, Mode
+from .simcluster import DEFAULT_TIMEOUT, FailPhase, FailureEvent
 
 _PHASES = {
     "compute": FailPhase.DURING_COMPUTE,
     "barrier": FailPhase.BEFORE_BARRIER,
     "ckpt": FailPhase.DURING_CHECKPOINT,
 }
-
-_MODES = {"det": Mode.DETERMINISTIC, "conc": Mode.CONCURRENT}
-
 
 def parse_fail(text: str) -> FailureEvent:
     """RANK@ITER[:phase], e.g. 2@7 or 0@12:ckpt."""
@@ -101,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="RANK@ITER[:phase]",
                      help="inject a failure (repeatable); phase is one of "
                           "compute, barrier, ckpt (default barrier)")
-    run.add_argument("--mode", choices=tuple(_MODES), default="det",
-                     help="det replays one interleaving, conc runs threads")
     run.add_argument("--timeout-ticks", type=int, default=DEFAULT_TIMEOUT,
                      help="barrier patience before declaring failure")
     run.add_argument("--out", default=None, help="CSV to append the row to")
@@ -156,8 +151,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n=data.n, d=data.d, k=args.k, procs=args.procs, spares=args.spares,
         method=args.method, interval=args.ckpt_interval,
         max_iters=args.max_iters, force_iters=args.force_iters,
-        seed=args.seed, failures=tuple(args.fail), mode=_MODES[args.mode],
-        timeout=args.timeout_ticks, out=args.out)
+        seed=args.seed, failures=tuple(args.fail), timeout=args.timeout_ticks,
+        out=args.out)
     try:
         report = run_experiment(data, cfg)
     except UnrecoverableError as exc:

@@ -79,6 +79,8 @@ def make_blobs(n: int, d: int, blobs: int, spread: float,
         raise ConfigError(f"blobs={blobs} exceeds n={n}")
     if spread < 0:
         raise ConfigError(f"spread must be >= 0, got {spread}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-10.0, 10.0, size=(blobs, d))
     labels = np.arange(n, dtype=np.int64) % blobs

@@ -73,7 +73,6 @@ from .simcluster import (
     FailurePlan,
     Group,
     Health,
-    Mode,
     RankContext,
     ReduceOp,
     VtPhase,
@@ -537,18 +536,15 @@ def _spare_program(ctx: RankContext, driver: _ActiveDriver) -> dict:
 
 def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,
                   policy: CheckpointPolicy, layout: WorldLayout,
-                  plan: FailurePlan | None = None,
-                  mode: Mode = Mode.DETERMINISTIC, seed: int = 0,
+                  plan: FailurePlan | None = None, seed: int = 0,
                   timeout: int = DEFAULT_TIMEOUT,
                   costs: CostModel | None = None,
                   force_iters: int | None = None,
-                  record_trace: bool = False,
-                  wall_guard: float = 300.0) -> RunOutcome:
+                  record_trace: bool = False) -> RunOutcome:
     """Run the chosen decomposition under failures with checkpoint/restart."""
     started = time.perf_counter()
-    world = spawn_world(layout.world_size, plan=plan, costs=costs, mode=mode,
-                        seed=seed, record_trace=record_trace,
-                        segments=segment_spec(data.n), wall_guard=wall_guard)
+    world = spawn_world(layout.world_size, plan=plan, costs=costs, seed=seed,
+                        record_trace=record_trace, segments=segment_spec(data.n))
 
     def program(ctx: RankContext):
         driver = _ActiveDriver(ctx, data, cfg, method, policy, layout,

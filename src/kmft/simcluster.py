@@ -1,21 +1,23 @@
 """Simulated multi-rank cluster: segments, messages, collectives, failures.
 
 Rank programs are plain blocking Python callables.  Each rank runs in its own
-thread; what differs between the two modes is who gets to run:
+thread, and a baton scheduler lets exactly one rank thread run at a time.  A
+rank keeps the baton until it must wait: an operation that only touches the
+caller's own state or queues work for others (charge, a failure point that
+does not fire, local and remote writes, send) never switches, and a receive
+or collective switches only when it cannot complete yet.  Operations that
+observe other ranks without waiting (state vector, segment reads, token
+waits, advance) yield one slot first, so a rank polling them cannot starve
+the rest.  The next rank is chosen in a seeded round-robin order, and
+blocked ranks are re-checked at every handoff.  Two runs with the same seed
+replay the identical event order, and results do not depend on the seed.
 
-* DETERMINISTIC - a baton scheduler lets exactly one rank thread run at a
-  time.  A rank keeps the baton until it must wait: an operation that only
-  touches the caller's own state or queues work for others (charge, a
-  failure point that does not fire, local and remote writes, send) never
-  switches, and a receive or collective switches only when it cannot
-  complete yet.  Operations that observe other ranks without waiting
-  (state vector, segment reads, token waits, advance) yield one slot first,
-  so a rank polling them cannot starve the rest.  The next rank is chosen in
-  a seeded round-robin order, and blocked ranks are re-checked at every
-  handoff.  Two runs with the same seed replay the identical event order.
-* CONCURRENT - rank threads run freely and synchronize on one shared
-  condition variable.  A wall-clock guard converts a stuck run into
-  SimDeadlock instead of a hang.
+Cluster state is touched only by the rank holding the baton, so the
+scheduler's own lock and per-rank events are the only synchronization.  A
+deadlock is found structurally: when no rank can run, the run raises
+SimDeadlock.  A livelock, a run that never ends, raises it once the
+WALL_GUARD of host seconds has passed.  After either, the released ranks
+only unwind.
 
 Time is virtual: every rank owns an integer tick clock, operations charge
 costs from a CostModel, and synchronizing operations pull a rank's clock up
@@ -76,8 +78,9 @@ class Health(enum.Enum):
 
 
 class Mode(enum.Enum):
+    """The one scheduling mode; kept because RunConfig still names it."""
+
     DETERMINISTIC = "det"
-    CONCURRENT = "conc"
 
 
 class FailPhase(enum.Enum):
@@ -199,6 +202,7 @@ class CostModel:
 
 
 DEFAULT_TIMEOUT = 1000
+WALL_GUARD = 300.0        # host seconds before a run that never ends is poisoned
 
 
 class _Killed(Exception):
@@ -333,35 +337,6 @@ class _DetScheduler:
             raise self._poison
 
 
-class _ConcScheduler:
-    """Free-running threads; blocking waits on one shared condition."""
-
-    def __init__(self, cv: threading.Condition, wall_guard: float):
-        self._cv = cv
-        self._guard = wall_guard
-
-    def enter(self, rank: int) -> None:
-        pass
-
-    def launch(self) -> None:
-        pass
-
-    def yield_slot(self, rank: int) -> None:
-        pass
-
-    def block_until(self, rank: int, pred) -> None:
-        with self._cv:
-            if not self._cv.wait_for(pred, timeout=self._guard):
-                raise SimDeadlock(f"rank {rank} blocked past the wall-clock guard")
-
-    def finish(self, rank: int) -> None:
-        with self._cv:
-            self._cv.notify_all()
-
-    def join(self, wall_timeout: float) -> None:
-        pass
-
-
 @dataclass
 class RankResult:
     status: str                 # "done" | "killed" | "error"
@@ -403,7 +378,7 @@ class RankContext:
 
     def charge(self, ticks: int) -> None:
         """Account `ticks` of local work to the current phase."""
-        self._world._op_charge(self.rank, ticks, self._vt_phase)
+        self._world._charge(self.rank, ticks, self._vt_phase)
 
     def advance(self, ticks: int) -> None:
         """Let `ticks` of idle time pass, delivering anything now due."""
@@ -473,10 +448,9 @@ class ClusterHandle:
     """A spawned world of ranks plus its transport state."""
 
     def __init__(self, world_size: int, plan: FailurePlan | None = None,
-                 costs: CostModel | None = None, mode: Mode = Mode.DETERMINISTIC,
-                 seed: int = 0, record_trace: bool = False,
-                 segments: dict[int, int] | None = None,
-                 wall_guard: float = 120.0):
+                 costs: CostModel | None = None, seed: int = 0,
+                 record_trace: bool = False,
+                 segments: dict[int, int] | None = None):
         if world_size < 1:
             raise ConfigError(f"world_size must be >= 1, got {world_size}")
         plan = plan or FailurePlan()
@@ -484,13 +458,10 @@ class ClusterHandle:
         self.world_size = world_size
         self.plan = plan
         self.costs = costs or CostModel()
-        self.mode = mode
         self.seed = seed
         self.record_trace = record_trace
         self.trace: list[tuple] = []
-        self._wall_guard = wall_guard
 
-        self._cv = threading.Condition(threading.RLock())
         self._health = {r: Health.HEALTHY for r in range(world_size)}
         self._finished = {r: False for r in range(world_size)}
         self._vt = {r: 0 for r in range(world_size)}
@@ -510,10 +481,7 @@ class ClusterHandle:
         order = list(range(world_size))
         random.Random(seed).shuffle(order)
         self.schedule_order = order
-        if mode is Mode.DETERMINISTIC:
-            self._sched: _DetScheduler | _ConcScheduler = _DetScheduler(order)
-        else:
-            self._sched = _ConcScheduler(self._cv, wall_guard)
+        self._sched = _DetScheduler(order)
 
         for seg, size in (segments or {}).items():
             for r in range(world_size):
@@ -532,12 +500,9 @@ class ClusterHandle:
             threads.append(t)
             t.start()
         self._sched.launch()
-        if isinstance(self._sched, _DetScheduler):
-            self._sched.join(self._wall_guard)
+        self._sched.join(WALL_GUARD)
         for t in threads:
-            t.join(self._wall_guard)
-            if t.is_alive():
-                raise SimDeadlock(f"{t.name} still running past the wall-clock guard")
+            t.join()      # every rank has finished; the thread is exiting
         if raise_errors:
             for rank in range(self.world_size):
                 res = self._results.get(rank)
@@ -546,8 +511,8 @@ class ClusterHandle:
         return dict(self._results)
 
     def _thread_body(self, rank: int, fn) -> None:
-        self._sched.enter(rank)
         try:
+            self._sched.enter(rank)
             value = fn(self._ctxs[rank])
             self._results[rank] = RankResult("done", value=value)
         except _Killed:
@@ -555,9 +520,7 @@ class ClusterHandle:
         except BaseException as exc:  # noqa: BLE001 - reported via RankResult
             self._results[rank] = RankResult("error", error=exc)
         finally:
-            with self._cv:
-                self._finished[rank] = True
-                self._cv.notify_all()
+            self._finished[rank] = True
             self._sched.finish(rank)
 
     # -- inspection (tests, reporting) --------------------------------------
@@ -619,7 +582,6 @@ class ClusterHandle:
     def _enter_generation(self, rank: int, generation: int) -> None:
         if generation > self._generation[rank]:
             self._generation[rank] = generation
-            self._cv.notify_all()
 
     def _channel(self, src: int, dst: int) -> deque:
         queue = self._channels.get((src, dst))
@@ -629,34 +591,25 @@ class ClusterHandle:
 
     # -- operations (called via RankContext) ---------------------------------
 
-    def _op_charge(self, rank: int, ticks: int, phase: VtPhase) -> None:
-        with self._cv:
-            self._charge(rank, ticks, phase)
-            self._cv.notify_all()
-
     def _op_advance(self, rank: int, ticks: int, phase: VtPhase) -> None:
         self._sched.yield_slot(rank)
-        with self._cv:
-            self._charge(rank, ticks, phase)
-            for (owner, seg) in list(self._segments):
-                if owner == rank:
-                    self._settle_segment(rank, seg)
-            self._cv.notify_all()
+        self._charge(rank, ticks, phase)
+        for (owner, seg) in list(self._segments):
+            if owner == rank:
+                self._settle_segment(rank, seg)
 
     def _op_failure_point(self, rank: int, iteration: int, phase: FailPhase,
                           substep: int, vt_phase: VtPhase) -> None:
         if not self.plan.match(rank, iteration, phase, substep):
             return
         self._sched.yield_slot(rank)
-        with self._cv:
-            self._health[rank] = Health.CORRUPT
-            self._death_vt[rank] = self._vt[rank]
-            # nothing addressed to a dead rank is ever read again
-            for src in range(self.world_size):
-                self._channels.pop((src, rank), None)
-            self._pending = [xf for xf in self._pending if xf.dst != rank]
-            self._trace_event("kill", rank, iteration, phase.value, substep, self._vt[rank])
-            self._cv.notify_all()
+        self._health[rank] = Health.CORRUPT
+        self._death_vt[rank] = self._vt[rank]
+        # nothing addressed to a dead rank is ever read again
+        for src in range(self.world_size):
+            self._channels.pop((src, rank), None)
+        self._pending = [xf for xf in self._pending if xf.dst != rank]
+        self._trace_event("kill", rank, iteration, phase.value, substep, self._vt[rank])
         raise _Killed()
 
     def _check_bounds(self, rank: int, seg: int, offset: int, length: int) -> None:
@@ -667,91 +620,82 @@ class ClusterHandle:
                 f"of rank {rank} (size {len(buf)})")
 
     def _op_write_local(self, rank: int, seg: int, offset: int, payload: bytes) -> None:
-        with self._cv:
-            self._check_bounds(rank, seg, offset, len(payload))
-            self._settle_segment(rank, seg)
-            buf = self._segment(rank, seg)
-            buf[offset:offset + len(payload)] = payload
+        self._check_bounds(rank, seg, offset, len(payload))
+        self._settle_segment(rank, seg)
+        buf = self._segment(rank, seg)
+        buf[offset:offset + len(payload)] = payload
 
     def _op_read_local(self, rank: int, seg: int, offset: int, size: int,
                        phase: VtPhase) -> bytes:
         self._sched.yield_slot(rank)
-        with self._cv:
-            self._check_bounds(rank, seg, offset, size)
-            self._settle_segment(rank, seg)
-            buf = self._segment(rank, seg)
-            return bytes(buf[offset:offset + size])
+        self._check_bounds(rank, seg, offset, size)
+        self._settle_segment(rank, seg)
+        buf = self._segment(rank, seg)
+        return bytes(buf[offset:offset + size])
 
     def _op_write_remote(self, rank: int, dst: int, seg: int, offset: int,
                          payload: bytes, phase: VtPhase) -> Token:
-        with self._cv:
-            if not 0 <= dst < self.world_size:
-                raise ConfigError(f"no such rank {dst}")
-            self._check_bounds(dst, seg, offset, len(payload))
-            self._charge(rank, self.costs.rdma_base, phase)
-            self._xfer_seq += 1
-            xf = _Transfer(self._xfer_seq, rank, dst, seg, offset, bytes(payload),
-                           ready_at=self._vt[rank] + self.costs.transfer_ticks(len(payload)))
-            self._pending.append(xf)
-            self._trace_event("rdma", rank, dst, seg, offset, len(payload))
-            self._cv.notify_all()
-            return Token(xf)
+        if not 0 <= dst < self.world_size:
+            raise ConfigError(f"no such rank {dst}")
+        self._check_bounds(dst, seg, offset, len(payload))
+        self._charge(rank, self.costs.rdma_base, phase)
+        self._xfer_seq += 1
+        xf = _Transfer(self._xfer_seq, rank, dst, seg, offset, bytes(payload),
+                       ready_at=self._vt[rank] + self.costs.transfer_ticks(len(payload)))
+        self._pending.append(xf)
+        self._trace_event("rdma", rank, dst, seg, offset, len(payload))
+        return Token(xf)
 
     def _op_wait_token(self, rank: int, token: Token, phase: VtPhase) -> TokenState:
         self._sched.yield_slot(rank)
-        with self._cv:
-            if token.state is not TokenState.PENDING:
-                return token.state
-            xf = token._transfer
-            # the outcome is known at the ready time, whichever it is
-            self._sync_to(rank, xf.ready_at, phase)
-            died = self._death_vt.get(xf.dst)
-            if died is not None and died < xf.ready_at:
-                token.state = TokenState.FAILED
-                self._trace_event("token", rank, "failed", xf.dst)
-                return token.state
-            # earlier writes to the same region land first, preserving order
-            for other in [other for other in self._pending
-                          if (other.dst, other.seg) == (xf.dst, xf.seg)
-                          and other.seq <= xf.seq]:
-                self._deliver(other)
-            token.state = TokenState.DELIVERED
-            self._trace_event("token", rank, "delivered", xf.dst)
-            self._cv.notify_all()
+        if token.state is not TokenState.PENDING:
             return token.state
+        xf = token._transfer
+        # the outcome is known at the ready time, whichever it is
+        self._sync_to(rank, xf.ready_at, phase)
+        died = self._death_vt.get(xf.dst)
+        if died is not None and died < xf.ready_at:
+            token.state = TokenState.FAILED
+            self._trace_event("token", rank, "failed", xf.dst)
+            return token.state
+        # earlier writes to the same region land first, preserving order
+        for other in [other for other in self._pending
+                      if (other.dst, other.seg) == (xf.dst, xf.seg)
+                      and other.seq <= xf.seq]:
+            self._deliver(other)
+        token.state = TokenState.DELIVERED
+        self._trace_event("token", rank, "delivered", xf.dst)
+        return token.state
 
     def _op_read_remote(self, rank: int, owner: int, seg: int, offset: int,
                         size: int, phase: VtPhase) -> bytes:
         self._sched.yield_slot(rank)
-        with self._cv:
-            if not self._alive(owner):
-                self._known_dead[rank].add(owner)
-                raise PeerDead(f"rank {owner} is corrupt; its segments are unreadable")
-            self._check_bounds(owner, seg, offset, size)
-            self._settle_segment(owner, seg)
-            self._charge(rank, self.costs.transfer_ticks(size), phase)
-            buf = self._segment(owner, seg)
-            self._trace_event("read", rank, owner, seg, offset, size)
-            return bytes(buf[offset:offset + size])
+        if not self._alive(owner):
+            self._known_dead[rank].add(owner)
+            raise PeerDead(f"rank {owner} is corrupt; its segments are unreadable")
+        self._check_bounds(owner, seg, offset, size)
+        self._settle_segment(owner, seg)
+        self._charge(rank, self.costs.transfer_ticks(size), phase)
+        buf = self._segment(owner, seg)
+        self._trace_event("read", rank, owner, seg, offset, size)
+        return bytes(buf[offset:offset + size])
 
     def _op_send(self, rank: int, dst: int, payload: object, generation: int,
                  phase: VtPhase) -> None:
-        with self._cv:
-            if not 0 <= dst < self.world_size:
-                raise ConfigError(f"no such rank {dst}")
-            if generation < self._generation[rank]:
-                raise ConfigError(f"rank {rank} sends under generation {generation} "
-                                  f"after entering {self._generation[rank]}")
-            self._enter_generation(rank, generation)
-            self._charge(rank, self.costs.send, phase)
-            if dst in self._known_dead[rank]:
-                raise PeerDead(f"send to corrupt rank {dst}")
-            self._trace_event("send", rank, dst)
-            if not self._alive(dst):
-                return
-            arrival = self._vt[rank] + self.costs.msg_latency
-            self._channel(rank, dst).append((_share(payload), arrival, generation))
-            self._cv.notify_all()
+        if not 0 <= dst < self.world_size:
+            raise ConfigError(f"no such rank {dst}")
+        if generation < self._generation[rank]:
+            raise ConfigError(f"rank {rank} sends under generation {generation} "
+                              f"after entering {self._generation[rank]}")
+        self._enter_generation(rank, generation)
+        self._charge(rank, self.costs.send, phase)
+        if dst in self._known_dead[rank]:
+            raise PeerDead(f"send to corrupt rank {dst}")
+        self._trace_event("send", rank, dst)
+        if not self._alive(dst):
+            return
+        arrival = self._vt[rank] + self.costs.msg_latency
+        self._channel(rank, dst).append((_share(payload), arrival, generation))
 
     def _take(self, rank: int, src: int, queue: deque, index: int,
               phase: VtPhase) -> object:
@@ -763,8 +707,7 @@ class ClusterHandle:
         return payload
 
     def _op_recv(self, rank: int, src: int, generation: int, phase: VtPhase) -> object:
-        with self._cv:
-            queue = self._channel(src, rank)
+        queue = self._channel(src, rank)
 
         def ready() -> bool:
             # a sender's stamps never decrease, so the newest one decides
@@ -774,16 +717,15 @@ class ClusterHandle:
                     or self._finished[src])
 
         self._sched.block_until(rank, ready)
-        with self._cv:
-            while queue and queue[0][2] < generation:
-                queue.popleft()       # stale traffic of an earlier generation
-            if queue and queue[0][2] == generation:
-                return self._take(rank, src, queue, 0, phase)
-            if not self._alive(src):
-                self._known_dead[rank].add(src)
-                raise PeerDead(f"recv from corrupt rank {src}")
-            raise Timeout(f"rank {src} finished or left generation {generation} "
-                          "without sending")
+        while queue and queue[0][2] < generation:
+            queue.popleft()       # stale traffic of an earlier generation
+        if queue and queue[0][2] == generation:
+            return self._take(rank, src, queue, 0, phase)
+        if not self._alive(src):
+            self._known_dead[rank].add(src)
+            raise PeerDead(f"recv from corrupt rank {src}")
+        raise Timeout(f"rank {src} finished or left generation {generation} "
+                      "without sending")
 
     def _op_recv_any(self, rank: int, match, phase: VtPhase) -> tuple[int, object]:
         def find() -> tuple[int, int] | None:
@@ -803,12 +745,11 @@ class ClusterHandle:
                        for s in range(self.world_size) if s != rank)
 
         self._sched.block_until(rank, ready)
-        with self._cv:
-            found = find()
-            if found is None:
-                raise Timeout("every peer is corrupt or finished")
-            src, index = found
-            return src, self._take(rank, src, self._channels[(src, rank)], index, phase)
+        found = find()
+        if found is None:
+            raise Timeout("every peer is corrupt or finished")
+        src, index = found
+        return src, self._take(rank, src, self._channels[(src, rank)], index, phase)
 
     def _coll_slot(self, key: tuple, kind: str, members: tuple[int, ...],
                    root: int | None = None) -> _Collective:
@@ -829,13 +770,11 @@ class ClusterHandle:
     def _op_barrier(self, rank: int, group: Group, timeout: int, tag: object,
                     phase: VtPhase) -> BarrierStatus:
         key = (group.generation, "bar", tag)
-        with self._cv:
-            group.position(rank)  # membership check
-            self._enter_generation(rank, group.generation)
-            coll = self._coll_slot(key, "bar", group.members)
-            coll.deposits[rank] = self._vt[rank]
-            self._trace_event("bar", rank, key)
-            self._cv.notify_all()
+        group.position(rank)  # membership check
+        self._enter_generation(rank, group.generation)
+        coll = self._coll_slot(key, "bar", group.members)
+        coll.deposits[rank] = self._vt[rank]
+        self._trace_event("bar", rank, key)
 
         def ready() -> bool:
             if len(coll.deposits) == len(coll.members):
@@ -844,28 +783,25 @@ class ClusterHandle:
                        for m in coll.members)
 
         self._sched.block_until(rank, ready)
-        with self._cv:
-            self._leave_slot(key, coll)
-            if len(coll.deposits) == len(coll.members):
-                done = max(coll.deposits.values()) + self.costs.barrier
-                self._sync_to(rank, done, phase)
-                self._trace_event("bar-ok", rank, key)
-                return BarrierStatus.OK
-            self._sync_to(rank, coll.deposits[rank] + timeout, phase)
-            self._trace_event("bar-timeout", rank, key)
-            return BarrierStatus.TIMEOUT
+        self._leave_slot(key, coll)
+        if len(coll.deposits) == len(coll.members):
+            done = max(coll.deposits.values()) + self.costs.barrier
+            self._sync_to(rank, done, phase)
+            self._trace_event("bar-ok", rank, key)
+            return BarrierStatus.OK
+        self._sync_to(rank, coll.deposits[rank] + timeout, phase)
+        self._trace_event("bar-timeout", rank, key)
+        return BarrierStatus.TIMEOUT
 
     def _op_reduce(self, rank: int, group: Group, value: object, op: ReduceOp,
                    tag: object, phase: VtPhase) -> object:
         key = (group.generation, "red", op.value, tag)
-        with self._cv:
-            group.position(rank)
-            self._enter_generation(rank, group.generation)
-            coll = self._coll_slot(key, "red", group.members)
-            coll.deposits[rank] = self._vt[rank]
-            coll.values[rank] = _share(value)
-            self._trace_event("red", rank, key)
-            self._cv.notify_all()
+        group.position(rank)
+        self._enter_generation(rank, group.generation)
+        coll = self._coll_slot(key, "red", group.members)
+        coll.deposits[rank] = self._vt[rank]
+        coll.values[rank] = _share(value)
+        self._trace_event("red", rank, key)
 
         def ready() -> bool:
             if len(coll.deposits) == len(coll.members):
@@ -874,54 +810,49 @@ class ClusterHandle:
                        for m in coll.members)
 
         self._sched.block_until(rank, ready)
-        with self._cv:
-            self._leave_slot(key, coll)
-            if len(coll.deposits) != len(coll.members):
-                self._sync_to(rank, coll.deposits[rank] + DEFAULT_TIMEOUT, phase)
-                raise Timeout(f"reduce {tag}: a group member died before contributing")
-            if not coll.combined:
-                coll.result = _combine(op, [coll.values[m] for m in sorted(coll.members)])
-                coll.combined = True
-            done = max(coll.deposits.values()) + self.costs.collective_base
-            self._sync_to(rank, done, phase)
-            return _share(coll.result)
+        self._leave_slot(key, coll)
+        if len(coll.deposits) != len(coll.members):
+            self._sync_to(rank, coll.deposits[rank] + DEFAULT_TIMEOUT, phase)
+            raise Timeout(f"reduce {tag}: a group member died before contributing")
+        if not coll.combined:
+            coll.result = _combine(op, [coll.values[m] for m in sorted(coll.members)])
+            coll.combined = True
+        done = max(coll.deposits.values()) + self.costs.collective_base
+        self._sync_to(rank, done, phase)
+        return _share(coll.result)
 
     def _op_broadcast(self, rank: int, group: Group, root: int, payload: object,
                       tag: object, phase: VtPhase) -> object:
         key = (group.generation, "bcast", tag)
-        with self._cv:
-            group.position(rank)
-            group.position(root)
-            self._enter_generation(rank, group.generation)
-            coll = self._coll_slot(key, "bcast", group.members, root=root)
-            if rank == root:
-                coll.values[root] = _share(payload)
-                coll.deposits[root] = self._vt[rank]
-                self._cv.notify_all()
-            self._trace_event("bcast", rank, key)
+        group.position(rank)
+        group.position(root)
+        self._enter_generation(rank, group.generation)
+        coll = self._coll_slot(key, "bcast", group.members, root=root)
+        if rank == root:
+            coll.values[root] = _share(payload)
+            coll.deposits[root] = self._vt[rank]
+        self._trace_event("bcast", rank, key)
 
         def ready() -> bool:
             return root in coll.deposits or self._health[root] is Health.CORRUPT
 
         self._sched.block_until(rank, ready)
-        with self._cv:
-            self._leave_slot(key, coll)
-            if root not in coll.deposits:
-                self._sync_to(rank, self._vt[rank] + DEFAULT_TIMEOUT, phase)
-                raise Timeout(f"broadcast {tag}: root {root} died before sending")
-            size = _payload_nbytes(coll.values[root])
-            done = coll.deposits[root] + self.costs.collective_base + self.costs.payload_ticks(size)
-            self._sync_to(rank, done, phase)
-            return _share(coll.values[root])
+        self._leave_slot(key, coll)
+        if root not in coll.deposits:
+            self._sync_to(rank, self._vt[rank] + DEFAULT_TIMEOUT, phase)
+            raise Timeout(f"broadcast {tag}: root {root} died before sending")
+        size = _payload_nbytes(coll.values[root])
+        done = coll.deposits[root] + self.costs.collective_base + self.costs.payload_ticks(size)
+        self._sync_to(rank, done, phase)
+        return _share(coll.values[root])
 
     def _op_state_vector(self, rank: int, phase: VtPhase) -> dict[int, Health]:
         self._sched.yield_slot(rank)
-        with self._cv:
-            self._charge(rank, self.costs.state_query, phase)
-            self._trace_event("sv", rank)
-            self._known_dead[rank].update(r for r, h in self._health.items()
-                                          if h is Health.CORRUPT)
-            return dict(self._health)
+        self._charge(rank, self.costs.state_query, phase)
+        self._trace_event("sv", rank)
+        self._known_dead[rank].update(r for r, h in self._health.items()
+                                      if h is Health.CORRUPT)
+        return dict(self._health)
 
 
 def _payload_nbytes(value: object) -> int:
@@ -947,11 +878,9 @@ def _combine(op: ReduceOp, values: list[object]) -> object:
 
 
 def spawn_world(world_size: int, plan: FailurePlan | None = None,
-                costs: CostModel | None = None, mode: Mode = Mode.DETERMINISTIC,
-                seed: int = 0, record_trace: bool = False,
-                segments: dict[int, int] | None = None,
-                wall_guard: float = 120.0) -> ClusterHandle:
+                costs: CostModel | None = None, seed: int = 0,
+                record_trace: bool = False,
+                segments: dict[int, int] | None = None) -> ClusterHandle:
     """Create a world of `world_size` ranks, all HEALTHY, clocks at zero."""
-    return ClusterHandle(world_size, plan=plan, costs=costs, mode=mode, seed=seed,
-                         record_trace=record_trace, segments=segments,
-                         wall_guard=wall_guard)
+    return ClusterHandle(world_size, plan=plan, costs=costs, seed=seed,
+                         record_trace=record_trace, segments=segments)

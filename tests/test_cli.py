@@ -122,12 +122,6 @@ class TestRun:
         assert row["iterations"] == 550
         assert row["epochs_committed"] == 11
 
-    def test_concurrent_mode_flag(self, dataset_file):
-        rc = main(["run", "--data", str(dataset_file), "--k", "9",
-                   "--seed", "17", "--method", "samples", "--procs", "2",
-                   "--mode", "conc"])
-        assert rc == 0
-
     def test_missing_k_rejected_by_argparse(self, dataset_file):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--data", str(dataset_file)])

@@ -127,6 +127,8 @@ class TestBlobs:
             make_blobs(5, 2, 0, 0.1, seed=0)
         with pytest.raises(ConfigError):
             make_blobs(5, 2, 2, -0.5, seed=0)
+        with pytest.raises(ConfigError, match="seed"):
+            make_blobs(5, 2, 2, 0.1, seed=-3)
 
     def test_kmeans_recovers_blob_means(self):
         data, means = make_blobs(400, 2, 4, spread=1e-3, seed=3)

@@ -14,7 +14,6 @@ from kmft.simcluster import (
     FailureEvent,
     FailurePlan,
     Group,
-    Mode,
     VtPhase,
     spawn_world,
 )
@@ -309,27 +308,6 @@ class TestDeterminism:
         assert np.array_equal(a.centroids.centers, b.centroids.centers)
         assert a.recovery_events == b.recovery_events
 
-    def test_concurrent_mode_reaches_identical_values(self):
-        det = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT,
-                            plan=kill(2, 7))
-        conc = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT,
-                             plan=kill(2, 7), mode=Mode.CONCURRENT)
-        assert conc.converged and conc.recoveries == 1
-        assert np.array_equal(conc.centroids.centers, det.centroids.centers)
-        assert np.array_equal(conc.table.assign, det.table.assign)
-
-    @pytest.mark.parametrize("plan", [kill(2, 2, FailPhase.BEFORE_BARRIER),
-                                      kill(0, 2, FailPhase.DURING_COMPUTE)],
-                             ids=["barrier", "compute"])
-    def test_concurrent_kill_before_first_commit_converges(self, plan):
-        """Survivors recover at different times; none may eat another's
-        next-generation records or wait on a peer that moved on."""
-        out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT, plan=plan,
-                            mode=Mode.CONCURRENT, wall_guard=20.0)
-        assert out.converged and out.recoveries == 1 and not out.reason
-        assert np.array_equal(out.centroids.centers, SEQ_C.centers)
-        assert np.array_equal(out.table.assign, SEQ_T.assign)
-
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
     @pytest.mark.parametrize("plan", [
         kill(1, 2, FailPhase.DURING_COMPUTE),           # before the first commit
@@ -338,13 +316,23 @@ class TestDeterminism:
         kill(1, 5, FailPhase.DURING_CHECKPOINT, 0),     # a peer writes to the victim
         kill(2, 10, FailPhase.DURING_CHECKPOINT, 1),    # ... which wrote its own
         kill(0, 10, FailPhase.DURING_CHECKPOINT, 2),    # right after a commit
-    ], ids=["compute-2", "barrier-2", "barrier-7", "ckpt-5-0", "ckpt-10-1", "ckpt-10-2"])
+        kill(0, 2, FailPhase.DURING_COMPUTE),           # the coordinator
+    ], ids=["compute-2", "barrier-2", "barrier-7", "ckpt-5-0", "ckpt-10-1", "ckpt-10-2",
+            "coordinator-compute-2"])
     def test_ledger_does_not_depend_on_the_schedule_seed(self, method, plan):
+        """Survivors recover at different points of the schedule; none may eat
+        another's next-generation records or wait on a peer that moved on."""
         runs = [run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, plan=plan, seed=seed)
                 for seed in range(8)]
-        assert all(r.recoveries == 1 for r in runs)
+        assert all(r.converged and r.recoveries == 1 and not r.reason for r in runs)
         assert all(r.vt_total == runs[0].vt_total for r in runs)
         assert all(r.ledger == runs[0].ledger for r in runs)
+        assert all(r.recovery_events == runs[0].recovery_events for r in runs)
+        for r in runs:
+            assert r.centroids.centers.tobytes() == runs[0].centroids.centers.tobytes()
+            assert np.array_equal(r.table.assign, SEQ_T.assign)
+            if method is Method.CENTERS:
+                assert np.array_equal(r.centroids.centers, SEQ_C.centers)
 
 
 class TestLazyMode:

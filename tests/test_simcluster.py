@@ -1,10 +1,13 @@
 """Simulated cluster: scheduling, transport, collectives, failure injection."""
 
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from kmft import simcluster
 from kmft.errors import ConfigError, PeerDead, SegmentError, SimDeadlock, Timeout
 from kmft.simcluster import (
     DEFAULT_TIMEOUT,
@@ -15,7 +18,6 @@ from kmft.simcluster import (
     FailurePlan,
     Group,
     Health,
-    Mode,
     ReduceOp,
     TokenState,
     VtPhase,
@@ -237,9 +239,8 @@ class TestMessages:
         res = w.run({0: collector, 1: sender("one"), 2: sender("two")})
         assert res[0].value == [(1, "one"), (2, "two")]
 
-    @pytest.mark.parametrize("mode", [Mode.DETERMINISTIC, Mode.CONCURRENT])
-    def test_recv_returns_only_its_generation(self, mode):
-        w = spawn_world(2, mode=mode, wall_guard=20.0)
+    def test_recv_returns_only_its_generation(self):
+        w = spawn_world(2)
 
         def sender(ctx):
             ctx.send(1, "old", 0)
@@ -258,10 +259,9 @@ class TestMessages:
         res = w.run({0: sender, 1: receiver})
         assert res[1].value == ["current", "timeout", "next"]
 
-    @pytest.mark.parametrize("mode", [Mode.DETERMINISTIC, Mode.CONCURRENT])
-    def test_recv_from_peer_in_later_generation_times_out(self, mode):
+    def test_recv_from_peer_in_later_generation_times_out(self):
         """The peer moved on without sending: raise instead of blocking."""
-        w = spawn_world(2, mode=mode, wall_guard=20.0)
+        w = spawn_world(2)
 
         def moved_on(ctx):
             ctx.barrier(Group((0,), generation=1), DEFAULT_TIMEOUT, "enter")
@@ -320,10 +320,9 @@ class TestMessages:
         assert res[0].value == "peerdead"
         assert not w._channels.get((0, 1))    # nothing kept for the dead rank
 
-    @pytest.mark.parametrize("mode", [Mode.DETERMINISTIC, Mode.CONCURRENT])
-    def test_matching_recv_any_leaves_other_messages_queued(self, mode):
+    def test_matching_recv_any_leaves_other_messages_queued(self):
         """A parked spare's control wait keeps early data for its first pass."""
-        w = spawn_world(3, mode=mode, wall_guard=20.0)
+        w = spawn_world(3)
         g = Group((0, 2))
 
         def coordinator(ctx):
@@ -810,9 +809,8 @@ class TestFailureInjection:
 
 class TestDeterminism:
     @staticmethod
-    def _busy_world(mode, seed=0, record=False):
-        w = spawn_world(4, mode=mode, seed=seed, record_trace=record,
-                        segments={0: 4096})
+    def _busy_world(seed=0, record=False):
+        w = spawn_world(4, seed=seed, record_trace=record, segments={0: 4096})
         g = full_group(4)
 
         def prog(r):
@@ -834,30 +832,16 @@ class TestDeterminism:
         return w, res
 
     def test_det_mode_trace_replays_exactly(self):
-        w1, r1 = self._busy_world(Mode.DETERMINISTIC, seed=11, record=True)
-        w2, r2 = self._busy_world(Mode.DETERMINISTIC, seed=11, record=True)
+        w1, r1 = self._busy_world(seed=11, record=True)
+        w2, r2 = self._busy_world(seed=11, record=True)
         assert w1.trace == w2.trace
         assert [w1.vt(r) for r in range(4)] == [w2.vt(r) for r in range(4)]
         assert [r1[r].value for r in range(4)] == [r2[r].value for r in range(4)]
 
-    def test_concurrent_mode_same_values(self):
-        _, det = self._busy_world(Mode.DETERMINISTIC, seed=3)
-        _, conc = self._busy_world(Mode.CONCURRENT, seed=3)
-        assert [det[r].value for r in range(4)] == [conc[r].value for r in range(4)]
-
-    def test_concurrent_mode_handles_kills(self):
-        plan = FailurePlan([FailureEvent(2, 1, FailPhase.BEFORE_BARRIER)])
-        w = spawn_world(4, plan=plan, mode=Mode.CONCURRENT, wall_guard=30.0)
-        g = full_group(4)
-
-        def prog(ctx):
-            ctx.failure_point(1, FailPhase.BEFORE_BARRIER)
-            return ctx.barrier(g, 100, "d")
-
-        res = w.run({r: prog for r in range(4)})
-        for r in (0, 1, 3):
-            assert res[r].value is BarrierStatus.TIMEOUT
-        assert res[2].status == "killed"
+    def test_values_do_not_depend_on_the_schedule_seed(self):
+        values = [[res[r].value for r in range(4)]
+                  for _, res in (self._busy_world(seed=s) for s in range(8))]
+        assert all(v == values[0] for v in values)
 
 
 class TestDeadlock:
@@ -872,3 +856,29 @@ class TestDeadlock:
 
         with pytest.raises(SimDeadlock):
             w.run({0: a, 1: b})
+
+    def test_livelock_hits_the_wall_guard(self, monkeypatch):
+        monkeypatch.setattr(simcluster, "WALL_GUARD", 0.2)
+        w = spawn_world(2)
+
+        def spin(ctx):
+            while True:
+                ctx.advance(1)
+
+        with pytest.raises(SimDeadlock, match="wall-clock"):
+            w.run({0: spin, 1: spin})
+
+    def test_rank_released_before_its_first_turn_only_unwinds(self, monkeypatch):
+        monkeypatch.setattr(simcluster, "WALL_GUARD", 0.1)
+        w = spawn_world(2)
+
+        def slow(ctx):
+            time.sleep(0.3)          # holds the baton past the guard
+
+        with pytest.raises(SimDeadlock, match="wall-clock"):
+            w.run({0: slow, 1: slow})
+        for t in threading.enumerate():
+            if t.name.startswith("rank-"):
+                t.join(5.0)
+                assert not t.is_alive()
+        assert set(w._results) == {0, 1}     # none died with an uncaught error
