@@ -17,7 +17,8 @@ scheduler's own lock and per-rank events are the only synchronization.  A
 deadlock is found structurally: when no rank can run, the run raises
 SimDeadlock.  A livelock, a run that never ends, raises it once the
 WALL_GUARD of host seconds has passed.  After either, the released ranks
-only unwind.
+only unwind, and a rank that never waits meets the poison at its next
+operation.
 
 Time is virtual: every rank owns an integer tick clock, operations charge
 costs from a CostModel, and synchronizing operations pull a rank's clock up
@@ -289,12 +290,16 @@ class _DetScheduler:
                 self._events[r].set()
         self._done.set()
 
+    def check(self) -> None:
+        """Raise the poison once the run is over, so released ranks unwind."""
+        if self._poison is not None:
+            raise self._poison
+
     def _pause(self, rank: int) -> None:
         ev = self._events[rank]
         ev.wait()
         ev.clear()
-        if self._poison is not None:
-            raise self._poison
+        self.check()
 
     def enter(self, rank: int) -> None:
         """First call from a rank thread: wait until granted the baton."""
@@ -333,8 +338,7 @@ class _DetScheduler:
                     if s is not _RankFlag.DONE:
                         self._events[r].set()
             raise self._poison
-        if self._poison is not None:
-            raise self._poison
+        self.check()
 
 
 @dataclass
@@ -551,6 +555,7 @@ class ClusterHandle:
             raise SegmentError(f"rank {rank} has no segment {seg}") from None
 
     def _charge(self, rank: int, ticks: int, phase: VtPhase) -> None:
+        self._sched.check()      # also stops send and write_remote after a poison
         if ticks < 0:
             raise ConfigError("cannot charge negative ticks")
         self._vt[rank] += ticks
@@ -600,6 +605,7 @@ class ClusterHandle:
 
     def _op_failure_point(self, rank: int, iteration: int, phase: FailPhase,
                           substep: int, vt_phase: VtPhase) -> None:
+        self._sched.check()
         if not self.plan.match(rank, iteration, phase, substep):
             return
         self._sched.yield_slot(rank)
@@ -620,6 +626,7 @@ class ClusterHandle:
                 f"of rank {rank} (size {len(buf)})")
 
     def _op_write_local(self, rank: int, seg: int, offset: int, payload: bytes) -> None:
+        self._sched.check()
         self._check_bounds(rank, seg, offset, len(payload))
         self._settle_segment(rank, seg)
         buf = self._segment(rank, seg)

@@ -122,6 +122,27 @@ class TestRun:
         assert row["iterations"] == 550
         assert row["epochs_committed"] == 11
 
+    def test_concurrent_mode_flag(self, dataset_file, capsys):
+        """The flag went with the concurrent scheduler; it must not be ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--data", str(dataset_file), "--k", "9",
+                  "--seed", "17", "--method", "samples", "--procs", "2",
+                  "--mode", "conc"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+
+    def test_negative_synth_seed_is_a_usage_error(self, capsys):
+        rc = main(["run", "--points", "200", "--dims", "2", "--blobs", "4",
+                   "--spread", "0.5", "--seed", "-3", "--k", "4"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_timeout_is_a_usage_error(self, dataset_file, capsys):
+        rc = main(["run", "--data", str(dataset_file), "--k", "9",
+                   "--method", "samples", "--procs", "2", "--timeout-ticks", "-5"])
+        assert rc == 2
+        assert "timeout" in capsys.readouterr().err
+
     def test_missing_k_rejected_by_argparse(self, dataset_file):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--data", str(dataset_file)])

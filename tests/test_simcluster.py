@@ -882,3 +882,28 @@ class TestDeadlock:
                 t.join(5.0)
                 assert not t.is_alive()
         assert set(w._results) == {0, 1}     # none died with an uncaught error
+
+    @pytest.mark.parametrize("op", [
+        lambda ctx: ctx.charge(1),
+        lambda ctx: ctx.failure_point(1, FailPhase.DURING_COMPUTE),
+        lambda ctx: ctx.write_local(0, 0, b"x"),
+        lambda ctx: ctx.write_remote(1, 0, 0, b"x"),
+        lambda ctx: ctx.send(1, "x"),
+    ], ids=["charge", "failure_point", "write_local", "write_remote", "send"])
+    def test_wall_guard_stops_a_rank_that_never_waits(self, monkeypatch, op):
+        """None of these ops pause, so the poison must be checked in each."""
+        monkeypatch.setattr(simcluster, "WALL_GUARD", 0.2)
+        w = spawn_world(2, segments={0: 8})
+        spinners = []
+
+        def spin(ctx):
+            spinners.append(threading.current_thread())
+            while True:
+                op(ctx)
+
+        with pytest.raises(SimDeadlock, match="wall-clock"):
+            w.run({0: spin, 1: spin})
+        assert spinners
+        for t in spinners:
+            t.join(5.0)
+            assert not t.is_alive()
