@@ -72,7 +72,6 @@ class RunConfig:
     failures: tuple[FailureEvent, ...] = ()
     mode: Mode = Mode.DETERMINISTIC       # the only mode; hashed into the id
     timeout: int = DEFAULT_TIMEOUT
-    out: str | None = None                # report CSV target, not part of the id
 
     def __post_init__(self) -> None:
         if self.procs < 1:
@@ -87,6 +86,8 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.method == "sequential" and self.force_iters is not None:
             raise ConfigError("force_iters needs a parallel method")
+        if self.failures and (self.method == "sequential" or self.procs == 1):
+            raise ConfigError("failures need a parallel method with at least 2 procs")
 
 
 def config_id(cfg: RunConfig) -> str:

@@ -128,7 +128,6 @@ class Checkpointer:
         self.group = group
         self.max_entries = max_entries
         self.target = mirror_target(ctx.rank, group)
-        self.source = mirror_source(ctx.rank, group)
         self.last_committed = last_committed
         self.committed_count = committed_count
         self._outstanding: tuple[int, Token] | None = None

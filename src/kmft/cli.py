@@ -151,8 +151,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n=data.n, d=data.d, k=args.k, procs=args.procs, spares=args.spares,
         method=args.method, interval=args.ckpt_interval,
         max_iters=args.max_iters, force_iters=args.force_iters,
-        seed=args.seed, failures=tuple(args.fail), timeout=args.timeout_ticks,
-        out=args.out)
+        seed=args.seed, failures=tuple(args.fail), timeout=args.timeout_ticks)
     try:
         report = run_experiment(data, cfg)
     except UnrecoverableError as exc:

@@ -16,6 +16,11 @@ Each rank holds one `parallel` position state, the same one the lockstep
 driver steps; this module adds only the messages and collectives between
 its calls, the checkpoints and the recovery.
 
+One join (position, checkpointer, restore; after a recovery also the
+re-protection and the recovery event) serves the fresh start, survivors and
+woken spares, and one detect-and-recover step serves the per-iteration
+probe, a pass that failed mid-communication and a timed-out commit.
+
 A failure before the first commit rolls back to the deterministic initial
 state instead of a snapshot; that state needs no re-protection because it
 is reconstructible from the run configuration alone.
@@ -68,7 +73,6 @@ from .simcluster import (
     DEFAULT_TIMEOUT,
     BarrierStatus,
     ClusterHandle,
-    CostModel,
     FailPhase,
     FailurePlan,
     Group,
@@ -268,25 +272,36 @@ class _ActiveDriver:
         self.converged = False
         self.reason = ""
 
-    # -- bootstrap paths -----------------------------------------------
+    # -- joining a position ----------------------------------------------
 
     def start_fresh(self) -> None:
-        self.position = self.group.position(self.ctx.rank)
-        self.cp = Checkpointer(self.ctx, self.group, self.data.n)
-        self._reset_initial()
+        self._join(self.group, last_committed=None, committed_count=0)
 
     def start_from_wake(self, msg: tuple) -> None:
         (_, members, generation, last_committed, committed_count,
          recoveries, consumed, events, completed, failed, promoted) = msg
-        self.group = Group(tuple(members), generation)
-        self.position = self.group.position(self.ctx.rank)
         self.recoveries = recoveries
         self.consumed_spares = consumed
         self.events = list(events)
-        self.cp = Checkpointer(self.ctx, self.group, self.data.n,
+        self._rejoin(Group(tuple(members), generation), last_committed,
+                     committed_count, completed, failed, promoted)
+
+    def _join(self, group: Group, last_committed: int | None,
+              committed_count: int) -> str | None:
+        """Take this rank's position in `group` and restore the last commit."""
+        self.group = group
+        self.position = group.position(self.ctx.rank)
+        self.detect_round = 0
+        self.cp = Checkpointer(self.ctx, group, self.data.n,
                                last_committed=last_committed,
                                committed_count=committed_count)
-        digest = self._restore(last_committed)
+        return self._restore(last_committed)
+
+    def _rejoin(self, group: Group, last_committed: int | None,
+                committed_count: int, completed: int,
+                failed: tuple[int, ...], promoted: tuple[int, ...]) -> None:
+        """Join after a recovery, shared by survivors and promoted spares."""
+        digest = self._join(group, last_committed, committed_count)
         self._reprotect()
         self.events.append(RecoveryEvent(
             completed_iteration=completed,
@@ -310,7 +325,8 @@ class _ActiveDriver:
                     self.centers = self._means(self.ctx, self.group, self.state,
                                                self.centers, t)
             except (Timeout, PeerDead):
-                if not self._handle_comm_fault():
+                if not self._recover_after_fault(
+                        "communication fault without a detectable failure"):
                     break
                 continue
             self.it = t
@@ -319,9 +335,7 @@ class _ActiveDriver:
                 if self.force_iters is None:
                     break
             self.ctx.failure_point(t, FailPhase.BEFORE_BARRIER)
-            self.detect_round += 1
-            failed = detect_failures(self.ctx, self.group, self.detect_round,
-                                     self.timeout)
+            failed = self._detect()
             if failed:
                 if not self._recover_or_abort(failed):
                     break
@@ -340,23 +354,23 @@ class _ActiveDriver:
     def _checkpoint_step(self, t: int) -> bool:
         """False means abort; a recovery inside the step still returns True."""
         cp = self.cp
+        status = BarrierStatus.OK
         if self.policy.mode is CommitMode.EAGER:
             epoch = (cp.last_committed or 0) + 1
             self._capture(epoch, t)
             self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
             status = cp.commit(epoch, self.timeout)
             self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 2)
-            if status is BarrierStatus.TIMEOUT:
-                return self._recover_after_ckpt_timeout()
-            return True
-        # lazy: settle the previous epoch first, then capture the new one
-        if cp.outstanding_epoch is not None:
-            status = cp.commit(cp.outstanding_epoch, self.timeout)
-            if status is BarrierStatus.TIMEOUT:
-                return self._recover_after_ckpt_timeout()
-        self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
-        self._capture((cp.last_committed or 0) + 1, t)
-        self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 2)
+        else:
+            # lazy: settle the previous epoch first, then capture the new one
+            if cp.outstanding_epoch is not None:
+                status = cp.commit(cp.outstanding_epoch, self.timeout)
+            if status is BarrierStatus.OK:
+                self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
+                self._capture((cp.last_committed or 0) + 1, t)
+                self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 2)
+        if status is BarrierStatus.TIMEOUT:
+            return self._recover_after_fault("commit timeout without a detectable failure")
         return True
 
     def _capture(self, epoch: int, iteration: int) -> None:
@@ -375,23 +389,17 @@ class _ActiveDriver:
 
     # -- failure handling ------------------------------------------------
 
-    def _handle_comm_fault(self) -> bool:
-        """A pass aborted mid-communication; identify the dead and recover."""
-        self.cp.abandon()
+    def _detect(self) -> tuple[int, ...]:
+        """Run the next detection round; returns the corrupt members."""
         self.detect_round += 1
-        failed = detect_failures(self.ctx, self.group, self.detect_round,
-                                 self.timeout)
-        if not failed:
-            self.reason = "communication fault without a detectable failure"
-            return False
-        return self._recover_or_abort(failed)
+        return detect_failures(self.ctx, self.group, self.detect_round, self.timeout)
 
-    def _recover_after_ckpt_timeout(self) -> bool:
-        self.detect_round += 1
-        failed = detect_failures(self.ctx, self.group, self.detect_round,
-                                 self.timeout)
+    def _recover_after_fault(self, reason: str) -> bool:
+        """A step failed mid-way: recover from the dead, or stop with `reason`."""
+        self.cp.abandon()
+        failed = self._detect()
         if not failed:
-            self.reason = "commit timeout without a detectable failure"
+            self.reason = reason
             return False
         return self._recover_or_abort(failed)
 
@@ -434,34 +442,20 @@ class _ActiveDriver:
             for spare in promoted:
                 self.ctx.send(spare, (
                     "wake", tuple(members), new_group.generation,
-                    self.cp.last_committed, self.cp.committed_count,
+                    last, self.cp.committed_count,
                     self.recoveries, self.consumed_spares, tuple(self.events),
                     completed, failed, promoted), new_group.generation)
 
-        self.group = new_group
-        self.position = new_group.position(self.ctx.rank)
-        self.detect_round = 0
-        self.cp = Checkpointer(self.ctx, new_group, self.data.n,
-                               last_committed=self.cp.last_committed,
-                               committed_count=self.cp.committed_count)
-        digest = self._restore(last)
-        self._reprotect()
-        self.events.append(RecoveryEvent(
-            completed_iteration=completed,
-            failed=failed,
-            promoted=promoted,
-            epoch=last,
-            resumed_iteration=self.it,
-            position=self.position,
-            restored_digest=digest,
-        ))
+        self._rejoin(new_group, last, self.cp.committed_count, completed,
+                     failed, promoted)
 
     def _restore(self, epoch: int | None) -> str | None:
         with self.ctx.phase(VtPhase.RESTORE):
             if epoch is None:
                 # nothing committed yet: back to the seed state, which wants
                 # no rebuild (its centroids are given, not derived)
-                self._reset_initial()
+                self.state.reset(self.position)
+                self.centers = self.init_centers.copy()
                 self.it = 0
                 return None
             iteration, entries = self.cp.fetch(epoch)
@@ -472,10 +466,6 @@ class _ActiveDriver:
             self.centers = self._means(self.ctx, self.group, self.state,
                                        self.init_centers, None)
         return _digest(entries, epoch, iteration)
-
-    def _reset_initial(self) -> None:
-        self.state.reset(self.position)
-        self.centers = self.init_centers.copy()
 
     def _reprotect(self) -> None:
         """Fresh checkpoint of the restored state heals ring redundancy."""
@@ -538,12 +528,11 @@ def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,
                   policy: CheckpointPolicy, layout: WorldLayout,
                   plan: FailurePlan | None = None, seed: int = 0,
                   timeout: int = DEFAULT_TIMEOUT,
-                  costs: CostModel | None = None,
                   force_iters: int | None = None,
                   record_trace: bool = False) -> RunOutcome:
     """Run the chosen decomposition under failures with checkpoint/restart."""
     started = time.perf_counter()
-    world = spawn_world(layout.world_size, plan=plan, costs=costs, seed=seed,
+    world = spawn_world(layout.world_size, plan=plan, seed=seed,
                         record_trace=record_trace, segments=segment_spec(data.n))
 
     def program(ctx: RankContext):
@@ -563,11 +552,17 @@ def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,
 
 def _assemble(world: ClusterHandle, results: dict, data: Dataset,
               cfg: KmeansConfig, started: float) -> RunOutcome:
+    ledger = {r: world.ledger(r) for r in range(world.world_size)}
+    vt_total = {r: world.vt(r) for r in range(world.world_size)}
     finals = [res.value for res in results.values()
               if res.status == "done" and isinstance(res.value, dict)
               and res.value.get("role") == "active"]
     if not finals:
-        raise ConfigError("no active rank finished; nothing to report")
+        return RunOutcome(
+            centroids=None, table=None, iterations=0, converged=False,
+            recoveries=0, epochs_committed=0, reason="every active rank failed",
+            ledger=ledger, vt_total=vt_total, recovery_events=[], captures={},
+            final_group=(), wall_ms=(time.perf_counter() - started) * 1000.0)
     ref = min(finals, key=lambda v: v["position"])
     members = ref["members"]
     if any(v["members"] != members for v in finals):
@@ -616,8 +611,8 @@ def _assemble(world: ClusterHandle, results: dict, data: Dataset,
         recoveries=ref["recoveries"],
         epochs_committed=ref["epochs_committed"],
         reason=ref["reason"],
-        ledger={r: world.ledger(r) for r in range(world.world_size)},
-        vt_total={r: world.vt(r) for r in range(world.world_size)},
+        ledger=ledger,
+        vt_total=vt_total,
         recovery_events=merged_events,
         captures={pos: list(v["captures"]) for pos, v in by_position.items()},
         final_group=members,

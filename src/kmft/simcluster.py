@@ -7,10 +7,10 @@ caller's own state or queues work for others (charge, a failure point that
 does not fire, local and remote writes, send) never switches, and a receive
 or collective switches only when it cannot complete yet.  Operations that
 observe other ranks without waiting (state vector, segment reads, token
-waits, advance) yield one slot first, so a rank polling them cannot starve
-the rest.  The next rank is chosen in a seeded round-robin order, and
-blocked ranks are re-checked at every handoff.  Two runs with the same seed
-replay the identical event order, and results do not depend on the seed.
+waits) yield one slot first, so a rank polling them cannot starve the rest.
+The next rank is chosen in a seeded round-robin order, and blocked ranks are
+re-checked at every handoff.  Two runs with the same seed replay the
+identical event order, and results do not depend on the seed.
 
 Cluster state is touched only by the rank holding the baton, so the
 scheduler's own lock and per-rank events are the only synchronization.  A
@@ -29,15 +29,20 @@ rank's total virtual time.
 Failure model is crash-stop.  A FailurePlan names (rank, iteration, phase)
 instants; when the rank's program reaches that point its context is killed,
 its state flips to CORRUPT forever, and it never communicates again.  A
-barrier whose group contains a corrupt member that has not arrived resolves
-to TIMEOUT at every surviving caller; nobody is left blocked.  A failure is
-reported only where it is decided in virtual time, never by where the
-victim's thread happened to run.  As in ULFM, a send raises PeerDead only
-to a rank the sender already knows is corrupt (from a state vector, a
+failure is reported only where it is decided in virtual time, never by where
+the victim's thread happened to run.  As in ULFM, a send raises PeerDead
+only to a rank the sender already knows is corrupt (from a state vector, a
 receive or a read that reported it); otherwise the message to a corrupt
 rank is lost, and the receive or collective that needs the rank reports
 it.  A token wait always completes at the transfer's ready time and reports
 FAILED when the destination's clock at its kill was below that time.
+
+Barrier, reduce and broadcast share one rendezvous: each member deposits
+into a slot keyed by generation, kind and tag (in a broadcast only the root
+does), and a deposit made before its owner died still counts.  A collective
+whose missing deposit is owed by a corrupt rank resolves at every surviving
+caller, a barrier to TIMEOUT and a reduce or broadcast to Timeout; nobody is
+left blocked.
 
 Messages are scoped by group generation.  Each carries the generation it
 was sent under, and a rank enters a generation by sending under it or by
@@ -231,7 +236,6 @@ class Token:
 
 @dataclass
 class _Collective:
-    kind: str
     members: tuple[int, ...]
     root: int | None = None
     deposits: dict[int, int] = field(default_factory=dict)   # rank -> arrival vt
@@ -384,10 +388,6 @@ class RankContext:
         """Account `ticks` of local work to the current phase."""
         self._world._charge(self.rank, ticks, self._vt_phase)
 
-    def advance(self, ticks: int) -> None:
-        """Let `ticks` of idle time pass, delivering anything now due."""
-        self._world._op_advance(self.rank, ticks, self._vt_phase)
-
     def failure_point(self, iteration: int, phase: FailPhase, substep: int = 0) -> None:
         self._world._op_failure_point(self.rank, iteration, phase, substep, self._vt_phase)
 
@@ -466,14 +466,12 @@ class ClusterHandle:
         self.record_trace = record_trace
         self.trace: list[tuple] = []
 
-        self._health = {r: Health.HEALTHY for r in range(world_size)}
-        self._finished = {r: False for r in range(world_size)}
         self._vt = {r: 0 for r in range(world_size)}
         self._ledger = {r: {p: 0 for p in VtPhase} for r in range(world_size)}
         # (src, dst) -> FIFO of (payload, arrival vt, generation)
         self._channels: dict[tuple[int, int], deque[tuple[object, int, int]]] = {}
         self._generation = {r: 0 for r in range(world_size)}   # entered so far
-        self._death_vt: dict[int, int] = {}      # killed rank -> its clock at the kill
+        self._death_vt: dict[int, int] = {}      # the one death record: clock at the kill
         self._known_dead = {r: set() for r in range(world_size)}   # reported to r
         self._segments: dict[tuple[int, int], bytearray] = {}
         self._pending: list[_Transfer] = []
@@ -493,7 +491,7 @@ class ClusterHandle:
 
     # -- running programs --------------------------------------------------
 
-    def run(self, programs: dict[int, object], raise_errors: bool = True) -> dict[int, RankResult]:
+    def run(self, programs: dict[int, object]) -> dict[int, RankResult]:
         """Execute one program per rank; returns a result for every rank."""
         if sorted(programs) != list(range(self.world_size)):
             raise ConfigError("need exactly one program per rank")
@@ -507,11 +505,10 @@ class ClusterHandle:
         self._sched.join(WALL_GUARD)
         for t in threads:
             t.join()      # every rank has finished; the thread is exiting
-        if raise_errors:
-            for rank in range(self.world_size):
-                res = self._results.get(rank)
-                if res is not None and res.status == "error":
-                    raise res.error
+        for rank in range(self.world_size):
+            res = self._results.get(rank)
+            if res is not None and res.status == "error":
+                raise res.error
         return dict(self._results)
 
     def _thread_body(self, rank: int, fn) -> None:
@@ -524,13 +521,13 @@ class ClusterHandle:
         except BaseException as exc:  # noqa: BLE001 - reported via RankResult
             self._results[rank] = RankResult("error", error=exc)
         finally:
-            self._finished[rank] = True
-            self._sched.finish(rank)
+            self._sched.finish(rank)     # a rank has finished once it has a result
 
     # -- inspection (tests, reporting) --------------------------------------
 
     def state_vector(self) -> dict[int, Health]:
-        return dict(self._health)
+        return {r: Health.CORRUPT if r in self._death_vt else Health.HEALTHY
+                for r in range(self.world_size)}
 
     def vt(self, rank: int) -> int:
         return self._vt[rank]
@@ -582,7 +579,7 @@ class ClusterHandle:
         self._trace_event("deliver", xf.src, xf.dst, xf.seg, xf.offset, len(xf.payload))
 
     def _alive(self, rank: int) -> bool:
-        return self._health[rank] is Health.HEALTHY
+        return rank not in self._death_vt
 
     def _enter_generation(self, rank: int, generation: int) -> None:
         if generation > self._generation[rank]:
@@ -596,20 +593,12 @@ class ClusterHandle:
 
     # -- operations (called via RankContext) ---------------------------------
 
-    def _op_advance(self, rank: int, ticks: int, phase: VtPhase) -> None:
-        self._sched.yield_slot(rank)
-        self._charge(rank, ticks, phase)
-        for (owner, seg) in list(self._segments):
-            if owner == rank:
-                self._settle_segment(rank, seg)
-
     def _op_failure_point(self, rank: int, iteration: int, phase: FailPhase,
                           substep: int, vt_phase: VtPhase) -> None:
         self._sched.check()
         if not self.plan.match(rank, iteration, phase, substep):
             return
         self._sched.yield_slot(rank)
-        self._health[rank] = Health.CORRUPT
         self._death_vt[rank] = self._vt[rank]
         # nothing addressed to a dead rank is ever read again
         for src in range(self.world_size):
@@ -721,7 +710,7 @@ class ClusterHandle:
             if queue and queue[-1][2] >= generation:
                 return True
             return (self._generation[src] > generation or not self._alive(src)
-                    or self._finished[src])
+                    or src in self._results)
 
         self._sched.block_until(rank, ready)
         while queue and queue[0][2] < generation:
@@ -748,7 +737,7 @@ class ClusterHandle:
         def ready() -> bool:
             if find() is not None:
                 return True
-            return all(not self._alive(s) or self._finished[s]
+            return all(not self._alive(s) or s in self._results
                        for s in range(self.world_size) if s != rank)
 
         self._sched.block_until(rank, ready)
@@ -758,40 +747,42 @@ class ClusterHandle:
         src, index = found
         return src, self._take(rank, src, self._channels[(src, rank)], index, phase)
 
-    def _coll_slot(self, key: tuple, kind: str, members: tuple[int, ...],
-                   root: int | None = None) -> _Collective:
+    def _rendezvous(self, rank: int, group: Group, key: tuple, value: object,
+                    root: int | None = None) -> tuple[_Collective, bool]:
+        """Deposit `value` (in a broadcast only `root` does) and wait; returns
+        the slot and whether every deposit it needed arrived."""
+        group.position(rank)  # membership check
+        if root is not None:
+            group.position(root)
+        self._enter_generation(rank, group.generation)
         coll = self._collectives.get(key)
         if coll is None:
-            coll = _Collective(kind, members, root=root)
-            self._collectives[key] = coll
-        elif coll.kind != kind or coll.members != members or coll.root != root:
+            coll = self._collectives[key] = _Collective(group.members, root)
+        elif coll.members != group.members or coll.root != root:
             raise ConfigError(f"collective tag {key} reused with different shape")
-        return coll
+        if root is None or rank == root:
+            coll.deposits[rank] = self._vt[rank]
+            coll.values[rank] = _share(value)
+        self._trace_event(key[1], rank, key)
+        needed = group.members if root is None else (root,)
 
-    def _leave_slot(self, key: tuple, coll: _Collective) -> None:
-        """Retire a slot once every member has returned from it."""
+        def ready() -> bool:
+            # polled at every handoff: the common case costs one comparison
+            dead = self._death_vt
+            return len(coll.deposits) == len(needed) or (bool(dead) and any(
+                m in needed and m not in coll.deposits for m in dead))
+
+        self._sched.block_until(rank, ready)
         coll.returned += 1
         if coll.returned == len(coll.members):
-            del self._collectives[key]
+            del self._collectives[key]     # every member has left the slot
+        return coll, len(coll.deposits) == len(needed)
 
     def _op_barrier(self, rank: int, group: Group, timeout: int, tag: object,
                     phase: VtPhase) -> BarrierStatus:
         key = (group.generation, "bar", tag)
-        group.position(rank)  # membership check
-        self._enter_generation(rank, group.generation)
-        coll = self._coll_slot(key, "bar", group.members)
-        coll.deposits[rank] = self._vt[rank]
-        self._trace_event("bar", rank, key)
-
-        def ready() -> bool:
-            if len(coll.deposits) == len(coll.members):
-                return True
-            return any(self._health[m] is Health.CORRUPT and m not in coll.deposits
-                       for m in coll.members)
-
-        self._sched.block_until(rank, ready)
-        self._leave_slot(key, coll)
-        if len(coll.deposits) == len(coll.members):
+        coll, complete = self._rendezvous(rank, group, key, None)
+        if complete:
             done = max(coll.deposits.values()) + self.costs.barrier
             self._sync_to(rank, done, phase)
             self._trace_event("bar-ok", rank, key)
@@ -803,22 +794,8 @@ class ClusterHandle:
     def _op_reduce(self, rank: int, group: Group, value: object, op: ReduceOp,
                    tag: object, phase: VtPhase) -> object:
         key = (group.generation, "red", op.value, tag)
-        group.position(rank)
-        self._enter_generation(rank, group.generation)
-        coll = self._coll_slot(key, "red", group.members)
-        coll.deposits[rank] = self._vt[rank]
-        coll.values[rank] = _share(value)
-        self._trace_event("red", rank, key)
-
-        def ready() -> bool:
-            if len(coll.deposits) == len(coll.members):
-                return True
-            return any(self._health[m] is Health.CORRUPT and m not in coll.deposits
-                       for m in coll.members)
-
-        self._sched.block_until(rank, ready)
-        self._leave_slot(key, coll)
-        if len(coll.deposits) != len(coll.members):
+        coll, complete = self._rendezvous(rank, group, key, value)
+        if not complete:
             self._sync_to(rank, coll.deposits[rank] + DEFAULT_TIMEOUT, phase)
             raise Timeout(f"reduce {tag}: a group member died before contributing")
         if not coll.combined:
@@ -831,35 +808,22 @@ class ClusterHandle:
     def _op_broadcast(self, rank: int, group: Group, root: int, payload: object,
                       tag: object, phase: VtPhase) -> object:
         key = (group.generation, "bcast", tag)
-        group.position(rank)
-        group.position(root)
-        self._enter_generation(rank, group.generation)
-        coll = self._coll_slot(key, "bcast", group.members, root=root)
-        if rank == root:
-            coll.values[root] = _share(payload)
-            coll.deposits[root] = self._vt[rank]
-        self._trace_event("bcast", rank, key)
-
-        def ready() -> bool:
-            return root in coll.deposits or self._health[root] is Health.CORRUPT
-
-        self._sched.block_until(rank, ready)
-        self._leave_slot(key, coll)
-        if root not in coll.deposits:
+        coll, complete = self._rendezvous(rank, group, key, payload, root)
+        if not complete:
             self._sync_to(rank, self._vt[rank] + DEFAULT_TIMEOUT, phase)
             raise Timeout(f"broadcast {tag}: root {root} died before sending")
-        size = _payload_nbytes(coll.values[root])
-        done = coll.deposits[root] + self.costs.collective_base + self.costs.payload_ticks(size)
+        value = coll.values[root]
+        done = (coll.deposits[root] + self.costs.collective_base
+                + self.costs.payload_ticks(_payload_nbytes(value)))
         self._sync_to(rank, done, phase)
-        return _share(coll.values[root])
+        return _share(value)
 
     def _op_state_vector(self, rank: int, phase: VtPhase) -> dict[int, Health]:
         self._sched.yield_slot(rank)
         self._charge(rank, self.costs.state_query, phase)
         self._trace_event("sv", rank)
-        self._known_dead[rank].update(r for r, h in self._health.items()
-                                      if h is Health.CORRUPT)
-        return dict(self._health)
+        self._known_dead[rank].update(self._death_vt)
+        return self.state_vector()
 
 
 def _payload_nbytes(value: object) -> int:

@@ -39,6 +39,11 @@ class TestRunConfig:
             cfg(method="kmeans++")
         with pytest.raises(ConfigError):
             cfg(method="sequential", force_iters=10)
+        kill = (FailureEvent(rank=0, iteration=2, phase=FailPhase.BEFORE_BARRIER),)
+        with pytest.raises(ConfigError):
+            cfg(method="sequential", procs=4, failures=kill)
+        with pytest.raises(ConfigError):
+            cfg(method="samples", procs=1, failures=kill)
 
     def test_config_id_stable_and_sensitive(self):
         a = config_id(cfg(procs=4, method="samples"))
@@ -50,9 +55,6 @@ class TestRunConfig:
         assert a != config_id(cfg(procs=4, method="samples", seed=18))
         fail = (FailureEvent(rank=1, iteration=3, phase=FailPhase.BEFORE_BARRIER),)
         assert a != config_id(cfg(procs=4, method="samples", failures=fail))
-
-    def test_output_path_not_part_of_id(self):
-        assert config_id(cfg(out="a.csv")) == config_id(cfg(out="b.csv"))
 
 
 class TestRunExperiment:

@@ -141,7 +141,7 @@ def entries_for(rank, epoch):
 
 
 class TestTwoPhase:
-    def test_start_is_asynchronous_until_advance(self):
+    def test_start_is_asynchronous_until_time_passes(self):
         """The mirror region lags the start and catches up with time."""
         big = 4096
         w = spawn_world(2, segments=segment_spec(big))
@@ -157,7 +157,7 @@ class TestTwoPhase:
         def holder(ctx):
             ctx.recv(0)
             early = ctx.read_local(SEG_MIRROR, slot_offset(1, big), 24)
-            ctx.advance(500_000)
+            ctx.charge(500_000)
             late_buf = ctx.read_local(SEG_MIRROR, slot_offset(1, big), slot_size(big))
             ctx.send(0, "checked")
             return early, decode_snapshot(late_buf)

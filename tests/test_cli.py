@@ -143,6 +143,22 @@ class TestRun:
         assert rc == 2
         assert "timeout" in capsys.readouterr().err
 
+    def test_losing_every_active_rank_is_a_failed_run(self, capsys):
+        rc = main(["run", "--points", "400", "--dims", "3", "--blobs", "4",
+                   "--k", "4", "--procs", "2", "--spares", "1",
+                   "--method", "samples", "--fail", "0@3", "--fail", "1@3",
+                   "--seed", "1", "--force-iters", "8"])
+        assert rc == 1
+        assert "failed: every active rank failed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("plain", [["--method", "sequential"],
+                                       ["--method", "samples", "--procs", "1"]])
+    def test_kills_in_a_plain_run_are_a_usage_error(self, dataset_file, plain, capsys):
+        rc = main(["run", "--data", str(dataset_file), "--k", "9",
+                   "--fail", "0@2"] + plain)
+        assert rc == 2
+        assert "failures need" in capsys.readouterr().err
+
     def test_missing_k_rejected_by_argparse(self, dataset_file):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--data", str(dataset_file)])

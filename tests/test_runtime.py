@@ -253,6 +253,22 @@ class TestAborts:
         assert not out.converged
         assert "mirror" in out.reason
 
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    @pytest.mark.parametrize("phase", [FailPhase.BEFORE_BARRIER, FailPhase.DURING_COMPUTE])
+    def test_losing_every_active_rank_ends_with_a_reason(self, method, phase):
+        plan = FailurePlan((FailureEvent(0, 3, phase), FailureEvent(1, 3, phase)))
+        out = run_ft_kmeans(DATA, CFG, method, POLICY,
+                            WorldLayout(active=2, spares=1), plan=plan,
+                            force_iters=8)
+        assert not out.converged
+        assert out.reason == "every active rank failed"
+        assert out.centroids is None and out.table is None
+        assert out.recovery_events == [] and out.final_group == ()
+        assert sorted(out.ledger) == [0, 1, 2]
+        for rank, total in out.vt_total.items():
+            assert sum(out.ledger[rank].values()) == total
+        assert out.vt_total[0] > 0 and out.vt_total[1] > 0
+
     def test_kill_aimed_at_parked_spare_never_fires(self):
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY,
                             WorldLayout(active=4, spares=1), plan=kill(4, 3))

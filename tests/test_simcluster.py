@@ -286,8 +286,8 @@ class TestMessages:
             ctx.send(1, "new", 1)
             ctx.send(1, "old", 0)
 
-        res = w.run({0: prog, 1: lambda ctx: None}, raise_errors=False)
-        assert isinstance(res[0].error, ConfigError)
+        with pytest.raises(ConfigError):
+            w.run({0: prog, 1: lambda ctx: None})
 
     def test_send_to_unreported_corrupt_peer_is_lost(self):
         """Only a death the sender has seen raises at the send."""
@@ -390,7 +390,7 @@ class TestOneSidedWrites:
             ctx.recv(0)
             early = ctx.read_local(0, 0, 4)
             ctx.send(0, "checked")
-            ctx.advance(5000)
+            ctx.charge(5000)
             late = ctx.read_local(0, 0, 4)
             return early, late
 
@@ -411,7 +411,7 @@ class TestOneSidedWrites:
         def reader(ctx):
             views = []
             for _ in range(40):
-                ctx.advance(50)
+                ctx.charge(50)
                 views.append(ctx.read_local(0, 0, n))
             ctx.send(0, "done")
             return views
@@ -620,6 +620,28 @@ class TestBarrier:
         assert res[0].value == "ok"
         assert res[1].value == "rejected"
 
+        # same generation and tag under a group with different members
+        w = spawn_world(3)
+
+        def pair(ctx):
+            ctx.broadcast(Group((0, 1)), 0, "payload", "m")
+            ctx.send(2, "slot exists")
+            return "ok"
+
+        def outsider(ctx):
+            ctx.recv(0)
+            try:
+                ctx.broadcast(Group((0, 2)), 0, None, "m")
+            except ConfigError:
+                return "rejected"
+            return "accepted"
+
+        res = w.run({0: pair, 1: lambda ctx: ctx.broadcast(Group((0, 1)), 0, None, "m"),
+                     2: outsider})
+        assert res[0].value == "ok"
+        assert res[1].value == "payload"
+        assert res[2].value == "rejected"
+
 
 class TestCollectives:
     def test_reduce_or(self):
@@ -766,6 +788,26 @@ class TestCollectives:
         assert res[0].value == "timeout"
         assert res[2].value == "timeout"
 
+    def test_broadcast_deposit_outlives_its_root(self):
+        """A root killed after sending still delivers to leaves that come later."""
+        plan = FailurePlan([FailureEvent(1, 1, FailPhase.DURING_COMPUTE)])
+        w = spawn_world(3, plan=plan)
+        g = full_group(3)
+
+        def root(ctx):
+            ctx.broadcast(g, 1, b"sent", "b")
+            ctx.failure_point(1, FailPhase.DURING_COMPUTE)
+
+        def leaf(ctx):
+            while ctx.state_vector()[1] is Health.HEALTHY:
+                pass                   # each query yields, so the root runs
+            return ctx.broadcast(g, 1, None, "b")
+
+        res = w.run({0: leaf, 1: root, 2: leaf})
+        assert res[1].status == "killed"
+        assert res[0].value == b"sent"
+        assert res[2].value == b"sent"
+
 
 class TestFailureInjection:
     def test_kill_fires_only_at_matching_point(self):
@@ -863,7 +905,7 @@ class TestDeadlock:
 
         def spin(ctx):
             while True:
-                ctx.advance(1)
+                ctx.state_vector()
 
         with pytest.raises(SimDeadlock, match="wall-clock"):
             w.run({0: spin, 1: spin})
