@@ -9,8 +9,8 @@ class ConfigError(KmftError):
     """Invalid configuration value or malformed input."""
 
 
-class InitError(KmftError):
-    """Center initialization cannot produce k distinct centers."""
+class InitError(ConfigError):
+    """Center initialization cannot produce k distinct centers: k is too large."""
 
 
 class SegmentError(KmftError):

@@ -264,8 +264,7 @@ class _ActiveDriver:
         self.centers = self.init_centers.copy()
         self.it = 0
         self.detect_round = 0
-        self.consumed_spares = 0
-        self.recoveries = 0
+        self.recoveries = 0      # also the spares consumed: one per failed rank
         self.events: list[RecoveryEvent] = []
         self.captures: list[tuple[int, int, str]] = []
         self.cp: Checkpointer | None = None      # built once membership is known
@@ -279,9 +278,8 @@ class _ActiveDriver:
 
     def start_from_wake(self, msg: tuple) -> None:
         (_, members, generation, last_committed, committed_count,
-         recoveries, consumed, events, completed, failed, promoted) = msg
+         recoveries, events, completed, failed, promoted) = msg
         self.recoveries = recoveries
-        self.consumed_spares = consumed
         self.events = list(events)
         self._rejoin(Group(tuple(members), generation), last_committed,
                      committed_count, completed, failed, promoted)
@@ -415,7 +413,7 @@ class _ActiveDriver:
 
     def _recover(self, failed: tuple[int, ...]) -> None:
         failed = tuple(sorted(failed))
-        pool = self.layout.spare_ids[self.consumed_spares:]
+        pool = self.layout.spare_ids[self.recoveries:]
         if len(pool) < len(failed):
             raise UnrecoverableError(
                 f"need {len(failed)} spares for {failed} but only {len(pool)} left")
@@ -432,7 +430,6 @@ class _ActiveDriver:
             members[self.group.position(dead)] = spare
         new_group = Group(tuple(members), self.group.generation + 1)
 
-        self.consumed_spares += len(failed)
         self.recoveries += len(failed)
         completed = self.it
 
@@ -443,7 +440,7 @@ class _ActiveDriver:
                 self.ctx.send(spare, (
                     "wake", tuple(members), new_group.generation,
                     last, self.cp.committed_count,
-                    self.recoveries, self.consumed_spares, tuple(self.events),
+                    self.recoveries, tuple(self.events),
                     completed, failed, promoted), new_group.generation)
 
         self._rejoin(new_group, last, self.cp.committed_count, completed,
@@ -483,7 +480,7 @@ class _ActiveDriver:
         alive = [m for m in self.group.members if sv[m] is Health.HEALTHY]
         if not alive or self.ctx.rank != min(alive, key=self.group.position):
             return
-        for spare in self.layout.spare_ids[self.consumed_spares:]:
+        for spare in self.layout.spare_ids[self.recoveries:]:
             self.ctx.send(spare, ("shutdown",), self.group.generation)
 
     def _result(self) -> dict:

@@ -1,14 +1,17 @@
 """Simulated multi-rank cluster: segments, messages, collectives, failures.
 
 Rank programs are plain blocking Python callables.  Each rank runs in its own
-thread, and a baton scheduler lets exactly one rank thread run at a time.  A
+thread, and a baton scheduler lets exactly one rank thread run at a time.  The
+scheduler keeps one table, the ranks waiting for the baton with the condition
+each waits on, and gives the baton up one way, a switch into that table.  A
 rank keeps the baton until it must wait: an operation that only touches the
 caller's own state or queues work for others (charge, a failure point that
 does not fire, local and remote writes, send) never switches, and a receive
 or collective switches only when it cannot complete yet.  Operations that
 observe other ranks without waiting (state vector, segment reads, token
-waits) yield one slot first, so a rank polling them cannot starve the rest.
-The next rank is chosen in a seeded round-robin order, and blocked ranks are
+waits, a failure point that fires) switch with no condition first, so a rank
+polling them cannot starve the rest.  The baton goes to the first waiting
+rank, in a seeded round-robin order, whose condition holds; conditions are
 re-checked at every handoff.  Two runs with the same seed replay the
 identical event order, and results do not depend on the seed.
 
@@ -215,8 +218,10 @@ class _Killed(Exception):
     """Internal control-flow signal: this rank was killed by the plan."""
 
 
-@dataclass
-class _Transfer:
+@dataclass(eq=False)          # identity equality: `_pending.remove` needs it
+class Token:
+    """One one-sided write; the writer waits on it for completion."""
+
     seq: int
     src: int
     dst: int
@@ -224,14 +229,7 @@ class _Transfer:
     offset: int
     payload: bytes
     ready_at: int
-
-
-class Token:
-    """Completion handle for one one-sided write."""
-
-    def __init__(self, transfer: _Transfer):
-        self._transfer = transfer
-        self.state = TokenState.PENDING
+    state: TokenState = TokenState.PENDING
 
 
 @dataclass
@@ -245,103 +243,83 @@ class _Collective:
     returned: int = 0        # members that have left the operation
 
 
-class _RankFlag(enum.Enum):
-    READY = 0
-    RUNNING = 1
-    BLOCKED = 2
-    DONE = 3
+def _always() -> bool:
+    return True
 
 
 class _DetScheduler:
-    """Baton passing: one runnable rank at a time, seeded rotation order."""
+    """Baton passing over one table of waiting ranks, in seeded rotation.
+
+    `_waiting` maps each rank that waits for the baton to the condition it
+    waits on; the holder and finished ranks are not in it.  `switch` is the
+    one way to give the baton up, and `_release` the one way a run ends
+    early.
+    """
 
     def __init__(self, order: list[int]):
         self._order = list(order)
         self._lock = threading.Lock()
         self._events = {r: threading.Event() for r in order}
-        self._state = {r: _RankFlag.READY for r in order}
-        self._preds: dict[int, object] = {}
+        self._waiting = dict.fromkeys(order, _always)
         self._ptr = 0
         self._poison: BaseException | None = None
         self._done = threading.Event()
-
-    def _runnable(self, rank: int) -> bool:
-        st = self._state[rank]
-        if st is _RankFlag.READY:
-            return True
-        if st is _RankFlag.BLOCKED:
-            return bool(self._preds[rank]())
-        return False
 
     def _handoff(self) -> None:
         n = len(self._order)
         for i in range(n):
             idx = (self._ptr + i) % n
             rank = self._order[idx]
-            if self._runnable(rank):
+            until = self._waiting.get(rank)
+            if until is not None and until():
                 self._ptr = (idx + 1) % n
-                self._state[rank] = _RankFlag.RUNNING
-                self._preds.pop(rank, None)
+                del self._waiting[rank]
                 self._events[rank].set()
                 return
-        if all(s is _RankFlag.DONE for s in self._state.values()):
-            self._done.set()
-            return
-        blocked = sorted(r for r, s in self._state.items() if s is _RankFlag.BLOCKED)
-        self._poison = SimDeadlock(f"no runnable rank; blocked: {blocked}")
-        for r, s in self._state.items():
-            if s is not _RankFlag.DONE:
-                self._events[r].set()
+        if self._waiting:
+            blocked = sorted(self._waiting)
+            self._release(SimDeadlock(f"no runnable rank; blocked: {blocked}"))
         self._done.set()
+
+    def _release(self, poison: BaseException) -> None:
+        """End the run: every rank wakes and unwinds on `poison`.
+
+        The table empties, so a rank that finishes while the others unwind
+        neither polls their conditions nor replaces the poison.
+        """
+        self._waiting.clear()
+        self._poison = poison
+        for ev in self._events.values():
+            ev.set()
 
     def check(self) -> None:
         """Raise the poison once the run is over, so released ranks unwind."""
         if self._poison is not None:
             raise self._poison
 
-    def _pause(self, rank: int) -> None:
+    def pause(self, rank: int) -> None:
+        """Wait until granted the baton."""
         ev = self._events[rank]
         ev.wait()
         ev.clear()
         self.check()
 
-    def enter(self, rank: int) -> None:
-        """First call from a rank thread: wait until granted the baton."""
-        self._pause(rank)
-
-    def launch(self) -> None:
+    def pass_baton(self) -> None:
+        """Hand the baton on: the first turn, and the turn after a rank ends."""
         with self._lock:
             self._handoff()
 
-    def yield_slot(self, rank: int) -> None:
+    def switch(self, rank: int, until=_always) -> None:
+        """Give the baton up; get it back once `until()` holds."""
         with self._lock:
-            self._state[rank] = _RankFlag.READY
+            self._waiting[rank] = until
             self._handoff()
-        self._pause(rank)
-
-    def block_until(self, rank: int, pred) -> None:
-        with self._lock:
-            if pred():
-                self._state[rank] = _RankFlag.RUNNING
-                return
-            self._state[rank] = _RankFlag.BLOCKED
-            self._preds[rank] = pred
-            self._handoff()
-        self._pause(rank)
-
-    def finish(self, rank: int) -> None:
-        with self._lock:
-            self._state[rank] = _RankFlag.DONE
-            self._handoff()
+        self.pause(rank)
 
     def join(self, wall_timeout: float) -> None:
         if not self._done.wait(wall_timeout):
             with self._lock:
-                self._poison = SimDeadlock("wall-clock guard expired")
-                for r, s in self._state.items():
-                    if s is not _RankFlag.DONE:
-                        self._events[r].set()
-            raise self._poison
+                self._release(SimDeadlock("wall-clock guard expired"))
         self.check()
 
 
@@ -359,10 +337,6 @@ class RankContext:
         self._world = world
         self.rank = rank
         self._vt_phase = VtPhase.COMPUTE
-
-    @property
-    def world_size(self) -> int:
-        return self._world.world_size
 
     @property
     def costs(self) -> CostModel:
@@ -397,7 +371,7 @@ class RankContext:
         self._world._op_write_local(self.rank, seg, offset, payload)
 
     def read_local(self, seg: int, offset: int, size: int) -> bytes:
-        return self._world._op_read_local(self.rank, seg, offset, size, self._vt_phase)
+        return self._world._op_read_local(self.rank, seg, offset, size)
 
     def write_remote(self, dst: int, seg: int, offset: int, payload: bytes) -> Token:
         return self._world._op_write_remote(self.rank, dst, seg, offset, payload, self._vt_phase)
@@ -462,7 +436,6 @@ class ClusterHandle:
         self.world_size = world_size
         self.plan = plan
         self.costs = costs or CostModel()
-        self.seed = seed
         self.record_trace = record_trace
         self.trace: list[tuple] = []
 
@@ -474,7 +447,7 @@ class ClusterHandle:
         self._death_vt: dict[int, int] = {}      # the one death record: clock at the kill
         self._known_dead = {r: set() for r in range(world_size)}   # reported to r
         self._segments: dict[tuple[int, int], bytearray] = {}
-        self._pending: list[_Transfer] = []
+        self._pending: list[Token] = []
         self._collectives: dict[tuple, _Collective] = {}
         self._xfer_seq = 0
         self._results: dict[int, RankResult] = {}
@@ -501,7 +474,7 @@ class ClusterHandle:
                                  name=f"rank-{rank}", daemon=True)
             threads.append(t)
             t.start()
-        self._sched.launch()
+        self._sched.pass_baton()
         self._sched.join(WALL_GUARD)
         for t in threads:
             t.join()      # every rank has finished; the thread is exiting
@@ -513,7 +486,7 @@ class ClusterHandle:
 
     def _thread_body(self, rank: int, fn) -> None:
         try:
-            self._sched.enter(rank)
+            self._sched.pause(rank)      # the first turn
             value = fn(self._ctxs[rank])
             self._results[rank] = RankResult("done", value=value)
         except _Killed:
@@ -521,7 +494,7 @@ class ClusterHandle:
         except BaseException as exc:  # noqa: BLE001 - reported via RankResult
             self._results[rank] = RankResult("error", error=exc)
         finally:
-            self._sched.finish(rank)     # a rank has finished once it has a result
+            self._sched.pass_baton()     # a rank has finished once it has a result
 
     # -- inspection (tests, reporting) --------------------------------------
 
@@ -571,8 +544,8 @@ class ClusterHandle:
                    if xf.dst == owner and xf.seg == seg and xf.ready_at <= now]:
             self._deliver(xf)
 
-    def _deliver(self, xf: _Transfer) -> None:
-        """Land a pending transfer; only its token keeps it after this."""
+    def _deliver(self, xf: Token) -> None:
+        """Land a pending transfer; the cluster keeps no reference to it after this."""
         buf = self._segment(xf.dst, xf.seg)
         buf[xf.offset:xf.offset + len(xf.payload)] = xf.payload
         self._pending.remove(xf)
@@ -598,7 +571,7 @@ class ClusterHandle:
         self._sched.check()
         if not self.plan.match(rank, iteration, phase, substep):
             return
-        self._sched.yield_slot(rank)
+        self._sched.switch(rank)
         self._death_vt[rank] = self._vt[rank]
         # nothing addressed to a dead rank is ever read again
         for src in range(self.world_size):
@@ -621,9 +594,8 @@ class ClusterHandle:
         buf = self._segment(rank, seg)
         buf[offset:offset + len(payload)] = payload
 
-    def _op_read_local(self, rank: int, seg: int, offset: int, size: int,
-                       phase: VtPhase) -> bytes:
-        self._sched.yield_slot(rank)
+    def _op_read_local(self, rank: int, seg: int, offset: int, size: int) -> bytes:
+        self._sched.switch(rank)
         self._check_bounds(rank, seg, offset, size)
         self._settle_segment(rank, seg)
         buf = self._segment(rank, seg)
@@ -636,36 +608,35 @@ class ClusterHandle:
         self._check_bounds(dst, seg, offset, len(payload))
         self._charge(rank, self.costs.rdma_base, phase)
         self._xfer_seq += 1
-        xf = _Transfer(self._xfer_seq, rank, dst, seg, offset, bytes(payload),
-                       ready_at=self._vt[rank] + self.costs.transfer_ticks(len(payload)))
+        xf = Token(self._xfer_seq, rank, dst, seg, offset, bytes(payload),
+                   ready_at=self._vt[rank] + self.costs.transfer_ticks(len(payload)))
         self._pending.append(xf)
         self._trace_event("rdma", rank, dst, seg, offset, len(payload))
-        return Token(xf)
+        return xf
 
-    def _op_wait_token(self, rank: int, token: Token, phase: VtPhase) -> TokenState:
-        self._sched.yield_slot(rank)
-        if token.state is not TokenState.PENDING:
-            return token.state
-        xf = token._transfer
+    def _op_wait_token(self, rank: int, xf: Token, phase: VtPhase) -> TokenState:
+        self._sched.switch(rank)
+        if xf.state is not TokenState.PENDING:
+            return xf.state
         # the outcome is known at the ready time, whichever it is
         self._sync_to(rank, xf.ready_at, phase)
         died = self._death_vt.get(xf.dst)
         if died is not None and died < xf.ready_at:
-            token.state = TokenState.FAILED
+            xf.state = TokenState.FAILED
             self._trace_event("token", rank, "failed", xf.dst)
-            return token.state
+            return xf.state
         # earlier writes to the same region land first, preserving order
         for other in [other for other in self._pending
                       if (other.dst, other.seg) == (xf.dst, xf.seg)
                       and other.seq <= xf.seq]:
             self._deliver(other)
-        token.state = TokenState.DELIVERED
+        xf.state = TokenState.DELIVERED
         self._trace_event("token", rank, "delivered", xf.dst)
-        return token.state
+        return xf.state
 
     def _op_read_remote(self, rank: int, owner: int, seg: int, offset: int,
                         size: int, phase: VtPhase) -> bytes:
-        self._sched.yield_slot(rank)
+        self._sched.switch(rank)
         if not self._alive(owner):
             self._known_dead[rank].add(owner)
             raise PeerDead(f"rank {owner} is corrupt; its segments are unreadable")
@@ -712,7 +683,8 @@ class ClusterHandle:
             return (self._generation[src] > generation or not self._alive(src)
                     or src in self._results)
 
-        self._sched.block_until(rank, ready)
+        if not ready():
+            self._sched.switch(rank, ready)
         while queue and queue[0][2] < generation:
             queue.popleft()       # stale traffic of an earlier generation
         if queue and queue[0][2] == generation:
@@ -740,7 +712,8 @@ class ClusterHandle:
             return all(not self._alive(s) or s in self._results
                        for s in range(self.world_size) if s != rank)
 
-        self._sched.block_until(rank, ready)
+        if not ready():
+            self._sched.switch(rank, ready)
         found = find()
         if found is None:
             raise Timeout("every peer is corrupt or finished")
@@ -772,7 +745,8 @@ class ClusterHandle:
             return len(coll.deposits) == len(needed) or (bool(dead) and any(
                 m in needed and m not in coll.deposits for m in dead))
 
-        self._sched.block_until(rank, ready)
+        if not ready():
+            self._sched.switch(rank, ready)
         coll.returned += 1
         if coll.returned == len(coll.members):
             del self._collectives[key]     # every member has left the slot
@@ -819,7 +793,7 @@ class ClusterHandle:
         return _share(value)
 
     def _op_state_vector(self, rank: int, phase: VtPhase) -> dict[int, Health]:
-        self._sched.yield_slot(rank)
+        self._sched.switch(rank)
         self._charge(rank, self.costs.state_query, phase)
         self._trace_event("sv", rank)
         self._known_dead[rank].update(self._death_vt)

@@ -29,7 +29,7 @@ from kmft.kmeans import (AssignmentTable, CentroidSet, Dataset, KmeansConfig,
 from kmft.parallel import Method, run_parallel
 from kmft.runtime import WorldLayout, detect_failures, run_ft_kmeans
 from kmft.simcluster import (DEFAULT_TIMEOUT, FailPhase, FailureEvent,
-                             FailurePlan, Group, Health, Mode, VtPhase,
+                             FailurePlan, Group, Health, VtPhase,
                              spawn_world)
 
 VT_COLS = ("vt_compute", "vt_comm", "vt_ckpt_start", "vt_ckpt_commit",

@@ -9,7 +9,7 @@ from kmft.bench import (CSV_HEADER, SUMMARY_HEADER, RunConfig, append_rows,
                         write_summary)
 from kmft.datasets import make_blobs
 from kmft.errors import ConfigError
-from kmft.simcluster import FailPhase, FailureEvent, VtPhase
+from kmft.simcluster import FailPhase, FailureEvent
 
 # loose blobs with k > blobs so runs take a couple dozen iterations
 DATA, _ = make_blobs(n=500, d=3, blobs=5, spread=2.5, seed=17)

@@ -164,6 +164,20 @@ class TestRun:
             main(["run", "--data", str(dataset_file)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("method", [["--method", "sequential"],
+                                        ["--method", "samples", "--procs", "2"]])
+    def test_k_above_the_distinct_samples_is_a_usage_error(self, method, capsys):
+        """Exit 1 means a failed run; a k the data cannot seed is bad input."""
+        rc = main(["run", "--points", "10", "--dims", "2", "--blobs", "2",
+                   "--k", "20", "--seed", "1"] + method)
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_data_file_is_a_usage_error(self, tmp_path, capsys):
+        rc = main(["run", "--data", str(tmp_path / "missing.kmds"), "--k", "3"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestReport:
     def _fill(self, dataset_file, out):
@@ -191,6 +205,11 @@ class TestReport:
         self._fill(dataset_file, out)
         assert main(["report", str(out)]) == 0
         assert (tmp_path / "r-summary.csv").exists()
+
+    def test_missing_csv_is_a_usage_error(self, tmp_path, capsys):
+        rc = main(["report", str(tmp_path / "missing.csv")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "r.csv"

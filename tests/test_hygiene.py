@@ -1,0 +1,35 @@
+"""Source hygiene: checks over the text of the package and its tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sources() -> list[Path]:
+    return sorted(p for d in ("src/kmft", "tests") for p in (ROOT / d).rglob("*.py")
+                  if p.name != "__init__.py")
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import binds that the module never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)     # also the base of every attribute access
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in read]
+
+
+def test_no_unused_imports():
+    unused = [entry for path in _sources() for entry in _unused_imports(path)]
+    assert unused == []

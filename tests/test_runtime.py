@@ -8,7 +8,7 @@ from kmft.checkpoint import CheckpointPolicy, CommitMode, mirror_target
 from kmft.errors import ConfigError, InvariantError
 from kmft.kmeans import Dataset, KmeansConfig, objective, run_sequential
 from kmft.parallel import Method, run_parallel
-from kmft.runtime import WorldLayout, detect_failures, run_ft_kmeans
+from kmft.runtime import WorldLayout, run_ft_kmeans
 from kmft.simcluster import (
     FailPhase,
     FailureEvent,

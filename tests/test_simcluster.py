@@ -885,6 +885,19 @@ class TestDeterminism:
                   for _, res in (self._busy_world(seed=s) for s in range(8))]
         assert all(v == values[0] for v in values)
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_handoff_follows_the_seeded_rotation(self, seed):
+        """Each switch hands the baton to the next rank of the seeded order."""
+        w = spawn_world(4, seed=seed, record_trace=True)
+
+        def prog(ctx):
+            ctx.state_vector()
+            ctx.state_vector()
+
+        w.run({r: prog for r in range(4)})
+        seen = [rank for kind, rank, *_ in w.trace if kind == "sv"]
+        assert seen == w.schedule_order * 2
+
 
 class TestDeadlock:
     def test_mutual_recv_detected(self):
@@ -898,6 +911,32 @@ class TestDeadlock:
 
         with pytest.raises(SimDeadlock):
             w.run({0: a, 1: b})
+
+    def test_deadlock_names_only_the_blocked_ranks(self):
+        w = spawn_world(3)
+
+        def a(ctx):
+            return ctx.recv(1)
+
+        def b(ctx):
+            return ctx.recv(0)
+
+        def done(ctx):
+            return None
+
+        with pytest.raises(SimDeadlock, match=r"blocked: \[0, 1\]"):
+            w.run({0: a, 1: b, 2: done})
+
+    def test_deadlock_message_outlives_the_unwinding(self):
+        """Ranks that finish while the others unwind must not replace it."""
+        g = Group((0, 1, 2))
+        progs = {0: lambda ctx: ctx.barrier(g, DEFAULT_TIMEOUT, "b"),
+                 1: lambda ctx: ctx.barrier(g, DEFAULT_TIMEOUT, "b"),
+                 2: lambda ctx: ctx.recv(3),
+                 3: lambda ctx: ctx.recv(2)}
+        for seed in range(20):
+            with pytest.raises(SimDeadlock, match=r"blocked: \[0, 1, 2, 3\]$"):
+                spawn_world(4, seed=seed).run(progs)
 
     def test_livelock_hits_the_wall_guard(self, monkeypatch):
         monkeypatch.setattr(simcluster, "WALL_GUARD", 0.2)
