@@ -86,6 +86,8 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.method == "sequential" and self.force_iters is not None:
             raise ConfigError("force_iters needs a parallel method")
+        if self.force_iters is not None and self.force_iters < 1:
+            raise ConfigError(f"force_iters must be >= 1, got {self.force_iters}")
         if self.failures and (self.method == "sequential" or self.procs == 1):
             raise ConfigError("failures need a parallel method with at least 2 procs")
 
@@ -209,6 +211,11 @@ def read_rows(path: str | Path) -> list[dict]:
             if not 0.0 <= row["overhead_frac"] <= 1.0:
                 raise ConfigError(
                     f"{path} line {lineno}: overhead_frac out of range")
+            if row["procs"] < 1:
+                raise ConfigError(f"{path} line {lineno}: procs must be >= 1")
+            for c in _VT_COLUMNS:
+                if row[c] < 0:
+                    raise ConfigError(f"{path} line {lineno}: {c} is negative")
             rows.append(row)
     return rows
 

@@ -337,6 +337,8 @@ def run_parallel(data: Dataset, cfg: KmeansConfig, procs: int, method: Method,
     """
     if procs < 1:
         raise ConfigError(f"procs must be >= 1, got {procs}")
+    if force_iters is not None and force_iters < 1:
+        raise ConfigError(f"force_iters must be >= 1, got {force_iters}")
     states = [POSITIONS[method](data.values, cfg.k, procs, p) for p in range(procs)]
     step = _centers_step if method is Method.CENTERS else _samples_step
     centers = init_centroids(data, cfg.k).centers.copy()

@@ -14,7 +14,9 @@ fully redundant again before normal iterations resume.
 
 Each rank holds one `parallel` position state, the same one the lockstep
 driver steps; this module adds only the messages and collectives between
-its calls, the checkpoints and the recovery.
+its calls, the checkpoints and the recovery.  The finished driver is the
+rank's result: the outcome is assembled from the drivers' attributes once
+they agree, and a spare that was never woken returns None.
 
 One join (position, checkpointer, restore; after a recovery also the
 re-protection and the recovery event) serves the fresh start, survivors and
@@ -41,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -313,7 +316,7 @@ class _ActiveDriver:
 
     # -- main loop -----------------------------------------------------
 
-    def run(self) -> dict:
+    def run(self) -> "_ActiveDriver":
         while self.it < self.cap:
             t = self.it + 1
             self.ctx.failure_point(t, FailPhase.DURING_COMPUTE)
@@ -345,7 +348,7 @@ class _ActiveDriver:
         if self.converged or self.it >= self.cap:
             self._final_commit_if_lazy()
         self._shutdown_parked()
-        return self._result()
+        return self
 
     # -- checkpointing ---------------------------------------------------
 
@@ -483,40 +486,22 @@ class _ActiveDriver:
         for spare in self.layout.spare_ids[self.recoveries:]:
             self.ctx.send(spare, ("shutdown",), self.group.generation)
 
-    def _result(self) -> dict:
-        return {
-            "role": "active",
-            "position": self.position,
-            "members": self.group.members,
-            "generation": self.group.generation,
-            "centers": self.centers.copy(),
-            "fragment": self.state.entries(),
-            "iterations": self.it,
-            "converged": self.converged,
-            "recoveries": self.recoveries,
-            "epochs_committed": self.cp.committed_count,
-            "last_committed": self.cp.last_committed,
-            "events": list(self.events),
-            "captures": list(self.captures),
-            "reason": self.reason,
-        }
-
 
 def _is_control(msg: object) -> bool:
     return isinstance(msg, tuple) and msg[:1] in (("wake",), ("shutdown",))
 
 
-def _spare_program(ctx: RankContext, driver: _ActiveDriver) -> dict:
+def _spare_program(ctx: RankContext, driver: _ActiveDriver) -> _ActiveDriver | None:
+    """The woken spare's finished driver; None for a spare never woken."""
     try:
         with ctx.phase(VtPhase.COMM):     # parked time is waiting, not work
             # data sent early to a just-promoted spare stays queued for its
             # first pass
             _, msg = ctx.recv_any(_is_control)
     except Timeout:
-        # every active rank is gone without a shutdown; nothing to do
-        return {"role": "spare", "state": "orphaned"}
+        return None     # every active rank is gone without a shutdown
     if msg[0] == "shutdown":
-        return {"role": "spare", "state": "parked"}
+        return None
     driver.start_from_wake(msg)
     return driver.run()
 
@@ -528,6 +513,8 @@ def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,
                   force_iters: int | None = None,
                   record_trace: bool = False) -> RunOutcome:
     """Run the chosen decomposition under failures with checkpoint/restart."""
+    if force_iters is not None and force_iters < 1:
+        raise ConfigError(f"force_iters must be >= 1, got {force_iters}")
     started = time.perf_counter()
     world = spawn_world(layout.world_size, plan=plan, seed=seed,
                         record_trace=record_trace, segments=segment_spec(data.n))
@@ -551,44 +538,37 @@ def _assemble(world: ClusterHandle, results: dict, data: Dataset,
               cfg: KmeansConfig, started: float) -> RunOutcome:
     ledger = {r: world.ledger(r) for r in range(world.world_size)}
     vt_total = {r: world.vt(r) for r in range(world.world_size)}
-    finals = [res.value for res in results.values()
-              if res.status == "done" and isinstance(res.value, dict)
-              and res.value.get("role") == "active"]
+    finals: list[_ActiveDriver] = [res.value for res in results.values()
+                                   if res.status == "done" and res.value is not None]
     if not finals:
         return RunOutcome(
             centroids=None, table=None, iterations=0, converged=False,
             recoveries=0, epochs_committed=0, reason="every active rank failed",
             ledger=ledger, vt_total=vt_total, recovery_events=[], captures={},
             final_group=(), wall_ms=(time.perf_counter() - started) * 1000.0)
-    ref = min(finals, key=lambda v: v["position"])
-    members = ref["members"]
-    if any(v["members"] != members for v in finals):
-        raise InvariantError("surviving ranks disagree on the final group")
-    by_position = {v["position"]: v for v in finals}
-
-    for key in ("iterations", "converged", "recoveries", "epochs_committed",
-                "reason", "generation"):
-        vals = {repr(v[key]) for v in finals}
+    ref = min(finals, key=lambda d: d.position)
+    for attr in ("group", "it", "converged", "recoveries", "reason",
+                 "cp.committed_count"):
+        vals = {repr(attrgetter(attr)(d)) for d in finals}
         if len(vals) != 1:
-            raise InvariantError(f"ranks disagree on {key}: {sorted(vals)}")
+            raise InvariantError(f"ranks disagree on {attr}: {sorted(vals)}")
 
     centroids = None
     table = None
-    if not ref["reason"]:
-        assign = gather_labels([v["fragment"] for v in finals], data.n)
+    if not ref.reason:
+        assign = gather_labels([d.state.entries() for d in finals], data.n)
         counts = np.bincount(assign, minlength=cfg.k).astype(np.int64)
-        table = AssignmentTable(assign=assign, changed=not ref["converged"],
+        table = AssignmentTable(assign=assign, changed=not ref.converged,
                                 counts=counts)
         table.validate(cfg.k)
-        centroids = CentroidSet(ref["centers"])
+        centroids = CentroidSet(ref.centers)
 
     merged_events = []
-    for i in range(len(ref["events"])):
-        base: RecoveryEvent = ref["events"][i]
+    for i, base in enumerate(ref.events):
         digests: dict[int, str] = {}
-        for v in finals:
-            if i < len(v["events"]):
-                ev: RecoveryEvent = v["events"][i]
+        for d in finals:
+            if i < len(d.events):
+                ev = d.events[i]
                 if ev.restored_digest is not None:
                     digests[ev.position] = ev.restored_digest
         merged_events.append({
@@ -603,15 +583,15 @@ def _assemble(world: ClusterHandle, results: dict, data: Dataset,
     return RunOutcome(
         centroids=centroids,
         table=table,
-        iterations=ref["iterations"],
-        converged=ref["converged"],
-        recoveries=ref["recoveries"],
-        epochs_committed=ref["epochs_committed"],
-        reason=ref["reason"],
+        iterations=ref.it,
+        converged=ref.converged,
+        recoveries=ref.recoveries,
+        epochs_committed=ref.cp.committed_count,
+        reason=ref.reason,
         ledger=ledger,
         vt_total=vt_total,
         recovery_events=merged_events,
-        captures={pos: list(v["captures"]) for pos, v in by_position.items()},
-        final_group=members,
+        captures={d.position: d.captures for d in finals},
+        final_group=ref.group.members,
         wall_ms=(time.perf_counter() - started) * 1000.0,
     )

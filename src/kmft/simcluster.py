@@ -15,7 +15,12 @@ rank, in a seeded round-robin order, whose condition holds; conditions are
 re-checked at every handoff.  Two runs with the same seed replay the
 identical event order, and results do not depend on the seed.
 
-Cluster state is touched only by the rank holding the baton, so the
+Each rank is one RankContext.  It holds the rank's own state (its clock,
+per-phase ledger, entered generation and the set of corrupt peers reported
+to it), and every operation is the RankContext method of that name.  The
+ClusterHandle holds only what ranks share: channels, segments, pending
+transfers, collective slots, the death record, the results and the
+scheduler.  State is touched only by the rank holding the baton, so the
 scheduler's own lock and per-rank events are the only synchronization.  A
 deadlock is found structurally: when no rank can run, the run raises
 SimDeadlock.  A livelock, a run that never ends, raises it once the
@@ -156,9 +161,6 @@ class FailurePlan:
             if (ev.rank, ev.iteration, ev.phase, ev.substep) == (rank, iteration, phase, substep):
                 return True
         return False
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 @dataclass(frozen=True)
@@ -331,12 +333,17 @@ class RankResult:
 
 
 class RankContext:
-    """Per-rank handle a program uses for every cluster interaction."""
+    """One rank: its clock, ledger, generation and known-dead set, and every
+    operation its program makes on the cluster."""
 
     def __init__(self, world: "ClusterHandle", rank: int):
         self._world = world
         self.rank = rank
         self._vt_phase = VtPhase.COMPUTE
+        self._vt = 0
+        self._ledger = {p: 0 for p in VtPhase}
+        self._generation = 0                  # entered so far
+        self._known_dead: set[int] = set()    # corrupt ranks reported to this one
 
     @property
     def costs(self) -> CostModel:
@@ -345,7 +352,7 @@ class RankContext:
     @property
     def vt(self) -> int:
         """This rank's current virtual clock, in ticks."""
-        return self._world._vt[self.rank]
+        return self._vt
 
     @contextlib.contextmanager
     def phase(self, p: VtPhase):
@@ -356,61 +363,274 @@ class RankContext:
         finally:
             self._vt_phase = prev
 
+    # -- clock and generation ----------------------------------------------
+    #
+    # Operations charge through these helpers, never through another public
+    # operation, so a tracer that wraps the public ones counts only the
+    # program's own calls.
+
+    def _charge(self, ticks: int) -> None:
+        self._world._sched.check()      # also stops send and write_remote after a poison
+        if ticks < 0:
+            raise ConfigError("cannot charge negative ticks")
+        self._vt += ticks
+        self._ledger[self._vt_phase] += ticks
+
+    def _sync_to(self, instant: int) -> None:
+        if instant > self._vt:
+            self._charge(instant - self._vt)
+
+    def _enter_generation(self, generation: int) -> None:
+        if generation > self._generation:
+            self._generation = generation
+
     # -- local work ------------------------------------------------------
 
     def charge(self, ticks: int) -> None:
         """Account `ticks` of local work to the current phase."""
-        self._world._charge(self.rank, ticks, self._vt_phase)
+        self._charge(ticks)
 
     def failure_point(self, iteration: int, phase: FailPhase, substep: int = 0) -> None:
-        self._world._op_failure_point(self.rank, iteration, phase, substep, self._vt_phase)
+        w = self._world
+        w._sched.check()
+        rank = self.rank
+        if not w.plan.match(rank, iteration, phase, substep):
+            return
+        w._sched.switch(rank)
+        w._death_vt[rank] = self._vt
+        # nothing addressed to a dead rank is ever read again
+        for src in range(w.world_size):
+            w._channels.pop((src, rank), None)
+        w._pending = [xf for xf in w._pending if xf.dst != rank]
+        w._trace_event("kill", rank, iteration, phase.value, substep, self._vt)
+        raise _Killed()
 
     # -- segments --------------------------------------------------------
 
     def write_local(self, seg: int, offset: int, payload: bytes) -> None:
-        self._world._op_write_local(self.rank, seg, offset, payload)
+        w = self._world
+        w._sched.check()
+        w._check_bounds(self.rank, seg, offset, len(payload))
+        w._settle_segment(self.rank, seg)
+        buf = w._segment(self.rank, seg)
+        buf[offset:offset + len(payload)] = payload
 
     def read_local(self, seg: int, offset: int, size: int) -> bytes:
-        return self._world._op_read_local(self.rank, seg, offset, size)
+        w = self._world
+        w._sched.switch(self.rank)
+        w._check_bounds(self.rank, seg, offset, size)
+        w._settle_segment(self.rank, seg)
+        buf = w._segment(self.rank, seg)
+        return bytes(buf[offset:offset + size])
 
     def write_remote(self, dst: int, seg: int, offset: int, payload: bytes) -> Token:
-        return self._world._op_write_remote(self.rank, dst, seg, offset, payload, self._vt_phase)
+        w = self._world
+        if not 0 <= dst < w.world_size:
+            raise ConfigError(f"no such rank {dst}")
+        w._check_bounds(dst, seg, offset, len(payload))
+        self._charge(w.costs.rdma_base)
+        w._xfer_seq += 1
+        xf = Token(w._xfer_seq, self.rank, dst, seg, offset, bytes(payload),
+                   ready_at=self._vt + w.costs.transfer_ticks(len(payload)))
+        w._pending.append(xf)
+        w._trace_event("rdma", self.rank, dst, seg, offset, len(payload))
+        return xf
 
     def wait(self, token: Token) -> TokenState:
-        return self._world._op_wait_token(self.rank, token, self._vt_phase)
+        w = self._world
+        w._sched.switch(self.rank)
+        if token.state is not TokenState.PENDING:
+            return token.state
+        # the outcome is known at the ready time, whichever it is
+        self._sync_to(token.ready_at)
+        died = w._death_vt.get(token.dst)
+        if died is not None and died < token.ready_at:
+            token.state = TokenState.FAILED
+            w._trace_event("token", self.rank, "failed", token.dst)
+            return token.state
+        # earlier writes to the same region land first, preserving order
+        for other in [other for other in w._pending
+                      if (other.dst, other.seg) == (token.dst, token.seg)
+                      and other.seq <= token.seq]:
+            w._deliver(other)
+        token.state = TokenState.DELIVERED
+        w._trace_event("token", self.rank, "delivered", token.dst)
+        return token.state
 
     def read_remote(self, owner: int, seg: int, offset: int, size: int) -> bytes:
-        return self._world._op_read_remote(self.rank, owner, seg, offset, size, self._vt_phase)
+        w = self._world
+        w._sched.switch(self.rank)
+        if not w._alive(owner):
+            self._known_dead.add(owner)
+            raise PeerDead(f"rank {owner} is corrupt; its segments are unreadable")
+        w._check_bounds(owner, seg, offset, size)
+        w._settle_segment(owner, seg)
+        self._charge(w.costs.transfer_ticks(size))
+        buf = w._segment(owner, seg)
+        w._trace_event("read", self.rank, owner, seg, offset, size)
+        return bytes(buf[offset:offset + size])
 
     # -- messages --------------------------------------------------------
 
     def send(self, dst: int, payload: object, generation: int = 0) -> None:
-        self._world._op_send(self.rank, dst, payload, generation, self._vt_phase)
+        w = self._world
+        if not 0 <= dst < w.world_size:
+            raise ConfigError(f"no such rank {dst}")
+        if generation < self._generation:
+            raise ConfigError(f"rank {self.rank} sends under generation {generation} "
+                              f"after entering {self._generation}")
+        self._enter_generation(generation)
+        self._charge(w.costs.send)
+        if dst in self._known_dead:
+            raise PeerDead(f"send to corrupt rank {dst}")
+        w._trace_event("send", self.rank, dst)
+        if not w._alive(dst):
+            return
+        arrival = self._vt + w.costs.msg_latency
+        w._channel(self.rank, dst).append((_share(payload), arrival, generation))
+
+    def _take(self, src: int, queue: deque, index: int) -> object:
+        payload, arrival, _ = queue[index]
+        del queue[index]
+        self._sync_to(arrival)
+        self._charge(self.costs.recv)
+        self._world._trace_event("recv", self.rank, src)
+        return payload
 
     def recv(self, src: int, generation: int = 0) -> object:
         """Next message from `src` sent under `generation` (module docstring)."""
-        return self._world._op_recv(self.rank, src, generation, self._vt_phase)
+        w = self._world
+        queue = w._channel(src, self.rank)
+
+        def ready() -> bool:
+            # a sender's stamps never decrease, so the newest one decides
+            if queue and queue[-1][2] >= generation:
+                return True
+            return (w._ctxs[src]._generation > generation or not w._alive(src)
+                    or src in w._results)
+
+        if not ready():
+            w._sched.switch(self.rank, ready)
+        while queue and queue[0][2] < generation:
+            queue.popleft()       # stale traffic of an earlier generation
+        if queue and queue[0][2] == generation:
+            return self._take(src, queue, 0)
+        if not w._alive(src):
+            self._known_dead.add(src)
+            raise PeerDead(f"recv from corrupt rank {src}")
+        raise Timeout(f"rank {src} finished or left generation {generation} "
+                      "without sending")
 
     def recv_any(self, match=None) -> tuple[int, object]:
         """Next message `match` accepts, lowest source first, any generation.
 
         Messages `match` rejects stay queued for a later `recv`.
         """
-        return self._world._op_recv_any(self.rank, match, self._vt_phase)
+        w = self._world
+        rank = self.rank
+
+        def find() -> tuple[int, int] | None:
+            for src in range(w.world_size):
+                queue = w._channels.get((src, rank))
+                if not queue:
+                    continue
+                for index, (payload, _, _) in enumerate(queue):
+                    if match is None or match(payload):
+                        return src, index
+            return None
+
+        def ready() -> bool:
+            if find() is not None:
+                return True
+            return all(not w._alive(s) or s in w._results
+                       for s in range(w.world_size) if s != rank)
+
+        if not ready():
+            w._sched.switch(rank, ready)
+        found = find()
+        if found is None:
+            raise Timeout("every peer is corrupt or finished")
+        src, index = found
+        return src, self._take(src, w._channels[(src, rank)], index)
 
     # -- collectives -----------------------------------------------------
 
+    def _rendezvous(self, group: Group, key: tuple, value: object,
+                    root: int | None = None) -> tuple[_Collective, bool]:
+        """Deposit `value` (in a broadcast only `root` does) and wait; returns
+        the slot and whether every deposit it needed arrived."""
+        w = self._world
+        rank = self.rank
+        group.position(rank)  # membership check
+        if root is not None:
+            group.position(root)
+        self._enter_generation(group.generation)
+        coll = w._collectives.get(key)
+        if coll is None:
+            coll = w._collectives[key] = _Collective(group.members, root)
+        elif coll.members != group.members or coll.root != root:
+            raise ConfigError(f"collective tag {key} reused with different shape")
+        if root is None or rank == root:
+            coll.deposits[rank] = self._vt
+            coll.values[rank] = _share(value)
+        w._trace_event(key[1], rank, key)
+        needed = group.members if root is None else (root,)
+
+        def ready() -> bool:
+            # polled at every handoff: the common case costs one comparison
+            dead = w._death_vt
+            return len(coll.deposits) == len(needed) or (bool(dead) and any(
+                m in needed and m not in coll.deposits for m in dead))
+
+        if not ready():
+            w._sched.switch(rank, ready)
+        coll.returned += 1
+        if coll.returned == len(coll.members):
+            del w._collectives[key]     # every member has left the slot
+        return coll, len(coll.deposits) == len(needed)
+
     def barrier(self, group: Group, timeout: int, tag: object) -> BarrierStatus:
-        return self._world._op_barrier(self.rank, group, timeout, tag, self._vt_phase)
+        key = (group.generation, "bar", tag)
+        coll, complete = self._rendezvous(group, key, None)
+        if complete:
+            self._sync_to(max(coll.deposits.values()) + self.costs.barrier)
+            self._world._trace_event("bar-ok", self.rank, key)
+            return BarrierStatus.OK
+        self._sync_to(coll.deposits[self.rank] + timeout)
+        self._world._trace_event("bar-timeout", self.rank, key)
+        return BarrierStatus.TIMEOUT
 
     def reduce_all(self, group: Group, value: object, op: ReduceOp, tag: object) -> object:
-        return self._world._op_reduce(self.rank, group, value, op, tag, self._vt_phase)
+        key = (group.generation, "red", op.value, tag)
+        coll, complete = self._rendezvous(group, key, value)
+        if not complete:
+            self._sync_to(coll.deposits[self.rank] + DEFAULT_TIMEOUT)
+            raise Timeout(f"reduce {tag}: a group member died before contributing")
+        if not coll.combined:
+            coll.result = _combine(op, [coll.values[m] for m in sorted(coll.members)])
+            coll.combined = True
+        self._sync_to(max(coll.deposits.values()) + self.costs.collective_base)
+        return _share(coll.result)
 
     def broadcast(self, group: Group, root: int, payload: object, tag: object) -> object:
-        return self._world._op_broadcast(self.rank, group, root, payload, tag, self._vt_phase)
+        key = (group.generation, "bcast", tag)
+        coll, complete = self._rendezvous(group, key, payload, root)
+        if not complete:
+            self._sync_to(self._vt + DEFAULT_TIMEOUT)
+            raise Timeout(f"broadcast {tag}: root {root} died before sending")
+        value = coll.values[root]
+        costs = self.costs
+        self._sync_to(coll.deposits[root] + costs.collective_base
+                      + costs.payload_ticks(_payload_nbytes(value)))
+        return _share(value)
 
     def state_vector(self) -> dict[int, Health]:
-        return self._world._op_state_vector(self.rank, self._vt_phase)
+        w = self._world
+        w._sched.switch(self.rank)
+        self._charge(w.costs.state_query)
+        w._trace_event("sv", self.rank)
+        self._known_dead.update(w._death_vt)
+        return w.state_vector()
 
 
 def _share(value: object) -> object:
@@ -423,7 +643,7 @@ def _share(value: object) -> object:
 
 
 class ClusterHandle:
-    """A spawned world of ranks plus its transport state."""
+    """A spawned world of ranks plus the transport state they share."""
 
     def __init__(self, world_size: int, plan: FailurePlan | None = None,
                  costs: CostModel | None = None, seed: int = 0,
@@ -431,7 +651,8 @@ class ClusterHandle:
                  segments: dict[int, int] | None = None):
         if world_size < 1:
             raise ConfigError(f"world_size must be >= 1, got {world_size}")
-        plan = plan or FailurePlan()
+        if plan is None:
+            plan = FailurePlan()
         plan.validate(world_size)
         self.world_size = world_size
         self.plan = plan
@@ -439,13 +660,9 @@ class ClusterHandle:
         self.record_trace = record_trace
         self.trace: list[tuple] = []
 
-        self._vt = {r: 0 for r in range(world_size)}
-        self._ledger = {r: {p: 0 for p in VtPhase} for r in range(world_size)}
         # (src, dst) -> FIFO of (payload, arrival vt, generation)
         self._channels: dict[tuple[int, int], deque[tuple[object, int, int]]] = {}
-        self._generation = {r: 0 for r in range(world_size)}   # entered so far
         self._death_vt: dict[int, int] = {}      # the one death record: clock at the kill
-        self._known_dead = {r: set() for r in range(world_size)}   # reported to r
         self._segments: dict[tuple[int, int], bytearray] = {}
         self._pending: list[Token] = []
         self._collectives: dict[tuple, _Collective] = {}
@@ -503,16 +720,16 @@ class ClusterHandle:
                 for r in range(self.world_size)}
 
     def vt(self, rank: int) -> int:
-        return self._vt[rank]
+        return self._ctxs[rank]._vt
 
     def ledger(self, rank: int) -> dict[VtPhase, int]:
-        return dict(self._ledger[rank])
+        return dict(self._ctxs[rank]._ledger)
 
     def segment_bytes(self, rank: int, seg: int) -> bytes:
         self._settle_segment(rank, seg)
         return bytes(self._segment(rank, seg))
 
-    # -- internals -----------------------------------------------------------
+    # -- shared transport state (touched by the ranks' operations) ------------
 
     def _trace_event(self, *entry: object) -> None:
         if self.record_trace:
@@ -524,22 +741,18 @@ class ClusterHandle:
         except KeyError:
             raise SegmentError(f"rank {rank} has no segment {seg}") from None
 
-    def _charge(self, rank: int, ticks: int, phase: VtPhase) -> None:
-        self._sched.check()      # also stops send and write_remote after a poison
-        if ticks < 0:
-            raise ConfigError("cannot charge negative ticks")
-        self._vt[rank] += ticks
-        self._ledger[rank][phase] += ticks
-
-    def _sync_to(self, rank: int, instant: int, phase: VtPhase) -> None:
-        if instant > self._vt[rank]:
-            self._charge(rank, instant - self._vt[rank], phase)
+    def _check_bounds(self, rank: int, seg: int, offset: int, length: int) -> None:
+        buf = self._segment(rank, seg)
+        if offset < 0 or length < 0 or offset + length > len(buf):
+            raise SegmentError(
+                f"access [{offset}, {offset + length}) outside segment {seg} "
+                f"of rank {rank} (size {len(buf)})")
 
     def _settle_segment(self, owner: int, seg: int) -> None:
         """Apply pending transfers whose ready time the owner's clock passed."""
         if not self._alive(owner):
             return
-        now = self._vt[owner]
+        now = self._ctxs[owner]._vt
         for xf in [xf for xf in self._pending
                    if xf.dst == owner and xf.seg == seg and xf.ready_at <= now]:
             self._deliver(xf)
@@ -554,250 +767,11 @@ class ClusterHandle:
     def _alive(self, rank: int) -> bool:
         return rank not in self._death_vt
 
-    def _enter_generation(self, rank: int, generation: int) -> None:
-        if generation > self._generation[rank]:
-            self._generation[rank] = generation
-
     def _channel(self, src: int, dst: int) -> deque:
         queue = self._channels.get((src, dst))
         if queue is None:
             queue = self._channels[(src, dst)] = deque()
         return queue
-
-    # -- operations (called via RankContext) ---------------------------------
-
-    def _op_failure_point(self, rank: int, iteration: int, phase: FailPhase,
-                          substep: int, vt_phase: VtPhase) -> None:
-        self._sched.check()
-        if not self.plan.match(rank, iteration, phase, substep):
-            return
-        self._sched.switch(rank)
-        self._death_vt[rank] = self._vt[rank]
-        # nothing addressed to a dead rank is ever read again
-        for src in range(self.world_size):
-            self._channels.pop((src, rank), None)
-        self._pending = [xf for xf in self._pending if xf.dst != rank]
-        self._trace_event("kill", rank, iteration, phase.value, substep, self._vt[rank])
-        raise _Killed()
-
-    def _check_bounds(self, rank: int, seg: int, offset: int, length: int) -> None:
-        buf = self._segment(rank, seg)
-        if offset < 0 or length < 0 or offset + length > len(buf):
-            raise SegmentError(
-                f"access [{offset}, {offset + length}) outside segment {seg} "
-                f"of rank {rank} (size {len(buf)})")
-
-    def _op_write_local(self, rank: int, seg: int, offset: int, payload: bytes) -> None:
-        self._sched.check()
-        self._check_bounds(rank, seg, offset, len(payload))
-        self._settle_segment(rank, seg)
-        buf = self._segment(rank, seg)
-        buf[offset:offset + len(payload)] = payload
-
-    def _op_read_local(self, rank: int, seg: int, offset: int, size: int) -> bytes:
-        self._sched.switch(rank)
-        self._check_bounds(rank, seg, offset, size)
-        self._settle_segment(rank, seg)
-        buf = self._segment(rank, seg)
-        return bytes(buf[offset:offset + size])
-
-    def _op_write_remote(self, rank: int, dst: int, seg: int, offset: int,
-                         payload: bytes, phase: VtPhase) -> Token:
-        if not 0 <= dst < self.world_size:
-            raise ConfigError(f"no such rank {dst}")
-        self._check_bounds(dst, seg, offset, len(payload))
-        self._charge(rank, self.costs.rdma_base, phase)
-        self._xfer_seq += 1
-        xf = Token(self._xfer_seq, rank, dst, seg, offset, bytes(payload),
-                   ready_at=self._vt[rank] + self.costs.transfer_ticks(len(payload)))
-        self._pending.append(xf)
-        self._trace_event("rdma", rank, dst, seg, offset, len(payload))
-        return xf
-
-    def _op_wait_token(self, rank: int, xf: Token, phase: VtPhase) -> TokenState:
-        self._sched.switch(rank)
-        if xf.state is not TokenState.PENDING:
-            return xf.state
-        # the outcome is known at the ready time, whichever it is
-        self._sync_to(rank, xf.ready_at, phase)
-        died = self._death_vt.get(xf.dst)
-        if died is not None and died < xf.ready_at:
-            xf.state = TokenState.FAILED
-            self._trace_event("token", rank, "failed", xf.dst)
-            return xf.state
-        # earlier writes to the same region land first, preserving order
-        for other in [other for other in self._pending
-                      if (other.dst, other.seg) == (xf.dst, xf.seg)
-                      and other.seq <= xf.seq]:
-            self._deliver(other)
-        xf.state = TokenState.DELIVERED
-        self._trace_event("token", rank, "delivered", xf.dst)
-        return xf.state
-
-    def _op_read_remote(self, rank: int, owner: int, seg: int, offset: int,
-                        size: int, phase: VtPhase) -> bytes:
-        self._sched.switch(rank)
-        if not self._alive(owner):
-            self._known_dead[rank].add(owner)
-            raise PeerDead(f"rank {owner} is corrupt; its segments are unreadable")
-        self._check_bounds(owner, seg, offset, size)
-        self._settle_segment(owner, seg)
-        self._charge(rank, self.costs.transfer_ticks(size), phase)
-        buf = self._segment(owner, seg)
-        self._trace_event("read", rank, owner, seg, offset, size)
-        return bytes(buf[offset:offset + size])
-
-    def _op_send(self, rank: int, dst: int, payload: object, generation: int,
-                 phase: VtPhase) -> None:
-        if not 0 <= dst < self.world_size:
-            raise ConfigError(f"no such rank {dst}")
-        if generation < self._generation[rank]:
-            raise ConfigError(f"rank {rank} sends under generation {generation} "
-                              f"after entering {self._generation[rank]}")
-        self._enter_generation(rank, generation)
-        self._charge(rank, self.costs.send, phase)
-        if dst in self._known_dead[rank]:
-            raise PeerDead(f"send to corrupt rank {dst}")
-        self._trace_event("send", rank, dst)
-        if not self._alive(dst):
-            return
-        arrival = self._vt[rank] + self.costs.msg_latency
-        self._channel(rank, dst).append((_share(payload), arrival, generation))
-
-    def _take(self, rank: int, src: int, queue: deque, index: int,
-              phase: VtPhase) -> object:
-        payload, arrival, _ = queue[index]
-        del queue[index]
-        self._sync_to(rank, arrival, phase)
-        self._charge(rank, self.costs.recv, phase)
-        self._trace_event("recv", rank, src)
-        return payload
-
-    def _op_recv(self, rank: int, src: int, generation: int, phase: VtPhase) -> object:
-        queue = self._channel(src, rank)
-
-        def ready() -> bool:
-            # a sender's stamps never decrease, so the newest one decides
-            if queue and queue[-1][2] >= generation:
-                return True
-            return (self._generation[src] > generation or not self._alive(src)
-                    or src in self._results)
-
-        if not ready():
-            self._sched.switch(rank, ready)
-        while queue and queue[0][2] < generation:
-            queue.popleft()       # stale traffic of an earlier generation
-        if queue and queue[0][2] == generation:
-            return self._take(rank, src, queue, 0, phase)
-        if not self._alive(src):
-            self._known_dead[rank].add(src)
-            raise PeerDead(f"recv from corrupt rank {src}")
-        raise Timeout(f"rank {src} finished or left generation {generation} "
-                      "without sending")
-
-    def _op_recv_any(self, rank: int, match, phase: VtPhase) -> tuple[int, object]:
-        def find() -> tuple[int, int] | None:
-            for src in range(self.world_size):
-                queue = self._channels.get((src, rank))
-                if not queue:
-                    continue
-                for index, (payload, _, _) in enumerate(queue):
-                    if match is None or match(payload):
-                        return src, index
-            return None
-
-        def ready() -> bool:
-            if find() is not None:
-                return True
-            return all(not self._alive(s) or s in self._results
-                       for s in range(self.world_size) if s != rank)
-
-        if not ready():
-            self._sched.switch(rank, ready)
-        found = find()
-        if found is None:
-            raise Timeout("every peer is corrupt or finished")
-        src, index = found
-        return src, self._take(rank, src, self._channels[(src, rank)], index, phase)
-
-    def _rendezvous(self, rank: int, group: Group, key: tuple, value: object,
-                    root: int | None = None) -> tuple[_Collective, bool]:
-        """Deposit `value` (in a broadcast only `root` does) and wait; returns
-        the slot and whether every deposit it needed arrived."""
-        group.position(rank)  # membership check
-        if root is not None:
-            group.position(root)
-        self._enter_generation(rank, group.generation)
-        coll = self._collectives.get(key)
-        if coll is None:
-            coll = self._collectives[key] = _Collective(group.members, root)
-        elif coll.members != group.members or coll.root != root:
-            raise ConfigError(f"collective tag {key} reused with different shape")
-        if root is None or rank == root:
-            coll.deposits[rank] = self._vt[rank]
-            coll.values[rank] = _share(value)
-        self._trace_event(key[1], rank, key)
-        needed = group.members if root is None else (root,)
-
-        def ready() -> bool:
-            # polled at every handoff: the common case costs one comparison
-            dead = self._death_vt
-            return len(coll.deposits) == len(needed) or (bool(dead) and any(
-                m in needed and m not in coll.deposits for m in dead))
-
-        if not ready():
-            self._sched.switch(rank, ready)
-        coll.returned += 1
-        if coll.returned == len(coll.members):
-            del self._collectives[key]     # every member has left the slot
-        return coll, len(coll.deposits) == len(needed)
-
-    def _op_barrier(self, rank: int, group: Group, timeout: int, tag: object,
-                    phase: VtPhase) -> BarrierStatus:
-        key = (group.generation, "bar", tag)
-        coll, complete = self._rendezvous(rank, group, key, None)
-        if complete:
-            done = max(coll.deposits.values()) + self.costs.barrier
-            self._sync_to(rank, done, phase)
-            self._trace_event("bar-ok", rank, key)
-            return BarrierStatus.OK
-        self._sync_to(rank, coll.deposits[rank] + timeout, phase)
-        self._trace_event("bar-timeout", rank, key)
-        return BarrierStatus.TIMEOUT
-
-    def _op_reduce(self, rank: int, group: Group, value: object, op: ReduceOp,
-                   tag: object, phase: VtPhase) -> object:
-        key = (group.generation, "red", op.value, tag)
-        coll, complete = self._rendezvous(rank, group, key, value)
-        if not complete:
-            self._sync_to(rank, coll.deposits[rank] + DEFAULT_TIMEOUT, phase)
-            raise Timeout(f"reduce {tag}: a group member died before contributing")
-        if not coll.combined:
-            coll.result = _combine(op, [coll.values[m] for m in sorted(coll.members)])
-            coll.combined = True
-        done = max(coll.deposits.values()) + self.costs.collective_base
-        self._sync_to(rank, done, phase)
-        return _share(coll.result)
-
-    def _op_broadcast(self, rank: int, group: Group, root: int, payload: object,
-                      tag: object, phase: VtPhase) -> object:
-        key = (group.generation, "bcast", tag)
-        coll, complete = self._rendezvous(rank, group, key, payload, root)
-        if not complete:
-            self._sync_to(rank, self._vt[rank] + DEFAULT_TIMEOUT, phase)
-            raise Timeout(f"broadcast {tag}: root {root} died before sending")
-        value = coll.values[root]
-        done = (coll.deposits[root] + self.costs.collective_base
-                + self.costs.payload_ticks(_payload_nbytes(value)))
-        self._sync_to(rank, done, phase)
-        return _share(value)
-
-    def _op_state_vector(self, rank: int, phase: VtPhase) -> dict[int, Health]:
-        self._sched.switch(rank)
-        self._charge(rank, self.costs.state_query, phase)
-        self._trace_event("sv", rank)
-        self._known_dead[rank].update(self._death_vt)
-        return self.state_vector()
 
 
 def _payload_nbytes(value: object) -> int:

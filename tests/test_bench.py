@@ -39,6 +39,10 @@ class TestRunConfig:
             cfg(method="kmeans++")
         with pytest.raises(ConfigError):
             cfg(method="sequential", force_iters=10)
+        with pytest.raises(ConfigError):
+            cfg(method="samples", procs=2, force_iters=0)
+        with pytest.raises(ConfigError):
+            cfg(method="centers", procs=4, force_iters=-2)
         kill = (FailureEvent(rank=0, iteration=2, phase=FailPhase.BEFORE_BARRIER),)
         with pytest.raises(ConfigError):
             cfg(method="sequential", procs=4, failures=kill)
@@ -192,6 +196,16 @@ class TestCsvRoundTrip:
         row["overhead_frac"] = 1.5
         append_rows(path, [row])
         with pytest.raises(ConfigError, match="line 2.*overhead"):
+            read_rows(path)
+
+    @pytest.mark.parametrize("column, value", [("procs", 0), ("procs", -4),
+                                               ("vt_comm", -1)])
+    def test_impossible_procs_or_ticks_rejected(self, tmp_path, column, value):
+        path = tmp_path / "r.csv"
+        row = dict(self._rows()[1])
+        row[column] = value
+        append_rows(path, [row])
+        with pytest.raises(ConfigError, match=f"line 2.*{column}"):
             read_rows(path)
 
 

@@ -122,6 +122,14 @@ class TestRun:
         assert row["iterations"] == 550
         assert row["epochs_committed"] == 11
 
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_non_positive_forced_iterations_are_a_usage_error(self, iters, capsys):
+        rc = main(["run", "--points", "50", "--dims", "2", "--blobs", "3",
+                   "--k", "3", "--seed", "1", "--procs", "2", "--method", "samples",
+                   "--force-iters", iters])
+        assert rc == 2
+        assert "force_iters" in capsys.readouterr().err
+
     def test_concurrent_mode_flag(self, dataset_file, capsys):
         """The flag went with the concurrent scheduler; it must not be ignored."""
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +225,21 @@ class TestReport:
         rc = main(["report", str(bad)])
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_row_with_no_procs_is_a_usage_error(self, dataset_file, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        self._fill(dataset_file, out)
+        lines = out.read_text().splitlines()
+        procs = lines[0].split(",").index("procs")
+        cells = lines[1].split(",")
+        cells[procs] = "0"
+        lines[1] = ",".join(cells)
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["report", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "line 2" in err
 
 
 class TestLogging:

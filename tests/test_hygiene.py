@@ -33,3 +33,34 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     unused = [entry for path in _sources() for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _private_defs(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module- and class-level `def _x` / `class _x`, dunders excluded."""
+    found = []
+    scopes = [tree.body]
+    while scopes:
+        for node in scopes.pop():
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                found.append((node.name, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                scopes.append(node.body)
+    return found
+
+
+def test_no_unreferenced_private_names():
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((ROOT / "src/kmft").rglob("*.py"))}
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for path, tree in trees.items()
+              for name, line in _private_defs(tree) if name not in read]
+    assert unread == []

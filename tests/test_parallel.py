@@ -317,6 +317,12 @@ class TestRunParallelSamples:
         # two passes are rarely enough to converge on this data
         assert res.iterations == 2
 
+    @pytest.mark.parametrize("iters", [0, -2])
+    def test_non_positive_force_iters_rejected(self, iters):
+        data = random_dataset(2, n=40, d=2)
+        with pytest.raises(ConfigError, match="force_iters"):
+            run_parallel(data, KmeansConfig(k=3), 2, Method.SAMPLES, force_iters=iters)
+
 
 class TestRandomizedEquivalence:
     @settings(max_examples=30, deadline=None)

@@ -111,6 +111,12 @@ class TestForcedIterations:
         assert out.iterations == 60
         assert out.epochs_committed == 6
 
+    @pytest.mark.parametrize("iters", [0, -2])
+    def test_non_positive_force_iters_rejected(self, iters):
+        with pytest.raises(ConfigError, match="force_iters"):
+            run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT,
+                          force_iters=iters)
+
     def test_forced_run_reaches_sequential_fixed_point(self):
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT,
                             force_iters=SEQ_IT + 10)

@@ -135,6 +135,48 @@ class TestChargeAndLedger:
         assert sum(led.values()) == w.vt(0)
 
 
+class TestOperationContract:
+    """A tracer counts each public RankContext callable as one operation."""
+
+    OPS = {"charge", "failure_point", "write_local", "read_local", "write_remote",
+           "wait", "read_remote", "send", "recv", "recv_any", "barrier",
+           "reduce_all", "broadcast", "state_vector"}
+
+    def test_public_callables_are_the_operations_and_phase(self):
+        public = {name for name, value in vars(simcluster.RankContext).items()
+                  if not name.startswith("_") and callable(value)}
+        assert public == self.OPS | {"phase"}
+
+    def test_operations_charge_without_calling_charge(self, monkeypatch):
+        counted = []
+        charge = simcluster.RankContext.charge
+
+        def counting_charge(ctx, ticks):
+            counted.append(ticks)
+            charge(ctx, ticks)
+
+        monkeypatch.setattr(simcluster.RankContext, "charge", counting_charge)
+        w = spawn_world(2, segments={0: 16})
+        group = full_group(2)
+
+        def prog(ctx):
+            peer = 1 - ctx.rank
+            if ctx.rank == 0:
+                ctx.charge(4)
+            ctx.send(peer, b"x")
+            ctx.recv(peer)
+            ctx.wait(ctx.write_remote(peer, 0, 0, b"abcd"))
+            ctx.barrier(group, DEFAULT_TIMEOUT, "b")
+            ctx.read_remote(peer, 0, 0, 4)
+            ctx.reduce_all(group, 1, ReduceOp.SUM, "r")
+            ctx.broadcast(group, 0, b"y" if ctx.rank == 0 else None, "c")
+            ctx.state_vector()
+
+        w.run({0: prog, 1: prog})
+        assert counted == [4]
+        assert w.vt(0) > 4      # the other operations did charge
+
+
 class TestMessages:
     def test_fifo_between_pair(self):
         w = spawn_world(2)
