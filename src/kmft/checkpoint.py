@@ -33,7 +33,6 @@ from .errors import (
 )
 from .parallel import RECORD_SIZE, decode_records, encode_records
 from .simcluster import (
-    DEFAULT_TIMEOUT,
     BarrierStatus,
     Group,
     RankContext,
@@ -156,7 +155,7 @@ class Checkpointer:
             token = self.ctx.write_remote(self.target, SEG_MIRROR, off, payload)
         self._outstanding = (epoch, token)
 
-    def commit(self, epoch: int, timeout: int = DEFAULT_TIMEOUT) -> BarrierStatus:
+    def commit(self, epoch: int) -> BarrierStatus:
         """Wait for the mirror transfer, then agree globally on the epoch."""
         if self._outstanding is None:
             raise SequenceError(f"commit of epoch {epoch} without a start")
@@ -167,7 +166,7 @@ class Checkpointer:
         with self.ctx.phase(VtPhase.CKPT_COMMIT):
             self.ctx.wait(token)   # FAILED only when the mirror died; the
             # barrier below stays responsible for surfacing that as TIMEOUT
-            status = self.ctx.barrier(self.group, timeout, ("ckpt-commit", epoch))
+            status = self.ctx.barrier(self.group, ("ckpt-commit", epoch))
         if status is BarrierStatus.OK:
             self.last_committed = epoch
             self.committed_count += 1

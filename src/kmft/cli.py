@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="inject a failure (repeatable); phase is one of "
                           "compute, barrier, ckpt (default barrier)")
     run.add_argument("--timeout-ticks", type=int, default=DEFAULT_TIMEOUT,
-                     help="barrier patience before declaring failure")
+                     help="ticks a collective waits for a dead member")
     run.add_argument("--out", default=None, help="CSV to append the row to")
 
     rep = sub.add_parser("report", help="aggregate a report CSV")

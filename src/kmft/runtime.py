@@ -23,6 +23,11 @@ re-protection and the recovery event) serves the fresh start, survivors and
 woken spares, and one detect-and-recover step serves the per-iteration
 probe, a pass that failed mid-communication and a timed-out commit.
 
+A run is given up one way: a step that cannot continue raises
+UnrecoverableError, and `_ActiveDriver.run` alone catches it, ending the run
+unconverged with the error as its `reason`.  (A woken spare joins before
+`run`; no failure point can reach that join yet.)
+
 A failure before the first commit rolls back to the deterministic initial
 state instead of a snapshot; that state needs no re-protection because it
 is reconstructible from the run configuration alone.
@@ -140,11 +145,10 @@ class RunOutcome:
     trace: list | None = None
 
 
-def detect_failures(ctx: RankContext, group: Group, round_no: int,
-                    timeout: int) -> tuple[int, ...]:
+def detect_failures(ctx: RankContext, group: Group, round_no: int) -> tuple[int, ...]:
     """Barrier probe: OK means nobody is missing; a timeout names the dead."""
     with ctx.phase(VtPhase.DETECT):
-        status = ctx.barrier(group, timeout, ("det", round_no))
+        status = ctx.barrier(group, ("det", round_no))
         if status is BarrierStatus.OK:
             return ()
         sv = ctx.state_vector()
@@ -249,13 +253,12 @@ class _ActiveDriver:
 
     def __init__(self, ctx: RankContext, data: Dataset, cfg: KmeansConfig,
                  method: Method, policy: CheckpointPolicy, layout: WorldLayout,
-                 timeout: int, force_iters: int | None):
+                 force_iters: int | None):
         self.ctx = ctx
         self.data = data
         self.cfg = cfg
         self.policy = policy
         self.layout = layout
-        self.timeout = timeout
         self.force_iters = force_iters
         self.cap = force_iters if force_iters is not None else cfg.max_iters
 
@@ -317,62 +320,60 @@ class _ActiveDriver:
     # -- main loop -----------------------------------------------------
 
     def run(self) -> "_ActiveDriver":
-        while self.it < self.cap:
-            t = self.it + 1
-            self.ctx.failure_point(t, FailPhase.DURING_COMPUTE)
-            try:
-                changed = self._pass(self.ctx, self.group, self.state, self.centers, t)
-                if needs_recompute(changed, t):
-                    self.centers = self._means(self.ctx, self.group, self.state,
-                                               self.centers, t)
-            except (Timeout, PeerDead):
-                if not self._recover_after_fault(
-                        "communication fault without a detectable failure"):
-                    break
-                continue
-            self.it = t
-            if not changed:
-                self.converged = True
-                if self.force_iters is None:
-                    break
-            self.ctx.failure_point(t, FailPhase.BEFORE_BARRIER)
-            failed = self._detect()
-            if failed:
-                if not self._recover_or_abort(failed):
-                    break
-                continue
-            self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 0)
-            if t % self.policy.interval == 0:
-                if not self._checkpoint_step(t):
-                    break
-        if self.converged or self.it >= self.cap:
+        try:
+            while self.it < self.cap:
+                t = self.it + 1
+                self.ctx.failure_point(t, FailPhase.DURING_COMPUTE)
+                try:
+                    changed = self._pass(self.ctx, self.group, self.state, self.centers, t)
+                    if needs_recompute(changed, t):
+                        self.centers = self._means(self.ctx, self.group, self.state,
+                                                   self.centers, t)
+                except (Timeout, PeerDead):
+                    self._recover_after_fault(
+                        "communication fault without a detectable failure")
+                    continue
+                self.it = t
+                if not changed:
+                    self.converged = True
+                    if self.force_iters is None:
+                        break
+                self.ctx.failure_point(t, FailPhase.BEFORE_BARRIER)
+                failed = self._detect()
+                if failed:
+                    self._recover(failed)
+                    continue
+                self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 0)
+                if t % self.policy.interval == 0:
+                    self._checkpoint_step(t)
             self._final_commit_if_lazy()
+        except UnrecoverableError as exc:
+            self.reason = str(exc)
+            self.converged = False
         self._shutdown_parked()
         return self
 
     # -- checkpointing ---------------------------------------------------
 
-    def _checkpoint_step(self, t: int) -> bool:
-        """False means abort; a recovery inside the step still returns True."""
+    def _checkpoint_step(self, t: int) -> None:
         cp = self.cp
         status = BarrierStatus.OK
         if self.policy.mode is CommitMode.EAGER:
             epoch = (cp.last_committed or 0) + 1
             self._capture(epoch, t)
             self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
-            status = cp.commit(epoch, self.timeout)
+            status = cp.commit(epoch)
             self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 2)
         else:
             # lazy: settle the previous epoch first, then capture the new one
             if cp.outstanding_epoch is not None:
-                status = cp.commit(cp.outstanding_epoch, self.timeout)
+                status = cp.commit(cp.outstanding_epoch)
             if status is BarrierStatus.OK:
                 self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
                 self._capture((cp.last_committed or 0) + 1, t)
                 self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 2)
         if status is BarrierStatus.TIMEOUT:
-            return self._recover_after_fault("commit timeout without a detectable failure")
-        return True
+            self._recover_after_fault("commit timeout without a detectable failure")
 
     def _capture(self, epoch: int, iteration: int) -> None:
         entries = self.state.entries()
@@ -380,41 +381,26 @@ class _ActiveDriver:
         self.captures.append((epoch, iteration, _digest(entries, epoch, iteration)))
 
     def _final_commit_if_lazy(self) -> None:
-        if self.policy.mode is not CommitMode.LAZY:
-            return
-        epoch = self.cp.outstanding_epoch
-        if epoch is None:
-            return
-        if self.cp.commit(epoch, self.timeout) is BarrierStatus.TIMEOUT:
-            self.cp.abandon()    # the result is already final; drop the epoch
+        """Only a lazy epoch can still be outstanding once the loop ends."""
+        if self.cp.outstanding_epoch is not None:
+            self.cp.commit(self.cp.outstanding_epoch)
 
     # -- failure handling ------------------------------------------------
 
     def _detect(self) -> tuple[int, ...]:
         """Run the next detection round; returns the corrupt members."""
         self.detect_round += 1
-        return detect_failures(self.ctx, self.group, self.detect_round, self.timeout)
+        return detect_failures(self.ctx, self.group, self.detect_round)
 
-    def _recover_after_fault(self, reason: str) -> bool:
-        """A step failed mid-way: recover from the dead, or stop with `reason`."""
-        self.cp.abandon()
+    def _recover_after_fault(self, reason: str) -> None:
+        """A step failed mid-way: recover from the dead, or give up with `reason`."""
         failed = self._detect()
         if not failed:
-            self.reason = reason
-            return False
-        return self._recover_or_abort(failed)
-
-    def _recover_or_abort(self, failed: tuple[int, ...]) -> bool:
-        self.cp.abandon()
-        try:
-            self._recover(failed)
-            return True
-        except UnrecoverableError as exc:
-            self.reason = str(exc)
-            self.converged = False
-            return False
+            raise UnrecoverableError(reason)
+        self._recover(failed)
 
     def _recover(self, failed: tuple[int, ...]) -> None:
+        self.cp.abandon()     # a recovery supersedes any started epoch
         failed = tuple(sorted(failed))
         pool = self.layout.spare_ids[self.recoveries:]
         if len(pool) < len(failed):
@@ -473,7 +459,7 @@ class _ActiveDriver:
             return    # rolled back to the initial state; nothing stored to protect
         epoch = self.cp.last_committed + 1
         self._capture(epoch, self.it)
-        if self.cp.commit(epoch, self.timeout) is BarrierStatus.TIMEOUT:
+        if self.cp.commit(epoch) is BarrierStatus.TIMEOUT:
             raise UnrecoverableError("failure during recovery re-protection")
 
     # -- termination -------------------------------------------------------
@@ -516,12 +502,11 @@ def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,
     if force_iters is not None and force_iters < 1:
         raise ConfigError(f"force_iters must be >= 1, got {force_iters}")
     started = time.perf_counter()
-    world = spawn_world(layout.world_size, plan=plan, seed=seed,
+    world = spawn_world(layout.world_size, plan=plan, seed=seed, timeout=timeout,
                         record_trace=record_trace, segments=segment_spec(data.n))
 
     def program(ctx: RankContext):
-        driver = _ActiveDriver(ctx, data, cfg, method, policy, layout,
-                               timeout, force_iters)
+        driver = _ActiveDriver(ctx, data, cfg, method, policy, layout, force_iters)
         if ctx.rank < layout.active:
             driver.start_fresh()
             return driver.run()

@@ -29,10 +29,10 @@ only unwind, and a rank that never waits meets the poison at its next
 operation.
 
 Time is virtual: every rank owns an integer tick clock, operations charge
-costs from a CostModel, and synchronizing operations pull a rank's clock up
-to the completion instant.  Every tick charged is also attributed to the
-rank's current accounting phase, so per-phase ledgers always sum to the
-rank's total virtual time.
+costs from the one CostModel, `COSTS`, and synchronizing operations pull a
+rank's clock up to the completion instant.  Every tick charged is also
+attributed to the rank's current accounting phase, so per-phase ledgers
+always sum to the rank's total virtual time.
 
 Failure model is crash-stop.  A FailurePlan names (rank, iteration, phase)
 instants; when the rank's program reaches that point its context is killed,
@@ -47,10 +47,12 @@ FAILED when the destination's clock at its kill was below that time.
 
 Barrier, reduce and broadcast share one rendezvous: each member deposits
 into a slot keyed by generation, kind and tag (in a broadcast only the root
-does), and a deposit made before its owner died still counts.  A collective
-whose missing deposit is owed by a corrupt rank resolves at every surviving
-caller, a barrier to TIMEOUT and a reduce or broadcast to Timeout; nobody is
-left blocked.
+does), and a deposit made before its owner died still counts.  The world's
+`timeout` is its one patience: when a corrupt rank owes a deposit, every
+surviving caller's clock moves to its arrival plus the timeout and it gets
+Timeout (a barrier returns TIMEOUT); nobody is left blocked.  `recv_any`
+raises Timeout once every other rank is corrupt, finished or itself waiting
+in `recv_any`, since a rank waiting there cannot send.
 
 Messages are scoped by group generation.  Each carries the generation it
 was sent under, and a rank enters a generation by sending under it or by
@@ -212,6 +214,7 @@ class CostModel:
         return self.rdma_base + self.payload_ticks(nbytes)
 
 
+COSTS = CostModel()          # the one cost table every rank charges from
 DEFAULT_TIMEOUT = 1000
 WALL_GUARD = 300.0        # host seconds before a run that never ends is poisoned
 
@@ -347,7 +350,7 @@ class RankContext:
 
     @property
     def costs(self) -> CostModel:
-        return self._world.costs
+        return COSTS
 
     @property
     def vt(self) -> int:
@@ -425,13 +428,12 @@ class RankContext:
 
     def write_remote(self, dst: int, seg: int, offset: int, payload: bytes) -> Token:
         w = self._world
-        if not 0 <= dst < w.world_size:
-            raise ConfigError(f"no such rank {dst}")
+        w._check_rank(dst)
         w._check_bounds(dst, seg, offset, len(payload))
-        self._charge(w.costs.rdma_base)
+        self._charge(COSTS.rdma_base)
         w._xfer_seq += 1
         xf = Token(w._xfer_seq, self.rank, dst, seg, offset, bytes(payload),
-                   ready_at=self._vt + w.costs.transfer_ticks(len(payload)))
+                   ready_at=self._vt + COSTS.transfer_ticks(len(payload)))
         w._pending.append(xf)
         w._trace_event("rdma", self.rank, dst, seg, offset, len(payload))
         return xf
@@ -459,13 +461,14 @@ class RankContext:
 
     def read_remote(self, owner: int, seg: int, offset: int, size: int) -> bytes:
         w = self._world
+        w._check_rank(owner)
         w._sched.switch(self.rank)
         if not w._alive(owner):
             self._known_dead.add(owner)
             raise PeerDead(f"rank {owner} is corrupt; its segments are unreadable")
         w._check_bounds(owner, seg, offset, size)
         w._settle_segment(owner, seg)
-        self._charge(w.costs.transfer_ticks(size))
+        self._charge(COSTS.transfer_ticks(size))
         buf = w._segment(owner, seg)
         w._trace_event("read", self.rank, owner, seg, offset, size)
         return bytes(buf[offset:offset + size])
@@ -474,32 +477,32 @@ class RankContext:
 
     def send(self, dst: int, payload: object, generation: int = 0) -> None:
         w = self._world
-        if not 0 <= dst < w.world_size:
-            raise ConfigError(f"no such rank {dst}")
+        w._check_rank(dst)
         if generation < self._generation:
             raise ConfigError(f"rank {self.rank} sends under generation {generation} "
                               f"after entering {self._generation}")
         self._enter_generation(generation)
-        self._charge(w.costs.send)
+        self._charge(COSTS.send)
         if dst in self._known_dead:
             raise PeerDead(f"send to corrupt rank {dst}")
         w._trace_event("send", self.rank, dst)
         if not w._alive(dst):
             return
-        arrival = self._vt + w.costs.msg_latency
+        arrival = self._vt + COSTS.msg_latency
         w._channel(self.rank, dst).append((_share(payload), arrival, generation))
 
     def _take(self, src: int, queue: deque, index: int) -> object:
         payload, arrival, _ = queue[index]
         del queue[index]
         self._sync_to(arrival)
-        self._charge(self.costs.recv)
+        self._charge(COSTS.recv)
         self._world._trace_event("recv", self.rank, src)
         return payload
 
     def recv(self, src: int, generation: int = 0) -> object:
         """Next message from `src` sent under `generation` (module docstring)."""
         w = self._world
+        w._check_rank(src)
         queue = w._channel(src, self.rank)
 
         def ready() -> bool:
@@ -542,25 +545,28 @@ class RankContext:
         def ready() -> bool:
             if find() is not None:
                 return True
-            return all(not w._alive(s) or s in w._results
+            return all(not w._alive(s) or s in w._results or s in w._in_recv_any
                        for s in range(w.world_size) if s != rank)
 
         if not ready():
+            w._in_recv_any.add(rank)
             w._sched.switch(rank, ready)
+            w._in_recv_any.discard(rank)
         found = find()
         if found is None:
-            raise Timeout("every peer is corrupt or finished")
+            raise Timeout("every peer is corrupt, finished or waiting in recv_any")
         src, index = found
         return src, self._take(src, w._channels[(src, rank)], index)
 
     # -- collectives -----------------------------------------------------
 
     def _rendezvous(self, group: Group, key: tuple, value: object,
-                    root: int | None = None) -> tuple[_Collective, bool]:
-        """Deposit `value` (in a broadcast only `root` does) and wait; returns
-        the slot and whether every deposit it needed arrived."""
+                    root: int | None = None) -> _Collective:
+        """Deposit `value` (in a broadcast only `root` does) and wait for the
+        slot; the one give-up of every collective (module docstring)."""
         w = self._world
         rank = self.rank
+        arrived = self._vt
         group.position(rank)  # membership check
         if root is not None:
             group.position(root)
@@ -571,7 +577,7 @@ class RankContext:
         elif coll.members != group.members or coll.root != root:
             raise ConfigError(f"collective tag {key} reused with different shape")
         if root is None or rank == root:
-            coll.deposits[rank] = self._vt
+            coll.deposits[rank] = arrived
             coll.values[rank] = _share(value)
         w._trace_event(key[1], rank, key)
         needed = group.members if root is None else (root,)
@@ -587,47 +593,43 @@ class RankContext:
         coll.returned += 1
         if coll.returned == len(coll.members):
             del w._collectives[key]     # every member has left the slot
-        return coll, len(coll.deposits) == len(needed)
+        if len(coll.deposits) < len(needed):
+            self._sync_to(arrived + w.timeout)
+            raise Timeout(f"{key[1]} {key[-1]}: a member died before its deposit")
+        return coll
 
-    def barrier(self, group: Group, timeout: int, tag: object) -> BarrierStatus:
+    def barrier(self, group: Group, tag: object) -> BarrierStatus:
         key = (group.generation, "bar", tag)
-        coll, complete = self._rendezvous(group, key, None)
-        if complete:
-            self._sync_to(max(coll.deposits.values()) + self.costs.barrier)
-            self._world._trace_event("bar-ok", self.rank, key)
-            return BarrierStatus.OK
-        self._sync_to(coll.deposits[self.rank] + timeout)
-        self._world._trace_event("bar-timeout", self.rank, key)
-        return BarrierStatus.TIMEOUT
+        try:
+            coll = self._rendezvous(group, key, None)
+        except Timeout:
+            self._world._trace_event("bar-timeout", self.rank, key)
+            return BarrierStatus.TIMEOUT
+        self._sync_to(max(coll.deposits.values()) + COSTS.barrier)
+        self._world._trace_event("bar-ok", self.rank, key)
+        return BarrierStatus.OK
 
     def reduce_all(self, group: Group, value: object, op: ReduceOp, tag: object) -> object:
         key = (group.generation, "red", op.value, tag)
-        coll, complete = self._rendezvous(group, key, value)
-        if not complete:
-            self._sync_to(coll.deposits[self.rank] + DEFAULT_TIMEOUT)
-            raise Timeout(f"reduce {tag}: a group member died before contributing")
+        coll = self._rendezvous(group, key, value)
         if not coll.combined:
             coll.result = _combine(op, [coll.values[m] for m in sorted(coll.members)])
             coll.combined = True
-        self._sync_to(max(coll.deposits.values()) + self.costs.collective_base)
+        self._sync_to(max(coll.deposits.values()) + COSTS.collective_base)
         return _share(coll.result)
 
     def broadcast(self, group: Group, root: int, payload: object, tag: object) -> object:
         key = (group.generation, "bcast", tag)
-        coll, complete = self._rendezvous(group, key, payload, root)
-        if not complete:
-            self._sync_to(self._vt + DEFAULT_TIMEOUT)
-            raise Timeout(f"broadcast {tag}: root {root} died before sending")
+        coll = self._rendezvous(group, key, payload, root)
         value = coll.values[root]
-        costs = self.costs
-        self._sync_to(coll.deposits[root] + costs.collective_base
-                      + costs.payload_ticks(_payload_nbytes(value)))
+        self._sync_to(coll.deposits[root] + COSTS.collective_base
+                      + COSTS.payload_ticks(_payload_nbytes(value)))
         return _share(value)
 
     def state_vector(self) -> dict[int, Health]:
         w = self._world
         w._sched.switch(self.rank)
-        self._charge(w.costs.state_query)
+        self._charge(COSTS.state_query)
         w._trace_event("sv", self.rank)
         self._known_dead.update(w._death_vt)
         return w.state_vector()
@@ -646,17 +648,19 @@ class ClusterHandle:
     """A spawned world of ranks plus the transport state they share."""
 
     def __init__(self, world_size: int, plan: FailurePlan | None = None,
-                 costs: CostModel | None = None, seed: int = 0,
+                 seed: int = 0, timeout: int = DEFAULT_TIMEOUT,
                  record_trace: bool = False,
                  segments: dict[int, int] | None = None):
         if world_size < 1:
             raise ConfigError(f"world_size must be >= 1, got {world_size}")
+        if timeout < 1:
+            raise ConfigError(f"timeout must be >= 1 tick, got {timeout}")
         if plan is None:
             plan = FailurePlan()
         plan.validate(world_size)
         self.world_size = world_size
         self.plan = plan
-        self.costs = costs or CostModel()
+        self.timeout = timeout       # ticks a collective waits for a dead member
         self.record_trace = record_trace
         self.trace: list[tuple] = []
 
@@ -666,6 +670,7 @@ class ClusterHandle:
         self._segments: dict[tuple[int, int], bytearray] = {}
         self._pending: list[Token] = []
         self._collectives: dict[tuple, _Collective] = {}
+        self._in_recv_any: set[int] = set()
         self._xfer_seq = 0
         self._results: dict[int, RankResult] = {}
         self._ctxs = {r: RankContext(self, r) for r in range(world_size)}
@@ -741,6 +746,10 @@ class ClusterHandle:
         except KeyError:
             raise SegmentError(f"rank {rank} has no segment {seg}") from None
 
+    def _check_rank(self, rank: int) -> None:
+        if not 0 <= rank < self.world_size:
+            raise ConfigError(f"no such rank {rank}")
+
     def _check_bounds(self, rank: int, seg: int, offset: int, length: int) -> None:
         buf = self._segment(rank, seg)
         if offset < 0 or length < 0 or offset + length > len(buf):
@@ -797,9 +806,9 @@ def _combine(op: ReduceOp, values: list[object]) -> object:
 
 
 def spawn_world(world_size: int, plan: FailurePlan | None = None,
-                costs: CostModel | None = None, seed: int = 0,
+                seed: int = 0, timeout: int = DEFAULT_TIMEOUT,
                 record_trace: bool = False,
                 segments: dict[int, int] | None = None) -> ClusterHandle:
     """Create a world of `world_size` ranks, all HEALTHY, clocks at zero."""
-    return ClusterHandle(world_size, plan=plan, costs=costs, seed=seed,
+    return ClusterHandle(world_size, plan=plan, seed=seed, timeout=timeout,
                          record_trace=record_trace, segments=segments)

@@ -28,9 +28,8 @@ from kmft.kmeans import (AssignmentTable, CentroidSet, Dataset, KmeansConfig,
                          objective, run_sequential)
 from kmft.parallel import Method, run_parallel
 from kmft.runtime import WorldLayout, detect_failures, run_ft_kmeans
-from kmft.simcluster import (DEFAULT_TIMEOUT, FailPhase, FailureEvent,
-                             FailurePlan, Group, Health, VtPhase,
-                             spawn_world)
+from kmft.simcluster import (FailPhase, FailureEvent, FailurePlan, Group,
+                             Health, VtPhase, spawn_world)
 
 VT_COLS = ("vt_compute", "vt_comm", "vt_ckpt_start", "vt_ckpt_commit",
            "vt_detect", "vt_restore")
@@ -229,14 +228,14 @@ def test_criterion_5_detection_agreement(kill_matrix):
         group = Group((0, 1, 2))
 
         def survivor(ctx):
-            detected = detect_failures(ctx, group, 1, DEFAULT_TIMEOUT)
+            detected = detect_failures(ctx, group, 1)
             with ctx.phase(VtPhase.DETECT):
                 vector = ctx.state_vector()
             return detected, vector
 
         def victim(ctx):
             ctx.failure_point(1, phase)
-            return detect_failures(ctx, group, 1, DEFAULT_TIMEOUT), None
+            return detect_failures(ctx, group, 1), None
 
         results = world.run({0: survivor, 1: victim, 2: survivor})
         assert results[1].status == "killed"

@@ -22,9 +22,7 @@ from kmft.checkpoint import (
 )
 from kmft.errors import ConfigError, PolicyError, SequenceError, UnrecoverableError
 from kmft.simcluster import (
-    DEFAULT_TIMEOUT,
     BarrierStatus,
-    CostModel,
     FailPhase,
     FailureEvent,
     FailurePlan,
@@ -245,7 +243,7 @@ class TestTwoPhase:
     def test_commit_timeout_keeps_previous_epoch(self):
         """A kill between start and commit never disturbs the last commit."""
         plan = FailurePlan([FailureEvent(2, 2, FailPhase.DURING_CHECKPOINT, substep=1)])
-        w = spawn_world(4, plan=plan, segments=SEGS)
+        w = spawn_world(4, plan=plan, segments=SEGS, timeout=200)
         g = Group(members=(0, 1, 2, 3))
 
         def prog(ctx):
@@ -254,7 +252,7 @@ class TestTwoPhase:
             first = cp.commit(1)
             cp.start(2, 20, entries_for(ctx.rank, 2))
             ctx.failure_point(2, FailPhase.DURING_CHECKPOINT, 1)
-            second = cp.commit(2, timeout=200)
+            second = cp.commit(2)
             fetched = cp.fetch(cp.last_committed)
             return first, second, cp.last_committed, fetched
 
@@ -276,7 +274,7 @@ class TestTwoPhase:
             cp.start(1, 10, entries_for(ctx.rank, 1))
             cp.commit(1)
             cp.start(2, 20, entries_for(ctx.rank, 2))   # in flight, uncommitted
-            sync = ctx.barrier(g, DEFAULT_TIMEOUT, "inflight")
+            sync = ctx.barrier(g, "inflight")
             fetched = cp.fetch(1)
             return sync, fetched
 
@@ -371,8 +369,7 @@ class TestRestore:
         assert as_lists(res[2].value) == (1, 10, entries_for(0, 1))
 
     def test_survivor_fetch_never_leaves_the_rank(self):
-        costs = CostModel()
-        w = spawn_world(2, segments=SEGS, costs=costs)
+        w = spawn_world(2, segments=SEGS)
         g = Group(members=(0, 1))
 
         def prog(ctx):

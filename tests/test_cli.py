@@ -151,9 +151,10 @@ class TestRun:
         assert rc == 2
         assert "timeout" in capsys.readouterr().err
 
-    def test_losing_every_active_rank_is_a_failed_run(self, capsys):
+    @pytest.mark.parametrize("spares", ["1", "2"])
+    def test_losing_every_active_rank_is_a_failed_run(self, spares, capsys):
         rc = main(["run", "--points", "400", "--dims", "3", "--blobs", "4",
-                   "--k", "4", "--procs", "2", "--spares", "1",
+                   "--k", "4", "--procs", "2", "--spares", spares,
                    "--method", "samples", "--fail", "0@3", "--fail", "1@3",
                    "--seed", "1", "--force-iters", "8"])
         assert rc == 1

@@ -6,6 +6,7 @@ import pytest
 from kmft import parallel, runtime
 from kmft.checkpoint import CheckpointPolicy, CommitMode, mirror_target
 from kmft.errors import ConfigError, InvariantError
+from kmft.datasets import make_blobs
 from kmft.kmeans import Dataset, KmeansConfig, objective, run_sequential
 from kmft.parallel import Method, run_parallel
 from kmft.runtime import WorldLayout, run_ft_kmeans
@@ -261,19 +262,44 @@ class TestAborts:
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
     @pytest.mark.parametrize("phase", [FailPhase.BEFORE_BARRIER, FailPhase.DURING_COMPUTE])
-    def test_losing_every_active_rank_ends_with_a_reason(self, method, phase):
+    @pytest.mark.parametrize("spares", [1, 2, 3])
+    def test_losing_every_active_rank_ends_with_a_reason(self, method, phase, spares):
+        """Parked spares wait only on each other then: none may block the end."""
         plan = FailurePlan((FailureEvent(0, 3, phase), FailureEvent(1, 3, phase)))
         out = run_ft_kmeans(DATA, CFG, method, POLICY,
-                            WorldLayout(active=2, spares=1), plan=plan,
+                            WorldLayout(active=2, spares=spares), plan=plan,
                             force_iters=8)
         assert not out.converged
         assert out.reason == "every active rank failed"
         assert out.centroids is None and out.table is None
         assert out.recovery_events == [] and out.final_group == ()
-        assert sorted(out.ledger) == [0, 1, 2]
+        assert sorted(out.ledger) == list(range(2 + spares))
         for rank, total in out.vt_total.items():
             assert sum(out.ledger[rank].values()) == total
         assert out.vt_total[0] > 0 and out.vt_total[1] > 0
+
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    @pytest.mark.parametrize("mode, phase, substep, reason", [
+        (CommitMode.EAGER, FailPhase.DURING_COMPUTE, 0,
+         "communication fault without a detectable failure"),
+        (CommitMode.EAGER, FailPhase.DURING_CHECKPOINT, 1,
+         "commit timeout without a detectable failure"),
+        (CommitMode.LAZY, FailPhase.DURING_CHECKPOINT, 0,
+         "commit timeout without a detectable failure"),
+    ])
+    def test_a_fault_nobody_detects_ends_unconverged(self, monkeypatch, method,
+                                                     mode, phase, substep, reason):
+        """The one abort path: a reason always means converged=False."""
+        monkeypatch.setattr(runtime, "detect_failures", lambda *args: ())
+        data, _ = make_blobs(n=120, d=2, blobs=3, spread=0.3, seed=1)
+        it = 3 if phase is FailPhase.DURING_COMPUTE else 4
+        out = run_ft_kmeans(data, KmeansConfig(k=3, max_iters=50), method,
+                            CheckpointPolicy(interval=2, mode=mode),
+                            WorldLayout(active=3, spares=1),
+                            plan=kill(1, it, phase, substep), force_iters=6)
+        assert not out.converged
+        assert out.reason == reason
+        assert out.centroids is None and out.table is None
 
     def test_kill_aimed_at_parked_spare_never_fires(self):
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY,
@@ -305,6 +331,19 @@ class TestDoubleFailure:
         assert out.converged and out.recoveries == 2
         assert out.final_group == (5, 1, 2, 3)
         assert np.array_equal(out.centroids.centers, SEQ_C.centers)
+
+
+class TestTimeout:
+    def test_every_collective_waits_the_world_timeout(self):
+        """A survivor's reduce waits exactly the run's timeout for a dead peer."""
+        comm = {}
+        for timeout in (50, 5000):
+            out = run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT,
+                                plan=kill(1, 3, FailPhase.DURING_COMPUTE),
+                                timeout=timeout)
+            assert out.converged and out.recoveries == 1
+            comm[timeout] = out.ledger[0][VtPhase.COMM]
+        assert comm[5000] - comm[50] == 4950
 
 
 class TestLedgerAcrossRecovery:

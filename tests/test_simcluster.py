@@ -10,7 +10,6 @@ import pytest
 from kmft import simcluster
 from kmft.errors import ConfigError, PeerDead, SegmentError, SimDeadlock, Timeout
 from kmft.simcluster import (
-    DEFAULT_TIMEOUT,
     BarrierStatus,
     CostModel,
     FailPhase,
@@ -33,6 +32,23 @@ class TestSpawn:
     def test_world_size_must_be_positive(self):
         with pytest.raises(ConfigError):
             spawn_world(0)
+
+    @pytest.mark.parametrize("timeout", [0, -5])
+    def test_timeout_below_one_tick_rejected(self, timeout):
+        with pytest.raises(ConfigError, match="timeout"):
+            spawn_world(2, timeout=timeout)
+
+    @pytest.mark.parametrize("op", [
+        lambda ctx: ctx.send(5, "x"),
+        lambda ctx: ctx.write_remote(5, 0, 0, b"x"),
+        lambda ctx: ctx.recv(5),
+        lambda ctx: ctx.read_remote(5, 0, 0, 1),
+    ], ids=["send", "write_remote", "recv", "read_remote"])
+    def test_operation_naming_a_rank_outside_the_world_rejected(self, op):
+        w = spawn_world(2, segments={0: 16})
+        with pytest.raises(ConfigError, match="no such rank 5"):
+            w.run({0: op, 1: lambda ctx: None})
+        assert w._channels == {}
 
     def test_initial_state(self):
         w = spawn_world(4)
@@ -166,7 +182,7 @@ class TestOperationContract:
             ctx.send(peer, b"x")
             ctx.recv(peer)
             ctx.wait(ctx.write_remote(peer, 0, 0, b"abcd"))
-            ctx.barrier(group, DEFAULT_TIMEOUT, "b")
+            ctx.barrier(group, "b")
             ctx.read_remote(peer, 0, 0, 4)
             ctx.reduce_all(group, 1, ReduceOp.SUM, "r")
             ctx.broadcast(group, 0, b"y" if ctx.rank == 0 else None, "c")
@@ -192,8 +208,7 @@ class TestMessages:
         assert res[1].value == [0, 1, 2, 3, 4]
 
     def test_recv_charges_and_syncs_latency(self):
-        costs = CostModel(send=2, recv=3, msg_latency=10)
-        w = spawn_world(2, costs=costs)
+        w = spawn_world(2)
 
         def sender(ctx):
             ctx.send(1, "x")
@@ -203,8 +218,8 @@ class TestMessages:
             return ctx.vt
 
         res = w.run({0: sender, 1: receiver})
-        # sender vt 2 after send, arrival 2+10, +3 recv cost
-        assert res[1].value == 15
+        # sender vt 2 after send, arrival 2+10, +2 recv cost
+        assert res[1].value == 14
 
     def test_send_to_corrupt_peer_raises(self):
         plan = FailurePlan([FailureEvent(1, 1, FailPhase.DURING_COMPUTE)])
@@ -269,17 +284,32 @@ class TestMessages:
         def sender(tag):
             def prog(ctx):
                 ctx.send(0, tag)
-                ctx.barrier(g, DEFAULT_TIMEOUT, "sync")
+                ctx.barrier(g, "sync")
             return prog
 
         def collector(ctx):
-            ctx.barrier(g, DEFAULT_TIMEOUT, "sync")  # both messages queued now
+            ctx.barrier(g, "sync")  # both messages queued now
             a = ctx.recv_any()
             b = ctx.recv_any()
             return [a, b]
 
         res = w.run({0: collector, 1: sender("one"), 2: sender("two")})
         assert res[0].value == [(1, "one"), (2, "two")]
+
+    def test_ranks_all_waiting_in_recv_any_time_out(self):
+        """A rank waiting in recv_any cannot send, so nobody may wait for it."""
+        w = spawn_world(3)
+
+        def parked(ctx):
+            try:
+                ctx.recv_any()
+            except Timeout:
+                return "timeout"
+            return "unexpected"
+
+        res = w.run({0: parked, 1: parked, 2: lambda ctx: None})
+        assert res[0].value == "timeout"
+        assert res[1].value == "timeout"
 
     def test_recv_returns_only_its_generation(self):
         w = spawn_world(2)
@@ -306,7 +336,7 @@ class TestMessages:
         w = spawn_world(2)
 
         def moved_on(ctx):
-            ctx.barrier(Group((0,), generation=1), DEFAULT_TIMEOUT, "enter")
+            ctx.barrier(Group((0,), generation=1), "enter")
             return ctx.recv(1, generation=1)        # alive and waiting
 
         def behind(ctx):
@@ -339,7 +369,7 @@ class TestMessages:
 
         def sender(ctx):
             ctx.send(1, "never read")
-            ctx.barrier(pair, DEFAULT_TIMEOUT, "queued")
+            ctx.barrier(pair, "queued")
             ctx.recv(2)                 # rank 1 is dead by now, but unseen
             ctx.send(1, "lost")
             ctx.state_vector()
@@ -350,7 +380,7 @@ class TestMessages:
             return "sent"
 
         def victim(ctx):
-            ctx.barrier(pair, DEFAULT_TIMEOUT, "queued")
+            ctx.barrier(pair, "queued")
             ctx.failure_point(1, FailPhase.DURING_COMPUTE)
 
         def witness(ctx):
@@ -368,12 +398,12 @@ class TestMessages:
         g = Group((0, 2))
 
         def coordinator(ctx):
-            ctx.barrier(g, DEFAULT_TIMEOUT, "data sent")
+            ctx.barrier(g, "data sent")
             ctx.send(1, ("wake",), 1)
 
         def early_peer(ctx):
             ctx.send(1, b"records", 1)
-            ctx.barrier(g, DEFAULT_TIMEOUT, "data sent")
+            ctx.barrier(g, "data sent")
 
         def spare(ctx):
             src, msg = ctx.recv_any(lambda m: isinstance(m, tuple))
@@ -479,8 +509,7 @@ class TestOneSidedWrites:
         assert res[1].value == b"secnd"
 
     def test_wait_syncs_writer_clock_to_ready_time(self):
-        costs = CostModel(rdma_base=10, bytes_per_tick=64)
-        w = spawn_world(2, segments=self.SEG, costs=costs)
+        w = spawn_world(2, segments=self.SEG)
 
         def writer(ctx):
             tok = ctx.write_remote(1, 0, 0, bytes(640))
@@ -585,14 +614,13 @@ class TestOneSidedWrites:
 
 class TestBarrier:
     def test_ok_syncs_to_slowest_plus_cost(self):
-        costs = CostModel(barrier=20)
-        w = spawn_world(4, costs=costs)
+        w = spawn_world(4)
         g = full_group(4)
 
         def prog(r):
             def run(ctx):
                 ctx.charge(10 * r)
-                status = ctx.barrier(g, DEFAULT_TIMEOUT, "only")
+                status = ctx.barrier(g, "only")
                 return status, ctx.vt
             return run
 
@@ -604,14 +632,14 @@ class TestBarrier:
 
     def test_timeout_when_member_dies_before_arriving(self):
         plan = FailurePlan([FailureEvent(3, 1, FailPhase.BEFORE_BARRIER)])
-        w = spawn_world(4, plan=plan)
+        w = spawn_world(4, plan=plan, timeout=100)
         g = full_group(4)
 
         def prog(r):
             def run(ctx):
                 ctx.charge(10 * r)
                 ctx.failure_point(1, FailPhase.BEFORE_BARRIER)
-                status = ctx.barrier(g, 100, "det-1")
+                status = ctx.barrier(g, "det-1")
                 return status, ctx.vt
             return run
 
@@ -631,8 +659,8 @@ class TestBarrier:
         def prog(r):
             def run(ctx):
                 ctx.failure_point(1, FailPhase.BEFORE_BARRIER)
-                first = ctx.barrier(g0, 50, "a")
-                second = ctx.barrier(g1, 50, "a")  # same tag, new generation
+                first = ctx.barrier(g0, "a")
+                second = ctx.barrier(g1, "a")  # same tag, new generation
                 return first, second
             return run
 
@@ -777,6 +805,31 @@ class TestCollectives:
         assert res[1].value == "timeout"
         assert res[2].status == "killed"
 
+    def test_reduce_and_broadcast_wait_the_world_timeout(self):
+        """A collective whose dead member owes a deposit ends at arrival + timeout."""
+        plan = FailurePlan([FailureEvent(2, 1, FailPhase.DURING_COMPUTE)])
+        w = spawn_world(3, plan=plan, timeout=100)
+        g = full_group(3)
+
+        def prog(r):
+            def run(ctx):
+                ctx.charge(10 * r)
+                ctx.failure_point(1, FailPhase.DURING_COMPUTE)
+                waited = []
+                for op in (lambda: ctx.reduce_all(g, 1, ReduceOp.SUM, "s"),
+                           lambda: ctx.broadcast(g, 2, None, "b")):
+                    arrived = ctx.vt
+                    with pytest.raises(Timeout):
+                        op()
+                    waited.append(ctx.vt - arrived)
+                return waited
+            return run
+
+        res = w.run({r: prog(r) for r in range(3)})
+        assert res[2].status == "killed"
+        assert res[0].value == [100, 100]
+        assert res[1].value == [100, 100]
+
     def test_dead_members_predeath_contribution_still_counts(self):
         """A rank that contributed and then died does not poison the round."""
         plan = FailurePlan([FailureEvent(2, 1, FailPhase.BEFORE_BARRIER)])
@@ -907,7 +960,7 @@ class TestDeterminism:
                     total += src
                     tok = ctx.write_remote((r + 1) % 4, 0, 0, bytes([r] * 100))
                     ctx.wait(tok)
-                    ctx.barrier(g, DEFAULT_TIMEOUT, ("it", it))
+                    ctx.barrier(g, ("it", it))
                     total += ctx.reduce_all(g, r, ReduceOp.SUM, ("s", it))
                 return total
             return run
@@ -972,8 +1025,8 @@ class TestDeadlock:
     def test_deadlock_message_outlives_the_unwinding(self):
         """Ranks that finish while the others unwind must not replace it."""
         g = Group((0, 1, 2))
-        progs = {0: lambda ctx: ctx.barrier(g, DEFAULT_TIMEOUT, "b"),
-                 1: lambda ctx: ctx.barrier(g, DEFAULT_TIMEOUT, "b"),
+        progs = {0: lambda ctx: ctx.barrier(g, "b"),
+                 1: lambda ctx: ctx.barrier(g, "b"),
                  2: lambda ctx: ctx.recv(3),
                  3: lambda ctx: ctx.recv(2)}
         for seed in range(20):

@@ -1,0 +1,99 @@
+"""Fingerprint the results of a fixed set of fault-tolerant runs.
+
+    python3 tools/digest.py [SRC]
+
+Runs the 424-run set below against the kmft package under SRC (default: the
+`src` directory next to this script) and prints `<n> runs <sha256>`.  Run it
+on two checkouts: a refactor that keeps every result prints the same line.
+
+For each method (centers, samples) and commit mode (eager, lazy), with
+checkpoint interval 5, the set holds:
+  * two failure-free runs: 4+1 ranks forced to 12 iterations with
+    `record_trace`, and 8+1 ranks run to convergence;
+  * 100 single kills: ranks 0-3 at iterations 1, 2, 5, 7 and 10, in
+    compute, barrier and checkpoint substeps 0-2, on 4+1 ranks forced to 12;
+  * two kills on 4+2 ranks, spare exhaustion on 4+1, a lost buddy pair
+    on 4+2, and a kill of the promoted spare on 4+3.
+The schedule seed of each run is its index mod 5.  Each run hashes its
+ledgers, vt totals, trace, centroid bytes, assignments, recovery events,
+captures, reason, iterations, converged flag, recoveries, epochs and final
+group.  Only the public API is used, so any checkout since the 424-run set
+was defined can be fingerprinted.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+FORCE = 12
+KILL_ITERS = (1, 2, 5, 7, 10)
+
+
+def _scenarios(kmft):
+    """Yield (layout, kill events, force_iters, record_trace) per run."""
+    ev = kmft.FailureEvent
+    barrier = kmft.FailPhase.BEFORE_BARRIER
+    phases = ((kmft.FailPhase.DURING_COMPUTE, 0), (barrier, 0),
+              (kmft.FailPhase.DURING_CHECKPOINT, 0),
+              (kmft.FailPhase.DURING_CHECKPOINT, 1),
+              (kmft.FailPhase.DURING_CHECKPOINT, 2))
+    yield (4, 1), (), FORCE, True
+    yield (8, 1), (), None, False
+    for rank in range(4):
+        for it in KILL_ITERS:
+            for phase, substep in phases:
+                yield (4, 1), (ev(rank, it, phase, substep),), FORCE, False
+    yield (4, 2), (ev(1, 3, barrier), ev(3, 8, barrier)), FORCE, False
+    yield (4, 1), (ev(1, 3, barrier), ev(2, 8, barrier)), FORCE, False
+    # rank 0 holds rank 1's mirror
+    yield (4, 2), (ev(0, 7, barrier), ev(1, 7, barrier)), FORCE, False
+    # rank 4 is the spare promoted into rank 1's position
+    yield (4, 3), (ev(1, 3, barrier), ev(4, 8, barrier)), FORCE, False
+
+
+def _fingerprint(out) -> bytes:
+    parts = [
+        sorted((r, sorted((p.value, n) for p, n in led.items()))
+               for r, led in out.ledger.items()),
+        sorted(out.vt_total.items()),
+        out.trace,
+        None if out.centroids is None else out.centroids.centers.tobytes(),
+        None if out.table is None else out.table.assign.tobytes(),
+        [sorted((k, sorted(v.items()) if isinstance(v, dict) else v)
+                for k, v in ev.items())
+         for ev in out.recovery_events],
+        sorted(out.captures.items()),
+        out.reason, out.iterations, out.converged, out.recoveries,
+        out.epochs_committed, out.final_group,
+    ]
+    return repr(parts).encode()
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src.resolve()))
+    import kmft
+
+    data, _ = kmft.make_blobs(n=400, d=3, blobs=4, spread=2.0, seed=3)
+    cfg = kmft.KmeansConfig(k=6, max_iters=100, seed=3)
+    total = hashlib.sha256()
+    runs = 0
+    for method in (kmft.Method.CENTERS, kmft.Method.SAMPLES):
+        for mode in (kmft.CommitMode.EAGER, kmft.CommitMode.LAZY):
+            policy = kmft.CheckpointPolicy(interval=5, mode=mode)
+            for (active, spares), events, force, trace in _scenarios(kmft):
+                out = kmft.run_ft_kmeans(
+                    data, cfg, method, policy,
+                    kmft.WorldLayout(active=active, spares=spares),
+                    plan=kmft.FailurePlan(events), seed=runs % 5,
+                    force_iters=force, record_trace=trace)
+                total.update(hashlib.sha256(_fingerprint(out)).digest())
+                runs += 1
+    print(f"{runs} runs {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
