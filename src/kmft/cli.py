@@ -9,7 +9,9 @@ Three subcommands:
 
 `run` can also synthesize its dataset in place (pass the generate flags
 instead of --data).  Failures repeat: each --fail is RANK@ITER[:phase]
-with phase one of compute, barrier (default), ckpt.  KMFT_LOG sets the
+with phase one of compute (before the pass), barrier (the default: after
+the pass, before the checkpoint step), ckpt (at the checkpoint step); a
+kill the run never reaches is noted on stderr.  KMFT_LOG sets the
 logging level (DEBUG, INFO, ...).
 """
 
@@ -97,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fail", type=parse_fail, action="append", default=[],
                      metavar="RANK@ITER[:phase]",
                      help="inject a failure (repeatable); phase is one of "
-                          "compute, barrier, ckpt (default barrier)")
+                          "compute (before the pass), barrier (after the pass, "
+                          "before the checkpoint step; the default), ckpt (at "
+                          "the checkpoint step)")
     run.add_argument("--timeout-ticks", type=int, default=DEFAULT_TIMEOUT,
                      help="ticks a collective waits for a dead member")
     run.add_argument("--out", default=None, help="CSV to append the row to")
@@ -166,6 +170,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if report is not None:
         row = report.row
         _print_row(row, report.objective)
+        for ev in report.outcome.unfired if report.outcome is not None else ():
+            print(f"note: kill {ev.rank}@{ev.iteration}:{ev.phase.value} never fired",
+                  file=sys.stderr)
     if args.out:
         append_rows(args.out, [row])
         print(f"appended to {args.out}")

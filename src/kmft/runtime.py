@@ -2,15 +2,18 @@
 
 Every rank runs the same program.  Compute positions iterate the chosen
 decomposition; ranks beyond the active set park as spares and wait for a
-wake or shutdown message.  Each iteration ends with a detection barrier; a
-missing member turns it into a timeout, the state vector names the corrupt
-ranks, and every survivor derives the identical recovery plan with no
-further coordination: promote spares into the failed positions (ascending),
-rebuild the group under a fresh generation, restore the last committed
-snapshot (survivors from their local slot, replacements from the failed
-rank's mirror holder), recompute centroids from the restored assignments,
-and re-protect the restored state with a fresh checkpoint so the ring is
-fully redundant again before normal iterations resume.
+wake or shutdown message.  A failure is detected where the algorithm already
+communicates: the collective that misses a dead member (a pass's reduce,
+broadcast or receive, a checkpoint commit, or the one barrier each group
+generation runs when the loop ends) has already waited the world's timeout,
+so the survivor only reads the state vector, which names the corrupt ranks.
+Every survivor then derives the identical recovery plan with no further
+coordination: promote spares into the failed positions (ascending), rebuild
+the group under a fresh generation, restore the last committed snapshot
+(survivors from their local slot, replacements from the failed rank's
+mirror holder), recompute centroids from the restored assignments, and
+re-protect the restored state with a fresh checkpoint so the ring is fully
+redundant again before normal iterations resume.
 
 Each rank holds one `parallel` position state, the same one the lockstep
 driver steps; this module adds only the messages and collectives between
@@ -20,8 +23,8 @@ they agree, and a spare that was never woken returns None.
 
 One join (position, checkpointer, restore; after a recovery also the
 re-protection and the recovery event) serves the fresh start, survivors and
-woken spares, and one detect-and-recover step serves the per-iteration
-probe, a pass that failed mid-communication and a timed-out commit.
+woken spares, and one detect-and-recover step serves a pass that failed
+mid-communication, a timed-out commit and a timed-out end-of-run barrier.
 
 A run is given up one way: a step that cannot continue raises
 UnrecoverableError, and `_ActiveDriver.run` alone catches it, ending the run
@@ -33,9 +36,10 @@ state instead of a snapshot; that state needs no re-protection because it
 is reconstructible from the run configuration alone.
 
 Rendezvous discipline: collective tags carry the iteration or epoch they
-belong to, detection barriers a per-generation round counter, and the group
-generation separates the tag spaces of different incarnations, so a rank
-can never meet a stale slot after recovery rewinds the iteration counter.
+belong to (a generation runs its end-of-run barrier at most once, so that
+tag needs neither), and the group generation separates the tag spaces of
+different incarnations, so a rank can never meet a stale slot after
+recovery rewinds the iteration counter.
 Point-to-point records travel under the group generation too: a survivor
 that recovers late drops its stale traffic without touching the records a
 faster survivor already sent under the new generation, and a rank still
@@ -82,6 +86,7 @@ from .simcluster import (
     BarrierStatus,
     ClusterHandle,
     FailPhase,
+    FailureEvent,
     FailurePlan,
     Group,
     Health,
@@ -143,14 +148,17 @@ class RunOutcome:
     final_group: tuple[int, ...]
     wall_ms: float
     trace: list | None = None
+    unfired: tuple[FailureEvent, ...] = ()    # planned kills whose rank never died
 
 
-def detect_failures(ctx: RankContext, group: Group, round_no: int) -> tuple[int, ...]:
-    """Barrier probe: OK means nobody is missing; a timeout names the dead."""
+def detect_failures(ctx: RankContext, group: Group) -> tuple[int, ...]:
+    """The corrupt members of `group`, in group order.
+
+    Called after a collective has timed out on a missing member; that
+    collective already waited the world's timeout, so this only reads the
+    state vector and never waits again.
+    """
     with ctx.phase(VtPhase.DETECT):
-        status = ctx.barrier(group, ("det", round_no))
-        if status is BarrierStatus.OK:
-            return ()
         sv = ctx.state_vector()
     return tuple(m for m in group.members if sv[m] is Health.CORRUPT)
 
@@ -260,6 +268,7 @@ class _ActiveDriver:
         self.policy = policy
         self.layout = layout
         self.force_iters = force_iters
+        # the last iteration; a free run lowers it to the one that converged
         self.cap = force_iters if force_iters is not None else cfg.max_iters
 
         self.group = Group(tuple(range(layout.active)))
@@ -269,7 +278,6 @@ class _ActiveDriver:
         self.init_centers = init_centroids(data, cfg.k).centers.copy()
         self.centers = self.init_centers.copy()
         self.it = 0
-        self.detect_round = 0
         self.recoveries = 0      # also the spares consumed: one per failed rank
         self.events: list[RecoveryEvent] = []
         self.captures: list[tuple[int, int, str]] = []
@@ -284,8 +292,9 @@ class _ActiveDriver:
 
     def start_from_wake(self, msg: tuple) -> None:
         (_, members, generation, last_committed, committed_count,
-         recoveries, events, completed, failed, promoted) = msg
+         recoveries, converged, events, completed, failed, promoted) = msg
         self.recoveries = recoveries
+        self.converged = converged
         self.events = list(events)
         self._rejoin(Group(tuple(members), generation), last_committed,
                      committed_count, completed, failed, promoted)
@@ -295,7 +304,6 @@ class _ActiveDriver:
         """Take this rank's position in `group` and restore the last commit."""
         self.group = group
         self.position = group.position(self.ctx.rank)
-        self.detect_round = 0
         self.cp = Checkpointer(self.ctx, group, self.data.n,
                                last_committed=last_committed,
                                committed_count=committed_count)
@@ -321,7 +329,7 @@ class _ActiveDriver:
 
     def run(self) -> "_ActiveDriver":
         try:
-            while self.it < self.cap:
+            while not self._ended():
                 t = self.it + 1
                 self.ctx.failure_point(t, FailPhase.DURING_COMPUTE)
                 try:
@@ -337,12 +345,9 @@ class _ActiveDriver:
                 if not changed:
                     self.converged = True
                     if self.force_iters is None:
-                        break
+                        self.cap = t
+                        continue
                 self.ctx.failure_point(t, FailPhase.BEFORE_BARRIER)
-                failed = self._detect()
-                if failed:
-                    self._recover(failed)
-                    continue
                 self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 0)
                 if t % self.policy.interval == 0:
                     self._checkpoint_step(t)
@@ -352,6 +357,18 @@ class _ActiveDriver:
             self.converged = False
         self._shutdown_parked()
         return self
+
+    def _ended(self) -> bool:
+        """Once the last iteration is done, run the group's one end-of-run
+        barrier: True when it finds every member.  A member that died after
+        its last collective is recovered from here, and the loop goes on
+        from the restored iteration."""
+        while self.it >= self.cap:
+            with self.ctx.phase(VtPhase.DETECT):
+                if self.ctx.barrier(self.group, "end") is BarrierStatus.OK:
+                    return True
+            self._recover_after_fault("end-of-run timeout without a detectable failure")
+        return False
 
     # -- checkpointing ---------------------------------------------------
 
@@ -387,14 +404,9 @@ class _ActiveDriver:
 
     # -- failure handling ------------------------------------------------
 
-    def _detect(self) -> tuple[int, ...]:
-        """Run the next detection round; returns the corrupt members."""
-        self.detect_round += 1
-        return detect_failures(self.ctx, self.group, self.detect_round)
-
     def _recover_after_fault(self, reason: str) -> None:
-        """A step failed mid-way: recover from the dead, or give up with `reason`."""
-        failed = self._detect()
+        """A collective timed out: recover from the dead, or give up with `reason`."""
+        failed = detect_failures(self.ctx, self.group)
         if not failed:
             raise UnrecoverableError(reason)
         self._recover(failed)
@@ -429,7 +441,7 @@ class _ActiveDriver:
                 self.ctx.send(spare, (
                     "wake", tuple(members), new_group.generation,
                     last, self.cp.committed_count,
-                    self.recoveries, tuple(self.events),
+                    self.recoveries, self.converged, tuple(self.events),
                     completed, failed, promoted), new_group.generation)
 
         self._rejoin(new_group, last, self.cp.committed_count, completed,
@@ -516,6 +528,9 @@ def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,
     outcome = _assemble(world, results, data, cfg, started)
     if record_trace:
         outcome.trace = list(world.trace)
+    sv = world.state_vector()
+    outcome.unfired = tuple(ev for ev in (plan.events if plan else ())
+                            if sv[ev.rank] is not Health.CORRUPT)
     return outcome
 
 

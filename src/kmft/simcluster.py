@@ -613,7 +613,7 @@ class RankContext:
         key = (group.generation, "red", op.value, tag)
         coll = self._rendezvous(group, key, value)
         if not coll.combined:
-            coll.result = _combine(op, [coll.values[m] for m in sorted(coll.members)])
+            coll.result = _combine(op, [coll.values[m] for m in coll.members])
             coll.combined = True
         self._sync_to(max(coll.deposits.values()) + COSTS.collective_base)
         return _share(coll.result)

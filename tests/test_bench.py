@@ -112,9 +112,8 @@ class TestRunExperiment:
         assert hurt.row["converged"]
         assert hurt.row["reason"] == ""
         assert hurt.row["iterations"] == plain.row["iterations"]
-        # the rebuilt group folds partial sums in a new rank order, so the
-        # objective may move in the last ulp
-        assert hurt.objective == pytest.approx(plain.objective, rel=1e-12)
+        # the rebuilt group folds partial sums in the same position order
+        assert hurt.objective == plain.objective
         assert hurt.row["vt_detect"] > 0 and hurt.row["vt_restore"] > 0
 
     def test_abort_recorded_not_raised(self):

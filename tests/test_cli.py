@@ -98,6 +98,28 @@ class TestRun:
         assert hurt["converged"] is True
         assert hurt["iterations"] == plain["iterations"]
 
+    def test_kill_after_the_last_pass_recovers(self, capsys):
+        """The victim dies after its last collective; the end-of-run barrier
+        finds it."""
+        rc = main(["run", "--points", "400", "--dims", "3", "--blobs", "4",
+                   "--spread", "2", "--seed", "3", "--k", "6", "--procs", "4",
+                   "--spares", "1", "--method", "samples", "--ckpt-interval", "5",
+                   "--force-iters", "12", "--fail", "1@12:ckpt"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert "1 recoveries" in out
+        assert "note:" not in err
+
+    def test_kill_that_never_fires_is_noted(self, capsys):
+        """The run converges at iteration 2, before the planned kill."""
+        rc = main(["run", "--points", "300", "--dims", "2", "--blobs", "3",
+                   "--k", "3", "--seed", "2", "--method", "samples", "--procs", "2",
+                   "--spares", "0", "--fail", "0@3"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert "0 recoveries" in out
+        assert "note: kill 0@3:barrier never fired" in err
+
     def test_abort_sets_exit_code_and_reason(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "r.csv"
         rc = main(["run", "--data", str(dataset_file), "--k", "9",

@@ -1,7 +1,11 @@
 """Fault-tolerant driver: transparency, rollback, detection, spare handling."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kmft import parallel, runtime
 from kmft.checkpoint import CheckpointPolicy, CommitMode, mirror_target
@@ -92,6 +96,20 @@ class TestFailureFree:
             assert out.ledger[spare][VtPhase.COMPUTE] == 0
             assert out.ledger[spare][VtPhase.CKPT_START] == 0
 
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_one_barrier_per_rank_besides_the_commits(self, method):
+        """Failure-free, detection costs one end-of-run barrier per rank and
+        nothing per iteration."""
+        out = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, force_iters=12,
+                            record_trace=True)
+        barriers = {}
+        for entry in out.trace:
+            if entry[0] == "bar":
+                tag = entry[2][2]
+                if not (isinstance(tag, tuple) and tag[0] == "ckpt-commit"):
+                    barriers[entry[1]] = barriers.get(entry[1], 0) + 1
+        assert barriers == {rank: 1 for rank in range(LAYOUT.active)}
+
     def test_captures_recorded_per_position(self):
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT)
         epochs = (SEQ_IT - 1) // POLICY.interval
@@ -179,6 +197,25 @@ class TestSingleFailure:
             ev = out.recovery_events[0]
             span = ev["completed_iteration"] - ev["resumed_iteration"]
             assert 0 <= span <= POLICY.interval
+
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    @pytest.mark.parametrize("mode", [CommitMode.EAGER, CommitMode.LAZY])
+    @pytest.mark.parametrize("phase, substep, last", [
+        (FailPhase.BEFORE_BARRIER, 0, 22),
+        (FailPhase.DURING_CHECKPOINT, 0, 22),
+        (FailPhase.DURING_CHECKPOINT, 2, 25),     # the last iteration checkpoints
+    ], ids=["barrier", "ckpt-0", "ckpt-2"])
+    def test_kill_after_the_last_pass_recovers(self, method, mode, phase, substep, last):
+        """No pass or commit is left to miss the victim: the end-of-run
+        barrier does, and the run replays to the same values."""
+        policy = CheckpointPolicy(interval=5, mode=mode)
+        twin = run_ft_kmeans(DATA, CFG, method, policy, LAYOUT, force_iters=last)
+        out = run_ft_kmeans(DATA, CFG, method, policy, LAYOUT, force_iters=last,
+                            plan=kill(1, last, phase, substep))
+        assert out.converged and out.recoveries == 1 and out.reason == ""
+        assert out.iterations == last and out.unfired == ()
+        assert out.centroids.centers.tobytes() == twin.centroids.centers.tobytes()
+        assert np.array_equal(out.table.assign, twin.table.assign)
 
     def test_detection_names_exactly_the_planned_victim(self):
         for phase in FailPhase:
@@ -286,17 +323,24 @@ class TestAborts:
          "commit timeout without a detectable failure"),
         (CommitMode.LAZY, FailPhase.DURING_CHECKPOINT, 0,
          "commit timeout without a detectable failure"),
+        (CommitMode.EAGER, FailPhase.DURING_CHECKPOINT, 0,
+         "end-of-run timeout without a detectable failure"),
+        (CommitMode.LAZY, FailPhase.DURING_CHECKPOINT, 0,
+         "end-of-run timeout without a detectable failure"),
     ])
     def test_a_fault_nobody_detects_ends_unconverged(self, monkeypatch, method,
                                                      mode, phase, substep, reason):
         """The one abort path: a reason always means converged=False."""
         monkeypatch.setattr(runtime, "detect_failures", lambda *args: ())
         data, _ = make_blobs(n=120, d=2, blobs=3, spread=0.3, seed=1)
-        it = 3 if phase is FailPhase.DURING_COMPUTE else 4
+        # only the end-of-run barrier can miss a kill after the last pass of
+        # a run forced to an iteration that does not checkpoint
+        it = (7 if reason.startswith("end-of-run") else
+              3 if phase is FailPhase.DURING_COMPUTE else 4)
         out = run_ft_kmeans(data, KmeansConfig(k=3, max_iters=50), method,
                             CheckpointPolicy(interval=2, mode=mode),
                             WorldLayout(active=3, spares=1),
-                            plan=kill(1, it, phase, substep), force_iters=6)
+                            plan=kill(1, it, phase, substep), force_iters=max(it, 6))
         assert not out.converged
         assert out.reason == reason
         assert out.centroids is None and out.table is None
@@ -335,15 +379,21 @@ class TestDoubleFailure:
 
 class TestTimeout:
     def test_every_collective_waits_the_world_timeout(self):
-        """A survivor's reduce waits exactly the run's timeout for a dead peer."""
-        comm = {}
-        for timeout in (50, 5000):
-            out = run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT,
-                                plan=kill(1, 3, FailPhase.DURING_COMPUTE),
-                                timeout=timeout)
-            assert out.converged and out.recoveries == 1
-            comm[timeout] = out.ledger[0][VtPhase.COMM]
-        assert comm[5000] - comm[50] == 4950
+        """A survivor's collective waits exactly the run's timeout for a dead
+        peer, and detection waits no second time: one timeout per fault."""
+        for plan, waits_in in ((kill(1, 3, FailPhase.DURING_COMPUTE), VtPhase.COMM),
+                               (kill(1, 3, FailPhase.BEFORE_BARRIER), VtPhase.COMM),
+                               (kill(1, 5, FailPhase.DURING_CHECKPOINT, 1),
+                                VtPhase.CKPT_COMMIT)):
+            waited, total = {}, {}
+            for timeout in (50, 5000):
+                out = run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT,
+                                    plan=plan, timeout=timeout)
+                assert out.converged and out.recoveries == 1
+                waited[timeout] = out.ledger[0][waits_in]
+                total[timeout] = out.vt_total[0]
+            assert waited[5000] - waited[50] == 4950, plan.events
+            assert total[5000] - total[50] == 4950, plan.events
 
 
 class TestLedgerAcrossRecovery:
@@ -407,6 +457,20 @@ class TestLazyMode:
         assert out.recovery_events[0]["epoch"] == 1
         assert out.recovery_events[0]["resumed_iteration"] == 5
 
+    def test_rollback_never_exceeds_two_intervals(self):
+        """The epoch captured at t commits only at t + interval, so a lazy
+        rollback replays up to twice the interval, and that bound is met."""
+        lazy = CheckpointPolicy(interval=5, mode=CommitMode.LAZY)
+        spans = []
+        for phase in FailPhase:
+            for it in (4, 5, 9, 10, 11):
+                out = run_ft_kmeans(DATA, CFG, Method.CENTERS, lazy, LAYOUT,
+                                    plan=kill(1, it, phase))
+                assert out.converged and out.recoveries == 1
+                ev = out.recovery_events[0]
+                spans.append(ev["completed_iteration"] - ev["resumed_iteration"])
+        assert 0 <= min(spans) and max(spans) == 2 * lazy.interval
+
 
 class TestLongRun:
     """Simulator state stays bounded as the iteration count grows."""
@@ -459,3 +523,57 @@ class TestInvariants:
         with pytest.raises(InvariantError, match="count conservation"):
             run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT)
         assert not issubclass(InvariantError, ConfigError)
+
+
+# -- any single kill ------------------------------------------------------------
+
+PROP_DATA, _ = make_blobs(300, 3, 4, 2.0, seed=5)
+PROP_CFG = KmeansConfig(k=5)
+PROP_FORCE = 8
+KILL_POINTS = ((FailPhase.DURING_COMPUTE, 0), (FailPhase.BEFORE_BARRIER, 0),
+               (FailPhase.DURING_CHECKPOINT, 0), (FailPhase.DURING_CHECKPOINT, 1),
+               (FailPhase.DURING_CHECKPOINT, 2))
+
+
+@functools.cache
+def _failure_free_twin(method, active, spares):
+    twin = run_ft_kmeans(PROP_DATA, PROP_CFG, method, CheckpointPolicy(interval=1),
+                         WorldLayout(active=active, spares=spares),
+                         force_iters=PROP_FORCE)
+    plain = run_parallel(PROP_DATA, PROP_CFG, active, method, force_iters=PROP_FORCE)
+    assert twin.centroids.centers.tobytes() == plain.centroids.centers.tobytes()
+    return twin
+
+
+@st.composite
+def single_kills(draw):
+    active, spares = draw(st.sampled_from(((3, 1), (4, 2))))
+    return (draw(st.sampled_from(Method)), draw(st.sampled_from(CommitMode)),
+            (active, spares), draw(st.integers(1, 3)), draw(st.integers(0, 4)),
+            draw(st.integers(0, active - 1)), draw(st.integers(1, PROP_FORCE)),
+            draw(st.sampled_from(KILL_POINTS)))
+
+
+class TestAnySingleKill:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=single_kills())
+    @example(case=(Method.SAMPLES, CommitMode.EAGER, (4, 2), 3, 0, 2, PROP_FORCE,
+                   (FailPhase.DURING_CHECKPOINT, 0)))
+    def test_ends_with_the_failure_free_values(self, case):
+        """One kill at any failure point, the last iteration included, ends
+        with the failure-free values, bitwise for both methods."""
+        method, mode, (active, spares), interval, seed, rank, it, (phase, substep) = case
+        out = run_ft_kmeans(PROP_DATA, PROP_CFG, method,
+                            CheckpointPolicy(interval=interval, mode=mode),
+                            WorldLayout(active=active, spares=spares),
+                            plan=kill(rank, it, phase, substep), seed=seed,
+                            force_iters=PROP_FORCE)
+        twin = _failure_free_twin(method, active, spares)
+        # checkpoint substeps 1 and 2 exist only in iterations that checkpoint
+        reached = substep == 0 or it % interval == 0
+        assert out.reason == "" and out.iterations == PROP_FORCE
+        assert out.converged == twin.converged
+        assert out.recoveries == int(reached)
+        assert len(out.unfired) == int(not reached)
+        assert out.centroids.centers.tobytes() == twin.centroids.centers.tobytes()
+        assert np.array_equal(out.table.assign, twin.table.assign)

@@ -751,7 +751,7 @@ class TestCollectives:
         assert all(res[r].value == 10 for r in range(4))
 
     def test_reduce_sum_arrays_bitwise_left_fold(self):
-        """Array sums combine in ascending rank order; result is bitwise
+        """Array sums combine in group position order; result is bitwise
         identical at every rank and to an explicit left fold."""
         world = 4
         w = spawn_world(world)
@@ -771,6 +771,23 @@ class TestCollectives:
             got = res[r].value
             assert got.dtype == np.float64
             assert np.array_equal(got, expect)
+
+    def test_reduce_folds_in_group_position_order(self):
+        """A promoted spare keeps its position's place in the fold, so sums
+        over a rebuilt group repeat the original group's bits."""
+        g = Group((2, 0, 3, 1))
+        parts = {r: np.random.default_rng(200 + r).normal(size=1000) for r in g.members}
+        expect = parts[2] + parts[0] + parts[3] + parts[1]
+        assert not np.array_equal(expect, parts[0] + parts[1] + parts[2] + parts[3])
+
+        def prog(r):
+            def run(ctx):
+                return ctx.reduce_all(g, parts[r], ReduceOp.SUM, "vec")
+            return run
+
+        res = spawn_world(4).run({r: prog(r) for r in g.members})
+        for r in g.members:
+            assert np.array_equal(res[r].value, expect)
 
     def test_reduce_result_copies_are_independent(self):
         w = spawn_world(2)

@@ -3,8 +3,10 @@
     python3 tools/digest.py [SRC]
 
 Runs the 424-run set below against the kmft package under SRC (default: the
-`src` directory next to this script) and prints `<n> runs <sha256>`.  Run it
-on two checkouts: a refactor that keeps every result prints the same line.
+`src` directory next to this script) and prints two lines, `<n> runs
+<sha256>` and `<n> runs values <sha256>`.  Run it on two checkouts: a
+refactor that keeps every result prints the same first line; a model change,
+which moves ticks but must keep every value, prints the same second line.
 
 For each method (centers, samples) and commit mode (eager, lazy), with
 checkpoint interval 5, the set holds:
@@ -17,8 +19,9 @@ checkpoint interval 5, the set holds:
 The schedule seed of each run is its index mod 5.  Each run hashes its
 ledgers, vt totals, trace, centroid bytes, assignments, recovery events,
 captures, reason, iterations, converged flag, recoveries, epochs and final
-group.  Only the public API is used, so any checkout since the 424-run set
-was defined can be fingerprinted.
+group; the values line leaves out the ledgers, vt totals and trace.  Only
+the public API is used, so any checkout since the 424-run set was defined
+can be fingerprinted.
 """
 
 from __future__ import annotations
@@ -53,12 +56,14 @@ def _scenarios(kmft):
     yield (4, 3), (ev(1, 3, barrier), ev(4, 8, barrier)), FORCE, False
 
 
-def _fingerprint(out) -> bytes:
-    parts = [
+def _fingerprint(out, values_only: bool = False) -> bytes:
+    ticks = [] if values_only else [
         sorted((r, sorted((p.value, n) for p, n in led.items()))
                for r, led in out.ledger.items()),
         sorted(out.vt_total.items()),
         out.trace,
+    ]
+    parts = ticks + [
         None if out.centroids is None else out.centroids.centers.tobytes(),
         None if out.table is None else out.table.assign.tobytes(),
         [sorted((k, sorted(v.items()) if isinstance(v, dict) else v)
@@ -79,6 +84,7 @@ def main(argv: list[str]) -> int:
     data, _ = kmft.make_blobs(n=400, d=3, blobs=4, spread=2.0, seed=3)
     cfg = kmft.KmeansConfig(k=6, max_iters=100, seed=3)
     total = hashlib.sha256()
+    values = hashlib.sha256()
     runs = 0
     for method in (kmft.Method.CENTERS, kmft.Method.SAMPLES):
         for mode in (kmft.CommitMode.EAGER, kmft.CommitMode.LAZY):
@@ -90,8 +96,10 @@ def main(argv: list[str]) -> int:
                     plan=kmft.FailurePlan(events), seed=runs % 5,
                     force_iters=force, record_trace=trace)
                 total.update(hashlib.sha256(_fingerprint(out)).digest())
+                values.update(hashlib.sha256(_fingerprint(out, True)).digest())
                 runs += 1
     print(f"{runs} runs {total.hexdigest()}")
+    print(f"{runs} runs values {values.hexdigest()}")
     return 0
 
 
