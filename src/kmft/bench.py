@@ -164,9 +164,15 @@ def run_experiment(data: Dataset, cfg: RunConfig) -> RunReport:
 # -- CSV I/O ----------------------------------------------------------------
 
 def append_rows(path: str | Path, rows: list[dict]) -> None:
-    """Append rows, creating the file with the fixed header when missing."""
+    """Append rows, creating the file with the fixed header when missing or
+    empty; a file whose first line is not that header is left untouched."""
     path = Path(path)
     fresh = not path.exists() or path.stat().st_size == 0
+    header = ",".join(CSV_HEADER).encode()
+    if not fresh:
+        with path.open("rb") as fh:
+            if fh.readline(len(header) + 2).rstrip(b"\r\n") != header:
+                raise ConfigError(f"{path} line 1: header mismatch, not a report CSV")
     with path.open("a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         if fresh:

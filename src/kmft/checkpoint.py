@@ -7,6 +7,10 @@ captures the state and launches the transfer, `commit` waits on the transfer
 token and then joins a group barrier, so a barrier-OK implies every rank's
 copy is fully delivered somewhere else.
 
+The checkpointer numbers its epochs: `start` opens the one after the last
+commit and returns its number (after `abandon` the same number again),
+`commit` settles it, and `fetch`/`adopt` act on the last committed epoch.
+
 Snapshot regions are double-buffered by epoch parity.  A crash while epoch e
 is in flight can therefore never touch the bytes of epoch e-1, which stays
 the valid recovery point.
@@ -139,14 +143,15 @@ class Checkpointer:
     def outstanding_epoch(self) -> int | None:
         return self._outstanding[0] if self._outstanding is not None else None
 
-    def start(self, epoch: int, iteration: int, entries: np.ndarray) -> None:
-        """Capture local state and launch the mirror transfer."""
+    def start(self, iteration: int, entries: np.ndarray) -> int:
+        """Capture local state as the next epoch; launch its mirror transfer."""
         if self._outstanding is not None:
             raise SequenceError(
                 f"epoch {self._outstanding[0]} is still started; commit it first")
         if len(entries) > self.max_entries:
             raise ConfigError(
                 f"{len(entries)} entries exceed the slot capacity {self.max_entries}")
+        epoch = (self.last_committed or 0) + 1
         payload = encode_snapshot(epoch, iteration, entries)
         off = slot_offset(epoch, self.max_entries)
         with self.ctx.phase(VtPhase.CKPT_START):
@@ -154,14 +159,13 @@ class Checkpointer:
             self.ctx.write_local(SEG_LOCAL, off, payload)
             token = self.ctx.write_remote(self.target, SEG_MIRROR, off, payload)
         self._outstanding = (epoch, token)
+        return epoch
 
-    def commit(self, epoch: int) -> BarrierStatus:
-        """Wait for the mirror transfer, then agree globally on the epoch."""
+    def commit(self) -> BarrierStatus:
+        """Wait for the started epoch's transfer, then agree on it globally."""
         if self._outstanding is None:
-            raise SequenceError(f"commit of epoch {epoch} without a start")
-        started, token = self._outstanding
-        if started != epoch:
-            raise SequenceError(f"commit of epoch {epoch} but epoch {started} is started")
+            raise SequenceError("commit without a start")
+        epoch, token = self._outstanding
         self._outstanding = None
         with self.ctx.phase(VtPhase.CKPT_COMMIT):
             self.ctx.wait(token)   # FAILED only when the mirror died; the
@@ -176,14 +180,17 @@ class Checkpointer:
         """Forget an outstanding start (used when recovery supersedes it)."""
         self._outstanding = None
 
-    def fetch(self, epoch: int) -> tuple[int, np.ndarray]:
-        """Recover this position's payload for `epoch`.
+    def fetch(self) -> tuple[int, np.ndarray]:
+        """Recover this position's payload for the last committed epoch.
 
         Reads the local slot first; a survivor always satisfies that.  A
         replacement rank holds nothing locally and falls back to the copy its
         ring target stores, which the left neighbor kept on behalf of the
         failed predecessor at the same position.
         """
+        epoch = self.last_committed
+        if epoch is None:
+            raise SequenceError("no epoch is committed yet")
         off = slot_offset(epoch, self.max_entries)
         buf = self.ctx.read_local(SEG_LOCAL, off, self.slot_bytes)
         got = self._try_decode(buf, epoch)
@@ -202,8 +209,9 @@ class Checkpointer:
                 f"or its mirror holder {self.target}")
         return got
 
-    def adopt(self, epoch: int, iteration: int, entries: np.ndarray) -> None:
+    def adopt(self, iteration: int, entries: np.ndarray) -> None:
         """Write a fetched payload into the local slot (heals a replacement)."""
+        epoch = self.last_committed
         payload = encode_snapshot(epoch, iteration, entries)
         self.ctx.write_local(SEG_LOCAL, slot_offset(epoch, self.max_entries), payload)
 

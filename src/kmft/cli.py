@@ -10,9 +10,10 @@ Three subcommands:
 `run` can also synthesize its dataset in place (pass the generate flags
 instead of --data).  Failures repeat: each --fail is RANK@ITER[:phase]
 with phase one of compute (before the pass), barrier (the default: after
-the pass, before the checkpoint step), ckpt (at the checkpoint step); a
-kill the run never reaches is noted on stderr.  KMFT_LOG sets the
-logging level (DEBUG, INFO, ...).
+the pass, before the checkpoint step), ckpt (the checkpoint step's first
+failure point: after every pass that does not converge, checkpointing or
+not, so at the same instant as barrier); a kill the run never reaches is
+noted on stderr.  KMFT_LOG sets the logging level (DEBUG, INFO, ...).
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import sys
 
 from pathlib import Path
 
-from .bench import (CSV_HEADER, RunConfig, append_rows, config_id, read_rows,
-                    run_experiment, summarize, write_summary)
+from .bench import (RunConfig, append_rows, read_rows, run_experiment, summarize,
+                    write_summary)
 from .datasets import make_blobs, read_dataset, write_dataset
-from .errors import ConfigError, UnrecoverableError
+from .errors import ConfigError
 from .simcluster import DEFAULT_TIMEOUT, FailPhase, FailureEvent
 
 _PHASES = {
@@ -100,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="RANK@ITER[:phase]",
                      help="inject a failure (repeatable); phase is one of "
                           "compute (before the pass), barrier (after the pass, "
-                          "before the checkpoint step; the default), ckpt (at "
-                          "the checkpoint step)")
+                          "before the checkpoint step; the default), ckpt (after "
+                          "every pass that does not converge, checkpointing or "
+                          "not: the same instant as barrier)")
     run.add_argument("--timeout-ticks", type=int, default=DEFAULT_TIMEOUT,
                      help="ticks a collective waits for a dead member")
     run.add_argument("--out", default=None, help="CSV to append the row to")
@@ -156,27 +158,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         method=args.method, interval=args.ckpt_interval,
         max_iters=args.max_iters, force_iters=args.force_iters,
         seed=args.seed, failures=tuple(args.fail), timeout=args.timeout_ticks)
-    try:
-        report = run_experiment(data, cfg)
-    except UnrecoverableError as exc:
-        # still emit a row so failed configurations show up in the report
-        report = None
-        row = {c: 0 for c in CSV_HEADER}
-        row.update(config_id=config_id(cfg), method=cfg.method,
-                   procs=cfg.procs, k=cfg.k, n=cfg.n, d=cfg.d,
-                   interval=cfg.interval, seed=cfg.seed, converged=False,
-                   overhead_frac=0.0, wall_ms=0.0, reason=str(exc))
-        print(f"run failed: {exc}", file=sys.stderr)
-    if report is not None:
-        row = report.row
-        _print_row(row, report.objective)
-        for ev in report.outcome.unfired if report.outcome is not None else ():
-            print(f"note: kill {ev.rank}@{ev.iteration}:{ev.phase.value} never fired",
-                  file=sys.stderr)
+    report = run_experiment(data, cfg)
+    row = report.row
+    _print_row(row, report.objective)
+    for ev in report.outcome.unfired if report.outcome is not None else ():
+        print(f"note: kill {ev.rank}@{ev.iteration}:{ev.phase.value} never fired",
+              file=sys.stderr)
     if args.out:
         append_rows(args.out, [row])
         print(f"appended to {args.out}")
-    return 0 if report is not None and not row["reason"] else 1
+    return 1 if row["reason"] else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

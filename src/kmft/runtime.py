@@ -2,18 +2,19 @@
 
 Every rank runs the same program.  Compute positions iterate the chosen
 decomposition; ranks beyond the active set park as spares and wait for a
-wake or shutdown message.  A failure is detected where the algorithm already
+wake or a shutdown.  A failure is detected where the algorithm already
 communicates: the collective that misses a dead member (a pass's reduce,
 broadcast or receive, a checkpoint commit, or the one barrier each group
 generation runs when the loop ends) has already waited the world's timeout,
 so the survivor only reads the state vector, which names the corrupt ranks.
-Every survivor then derives the identical recovery plan with no further
-coordination: promote spares into the failed positions (ascending), rebuild
-the group under a fresh generation, restore the last committed snapshot
-(survivors from their local slot, replacements from the failed rank's
-mirror holder), recompute centroids from the restored assignments, and
-re-protect the restored state with a fresh checkpoint so the ring is fully
-redundant again before normal iterations resume.
+Every survivor then derives the identical recovery plan, a `_Recovery`,
+with no further coordination; the coordinator sends it to the promoted
+spares as their wake, and all apply it alike: promote spares into the
+failed positions (ascending) under a fresh group generation, restore the
+last committed snapshot (survivors from their local slot, replacements from
+the failed rank's mirror holder), recompute centroids from the restored
+assignments, and re-protect the restored state with a fresh checkpoint so
+the ring is fully redundant again before normal iterations resume.
 
 Each rank holds one `parallel` position state, the same one the lockstep
 driver steps; this module adds only the messages and collectives between
@@ -28,8 +29,7 @@ mid-communication, a timed-out commit and a timed-out end-of-run barrier.
 
 A run is given up one way: a step that cannot continue raises
 UnrecoverableError, and `_ActiveDriver.run` alone catches it, ending the run
-unconverged with the error as its `reason`.  (A woken spare joins before
-`run`; no failure point can reach that join yet.)
+unconverged with the error as its `reason`; a woken spare joins inside it.
 
 A failure before the first commit rolls back to the deterministic initial
 state instead of a snapshot; that state needs no re-protection because it
@@ -130,6 +130,21 @@ class RecoveryEvent:
     resumed_iteration: int
     position: int
     restored_digest: str | None
+
+
+@dataclass(frozen=True)
+class _Recovery:
+    """One recovery, as every survivor derives it; also a promoted spare's wake."""
+
+    group: Group
+    last_committed: int | None
+    committed_count: int
+    recoveries: int
+    converged: bool
+    events: tuple[RecoveryEvent, ...]    # the recoveries before this one
+    completed: int
+    failed: tuple[int, ...]
+    promoted: tuple[int, ...]
 
 
 @dataclass
@@ -287,18 +302,6 @@ class _ActiveDriver:
 
     # -- joining a position ----------------------------------------------
 
-    def start_fresh(self) -> None:
-        self._join(self.group, last_committed=None, committed_count=0)
-
-    def start_from_wake(self, msg: tuple) -> None:
-        (_, members, generation, last_committed, committed_count,
-         recoveries, converged, events, completed, failed, promoted) = msg
-        self.recoveries = recoveries
-        self.converged = converged
-        self.events = list(events)
-        self._rejoin(Group(tuple(members), generation), last_committed,
-                     committed_count, completed, failed, promoted)
-
     def _join(self, group: Group, last_committed: int | None,
               committed_count: int) -> str | None:
         """Take this rank's position in `group` and restore the last commit."""
@@ -307,19 +310,20 @@ class _ActiveDriver:
         self.cp = Checkpointer(self.ctx, group, self.data.n,
                                last_committed=last_committed,
                                committed_count=committed_count)
-        return self._restore(last_committed)
+        return self._restore()
 
-    def _rejoin(self, group: Group, last_committed: int | None,
-                committed_count: int, completed: int,
-                failed: tuple[int, ...], promoted: tuple[int, ...]) -> None:
-        """Join after a recovery, shared by survivors and promoted spares."""
-        digest = self._join(group, last_committed, committed_count)
+    def _rejoin(self, plan: _Recovery) -> None:
+        """Apply a recovery plan, shared by survivors and promoted spares."""
+        self.recoveries = plan.recoveries
+        self.converged = plan.converged
+        self.events = list(plan.events)
+        digest = self._join(plan.group, plan.last_committed, plan.committed_count)
         self._reprotect()
         self.events.append(RecoveryEvent(
-            completed_iteration=completed,
-            failed=failed,
-            promoted=promoted,
-            epoch=last_committed,
+            completed_iteration=plan.completed,
+            failed=plan.failed,
+            promoted=plan.promoted,
+            epoch=plan.last_committed,
             resumed_iteration=self.it,
             position=self.position,
             restored_digest=digest,
@@ -327,8 +331,13 @@ class _ActiveDriver:
 
     # -- main loop -----------------------------------------------------
 
-    def run(self) -> "_ActiveDriver":
+    def run(self, wake: _Recovery | None = None) -> "_ActiveDriver":
+        """Join (fresh, or as the spare `wake` promotes) and iterate to the end."""
         try:
+            if wake is None:
+                self._join(self.group, last_committed=None, committed_count=0)
+            else:
+                self._rejoin(wake)
             while not self._ended():
                 t = self.it + 1
                 self.ctx.failure_point(t, FailPhase.DURING_COMPUTE)
@@ -351,7 +360,8 @@ class _ActiveDriver:
                 self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 0)
                 if t % self.policy.interval == 0:
                     self._checkpoint_step(t)
-            self._final_commit_if_lazy()
+            if self.cp.outstanding_epoch is not None:
+                self.cp.commit()    # only a lazy epoch is still started here
         except UnrecoverableError as exc:
             self.reason = str(exc)
             self.converged = False
@@ -376,31 +386,25 @@ class _ActiveDriver:
         cp = self.cp
         status = BarrierStatus.OK
         if self.policy.mode is CommitMode.EAGER:
-            epoch = (cp.last_committed or 0) + 1
-            self._capture(epoch, t)
+            self._capture(t)
             self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
-            status = cp.commit(epoch)
+            status = cp.commit()
             self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 2)
         else:
             # lazy: settle the previous epoch first, then capture the new one
             if cp.outstanding_epoch is not None:
-                status = cp.commit(cp.outstanding_epoch)
+                status = cp.commit()
             if status is BarrierStatus.OK:
                 self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
-                self._capture((cp.last_committed or 0) + 1, t)
+                self._capture(t)
                 self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 2)
         if status is BarrierStatus.TIMEOUT:
             self._recover_after_fault("commit timeout without a detectable failure")
 
-    def _capture(self, epoch: int, iteration: int) -> None:
+    def _capture(self, iteration: int) -> None:
         entries = self.state.entries()
-        self.cp.start(epoch, iteration, entries)
+        epoch = self.cp.start(iteration, entries)
         self.captures.append((epoch, iteration, _digest(entries, epoch, iteration)))
-
-    def _final_commit_if_lazy(self) -> None:
-        """Only a lazy epoch can still be outstanding once the loop ends."""
-        if self.cp.outstanding_epoch is not None:
-            self.cp.commit(self.cp.outstanding_epoch)
 
     # -- failure handling ------------------------------------------------
 
@@ -429,25 +433,21 @@ class _ActiveDriver:
         members = list(self.group.members)
         for dead, spare in zip(failed, promoted):
             members[self.group.position(dead)] = spare
-        new_group = Group(tuple(members), self.group.generation + 1)
-
-        self.recoveries += len(failed)
-        completed = self.it
+        plan = _Recovery(
+            group=Group(tuple(members), self.group.generation + 1),
+            last_committed=last, committed_count=self.cp.committed_count,
+            recoveries=self.recoveries + len(failed), converged=self.converged,
+            events=tuple(self.events), completed=self.it, failed=failed,
+            promoted=promoted)
 
         survivors = [m for m in self.group.members if m not in failed]
-        coordinator = min(survivors, key=self.group.position)
-        if self.ctx.rank == coordinator:
+        if self.ctx.rank == min(survivors, key=self.group.position):
             for spare in promoted:
-                self.ctx.send(spare, (
-                    "wake", tuple(members), new_group.generation,
-                    last, self.cp.committed_count,
-                    self.recoveries, self.converged, tuple(self.events),
-                    completed, failed, promoted), new_group.generation)
+                self.ctx.send(spare, plan, plan.group.generation)
+        self._rejoin(plan)
 
-        self._rejoin(new_group, last, self.cp.committed_count, completed,
-                     failed, promoted)
-
-    def _restore(self, epoch: int | None) -> str | None:
+    def _restore(self) -> str | None:
+        epoch = self.cp.last_committed
         with self.ctx.phase(VtPhase.RESTORE):
             if epoch is None:
                 # nothing committed yet: back to the seed state, which wants
@@ -456,8 +456,8 @@ class _ActiveDriver:
                 self.centers = self.init_centers.copy()
                 self.it = 0
                 return None
-            iteration, entries = self.cp.fetch(epoch)
-            self.cp.adopt(epoch, iteration, entries)
+            iteration, entries = self.cp.fetch()
+            self.cp.adopt(iteration, entries)
             self.state.restore(entries, self.position)
             self.it = iteration
             # every center is derived from the restored labels again
@@ -469,9 +469,8 @@ class _ActiveDriver:
         """Fresh checkpoint of the restored state heals ring redundancy."""
         if self.cp.last_committed is None:
             return    # rolled back to the initial state; nothing stored to protect
-        epoch = self.cp.last_committed + 1
-        self._capture(epoch, self.it)
-        if self.cp.commit(epoch) is BarrierStatus.TIMEOUT:
+        self._capture(self.it)
+        if self.cp.commit() is BarrierStatus.TIMEOUT:
             raise UnrecoverableError("failure during recovery re-protection")
 
     # -- termination -------------------------------------------------------
@@ -482,11 +481,7 @@ class _ActiveDriver:
         if not alive or self.ctx.rank != min(alive, key=self.group.position):
             return
         for spare in self.layout.spare_ids[self.recoveries:]:
-            self.ctx.send(spare, ("shutdown",), self.group.generation)
-
-
-def _is_control(msg: object) -> bool:
-    return isinstance(msg, tuple) and msg[:1] in (("wake",), ("shutdown",))
+            self.ctx.send(spare, None, self.group.generation)    # shut down
 
 
 def _spare_program(ctx: RankContext, driver: _ActiveDriver) -> _ActiveDriver | None:
@@ -495,13 +490,10 @@ def _spare_program(ctx: RankContext, driver: _ActiveDriver) -> _ActiveDriver | N
         with ctx.phase(VtPhase.COMM):     # parked time is waiting, not work
             # data sent early to a just-promoted spare stays queued for its
             # first pass
-            _, msg = ctx.recv_any(_is_control)
+            _, wake = ctx.recv_any(lambda m: m is None or isinstance(m, _Recovery))
     except Timeout:
         return None     # every active rank is gone without a shutdown
-    if msg[0] == "shutdown":
-        return None
-    driver.start_from_wake(msg)
-    return driver.run()
+    return None if wake is None else driver.run(wake)
 
 
 def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,
@@ -520,7 +512,6 @@ def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,
     def program(ctx: RankContext):
         driver = _ActiveDriver(ctx, data, cfg, method, policy, layout, force_iters)
         if ctx.rank < layout.active:
-            driver.start_fresh()
             return driver.run()
         return _spare_program(ctx, driver)
 

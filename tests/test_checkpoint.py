@@ -148,7 +148,7 @@ class TestTwoPhase:
 
         def writer(ctx):
             cp = Checkpointer(ctx, g, big)
-            cp.start(1, 5, payload_entries)
+            cp.start(5, payload_entries)
             ctx.send(1, "started")
             ctx.recv(1)
 
@@ -171,9 +171,9 @@ class TestTwoPhase:
 
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            cp.start(1, 1, [])
+            cp.start(1, [])
             try:
-                cp.start(2, 2, [])
+                cp.start(2, [])
             except SequenceError:
                 return "rejected"
             return "accepted"
@@ -191,7 +191,9 @@ class TestTwoPhase:
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
             with pytest.raises(SequenceError):
-                cp.commit(1)
+                cp.commit()
+            with pytest.raises(SequenceError):
+                cp.fetch()      # nor is there a committed epoch to fetch
             return "ok"
 
         def idle(ctx):
@@ -207,7 +209,7 @@ class TestTwoPhase:
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
             with pytest.raises(ConfigError):
-                cp.start(1, 1, [(i, 0) for i in range(MAX_ENTRIES + 1)])
+                cp.start(1, [(i, 0) for i in range(MAX_ENTRIES + 1)])
             return "ok"
 
         def idle(ctx):
@@ -221,14 +223,15 @@ class TestTwoPhase:
 
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            cp.start(1, 10, entries_for(ctx.rank, 1))
-            status = cp.commit(1)
-            fetched = cp.fetch(1)
-            return status, cp.last_committed, fetched
+            epoch = cp.start(10, entries_for(ctx.rank, 1))
+            status = cp.commit()
+            fetched = cp.fetch()
+            return epoch, status, cp.last_committed, fetched
 
         res = w.run({r: prog for r in range(4)})
         for r in range(4):
-            status, last, fetched = res[r].value
+            epoch, status, last, fetched = res[r].value
+            assert epoch == 1
             assert status is BarrierStatus.OK
             assert last == 1
             assert as_lists(fetched) == (10, entries_for(r, 1))
@@ -248,22 +251,48 @@ class TestTwoPhase:
 
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            cp.start(1, 10, entries_for(ctx.rank, 1))
-            first = cp.commit(1)
-            cp.start(2, 20, entries_for(ctx.rank, 2))
+            cp.start(10, entries_for(ctx.rank, 1))
+            first = cp.commit()
+            epoch = cp.start(20, entries_for(ctx.rank, 2))
             ctx.failure_point(2, FailPhase.DURING_CHECKPOINT, 1)
-            second = cp.commit(2)
-            fetched = cp.fetch(cp.last_committed)
-            return first, second, cp.last_committed, fetched
+            second = cp.commit()
+            fetched = cp.fetch()
+            return epoch, first, second, cp.last_committed, fetched
 
         res = w.run({r: prog for r in range(4)})
         assert res[2].status == "killed"
         for r in (0, 1, 3):
-            first, second, last, fetched = res[r].value
+            epoch, first, second, last, fetched = res[r].value
+            assert epoch == 2
             assert first is BarrierStatus.OK
             assert second is BarrierStatus.TIMEOUT
             assert last == 1
             assert as_lists(fetched) == (10, entries_for(r, 1))
+
+    def test_abandoned_start_reuses_its_epoch_and_slot(self):
+        """No commit follows an abandoned start, so the next start numbers
+        the same epoch and overwrites its parity slot, never the last commit's."""
+        w = spawn_world(2, segments=SEGS)
+        g = Group(members=(0, 1))
+
+        def prog(ctx):
+            cp = Checkpointer(ctx, g, MAX_ENTRIES, last_committed=4, committed_count=4)
+            first = cp.start(10, entries_for(ctx.rank, 1))
+            cp.abandon()
+            second = cp.start(20, entries_for(ctx.rank, 2))
+            return first, second, cp.commit(), cp.last_committed
+
+        res = w.run({0: prog, 1: prog})
+        slot = slot_size(MAX_ENTRIES)
+        for r in (0, 1):
+            assert res[r].value == (5, 5, BarrierStatus.OK, 5)
+            for seg, owner in ((SEG_LOCAL, r), (SEG_MIRROR, mirror_source(r, g))):
+                buf = w.segment_bytes(r, seg)
+                off = slot_offset(5, MAX_ENTRIES)
+                assert as_lists(decode_snapshot(buf[off:off + slot])) == \
+                    (5, 20, entries_for(owner, 2))
+                off = slot_offset(4, MAX_ENTRIES)
+                assert buf[off:off + slot] == bytes(slot)
 
     def test_double_buffer_isolates_epochs(self):
         w = spawn_world(2, segments=SEGS)
@@ -271,11 +300,11 @@ class TestTwoPhase:
 
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            cp.start(1, 10, entries_for(ctx.rank, 1))
-            cp.commit(1)
-            cp.start(2, 20, entries_for(ctx.rank, 2))   # in flight, uncommitted
+            cp.start(10, entries_for(ctx.rank, 1))
+            cp.commit()
+            cp.start(20, entries_for(ctx.rank, 2))   # in flight, uncommitted
             sync = ctx.barrier(g, "inflight")
-            fetched = cp.fetch(1)
+            fetched = cp.fetch()
             return sync, fetched
 
         res = w.run({0: prog, 1: prog})
@@ -295,8 +324,8 @@ class TestRestore:
 
         def original(ctx):
             cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
-            cp.start(1, 10, entries_for(ctx.rank, 1))
-            cp.commit(1)
+            cp.start(10, entries_for(ctx.rank, 1))
+            cp.commit()
             if ctx.rank == 1:
                 ctx.send(2, "committed")
             return "done"
@@ -305,7 +334,7 @@ class TestRestore:
             ctx.recv(1)
             cp = Checkpointer(ctx, g_new, MAX_ENTRIES,
                               last_committed=1, committed_count=1)
-            return cp.fetch(1)
+            return cp.fetch()
 
         res = w.run({0: original, 1: original, 2: replacement})
         assert as_lists(res[2].value) == (10, entries_for(0, 1))
@@ -318,14 +347,14 @@ class TestRestore:
 
         def rank0(ctx):
             cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
-            cp.start(1, 10, entries_for(0, 1))
-            cp.commit(1)
+            cp.start(10, entries_for(0, 1))
+            cp.commit()
             return "done"
 
         def rank1(ctx):
             cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
-            cp.start(1, 10, entries_for(1, 1))
-            cp.commit(1)
+            cp.start(10, entries_for(1, 1))
+            cp.commit()
             ctx.send(2, "committed")
             ctx.failure_point(1, FailPhase.DURING_COMPUTE)
 
@@ -335,7 +364,7 @@ class TestRestore:
                 ctx.charge(1)
             cp = Checkpointer(ctx, g_new, MAX_ENTRIES, last_committed=1)
             try:
-                cp.fetch(1)
+                cp.fetch()
             except UnrecoverableError:
                 return "unrecoverable"
             return "fetched"
@@ -350,8 +379,8 @@ class TestRestore:
 
         def original(ctx):
             cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
-            cp.start(1, 10, entries_for(ctx.rank, 1))
-            cp.commit(1)
+            cp.start(10, entries_for(ctx.rank, 1))
+            cp.commit()
             if ctx.rank == 1:
                 ctx.send(2, "committed")
             return "done"
@@ -359,8 +388,8 @@ class TestRestore:
         def replacement(ctx):
             ctx.recv(1)
             cp = Checkpointer(ctx, g_new, MAX_ENTRIES, last_committed=1)
-            iteration, entries = cp.fetch(1)
-            cp.adopt(1, iteration, entries)
+            iteration, entries = cp.fetch()
+            cp.adopt(iteration, entries)
             buf = ctx.read_local(SEG_LOCAL, slot_offset(1, MAX_ENTRIES),
                                  slot_size(MAX_ENTRIES))
             return decode_snapshot(buf)
@@ -374,10 +403,10 @@ class TestRestore:
 
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            cp.start(1, 10, entries_for(ctx.rank, 1))
-            cp.commit(1)
+            cp.start(10, entries_for(ctx.rank, 1))
+            cp.commit()
             before = ctx.vt
-            cp.fetch(1)
+            cp.fetch()
             return ctx.vt - before
 
         res = w.run({0: prog, 1: prog})

@@ -2,6 +2,7 @@
 
 import logging
 
+import numpy as np
 import pytest
 
 from kmft.bench import read_rows
@@ -203,6 +204,23 @@ class TestRun:
                    "--k", "20", "--seed", "1"] + method)
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["csv", "kmds"])
+    def test_out_onto_a_non_report_file_is_refused_untouched(self, tmp_path, kind,
+                                                            capsys):
+        """`--out` naming the input dataset must not append a row to it."""
+        data, _ = make_blobs(n=60, d=2, blobs=2, spread=0.5, seed=2)
+        path = tmp_path / f"pts.{kind}"
+        if kind == "csv":
+            np.savetxt(path, data.values, delimiter=",")
+        else:
+            write_dataset(path, data)
+        before = path.read_bytes()
+        rc = main(["run", "--data", str(path), "--k", "2", "--out", str(path)])
+        assert rc == 2
+        assert "header mismatch" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert read_dataset(path).values.tobytes() == data.values.tobytes()
 
     def test_missing_data_file_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["run", "--data", str(tmp_path / "missing.kmds"), "--k", "3"])

@@ -36,8 +36,14 @@ def test_no_unused_imports():
 
 
 def _private_defs(tree: ast.Module) -> list[tuple[str, int]]:
-    """Module- and class-level `def _x` / `class _x`, dunders excluded."""
+    """Module- and class-level `def _x` / `class _x` and module-level
+    constants `_X = ...`, dunders excluded."""
     found = []
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        found += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)
+                  and t.id.startswith("_") and not t.id.endswith("__")]
     scopes = [tree.body]
     while scopes:
         for node in scopes.pop():

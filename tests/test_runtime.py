@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kmft import parallel, runtime
-from kmft.checkpoint import CheckpointPolicy, CommitMode, mirror_target
-from kmft.errors import ConfigError, InvariantError
+from kmft.checkpoint import Checkpointer, CheckpointPolicy, CommitMode, mirror_target
+from kmft.errors import ConfigError, InvariantError, SimDeadlock, UnrecoverableError
 from kmft.datasets import make_blobs
 from kmft.kmeans import Dataset, KmeansConfig, objective, run_sequential
 from kmft.parallel import Method, run_parallel
@@ -257,6 +257,21 @@ class TestCheckpointPhaseKills:
         assert ev["epoch"] == 2 and ev["resumed_iteration"] == 10
         assert np.array_equal(out.centroids.centers, SEQ_C.centers)
 
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    @pytest.mark.parametrize("it", [3, 5], ids=["no-checkpoint", "checkpoint"])
+    def test_ckpt_substep_0_is_the_barrier_instant(self, method, it):
+        """Checkpoint substep 0 follows every pass that does not converge,
+        whether or not the iteration checkpoints, with nothing between it
+        and the barrier failure point: both kills run identically."""
+        ckpt = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT,
+                             plan=kill(1, it, FailPhase.DURING_CHECKPOINT, 0))
+        barrier = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT,
+                                plan=kill(1, it, FailPhase.BEFORE_BARRIER))
+        assert ckpt.recoveries == 1 and ckpt.unfired == ()
+        assert ckpt.centroids.centers.tobytes() == barrier.centroids.centers.tobytes()
+        assert ckpt.ledger == barrier.ledger and ckpt.vt_total == barrier.vt_total
+        assert ckpt.recovery_events == barrier.recovery_events
+
     def test_survivor_restores_exactly_what_it_captured(self):
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT,
                             plan=kill(2, 10, FailPhase.DURING_CHECKPOINT, 1))
@@ -344,6 +359,33 @@ class TestAborts:
         assert not out.converged
         assert out.reason == reason
         assert out.centroids is None and out.table is None
+
+    def test_spare_whose_restore_fails_ends_with_the_reason(self, monkeypatch):
+        """A woken spare joins inside `run`, so its restore gives up the one
+        way every step does: its driver carries the error as its reason."""
+        real_fetch = Checkpointer.fetch
+
+        def fetch(cp):
+            if cp.ctx.rank == 4:
+                raise UnrecoverableError("no copy for the promoted spare")
+            return real_fetch(cp)
+
+        worlds = []
+
+        def spawn(*args, **kwargs):
+            worlds.append(spawn_world(*args, **kwargs))
+            return worlds[-1]
+
+        monkeypatch.setattr(Checkpointer, "fetch", fetch)
+        monkeypatch.setattr(runtime, "spawn_world", spawn)
+        # no agreement step tells the survivors, who still wait for the
+        # spare in the re-protection commit
+        with pytest.raises(SimDeadlock):
+            run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT, plan=kill(2, 7))
+        res = worlds[0]._results[4]
+        assert res.status == "done"
+        assert res.value.reason == "no copy for the promoted spare"
+        assert not res.value.converged
 
     def test_kill_aimed_at_parked_spare_never_fires(self):
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY,

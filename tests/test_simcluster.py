@@ -399,18 +399,18 @@ class TestMessages:
 
         def coordinator(ctx):
             ctx.barrier(g, "data sent")
-            ctx.send(1, ("wake",), 1)
+            ctx.send(1, "wake", 1)
 
         def early_peer(ctx):
             ctx.send(1, b"records", 1)
             ctx.barrier(g, "data sent")
 
         def spare(ctx):
-            src, msg = ctx.recv_any(lambda m: isinstance(m, tuple))
+            src, msg = ctx.recv_any(lambda m: m == "wake")
             return src, msg, ctx.recv(2, generation=1)
 
         res = w.run({0: coordinator, 1: spare, 2: early_peer})
-        assert res[1].value == (0, ("wake",), b"records")
+        assert res[1].value == (0, "wake", b"records")
 
     def test_payloads_are_isolated_copies(self):
         w = spawn_world(2)
