@@ -163,17 +163,24 @@ def run_experiment(data: Dataset, cfg: RunConfig) -> RunReport:
 
 # -- CSV I/O ----------------------------------------------------------------
 
+def check_report_file(path: str | Path) -> bool:
+    """True when `path` is missing or empty, so a report starts there; a file
+    whose first line is not the report header is a ConfigError."""
+    path = Path(path)
+    if not path.exists() or path.stat().st_size == 0:
+        return True
+    header = ",".join(CSV_HEADER).encode()
+    with path.open("rb") as fh:
+        if fh.readline(len(header) + 2).rstrip(b"\r\n") != header:
+            raise ConfigError(f"{path} line 1: header mismatch, not a report CSV")
+    return False
+
+
 def append_rows(path: str | Path, rows: list[dict]) -> None:
     """Append rows, creating the file with the fixed header when missing or
     empty; a file whose first line is not that header is left untouched."""
-    path = Path(path)
-    fresh = not path.exists() or path.stat().st_size == 0
-    header = ",".join(CSV_HEADER).encode()
-    if not fresh:
-        with path.open("rb") as fh:
-            if fh.readline(len(header) + 2).rstrip(b"\r\n") != header:
-                raise ConfigError(f"{path} line 1: header mismatch, not a report CSV")
-    with path.open("a", newline="") as fh:
+    fresh = check_report_file(path)
+    with Path(path).open("a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         if fresh:
             writer.writeheader()

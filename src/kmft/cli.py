@@ -25,8 +25,8 @@ import sys
 
 from pathlib import Path
 
-from .bench import (RunConfig, append_rows, read_rows, run_experiment, summarize,
-                    write_summary)
+from .bench import (RunConfig, append_rows, check_report_file, read_rows,
+                    run_experiment, summarize, write_summary)
 from .datasets import make_blobs, read_dataset, write_dataset
 from .errors import ConfigError
 from .simcluster import DEFAULT_TIMEOUT, FailPhase, FailureEvent
@@ -158,6 +158,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         method=args.method, interval=args.ckpt_interval,
         max_iters=args.max_iters, force_iters=args.force_iters,
         seed=args.seed, failures=tuple(args.fail), timeout=args.timeout_ticks)
+    if args.out:
+        check_report_file(args.out)     # refuse a bad --out before the run
     report = run_experiment(data, cfg)
     row = report.row
     _print_row(row, report.objective)

@@ -2,11 +2,12 @@
 
 The sequential loop is the reference every distributed runner is checked
 against, so floating-point accumulation order is pinned everywhere: distances
-accumulate coordinate by coordinate, per-cluster sums run over samples in
-ascending index order, and nearest-center ties resolve to the lowest center
-index.  Any assignment path that must agree bitwise with this module has to go
-through the same kernels (`pairwise_sqdist`, `assign_labels`, and `center_sums`
-with `center_means` under `group_means`).
+accumulate coordinate by coordinate, per-cluster sums fold their samples in
+ascending index order from 0.0 (whatever the dimension d), and nearest-center
+ties resolve to the lowest center index.  Any assignment path that must agree
+bitwise with this module has to go through the same kernels
+(`pairwise_sqdist`, `assign_labels`, and `center_sums` with `center_means`
+under `group_means`).
 """
 
 from __future__ import annotations
@@ -121,25 +122,31 @@ def pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     Accumulates over coordinates in ascending order so each entry is bitwise
     identical to `squared_distance` on the same pair, no matter how the caller
-    sliced its rows out of a larger table.
+    sliced its rows out of a larger table.  The work is center-major: the
+    points are transposed once to a contiguous (d, n) array, and each
+    coordinate fills a (k, n) table whose rows run along the points.  The
+    first coordinate's square starts each sum, since 0.0 + x == x for every
+    square x.  The result is the transposed (n, k) view of that table.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    cols = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
     ctr = np.asarray(centers, dtype=np.float64)
-    out = np.zeros((pts.shape[0], ctr.shape[0]), dtype=np.float64)
+    out = np.empty((ctr.shape[0], cols.shape[1]), dtype=np.float64)
+    np.subtract(cols[0], ctr[:, 0, np.newaxis], out=out)
+    np.multiply(out, out, out=out)
     diff = np.empty_like(out)
-    for j in range(pts.shape[1]):
-        np.subtract(pts[:, j, np.newaxis], ctr[np.newaxis, :, j], out=diff)
+    for j in range(1, cols.shape[0]):
+        np.subtract(cols[j], ctr[:, j, np.newaxis], out=diff)
         np.multiply(diff, diff, out=diff)
         out += diff
-    return out
+    return out.T
 
 
 # Distances per `assign_labels` block: 16,384 float64 are 128 KiB, glibc's
-# initial mmap threshold.  `pairwise_sqdist` holds two arrays of that size
-# per block (the distances and one scratch).  Rank threads each have a malloc
-# arena, and once glibc raises its mmap threshold an arena keeps the freed
-# temporaries; bounded blocks keep that to a few 128 KiB chunks rather than
-# n x k tables, which held peak RSS up.
+# initial mmap threshold.  `pairwise_sqdist` holds three arrays per block: the
+# transposed points (d x rows), the distances and one scratch (k x rows each).
+# Rank threads each have a malloc arena, and once glibc raises its mmap
+# threshold an arena keeps the freed temporaries; bounded blocks keep that to
+# a few 128 KiB chunks rather than n x k tables, which held peak RSS up.
 ASSIGN_BLOCK_CELLS = 16384
 
 
@@ -197,16 +204,17 @@ def center_sums(values: np.ndarray, rows: np.ndarray, labels: np.ndarray,
                 centers: range) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate sums and member counts of each center in `centers`.
 
-    Row `rows[i]` of `values` is labelled `labels[i]`.  `rows` must ascend, so
-    every sum adds its members in ascending sample order.
+    Row `rows[i]` of `values` is labelled `labels[i]`.  `rows` must ascend:
+    `np.bincount` adds into a zeroed accumulator in index order, so every sum
+    folds its members in ascending sample order.  Labels outside `centers`
+    are counted past its ends and dropped.
     """
-    sums = np.zeros((len(centers), values.shape[1]), dtype=np.float64)
-    counts = np.zeros(len(centers), dtype=np.int64)
-    for i, c in enumerate(centers):
-        members = rows[labels == c]
-        if members.size:
-            sums[i] = np.sum(values[members], axis=0)
-            counts[i] = members.size
+    span = slice(centers.start, centers.stop)
+    counts = np.bincount(labels, minlength=centers.stop)[span].astype(np.int64)
+    sums = np.empty((len(centers), values.shape[1]), dtype=np.float64)
+    for j in range(values.shape[1]):
+        sums[:, j] = np.bincount(labels, weights=values[rows, j],
+                                 minlength=centers.stop)[span]
     return sums, counts
 
 
@@ -260,7 +268,6 @@ def objective(data: Dataset, centroids: CentroidSet, table: AssignmentTable) -> 
     for j in range(data.d):
         diff = data.values[:, j] - mu[:, j]
         d2 += diff * diff
-    total = 0.0
-    for v in d2.tolist():
-        total += v
-    return total
+    # a sequential left fold: cumsum adds in index order, and starting from
+    # d2[0] equals starting from 0.0 since every term is >= +0
+    return float(np.cumsum(d2)[-1])

@@ -276,7 +276,7 @@ class _ActiveDriver:
 
     def __init__(self, ctx: RankContext, data: Dataset, cfg: KmeansConfig,
                  method: Method, policy: CheckpointPolicy, layout: WorldLayout,
-                 force_iters: int | None):
+                 force_iters: int | None, init_centers: np.ndarray):
         self.ctx = ctx
         self.data = data
         self.cfg = cfg
@@ -290,8 +290,8 @@ class _ActiveDriver:
         self.position = 0
         self.state = POSITIONS[method](data.values, cfg.k, layout.active, 0)
         self._pass, self._means = _EXCHANGES[method]
-        self.init_centers = init_centroids(data, cfg.k).centers.copy()
-        self.centers = self.init_centers.copy()
+        self.init_centers = init_centers      # read-only, shared by every rank
+        self.centers = init_centers.copy()
         self.it = 0
         self.recoveries = 0      # also the spares consumed: one per failed rank
         self.events: list[RecoveryEvent] = []
@@ -506,11 +506,15 @@ def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,
     if force_iters is not None and force_iters < 1:
         raise ConfigError(f"force_iters must be >= 1, got {force_iters}")
     started = time.perf_counter()
+    # once per run, before any rank starts: a k the data cannot seed is an
+    # InitError here, not in every rank thread
+    init_centers = init_centroids(data, cfg.k).centers
     world = spawn_world(layout.world_size, plan=plan, seed=seed, timeout=timeout,
                         record_trace=record_trace, segments=segment_spec(data.n))
 
     def program(ctx: RankContext):
-        driver = _ActiveDriver(ctx, data, cfg, method, policy, layout, force_iters)
+        driver = _ActiveDriver(ctx, data, cfg, method, policy, layout,
+                               force_iters, init_centers)
         if ctx.rank < layout.active:
             return driver.run()
         return _spare_program(ctx, driver)

@@ -218,7 +218,9 @@ class TestRun:
         before = path.read_bytes()
         rc = main(["run", "--data", str(path), "--k", "2", "--out", str(path)])
         assert rc == 2
-        assert "header mismatch" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "header mismatch" in captured.err
+        assert captured.out == ""             # refused before the run
         assert path.read_bytes() == before
         assert read_dataset(path).values.tobytes() == data.values.tobytes()
 

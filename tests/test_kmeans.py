@@ -13,6 +13,7 @@ from kmft.kmeans import (
     Dataset,
     KmeansConfig,
     assign_labels,
+    center_sums,
     init_centroids,
     initial_assignment,
     lloyd_step,
@@ -51,6 +52,19 @@ def naive_objective(values, centers, assign):
     return total
 
 
+def naive_center_sums(values, rows, labels, centers):
+    """Ascending left fold from 0.0 per center and coordinate."""
+    sums = [[0.0] * values.shape[1] for _ in centers]
+    counts = [0] * len(centers)
+    for r, c in zip(rows.tolist(), labels.tolist()):
+        if c in centers:
+            i = centers.index(c)
+            counts[i] += 1
+            for j in range(values.shape[1]):
+                sums[i][j] += float(values[r, j])
+    return np.array(sums, dtype=np.float64).reshape(len(centers), -1), counts
+
+
 class TestSquaredDistance:
     def test_zero_vector(self):
         assert squared_distance([0.0, 0.0], [0.0, 0.0]) == 0.0
@@ -87,6 +101,26 @@ class TestPairwiseKernel:
         full = pairwise_sqdist(pts, ctr)
         part = pairwise_sqdist(pts[10:20], ctr)
         assert np.array_equal(full[10:20], part)
+
+    @pytest.mark.parametrize("k,m", [(1, 40), (6, 50), (5, 0),
+                                     (16, 2 * (kmeans.ASSIGN_BLOCK_CELLS // 16) + 5)],
+                             ids=["k=1", "duplicate centers", "zero rows",
+                                  "ragged blocks"])
+    def test_edge_shapes_match_scalar_distance_bitwise(self, k, m):
+        rng = np.random.default_rng(8)
+        pts = np.round(rng.normal(size=(m, 3)), 1)
+        ctr = np.round(rng.normal(size=(k, 3)), 1)
+        ctr[-1] = ctr[0]                                 # a duplicate when k > 1
+        pts[:10] = ctr[0]                                # exact ties at distance 0
+        rows = kmeans.ASSIGN_BLOCK_CELLS // k            # the slices assign_labels makes
+        for lo in range(0, max(m, 1), rows):
+            block = pts[lo:lo + rows]
+            want = np.array([[squared_distance(p, c) for c in ctr] for p in block])
+            got = pairwise_sqdist(block, ctr)
+            assert got.shape == (len(block), k)
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        labels = assign_labels(pts, ctr)
+        assert np.array_equal(labels, [naive_nearest(p, ctr) for p in pts])
 
     @pytest.mark.parametrize("cells", [1, 7, 24, 10**6])
     def test_row_blocked_labels_match_one_block(self, monkeypatch, cells):
@@ -195,6 +229,31 @@ class TestLloydStep:
             assert t.assign[i] == naive_nearest(data.values[i], prev_centers)
 
 
+class TestCenterSums:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("span", ["full", "sub"])
+    def test_sums_fold_in_ascending_sample_order_bitwise(self, d, span):
+        rng = np.random.default_rng(40 + d)
+        k = 7
+        values = rng.normal(scale=3.0, size=(3000, d))
+        if span == "full":
+            rows, centers = np.arange(3000), range(k)
+        else:
+            rows, centers = np.sort(rng.choice(3000, 2000, replace=False)), range(2, 5)
+        labels = rng.integers(0, k, size=len(rows))
+        sums, counts = center_sums(values, rows, labels, centers)
+        want_sums, want_counts = naive_center_sums(values, rows, labels, centers)
+        assert counts.dtype == np.int64 and counts.tolist() == want_counts
+        assert sums.shape == (len(centers), d)
+        assert sums.tobytes() == want_sums.tobytes()
+
+    def test_center_without_members_sums_to_zero(self):
+        values = np.arange(6.0).reshape(3, 2)
+        sums, counts = center_sums(values, np.arange(3), np.array([0, 2, 2]), range(3))
+        assert counts.tolist() == [1, 0, 2]
+        assert sums.tolist() == [[0.0, 1.0], [0.0, 0.0], [6.0, 8.0]]
+
+
 class TestObjective:
     def test_zero_when_centers_on_samples(self):
         data = Dataset(np.array([[1.0], [2.0]]))
@@ -215,6 +274,18 @@ class TestObjective:
         labels = assign_labels(data.values, c.centers)
         t = AssignmentTable(labels, True, np.bincount(labels, minlength=6))
         assert objective(data, c, t) == naive_objective(data.values, c.centers, labels)
+
+    @pytest.mark.parametrize("n,d,k", [(4000, 4, 16), (20000, 8, 16), (20000, 4, 8)])
+    def test_is_the_left_fold_of_per_sample_distances(self, n, d, k):
+        rng = np.random.default_rng(n + d)
+        data = Dataset(rng.normal(scale=4.0, size=(n, d)))
+        c = CentroidSet(rng.normal(scale=4.0, size=(k, d)))
+        labels = assign_labels(data.values, c.centers)
+        t = AssignmentTable(labels, True, np.bincount(labels, minlength=k))
+        total = 0.0
+        for i, row in enumerate(data.values):
+            total += squared_distance(row, c.centers[labels[i]])
+        assert objective(data, c, t) == total
 
 
 class TestRunSequential:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from kmft import parallel, runtime
 from kmft.checkpoint import Checkpointer, CheckpointPolicy, CommitMode, mirror_target
-from kmft.errors import ConfigError, InvariantError, SimDeadlock, UnrecoverableError
+from kmft.errors import (ConfigError, InitError, InvariantError, SimDeadlock,
+                         UnrecoverableError)
 from kmft.datasets import make_blobs
 from kmft.kmeans import Dataset, KmeansConfig, objective, run_sequential
 from kmft.parallel import Method, run_parallel
@@ -72,6 +73,23 @@ class TestFailureFree:
         assert np.array_equal(out.table.assign, SEQ_T.assign)
         np.testing.assert_allclose(out.centroids.centers, SEQ_C.centers,
                                    rtol=0, atol=1e-9)
+
+    def test_initial_centers_are_computed_once_per_run(self, monkeypatch):
+        calls = []
+        real = runtime.init_centroids
+        monkeypatch.setattr(runtime, "init_centroids",
+                            lambda *args: calls.append(args) or real(*args))
+        out = run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY,
+                            WorldLayout(active=4, spares=2), plan=kill(1, 3))
+        assert out.recoveries == 1 and len(calls) == 1
+
+    def test_k_the_data_cannot_seed_fails_before_any_rank_starts(self, monkeypatch):
+        def spawn(*args, **kwargs):
+            raise AssertionError("the world was spawned")
+        monkeypatch.setattr(runtime, "spawn_world", spawn)
+        with pytest.raises(InitError):
+            run_ft_kmeans(DATA, KmeansConfig(k=DATA.n + 1), Method.CENTERS,
+                          POLICY, LAYOUT)
 
     def test_matches_plain_parallel_runner_bitwise(self):
         plain = run_parallel(DATA, CFG, 4, Method.CENTERS)
