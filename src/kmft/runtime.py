@@ -3,8 +3,9 @@
 Every rank runs the same program.  Compute positions iterate the chosen
 decomposition; ranks beyond the active set park as spares and wait for a
 wake or a shutdown.  A failure is detected where the algorithm already
-communicates: the collective that misses a dead member (a pass's reduce,
-broadcast or receive, a checkpoint commit, or the one barrier each group
+communicates: the collective that misses a dead member (a pass's reduce or
+receive, the one broadcast in which every centers position sends its block
+of new centers, a checkpoint commit, or the one barrier each group
 generation runs when the loop ends) has already waited the world's timeout,
 so the survivor only reads the state vector, which names the corrupt ranks.
 Every survivor then derives the identical recovery plan, a `_Recovery`,
@@ -234,14 +235,14 @@ def _centers_means(ctx: RankContext, group: Group, state: CentersPosition,
     with ctx.phase(work):
         mine = state.recompute(centers)
         ctx.charge(ctx.costs.compute_per_sample * state.load)
+    owners = [pos for pos, (lo, hi) in enumerate(state.blocks) if hi > lo]
     with ctx.phase(exchange):
-        new_centers = centers.copy()
-        for pos, (lo, hi) in enumerate(state.blocks):
-            if hi == lo:
-                continue
-            payload = mine if pos == state.position else None
-            new_centers[lo:hi] = ctx.broadcast(group, group.members[pos], payload,
-                                               tag + (pos,))
+        blocks = ctx.broadcast(group, tuple(group.members[pos] for pos in owners),
+                               mine if state.position in owners else None, tag)
+    new_centers = centers.copy()
+    for pos, block in zip(owners, blocks):
+        lo, hi = state.blocks[pos]
+        new_centers[lo:hi] = block
     return new_centers
 
 

@@ -45,12 +45,16 @@ rank is lost, and the receive or collective that needs the rank reports
 it.  A token wait always completes at the transfer's ready time and reports
 FAILED when the destination's clock at its kill was below that time.
 
-Barrier, reduce and broadcast share one rendezvous: each member deposits
-into a slot keyed by generation, kind and tag (in a broadcast only the root
-does), and a deposit made before its owner died still counts.  The world's
-`timeout` is its one patience: when a corrupt rank owes a deposit, every
-surviving caller's clock moves to its arrival plus the timeout and it gets
-Timeout (a barrier returns TIMEOUT); nobody is left blocked.  `recv_any`
+Barrier, reduce and broadcast share one rendezvous, and a caller waits in
+it at most once: each member deposits into a slot keyed by generation, kind
+and tag, and a deposit made before its owner died still counts.  In a
+broadcast only the roots deposit; one call broadcasts from each root in
+turn and costs exactly what one single-root broadcast per root, made in
+that order, costs.  The world's `timeout` is its one patience: when a
+corrupt rank owes a deposit, every surviving caller's clock moves to the
+instant it began waiting for that rank (its arrival, or in a broadcast the
+end of the turn before the dead root's, if later) plus the timeout and it
+gets Timeout (a barrier returns TIMEOUT); nobody is left blocked.  `recv_any`
 raises Timeout once every other rank is corrupt, finished or itself waiting
 in `recv_any`, since a rank waiting there cannot send.
 
@@ -240,12 +244,33 @@ class Token:
 @dataclass
 class _Collective:
     members: tuple[int, ...]
-    root: int | None = None
+    roots: tuple[int, ...] | None = None     # a broadcast's roots, in turn order
     deposits: dict[int, int] = field(default_factory=dict)   # rank -> arrival vt
     values: dict[int, object] = field(default_factory=dict)
     result: object = None
     combined: bool = False
     returned: int = 0        # members that have left the operation
+
+    def turn_ends(self) -> list[int]:
+        """Each root's completion instant, up to the first without a deposit.
+
+        Root i broadcasts once it has arrived and root i-1's turn has ended,
+        so its turn ends at max(arrival, previous end) + collective_base +
+        payload_ticks.  Computed once: the prefix is fixed by the time any
+        caller asks, since every root in it has deposited and the root after
+        it, if any, is dead.
+        """
+        if not self.combined:
+            ends: list[int] = []
+            for root in self.roots:
+                if root not in self.deposits:
+                    break
+                start = max(self.deposits[root], ends[-1]) if ends else self.deposits[root]
+                ends.append(start + COSTS.collective_base
+                            + COSTS.payload_ticks(_payload_nbytes(self.values[root])))
+            self.result = ends
+            self.combined = True
+        return self.result
 
 
 def _always() -> bool:
@@ -561,32 +586,42 @@ class RankContext:
     # -- collectives -----------------------------------------------------
 
     def _rendezvous(self, group: Group, key: tuple, value: object,
-                    root: int | None = None) -> _Collective:
-        """Deposit `value` (in a broadcast only `root` does) and wait for the
-        slot; the one give-up of every collective (module docstring)."""
+                    roots: tuple[int, ...] | None = None) -> _Collective:
+        """Deposit `value` and wait once for the slot; the one give-up of
+        every collective (module docstring).
+
+        In a barrier or reduce every member deposits, and a caller waits
+        until all have or until a missing one is dead.  In a broadcast only
+        `roots` deposit, and a caller waits until all have or until the
+        first root without a deposit is dead; its timeout then runs from the
+        end of the turn before that root's.
+        """
         w = self._world
         rank = self.rank
         arrived = self._vt
         group.position(rank)  # membership check
-        if root is not None:
-            group.position(root)
+        needed = group.members if roots is None else roots
         self._enter_generation(group.generation)
         coll = w._collectives.get(key)
         if coll is None:
-            coll = w._collectives[key] = _Collective(group.members, root)
-        elif coll.members != group.members or coll.root != root:
+            coll = w._collectives[key] = _Collective(group.members, roots)
+        elif coll.members != group.members or coll.roots != roots:
             raise ConfigError(f"collective tag {key} reused with different shape")
-        if root is None or rank == root:
+        if rank in needed:
             coll.deposits[rank] = arrived
             coll.values[rank] = _share(value)
         w._trace_event(key[1], rank, key)
-        needed = group.members if root is None else (root,)
 
         def ready() -> bool:
             # polled at every handoff: the common case costs one comparison
+            if len(coll.deposits) == len(needed):
+                return True
             dead = w._death_vt
-            return len(coll.deposits) == len(needed) or (bool(dead) and any(
-                m in needed and m not in coll.deposits for m in dead))
+            if not dead:
+                return False
+            if roots is None:
+                return any(m in needed and m not in coll.deposits for m in dead)
+            return next(r for r in roots if r not in coll.deposits) in dead
 
         if not ready():
             w._sched.switch(rank, ready)
@@ -594,7 +629,11 @@ class RankContext:
         if coll.returned == len(coll.members):
             del w._collectives[key]     # every member has left the slot
         if len(coll.deposits) < len(needed):
-            self._sync_to(arrived + w.timeout)
+            since = arrived
+            if roots is not None and coll.turn_ends():
+                # the dead root's turn would start once the turn before it ends
+                since = max(arrived, coll.turn_ends()[-1])
+            self._sync_to(since + w.timeout)
             raise Timeout(f"{key[1]} {key[-1]}: a member died before its deposit")
         return coll
 
@@ -610,21 +649,47 @@ class RankContext:
         return BarrierStatus.OK
 
     def reduce_all(self, group: Group, value: object, op: ReduceOp, tag: object) -> object:
+        """Every member's `value` folded in group position order.
+
+        The values must agree in type, and arrays also in shape and dtype;
+        otherwise every member raises ConfigError.
+        """
         key = (group.generation, "red", op.value, tag)
         coll = self._rendezvous(group, key, value)
         if not coll.combined:
-            coll.result = _combine(op, [coll.values[m] for m in coll.members])
+            parts = [coll.values[m] for m in coll.members]
+            coll.result = _combine(op, parts) if _alike(parts) else _MISMATCH
             coll.combined = True
+        if coll.result is _MISMATCH:
+            raise ConfigError(f"reduce {tag!r}: members passed values that differ "
+                              "in type, shape or dtype")
         self._sync_to(max(coll.deposits.values()) + COSTS.collective_base)
         return _share(coll.result)
 
-    def broadcast(self, group: Group, root: int, payload: object, tag: object) -> object:
+    def broadcast(self, group: Group, roots: tuple[int, ...], payload: object,
+                  tag: object) -> list:
+        """Each of `roots` broadcasts its `payload` in turn; every caller gets
+        the roots' payloads in that order.
+
+        `roots` are distinct members of `group`; the payload of a caller that
+        is not a root is ignored.  The call costs exactly what one broadcast
+        per root, made in order, costs.  With e_i root i's arrival clock,
+        its turn starts at D_0 = e_0 and D_i = max(e_i, C_{i-1}) and ends at
+        C_i = D_i + collective_base + payload_ticks(nbytes_i); every caller
+        syncs to the last C_i.  When root i died before its deposit, every
+        caller syncs to max(its arrival, C_{i-1}) + timeout and raises
+        Timeout.  A deposit made before its root died still counts.
+        """
+        if not roots:
+            raise ConfigError("broadcast needs at least one root")
+        if len(set(roots)) != len(roots):
+            raise ConfigError(f"duplicate broadcast roots {roots}")
+        for root in roots:
+            group.position(root)
         key = (group.generation, "bcast", tag)
-        coll = self._rendezvous(group, key, payload, root)
-        value = coll.values[root]
-        self._sync_to(coll.deposits[root] + COSTS.collective_base
-                      + COSTS.payload_ticks(_payload_nbytes(value)))
-        return _share(value)
+        coll = self._rendezvous(group, key, payload, roots)
+        self._sync_to(coll.turn_ends()[-1])
+        return [_share(coll.values[root]) for root in roots]
 
     def state_vector(self) -> dict[int, Health]:
         w = self._world
@@ -789,6 +854,21 @@ def _payload_nbytes(value: object) -> int:
     if isinstance(value, np.ndarray):
         return value.nbytes
     return 8
+
+
+_MISMATCH = object()     # a reduce slot whose members passed unlike values
+
+
+def _alike(values: list[object]) -> bool:
+    """True when every value has the first's type, and shape and dtype for
+    arrays."""
+    first = values[0]
+    for v in values[1:]:
+        if type(v) is not type(first):
+            return False
+        if isinstance(v, np.ndarray) and (v.shape, v.dtype) != (first.shape, first.dtype):
+            return False
+    return True
 
 
 def _combine(op: ReduceOp, values: list[object]) -> object:

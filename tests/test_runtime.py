@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kmft import parallel, runtime
+from kmft import parallel, runtime, simcluster
 from kmft.checkpoint import Checkpointer, CheckpointPolicy, CommitMode, mirror_target
 from kmft.errors import (ConfigError, InitError, InvariantError, SimDeadlock,
                          UnrecoverableError)
@@ -504,6 +504,28 @@ class TestDeterminism:
             assert np.array_equal(r.table.assign, SEQ_T.assign)
             if method is Method.CENTERS:
                 assert np.array_equal(r.centroids.centers, SEQ_C.centers)
+
+
+class TestSchedulerSwitches:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_wide_centers_run_gives_the_baton_up_rarely(self, monkeypatch, seed):
+        """A deterministic proxy for thread cost: one center exchange is one
+        wait, not one per position (288 switches; one broadcast per position
+        made 779-949)."""
+        switches = []
+        switch = simcluster._DetScheduler.switch
+
+        def counting(*args, **kwargs):
+            switches.append(1)
+            return switch(*args, **kwargs)
+
+        monkeypatch.setattr(simcluster._DetScheduler, "switch", counting)
+        data, _ = make_blobs(800, 4, 8, 3.0, seed=1)
+        out = run_ft_kmeans(data, KmeansConfig(k=16, max_iters=100), Method.CENTERS,
+                            CheckpointPolicy(interval=5), WorldLayout(active=16, spares=1),
+                            seed=seed, force_iters=5)
+        assert out.iterations == 5 and not out.reason
+        assert len(switches) <= 300
 
 
 class TestLazyMode:

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kmft import simcluster
 from kmft.errors import ConfigError, PeerDead, SegmentError, SimDeadlock, Timeout
@@ -185,7 +187,7 @@ class TestOperationContract:
             ctx.barrier(group, "b")
             ctx.read_remote(peer, 0, 0, 4)
             ctx.reduce_all(group, 1, ReduceOp.SUM, "r")
-            ctx.broadcast(group, 0, b"y" if ctx.rank == 0 else None, "c")
+            ctx.broadcast(group, (0,), b"y" if ctx.rank == 0 else None, "c")[0]
             ctx.state_vector()
 
         w.run({0: prog, 1: prog})
@@ -674,14 +676,14 @@ class TestBarrier:
         g = full_group(2)
 
         def first(ctx):
-            ctx.broadcast(g, 0, "payload", "b")  # root returns immediately
+            ctx.broadcast(g, (0,), "payload", "b")[0]  # root returns immediately
             ctx.send(1, "slot exists")
             return "ok"
 
         def second(ctx):
             ctx.recv(0)
             try:
-                ctx.broadcast(g, 1, "other", "b")  # same tag, different root
+                ctx.broadcast(g, (1,), "other", "b")[0]  # same tag, different root
             except ConfigError:
                 return "rejected"
             return "accepted"
@@ -694,19 +696,20 @@ class TestBarrier:
         w = spawn_world(3)
 
         def pair(ctx):
-            ctx.broadcast(Group((0, 1)), 0, "payload", "m")
+            ctx.broadcast(Group((0, 1)), (0,), "payload", "m")[0]
             ctx.send(2, "slot exists")
             return "ok"
 
         def outsider(ctx):
             ctx.recv(0)
             try:
-                ctx.broadcast(Group((0, 2)), 0, None, "m")
+                ctx.broadcast(Group((0, 2)), (0,), None, "m")[0]
             except ConfigError:
                 return "rejected"
             return "accepted"
 
-        res = w.run({0: pair, 1: lambda ctx: ctx.broadcast(Group((0, 1)), 0, None, "m"),
+        res = w.run({0: pair,
+                     1: lambda ctx: ctx.broadcast(Group((0, 1)), (0,), None, "m")[0],
                      2: outsider})
         assert res[0].value == "ok"
         assert res[1].value == "payload"
@@ -834,7 +837,7 @@ class TestCollectives:
                 ctx.failure_point(1, FailPhase.DURING_COMPUTE)
                 waited = []
                 for op in (lambda: ctx.reduce_all(g, 1, ReduceOp.SUM, "s"),
-                           lambda: ctx.broadcast(g, 2, None, "b")):
+                           lambda: ctx.broadcast(g, (2,), None, "b")[0]):
                     arrived = ctx.vt
                     with pytest.raises(Timeout):
                         op()
@@ -871,10 +874,10 @@ class TestCollectives:
         payload = np.arange(6, dtype=np.float64).reshape(2, 3)
 
         def root(ctx):
-            return ctx.broadcast(g, 1, payload, "b")
+            return ctx.broadcast(g, (1,), payload, "b")[0]
 
         def leaf(ctx):
-            return ctx.broadcast(g, 1, None, "b")
+            return ctx.broadcast(g, (1,), None, "b")[0]
 
         res = w.run({0: leaf, 1: root, 2: leaf, 3: leaf})
         for r in range(4):
@@ -887,11 +890,11 @@ class TestCollectives:
 
         def root(ctx):
             ctx.failure_point(1, FailPhase.DURING_COMPUTE)
-            return ctx.broadcast(g, 1, b"never", "b")
+            return ctx.broadcast(g, (1,), b"never", "b")[0]
 
         def leaf(ctx):
             try:
-                ctx.broadcast(g, 1, None, "b")
+                ctx.broadcast(g, (1,), None, "b")[0]
             except Timeout:
                 return "timeout"
             return "ok"
@@ -907,18 +910,144 @@ class TestCollectives:
         g = full_group(3)
 
         def root(ctx):
-            ctx.broadcast(g, 1, b"sent", "b")
+            ctx.broadcast(g, (1,), b"sent", "b")[0]
             ctx.failure_point(1, FailPhase.DURING_COMPUTE)
 
         def leaf(ctx):
             while ctx.state_vector()[1] is Health.HEALTHY:
                 pass                   # each query yields, so the root runs
-            return ctx.broadcast(g, 1, None, "b")
+            return ctx.broadcast(g, (1,), None, "b")[0]
 
         res = w.run({0: leaf, 1: root, 2: leaf})
         assert res[1].status == "killed"
         assert res[0].value == b"sent"
         assert res[2].value == b"sent"
+
+    @pytest.mark.parametrize("values", [
+        (np.zeros(3), np.ones(1)),
+        (np.zeros(3), 1.0),
+        (1.0, np.zeros(3)),
+        (np.zeros(3), np.zeros(3, dtype=np.int64)),
+        (1, 1.0),
+    ], ids=["shape", "array-scalar", "scalar-array", "dtype", "type"])
+    def test_reduce_of_unlike_values_rejected_at_every_member(self, values):
+        w = spawn_world(2)
+        g = full_group(2)
+
+        def prog(ctx):
+            try:
+                ctx.reduce_all(g, values[ctx.rank], ReduceOp.SUM, "t")
+            except ConfigError as exc:
+                return str(exc)
+            return "combined"
+
+        res = w.run({0: prog, 1: prog})
+        for r in (0, 1):
+            assert "'t'" in res[r].value and "differ" in res[r].value
+
+
+def _turns_programs(size, roots, charges, nbytes, polls, chain):
+    """Each rank charges, broadcasts over `roots` in one call or one call
+    per root, and reports what it got; payloads are `nbytes` long.  A rank
+    first polls the state vector `polls` times, and each poll yields, so
+    ranks reach the broadcast in varied host order."""
+    g = full_group(size)
+
+    def prog(ctx):
+        ctx.charge(charges[ctx.rank])
+        ctx.failure_point(1, FailPhase.DURING_COMPUTE)    # a kill before the turn
+        for _ in range(polls[ctx.rank]):
+            ctx.state_vector()
+        payload = bytes([ctx.rank]) * nbytes[ctx.rank]
+        try:
+            with ctx.phase(VtPhase.COMM):
+                if chain:
+                    got = [ctx.broadcast(g, (r,), payload, ("b", i))[0]
+                           for i, r in enumerate(roots)]
+                else:
+                    got = ctx.broadcast(g, roots, payload, "b")
+        except Timeout:
+            got = "timeout"
+        ctx.failure_point(1, FailPhase.BEFORE_BARRIER)     # a kill after the deposit
+        return got
+
+    return {r: prog for r in range(size)}
+
+
+def _run_turns(case, chain, seed):
+    size, roots, charges, nbytes, polls, before, after = case
+    plan = FailurePlan(
+        [FailureEvent(before, 1, FailPhase.DURING_COMPUTE)] * (before is not None)
+        + [FailureEvent(after, 1, FailPhase.BEFORE_BARRIER)] * (after is not None))
+    w = spawn_world(size, plan=plan, seed=seed, timeout=100)
+    res = w.run(_turns_programs(size, roots, charges, nbytes, polls, chain))
+    return {r: (res[r].status, res[r].value, w.vt(r), w.ledger(r)) for r in range(size)}
+
+
+@st.composite
+def _turn_cases(draw):
+    size = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(size)))
+    roots = tuple(order[:draw(st.integers(1, size))])
+    charges = draw(st.lists(st.integers(0, 200), min_size=size, max_size=size))
+    nbytes = draw(st.lists(st.integers(0, 400), min_size=size, max_size=size))
+    polls = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    before = draw(st.sampled_from((None, *roots)))
+    after = draw(st.sampled_from((None, *(r for r in roots if r != before))))
+    return size, roots, charges, nbytes, polls, before, after
+
+
+class TestBroadcastTurns:
+    """One broadcast over several roots costs what one per root, in turn,
+    costs."""
+
+    def test_turns_follow_the_chain(self):
+        # root 2 arrives at 30 with 128 bytes: its turn ends at 30 + 20 + 2;
+        # root 0 arrived at 5 with 64 bytes, waits for that, ends 21 later
+        res = _run_turns((3, (2, 0), [5, 0, 30], [64, 0, 128], [0] * 3, None, None),
+                         False, 0)
+        for r in range(3):
+            status, got, vt, led = res[r]
+            assert got == [b"\x02" * 128, b"\x00" * 64]
+            assert vt == 73
+            assert led[VtPhase.COMM] == 73 - [5, 0, 30][r]
+
+    def test_dead_root_times_out_from_the_end_of_the_turn_before_it(self):
+        # root 0's turn ends at 10 + 20 + 2 = 32; root 2 died before its own
+        res = _run_turns((3, (0, 2), [10, 50, 0], [128, 0, 0], [0] * 3, 2, None),
+                         False, 0)
+        assert res[2][0] == "killed"
+        assert (res[0][1], res[0][2]) == ("timeout", 32 + 100)
+        assert (res[1][1], res[1][2]) == ("timeout", 50 + 100)
+
+    @pytest.mark.parametrize("roots", [(), (0, 0), (0, 2)],
+                             ids=["empty", "duplicate", "outsider"])
+    def test_roots_are_distinct_members(self, roots):
+        w = spawn_world(3)
+        g = Group((0, 1))
+
+        def prog(ctx):
+            if ctx.rank == 2:
+                return "outside"
+            with pytest.raises(ConfigError):
+                ctx.broadcast(g, roots, b"x", "b")
+            return "rejected"
+
+        res = w.run({r: prog for r in range(3)})
+        assert [res[r].value for r in (0, 1)] == ["rejected", "rejected"]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(case=_turn_cases(), seeds=st.tuples(st.integers(0, 7), st.integers(0, 7)))
+    @example(case=(4, (1, 3, 0), [0, 90, 10, 40], [300, 64, 0, 200], [0, 3, 0, 0],
+                   3, None), seeds=(0, 1))
+    @example(case=(4, (2, 0, 3), [60, 0, 0, 5], [100, 0, 400, 0], [2, 0, 0, 1],
+                   None, 2), seeds=(2, 3))
+    @example(case=(5, (4, 1, 2), [0, 120, 0, 7, 30], [0, 90, 250, 0, 64],
+                   [0, 3, 0, 1, 0], 2, 4), seeds=(4, 5))
+    def test_one_call_equals_one_broadcast_per_root(self, case, seeds):
+        """Values, vt and ledgers of every rank, a root killed before its turn
+        or after its deposit included, whatever the schedule seeds."""
+        assert _run_turns(case, False, seeds[0]) == _run_turns(case, True, seeds[1])
 
 
 class TestFailureInjection:

@@ -3,10 +3,12 @@
     python3 tools/digest.py [SRC]
 
 Runs the 424-run set below against the kmft package under SRC (default: the
-`src` directory next to this script) and prints two lines, `<n> runs
-<sha256>` and `<n> runs values <sha256>`.  Run it on two checkouts: a
-refactor that keeps every result prints the same first line; a model change,
-which moves ticks but must keep every value, prints the same second line.
+`src` directory next to this script) and prints three lines, `<n> runs
+<sha256>`, `<n> runs values <sha256>` and `<n> runs ticks <sha256>`.  Run it
+on two checkouts: a refactor that keeps every result prints the same first
+line; a model change, which moves ticks but must keep every value, prints the
+same second line; a change that only regroups the `record_trace` events,
+and so moves the first line, prints the same third line when no tick moved.
 
 For each method (centers, samples) and commit mode (eager, lazy), with
 checkpoint interval 5, the set holds:
@@ -19,9 +21,9 @@ checkpoint interval 5, the set holds:
 The schedule seed of each run is its index mod 5.  Each run hashes its
 ledgers, vt totals, trace, centroid bytes, assignments, recovery events,
 captures, reason, iterations, converged flag, recoveries, epochs and final
-group; the values line leaves out the ledgers, vt totals and trace.  Only
-the public API is used, so any checkout since the 424-run set was defined
-can be fingerprinted.
+group; the values line leaves out the ledgers, vt totals and trace, and the
+ticks line leaves out only the trace.  Only the public API is used, so any
+checkout since the 424-run set was defined can be fingerprinted.
 """
 
 from __future__ import annotations
@@ -56,14 +58,15 @@ def _scenarios(kmft):
     yield (4, 3), (ev(1, 3, barrier), ev(4, 8, barrier)), FORCE, False
 
 
-def _fingerprint(out, values_only: bool = False) -> bytes:
-    ticks = [] if values_only else [
+def _fingerprint(out, ticks: bool = True, trace: bool = True) -> bytes:
+    parts = [
         sorted((r, sorted((p.value, n) for p, n in led.items()))
                for r, led in out.ledger.items()),
         sorted(out.vt_total.items()),
-        out.trace,
-    ]
-    parts = ticks + [
+    ] if ticks else []
+    if trace:
+        parts.append(out.trace)
+    parts += [
         None if out.centroids is None else out.centroids.centers.tobytes(),
         None if out.table is None else out.table.assign.tobytes(),
         [sorted((k, sorted(v.items()) if isinstance(v, dict) else v)
@@ -85,6 +88,7 @@ def main(argv: list[str]) -> int:
     cfg = kmft.KmeansConfig(k=6, max_iters=100, seed=3)
     total = hashlib.sha256()
     values = hashlib.sha256()
+    ticks = hashlib.sha256()
     runs = 0
     for method in (kmft.Method.CENTERS, kmft.Method.SAMPLES):
         for mode in (kmft.CommitMode.EAGER, kmft.CommitMode.LAZY):
@@ -96,10 +100,13 @@ def main(argv: list[str]) -> int:
                     plan=kmft.FailurePlan(events), seed=runs % 5,
                     force_iters=force, record_trace=trace)
                 total.update(hashlib.sha256(_fingerprint(out)).digest())
-                values.update(hashlib.sha256(_fingerprint(out, True)).digest())
+                values.update(hashlib.sha256(
+                    _fingerprint(out, ticks=False, trace=False)).digest())
+                ticks.update(hashlib.sha256(_fingerprint(out, trace=False)).digest())
                 runs += 1
     print(f"{runs} runs {total.hexdigest()}")
     print(f"{runs} runs values {values.hexdigest()}")
+    print(f"{runs} runs ticks {ticks.hexdigest()}")
     return 0
 
 
