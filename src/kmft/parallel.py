@@ -103,6 +103,17 @@ def gather_labels(fragments: list[np.ndarray], n: int) -> np.ndarray:
     return assign
 
 
+def final_result(fragments: list[np.ndarray], n: int, k: int, centers: np.ndarray,
+                 converged: bool) -> tuple[CentroidSet, AssignmentTable]:
+    """A finished run's centroids and validated assignment table, from its
+    final centers and every position's records."""
+    assign = gather_labels(fragments, n)
+    counts = np.bincount(assign, minlength=k).astype(np.int64)
+    table = AssignmentTable(assign=assign, changed=not converged, counts=counts)
+    table.validate(k)
+    return CentroidSet(centers), table
+
+
 def needs_recompute(changed: bool, t: int) -> bool:
     """Whether pass `t` recomputes the centers.
 
@@ -359,12 +370,10 @@ def run_parallel(data: Dataset, cfg: KmeansConfig, procs: int, method: Method,
         if converged and force_iters is None:
             break
 
-    assign = gather_labels([s.entries() for s in states], data.n)
-    counts = np.bincount(assign, minlength=cfg.k).astype(np.int64)
-    table = AssignmentTable(assign=assign, changed=not converged, counts=counts)
-    table.validate(cfg.k)
+    centroids, table = final_result([s.entries() for s in states], data.n, cfg.k,
+                                    centers, converged)
     return ParallelResult(
-        centroids=CentroidSet(centers),
+        centroids=centroids,
         table=table,
         iterations=iterations,
         converged=converged,

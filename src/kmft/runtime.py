@@ -3,11 +3,12 @@
 Every rank runs the same program.  Compute positions iterate the chosen
 decomposition; ranks beyond the active set park as spares and wait for a
 wake or a shutdown.  A failure is detected where the algorithm already
-communicates: the collective that misses a dead member (a pass's reduce or
-receive, the one broadcast in which every centers position sends its block
-of new centers, a checkpoint commit, or the one barrier each group
-generation runs when the loop ends) has already waited the world's timeout,
-so the survivor only reads the state vector, which names the corrupt ranks.
+communicates: the operation that misses a dead member (the centers pass's
+receive, the samples pass's reduce, the one broadcast in which every centers
+position sends its block of new centers, a checkpoint commit, or the one
+barrier each group generation runs when the loop ends) has already waited
+the world's timeout, so the survivor only reads the state vector, which
+names the corrupt ranks.
 Every survivor then derives the identical recovery plan, a `_Recovery`,
 with no further coordination; the coordinator sends it to the promoted
 spares as their wake, and all apply it alike: promote spares into the
@@ -16,6 +17,13 @@ last committed snapshot (survivors from their local slot, replacements from
 the failed rank's mirror holder), recompute centroids from the restored
 assignments, and re-protect the restored state with a fresh checkpoint so
 the ring is fully redundant again before normal iterations resume.
+
+A centers pass sends each peer one message, (changed flag, the records
+handed to it, empty when none are), and receives one from each: the count
+is known, so no end-of-batch marker is sent, and the flags settle
+convergence without a reduce.  No failure point lies inside a pass, so
+every survivor that completes the exchange holds every flag and takes the
+same branch.
 
 Each rank holds one `parallel` position state, the same one the lockstep
 driver steps; this module adds only the messages and collectives between
@@ -41,7 +49,7 @@ belong to (a generation runs its end-of-run barrier at most once, so that
 tag needs neither), and the group generation separates the tag spaces of
 different incarnations, so a rank can never meet a stale slot after
 recovery rewinds the iteration counter.
-Point-to-point records travel under the group generation too: a survivor
+Pass messages travel under the group generation too: a survivor
 that recovers late drops its stale traffic without touching the records a
 faster survivor already sent under the new generation, and a rank still
 waiting in the old generation gets a Timeout from a peer that moved on.
@@ -79,7 +87,7 @@ from .parallel import (
     SamplesPosition,
     decode_records,
     encode_records,
-    gather_labels,
+    final_result,
     needs_recompute,
 )
 from .simcluster import (
@@ -92,7 +100,6 @@ from .simcluster import (
     Group,
     Health,
     RankContext,
-    ReduceOp,
     VtPhase,
     spawn_world,
 )
@@ -202,30 +209,27 @@ def _phases(t: int | None) -> tuple[VtPhase, VtPhase]:
 
 def _centers_pass(ctx: RankContext, group: Group, state: CentersPosition,
                   centers: np.ndarray, t: int) -> bool:
+    """One (changed, records) message to and from each peer; True when any
+    rank's labels changed.  A dead or departed peer fails its receive."""
     members = group.members
-    position = state.position
+    peers = [pos for pos in range(len(members)) if pos != state.position]
     gen = group.generation
     with ctx.phase(VtPhase.COMPUTE):
         ctx.charge(ctx.costs.compute_per_sample * state.load)
         out = state.compute(centers)
     with ctx.phase(VtPhase.COMM):
-        for dst_pos in range(len(members)):
-            if dst_pos == position:
-                continue
-            if dst_pos in out.outgoing:
-                ctx.send(members[dst_pos], encode_records(out.outgoing[dst_pos]), gen)
-            ctx.send(members[dst_pos], b"", gen)      # end of this batch
+        for pos in peers:
+            chunk = encode_records(out.outgoing[pos]) if pos in out.outgoing else b""
+            ctx.send(members[pos], (out.changed, chunk), gen)
+        changed = out.changed
         batches = []
-        for src_pos in range(len(members)):
-            if src_pos == position:
-                continue
-            while True:
-                chunk = ctx.recv(members[src_pos], gen)
-                if chunk == b"":
-                    break
+        for pos in peers:
+            peer_changed, chunk = ctx.recv(members[pos], gen)
+            changed = changed or peer_changed
+            if chunk:
                 batches.append(decode_records(chunk))
         state.absorb(out, batches)
-        return ctx.reduce_all(group, out.changed, ReduceOp.OR, ("chg", t))
+    return changed
 
 
 def _centers_means(ctx: RankContext, group: Group, state: CentersPosition,
@@ -252,7 +256,7 @@ def _samples_pass(ctx: RankContext, group: Group, state: SamplesPosition,
         ctx.charge(ctx.costs.compute_per_sample * state.load)
         changed = state.compute(centers)
     with ctx.phase(VtPhase.COMM):
-        return ctx.reduce_all(group, changed, ReduceOp.OR, ("chg", t))
+        return ctx.reduce_all(group, int(changed), ("chg", t)) > 0
 
 
 def _samples_means(ctx: RankContext, group: Group, state: SamplesPosition,
@@ -263,8 +267,8 @@ def _samples_means(ctx: RankContext, group: Group, state: SamplesPosition,
         sums, counts = state.partials()
         ctx.charge(ctx.costs.compute_per_sample * state.load)
     with ctx.phase(exchange):
-        gsums = ctx.reduce_all(group, sums, ReduceOp.SUM, tag + ("s",))
-        gcounts = ctx.reduce_all(group, counts, ReduceOp.SUM, tag + ("c",))
+        gsums = ctx.reduce_all(group, sums, tag + ("s",))
+        gcounts = ctx.reduce_all(group, counts, tag + ("c",))
     return state.means(gsums, gcounts, centers)
 
 
@@ -552,12 +556,8 @@ def _assemble(world: ClusterHandle, results: dict, data: Dataset,
     centroids = None
     table = None
     if not ref.reason:
-        assign = gather_labels([d.state.entries() for d in finals], data.n)
-        counts = np.bincount(assign, minlength=cfg.k).astype(np.int64)
-        table = AssignmentTable(assign=assign, changed=not ref.converged,
-                                counts=counts)
-        table.validate(cfg.k)
-        centroids = CentroidSet(ref.centers)
+        centroids, table = final_result([d.state.entries() for d in finals], data.n,
+                                        cfg.k, ref.centers, ref.converged)
 
     merged_events = []
     for i, base in enumerate(ref.events):

@@ -118,11 +118,6 @@ class VtPhase(enum.Enum):
     RESTORE = "restore"
 
 
-class ReduceOp(enum.Enum):
-    SUM = "sum"
-    OR = "or"
-
-
 class BarrierStatus(enum.Enum):
     OK = "ok"
     TIMEOUT = "timeout"
@@ -648,17 +643,17 @@ class RankContext:
         self._world._trace_event("bar-ok", self.rank, key)
         return BarrierStatus.OK
 
-    def reduce_all(self, group: Group, value: object, op: ReduceOp, tag: object) -> object:
-        """Every member's `value` folded in group position order.
+    def reduce_all(self, group: Group, value: object, tag: object) -> object:
+        """The sum of every member's `value`, added in group position order.
 
         The values must agree in type, and arrays also in shape and dtype;
         otherwise every member raises ConfigError.
         """
-        key = (group.generation, "red", op.value, tag)
+        key = (group.generation, "red", tag)
         coll = self._rendezvous(group, key, value)
         if not coll.combined:
             parts = [coll.values[m] for m in coll.members]
-            coll.result = _combine(op, parts) if _alike(parts) else _MISMATCH
+            coll.result = _sum(parts) if _alike(parts) else _MISMATCH
             coll.combined = True
         if coll.result is _MISMATCH:
             raise ConfigError(f"reduce {tag!r}: members passed values that differ "
@@ -871,15 +866,8 @@ def _alike(values: list[object]) -> bool:
     return True
 
 
-def _combine(op: ReduceOp, values: list[object]) -> object:
-    if op is ReduceOp.OR:
-        acc = False
-        for v in values:
-            acc = acc or bool(v)
-        return acc
-    acc = values[0]
-    if isinstance(acc, np.ndarray):
-        acc = acc.copy()
+def _sum(values: list[object]) -> object:
+    acc = values[0]      # a deposit's own copy, never handed out as is
     for v in values[1:]:
         acc = acc + v
     return acc

@@ -506,12 +506,70 @@ class TestDeterminism:
                 assert np.array_equal(r.centroids.centers, SEQ_C.centers)
 
 
+class TestCentersExchange:
+    @pytest.mark.parametrize("iters", [1, 7])
+    def test_one_message_per_ordered_pair_per_pass(self, monkeypatch, iters):
+        """Each pass sends one message to each peer and needs no reduce; the
+        only other send is the shutdown of the parked spare."""
+        calls = {"send": 0, "recv": 0, "reduce_all": 0}
+
+        def counting(name):
+            real = getattr(simcluster.RankContext, name)
+
+            def op(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return op
+
+        for name in calls:
+            monkeypatch.setattr(simcluster.RankContext, name, counting(name))
+        out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT,
+                            force_iters=iters)
+        assert out.iterations == iters and out.recoveries == 0 and not out.reason
+        assert calls == {"send": 4 * 3 * iters + 1, "recv": 4 * 3 * iters,
+                         "reduce_all": 0}
+
+    # 1-D centers 0, 10, ..., 50 in blocks (0, 2), (2, 4), (4, 6); sample i < 6
+    # sits on center i, sample 6 (value 1) is nearest center 0
+    VALUES = np.array([[0.0], [10.0], [20.0], [30.0], [40.0], [50.0], [1.0]])
+    CENTERS = VALUES[:6].copy()
+
+    def _pass(self, holder: int, label: int):
+        """Run one 3-rank pass with sample 6 held by `holder` as `label`;
+        each rank's (returned flag, records it owns afterwards)."""
+        owned = {p: [(i, i) for i in range(6) if i // 2 == p] for p in range(3)}
+        owned[holder].append((6, label))
+        group = Group((0, 1, 2))
+
+        def prog(ctx):
+            state = parallel.CentersPosition(self.VALUES, 6, 3, ctx.rank)
+            state.restore(np.array(owned[ctx.rank], dtype=np.uint64), ctx.rank)
+            changed = runtime._centers_pass(ctx, group, state, self.CENTERS, 1)
+            return changed, state.entries()
+
+        res = spawn_world(3).run({r: prog for r in range(3)})
+        return [res[r].value for r in range(3)]
+
+    @pytest.mark.parametrize("holder", [0, 1, 2])
+    def test_one_changed_position_makes_every_rank_report_a_change(self, holder):
+        results = self._pass(holder, 2 * holder + 1)
+        assert [changed for changed, _ in results] == [True, True, True]
+        records = np.concatenate([entries for _, entries in results])
+        assert sorted(map(tuple, records.tolist())) == [(i, i) for i in range(6)] + [(6, 0)]
+        assert 6 in results[0][1][:, 0]      # handed over to the owner of center 0
+
+    def test_no_changed_position_makes_every_rank_report_none(self):
+        results = self._pass(0, 0)
+        assert [changed for changed, _ in results] == [False, False, False]
+
+
 class TestSchedulerSwitches:
     @pytest.mark.parametrize("seed", range(8))
     def test_wide_centers_run_gives_the_baton_up_rarely(self, monkeypatch, seed):
         """A deterministic proxy for thread cost: one center exchange is one
-        wait, not one per position (288 switches; one broadcast per position
-        made 779-949)."""
+        wait, not one per position, and one message per peer carries a pass
+        with no reduce (213 switches; 288 with end-of-batch markers and a
+        reduce per pass, 779-949 with one broadcast per position)."""
         switches = []
         switch = simcluster._DetScheduler.switch
 
@@ -525,7 +583,7 @@ class TestSchedulerSwitches:
                             CheckpointPolicy(interval=5), WorldLayout(active=16, spares=1),
                             seed=seed, force_iters=5)
         assert out.iterations == 5 and not out.reason
-        assert len(switches) <= 300
+        assert len(switches) <= 220
 
 
 class TestLazyMode:

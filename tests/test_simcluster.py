@@ -19,7 +19,6 @@ from kmft.simcluster import (
     FailurePlan,
     Group,
     Health,
-    ReduceOp,
     TokenState,
     VtPhase,
     spawn_world,
@@ -186,7 +185,7 @@ class TestOperationContract:
             ctx.wait(ctx.write_remote(peer, 0, 0, b"abcd"))
             ctx.barrier(group, "b")
             ctx.read_remote(peer, 0, 0, 4)
-            ctx.reduce_all(group, 1, ReduceOp.SUM, "r")
+            ctx.reduce_all(group, 1, "r")
             ctx.broadcast(group, (0,), b"y" if ctx.rank == 0 else None, "c")[0]
             ctx.state_vector()
 
@@ -717,28 +716,29 @@ class TestBarrier:
 
 
 class TestCollectives:
-    def test_reduce_or(self):
+    def test_reduce_flag_sum_is_positive_when_a_flag_is_set(self):
+        """A 0/1 sum is > 0 iff some member's flag is set."""
         w = spawn_world(4)
         g = full_group(4)
-        flags = [False, False, True, False]
+        flags = [0, 0, 1, 0]
 
         def prog(r):
             def run(ctx):
-                return ctx.reduce_all(g, flags[r], ReduceOp.OR, "chg")
+                return ctx.reduce_all(g, flags[r], "chg")
             return run
 
         res = w.run({r: prog(r) for r in range(4)})
-        assert all(res[r].value is True for r in range(4))
+        assert all(res[r].value == 1 for r in range(4))
 
-    def test_reduce_or_all_false(self):
+    def test_reduce_flag_sum_is_zero_when_no_flag_is_set(self):
         w = spawn_world(3)
         g = full_group(3)
 
         def prog(ctx):
-            return ctx.reduce_all(g, False, ReduceOp.OR, "chg")
+            return ctx.reduce_all(g, 0, "chg")
 
         res = w.run({r: prog for r in range(3)})
-        assert all(res[r].value is False for r in range(3))
+        assert all(res[r].value == 0 for r in range(3))
 
     def test_reduce_sum_ints(self):
         w = spawn_world(4)
@@ -747,7 +747,7 @@ class TestCollectives:
 
         def prog(r):
             def run(ctx):
-                return ctx.reduce_all(g, vals[r], ReduceOp.SUM, "s")
+                return ctx.reduce_all(g, vals[r], "s")
             return run
 
         res = w.run({r: prog(r) for r in range(4)})
@@ -766,7 +766,7 @@ class TestCollectives:
 
         def prog(r):
             def run(ctx):
-                return ctx.reduce_all(g, parts[r], ReduceOp.SUM, "vec")
+                return ctx.reduce_all(g, parts[r], "vec")
             return run
 
         res = w.run({r: prog(r) for r in range(world)})
@@ -785,7 +785,7 @@ class TestCollectives:
 
         def prog(r):
             def run(ctx):
-                return ctx.reduce_all(g, parts[r], ReduceOp.SUM, "vec")
+                return ctx.reduce_all(g, parts[r], "vec")
             return run
 
         res = spawn_world(4).run({r: prog(r) for r in g.members})
@@ -797,7 +797,7 @@ class TestCollectives:
         g = full_group(2)
 
         def prog(ctx):
-            out = ctx.reduce_all(g, np.ones(3), ReduceOp.SUM, "v")
+            out = ctx.reduce_all(g, np.ones(3), "v")
             out[:] = -1.0
             return out
 
@@ -815,7 +815,7 @@ class TestCollectives:
         def prog(ctx):
             ctx.failure_point(1, FailPhase.DURING_COMPUTE)
             try:
-                ctx.reduce_all(g, 1, ReduceOp.SUM, "s")
+                ctx.reduce_all(g, 1, "s")
             except Timeout:
                 return "timeout"
             return "ok"
@@ -836,7 +836,7 @@ class TestCollectives:
                 ctx.charge(10 * r)
                 ctx.failure_point(1, FailPhase.DURING_COMPUTE)
                 waited = []
-                for op in (lambda: ctx.reduce_all(g, 1, ReduceOp.SUM, "s"),
+                for op in (lambda: ctx.reduce_all(g, 1, "s"),
                            lambda: ctx.broadcast(g, (2,), None, "b")[0]):
                     arrived = ctx.vt
                     with pytest.raises(Timeout):
@@ -858,7 +858,7 @@ class TestCollectives:
 
         def prog(r):
             def run(ctx):
-                out = ctx.reduce_all(g, r + 1, ReduceOp.SUM, "s")
+                out = ctx.reduce_all(g, r + 1, "s")
                 ctx.failure_point(1, FailPhase.BEFORE_BARRIER)
                 return out
             return run
@@ -936,7 +936,7 @@ class TestCollectives:
 
         def prog(ctx):
             try:
-                ctx.reduce_all(g, values[ctx.rank], ReduceOp.SUM, "t")
+                ctx.reduce_all(g, values[ctx.rank], "t")
             except ConfigError as exc:
                 return str(exc)
             return "combined"
@@ -1107,7 +1107,7 @@ class TestDeterminism:
                     tok = ctx.write_remote((r + 1) % 4, 0, 0, bytes([r] * 100))
                     ctx.wait(tok)
                     ctx.barrier(g, ("it", it))
-                    total += ctx.reduce_all(g, r, ReduceOp.SUM, ("s", it))
+                    total += ctx.reduce_all(g, r, ("s", it))
                 return total
             return run
 

@@ -3,12 +3,14 @@
     python3 tools/digest.py [SRC]
 
 Runs the 424-run set below against the kmft package under SRC (default: the
-`src` directory next to this script) and prints three lines, `<n> runs
-<sha256>`, `<n> runs values <sha256>` and `<n> runs ticks <sha256>`.  Run it
-on two checkouts: a refactor that keeps every result prints the same first
-line; a model change, which moves ticks but must keep every value, prints the
-same second line; a change that only regroups the `record_trace` events,
-and so moves the first line, prints the same third line when no tick moved.
+`src` directory next to this script) and prints four lines, `<n> runs
+<sha256>`, `<n> runs values <sha256>`, and one `<n> runs ticks <method>
+<sha256>` line per method over that method's runs.  Run it on two
+checkouts: a refactor that keeps every result prints the same first line; a
+model change, which moves ticks but must keep every value, prints the same
+second line; a change that only regroups the `record_trace` events, and so
+moves the first line, prints the same ticks lines when no tick moved; and a
+change to one decomposition prints the same ticks line for the other.
 
 For each method (centers, samples) and commit mode (eager, lazy), with
 checkpoint interval 5, the set holds:
@@ -88,9 +90,10 @@ def main(argv: list[str]) -> int:
     cfg = kmft.KmeansConfig(k=6, max_iters=100, seed=3)
     total = hashlib.sha256()
     values = hashlib.sha256()
-    ticks = hashlib.sha256()
+    ticks = {method: hashlib.sha256()
+             for method in (kmft.Method.CENTERS, kmft.Method.SAMPLES)}
     runs = 0
-    for method in (kmft.Method.CENTERS, kmft.Method.SAMPLES):
+    for method in ticks:
         for mode in (kmft.CommitMode.EAGER, kmft.CommitMode.LAZY):
             policy = kmft.CheckpointPolicy(interval=5, mode=mode)
             for (active, spares), events, force, trace in _scenarios(kmft):
@@ -102,11 +105,13 @@ def main(argv: list[str]) -> int:
                 total.update(hashlib.sha256(_fingerprint(out)).digest())
                 values.update(hashlib.sha256(
                     _fingerprint(out, ticks=False, trace=False)).digest())
-                ticks.update(hashlib.sha256(_fingerprint(out, trace=False)).digest())
+                ticks[method].update(
+                    hashlib.sha256(_fingerprint(out, trace=False)).digest())
                 runs += 1
     print(f"{runs} runs {total.hexdigest()}")
     print(f"{runs} runs values {values.hexdigest()}")
-    print(f"{runs} runs ticks {ticks.hexdigest()}")
+    for method, digest in ticks.items():
+        print(f"{runs // len(ticks)} runs ticks {method.value} {digest.hexdigest()}")
     return 0
 
 
