@@ -143,19 +143,21 @@ def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
 
     `ids` ascend and `labels` are their current centers.  A new center is
     owned by the first block that ends after it, which skips empty blocks.
+    One stable sort by destination groups the records, so each destination's
+    are one slice of a single record array, ids still ascending.
     """
     if len(ids) == 0:
         return CentersPass(changed=False, kept=make_records(ids, labels), outgoing={})
     new = assign_labels(values[ids], centers)
     dest = np.searchsorted(block_ends, new, side="right")
-    outgoing = {}
-    for pos in np.unique(dest):
-        if pos != my_pos:
-            go = dest == pos
-            outgoing[int(pos)] = make_records(ids[go], new[go])
-    stay = dest == my_pos
+    order = np.argsort(dest, kind="stable")
+    records = make_records(ids[order], new[order])
+    ends = np.cumsum(np.bincount(dest, minlength=len(block_ends))).tolist()
+    starts = [0, *ends[:-1]]
+    outgoing = {pos: records[lo:hi] for pos, (lo, hi) in enumerate(zip(starts, ends))
+                if hi > lo and pos != my_pos}
     return CentersPass(changed=not np.array_equal(new, labels),
-                       kept=make_records(ids[stay], new[stay]), outgoing=outgoing)
+                       kept=records[starts[my_pos]:ends[my_pos]], outgoing=outgoing)
 
 
 def centers_recompute(values: np.ndarray, ids: np.ndarray, labels: np.ndarray,

@@ -21,11 +21,11 @@ to it), and every operation is the RankContext method of that name.  The
 ClusterHandle holds only what ranks share: channels, segments, pending
 transfers, collective slots, the death record, the results and the
 scheduler.  State is touched only by the rank holding the baton, so the
-scheduler's own lock and per-rank events are the only synchronization.  A
-deadlock is found structurally: when no rank can run, the run raises
-SimDeadlock.  A livelock, a run that never ends, raises it once the
-WALL_GUARD of host seconds has passed.  After either, the released ranks
-only unwind, and a rank that never waits meets the poison at its next
+scheduler's own lock and one baton lock per rank are the only
+synchronization.  A deadlock is found structurally: when no rank can run,
+the run raises SimDeadlock.  A livelock, a run that never ends, raises it
+once the WALL_GUARD of host seconds has passed.  After either, the released
+ranks only unwind, and a rank that never waits meets the poison at its next
 operation.
 
 Time is virtual: every rank owns an integer tick clock, operations charge
@@ -74,7 +74,6 @@ A reader never observes a torn payload.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import random
 import threading
@@ -116,6 +115,9 @@ class VtPhase(enum.Enum):
     CKPT_COMMIT = "ckpt_commit"
     DETECT = "detect"
     RESTORE = "restore"
+
+
+_PHASES = tuple(VtPhase)     # a ledger's list holds one count per phase, in this order
 
 
 class BarrierStatus(enum.Enum):
@@ -276,15 +278,18 @@ class _DetScheduler:
     """Baton passing over one table of waiting ranks, in seeded rotation.
 
     `_waiting` maps each rank that waits for the baton to the condition it
-    waits on; the holder and finished ranks are not in it.  `switch` is the
-    one way to give the baton up, and `_release` the one way a run ends
-    early.
+    waits on; the holder and finished ranks are not in it.  Each rank owns
+    one baton lock, held while the rank waits: a grant releases it and
+    `pause` acquires it again.  `switch` is the one way to give the baton
+    up, and `_release` the one way a run ends early.
     """
 
     def __init__(self, order: list[int]):
         self._order = list(order)
         self._lock = threading.Lock()
-        self._events = {r: threading.Event() for r in order}
+        self._batons = {r: threading.Lock() for r in order}
+        for baton in self._batons.values():
+            baton.acquire()
         self._waiting = dict.fromkeys(order, _always)
         self._ptr = 0
         self._poison: BaseException | None = None
@@ -299,7 +304,7 @@ class _DetScheduler:
             if until is not None and until():
                 self._ptr = (idx + 1) % n
                 del self._waiting[rank]
-                self._events[rank].set()
+                self._batons[rank].release()
                 return
         if self._waiting:
             blocked = sorted(self._waiting)
@@ -309,13 +314,17 @@ class _DetScheduler:
     def _release(self, poison: BaseException) -> None:
         """End the run: every rank wakes and unwinds on `poison`.
 
-        The table empties, so a rank that finishes while the others unwind
-        neither polls their conditions nor replaces the poison.
+        Every baton still held is released, so a waiting rank, one not yet
+        started and the holder's next pause all return at once.  A baton
+        granted but not yet taken back is already free.  The table empties,
+        so a rank that finishes while the others unwind neither polls their
+        conditions nor replaces the poison.
         """
         self._waiting.clear()
         self._poison = poison
-        for ev in self._events.values():
-            ev.set()
+        for baton in self._batons.values():
+            if baton.locked():
+                baton.release()
 
     def check(self) -> None:
         """Raise the poison once the run is over, so released ranks unwind."""
@@ -324,10 +333,9 @@ class _DetScheduler:
 
     def pause(self, rank: int) -> None:
         """Wait until granted the baton."""
-        ev = self._events[rank]
-        ev.wait()
-        ev.clear()
-        self.check()
+        self._batons[rank].acquire()
+        if self._poison is not None:
+            raise self._poison
 
     def pass_baton(self) -> None:
         """Hand the baton on: the first turn, and the turn after a rank ends."""
@@ -337,6 +345,7 @@ class _DetScheduler:
     def switch(self, rank: int, until=_always) -> None:
         """Give the baton up; get it back once `until()` holds."""
         with self._lock:
+            self.check()      # after a release the table takes no one back
             self._waiting[rank] = until
             self._handoff()
         self.pause(rank)
@@ -362,9 +371,10 @@ class RankContext:
     def __init__(self, world: "ClusterHandle", rank: int):
         self._world = world
         self.rank = rank
-        self._vt_phase = VtPhase.COMPUTE
+        self._sched = world._sched
+        self._phase = 0                       # index into _PHASES: COMPUTE
         self._vt = 0
-        self._ledger = {p: 0 for p in VtPhase}
+        self._ledger = [0] * len(_PHASES)
         self._generation = 0                  # entered so far
         self._known_dead: set[int] = set()    # corrupt ranks reported to this one
 
@@ -377,14 +387,10 @@ class RankContext:
         """This rank's current virtual clock, in ticks."""
         return self._vt
 
-    @contextlib.contextmanager
-    def phase(self, p: VtPhase):
-        prev = self._vt_phase
-        self._vt_phase = p
-        try:
-            yield
-        finally:
-            self._vt_phase = prev
+    def phase(self, p: VtPhase) -> "_PhaseScope":
+        """Charge the ticks of a `with` block to `p`, then restore the outer
+        phase, also when the block raises."""
+        return _PhaseScope(self, _PHASES.index(p))
 
     # -- clock and generation ----------------------------------------------
     #
@@ -393,11 +399,13 @@ class RankContext:
     # program's own calls.
 
     def _charge(self, ticks: int) -> None:
-        self._world._sched.check()      # also stops send and write_remote after a poison
+        poison = self._sched._poison    # also stops send and write_remote after a poison
+        if poison is not None:
+            raise poison
         if ticks < 0:
             raise ConfigError("cannot charge negative ticks")
         self._vt += ticks
-        self._ledger[self._vt_phase] += ticks
+        self._ledger[self._phase] += ticks
 
     def _sync_to(self, instant: int) -> None:
         if instant > self._vt:
@@ -414,8 +422,10 @@ class RankContext:
         self._charge(ticks)
 
     def failure_point(self, iteration: int, phase: FailPhase, substep: int = 0) -> None:
+        poison = self._sched._poison
+        if poison is not None:
+            raise poison
         w = self._world
-        w._sched.check()
         rank = self.rank
         if not w.plan.match(rank, iteration, phase, substep):
             return
@@ -425,7 +435,8 @@ class RankContext:
         for src in range(w.world_size):
             w._channels.pop((src, rank), None)
         w._pending = [xf for xf in w._pending if xf.dst != rank]
-        w._trace_event("kill", rank, iteration, phase.value, substep, self._vt)
+        if w.record_trace:
+            w._trace_event("kill", rank, iteration, phase.value, substep, self._vt)
         raise _Killed()
 
     # -- segments --------------------------------------------------------
@@ -455,7 +466,8 @@ class RankContext:
         xf = Token(w._xfer_seq, self.rank, dst, seg, offset, bytes(payload),
                    ready_at=self._vt + COSTS.transfer_ticks(len(payload)))
         w._pending.append(xf)
-        w._trace_event("rdma", self.rank, dst, seg, offset, len(payload))
+        if w.record_trace:
+            w._trace_event("rdma", self.rank, dst, seg, offset, len(payload))
         return xf
 
     def wait(self, token: Token) -> TokenState:
@@ -468,7 +480,8 @@ class RankContext:
         died = w._death_vt.get(token.dst)
         if died is not None and died < token.ready_at:
             token.state = TokenState.FAILED
-            w._trace_event("token", self.rank, "failed", token.dst)
+            if w.record_trace:
+                w._trace_event("token", self.rank, "failed", token.dst)
             return token.state
         # earlier writes to the same region land first, preserving order
         for other in [other for other in w._pending
@@ -476,7 +489,8 @@ class RankContext:
                       and other.seq <= token.seq]:
             w._deliver(other)
         token.state = TokenState.DELIVERED
-        w._trace_event("token", self.rank, "delivered", token.dst)
+        if w.record_trace:
+            w._trace_event("token", self.rank, "delivered", token.dst)
         return token.state
 
     def read_remote(self, owner: int, seg: int, offset: int, size: int) -> bytes:
@@ -490,7 +504,8 @@ class RankContext:
         w._settle_segment(owner, seg)
         self._charge(COSTS.transfer_ticks(size))
         buf = w._segment(owner, seg)
-        w._trace_event("read", self.rank, owner, seg, offset, size)
+        if w.record_trace:
+            w._trace_event("read", self.rank, owner, seg, offset, size)
         return bytes(buf[offset:offset + size])
 
     # -- messages --------------------------------------------------------
@@ -505,7 +520,8 @@ class RankContext:
         self._charge(COSTS.send)
         if dst in self._known_dead:
             raise PeerDead(f"send to corrupt rank {dst}")
-        w._trace_event("send", self.rank, dst)
+        if w.record_trace:
+            w._trace_event("send", self.rank, dst)
         if not w._alive(dst):
             return
         arrival = self._vt + COSTS.msg_latency
@@ -516,7 +532,9 @@ class RankContext:
         del queue[index]
         self._sync_to(arrival)
         self._charge(COSTS.recv)
-        self._world._trace_event("recv", self.rank, src)
+        w = self._world
+        if w.record_trace:
+            w._trace_event("recv", self.rank, src)
         return payload
 
     def recv(self, src: int, generation: int = 0) -> object:
@@ -524,6 +542,8 @@ class RankContext:
         w = self._world
         w._check_rank(src)
         queue = w._channel(src, self.rank)
+        if queue and queue[0][2] == generation:
+            return self._take(src, queue, 0)      # already here: nothing to wait for
 
         def ready() -> bool:
             # a sender's stamps never decrease, so the newest one decides
@@ -605,7 +625,8 @@ class RankContext:
         if rank in needed:
             coll.deposits[rank] = arrived
             coll.values[rank] = _share(value)
-        w._trace_event(key[1], rank, key)
+        if w.record_trace:
+            w._trace_event(key[1], rank, key)
 
         def ready() -> bool:
             # polled at every handoff: the common case costs one comparison
@@ -637,10 +658,12 @@ class RankContext:
         try:
             coll = self._rendezvous(group, key, None)
         except Timeout:
-            self._world._trace_event("bar-timeout", self.rank, key)
+            if self._world.record_trace:
+                self._world._trace_event("bar-timeout", self.rank, key)
             return BarrierStatus.TIMEOUT
         self._sync_to(max(coll.deposits.values()) + COSTS.barrier)
-        self._world._trace_event("bar-ok", self.rank, key)
+        if self._world.record_trace:
+            self._world._trace_event("bar-ok", self.rank, key)
         return BarrierStatus.OK
 
     def reduce_all(self, group: Group, value: object, tag: object) -> object:
@@ -690,9 +713,29 @@ class RankContext:
         w = self._world
         w._sched.switch(self.rank)
         self._charge(COSTS.state_query)
-        w._trace_event("sv", self.rank)
+        if w.record_trace:
+            w._trace_event("sv", self.rank)
         self._known_dead.update(w._death_vt)
         return w.state_vector()
+
+
+class _PhaseScope:
+    """`RankContext.phase`'s `with` block: sets the phase on entry and puts
+    the outer one back on exit."""
+
+    __slots__ = ("_ctx", "_phase", "_outer")
+
+    def __init__(self, ctx: RankContext, phase: int):
+        self._ctx = ctx
+        self._phase = phase
+
+    def __enter__(self) -> None:
+        ctx = self._ctx
+        self._outer = ctx._phase
+        ctx._phase = self._phase
+
+    def __exit__(self, *exc: object) -> None:
+        self._ctx._phase = self._outer
 
 
 def _share(value: object) -> object:
@@ -733,12 +776,12 @@ class ClusterHandle:
         self._in_recv_any: set[int] = set()
         self._xfer_seq = 0
         self._results: dict[int, RankResult] = {}
-        self._ctxs = {r: RankContext(self, r) for r in range(world_size)}
 
         order = list(range(world_size))
         random.Random(seed).shuffle(order)
         self.schedule_order = order
         self._sched = _DetScheduler(order)
+        self._ctxs = {r: RankContext(self, r) for r in range(world_size)}
 
         for seg, size in (segments or {}).items():
             for r in range(world_size):
@@ -788,7 +831,7 @@ class ClusterHandle:
         return self._ctxs[rank]._vt
 
     def ledger(self, rank: int) -> dict[VtPhase, int]:
-        return dict(self._ctxs[rank]._ledger)
+        return dict(zip(_PHASES, self._ctxs[rank]._ledger))
 
     def segment_bytes(self, rank: int, seg: int) -> bytes:
         self._settle_segment(rank, seg)
@@ -797,8 +840,9 @@ class ClusterHandle:
     # -- shared transport state (touched by the ranks' operations) ------------
 
     def _trace_event(self, *entry: object) -> None:
-        if self.record_trace:
-            self.trace.append(entry)
+        """Record one event; every caller tests `record_trace` first, so a
+        run without a trace never builds an entry."""
+        self.trace.append(entry)
 
     def _segment(self, rank: int, seg: int) -> bytearray:
         try:
@@ -831,7 +875,8 @@ class ClusterHandle:
         buf = self._segment(xf.dst, xf.seg)
         buf[xf.offset:xf.offset + len(xf.payload)] = xf.payload
         self._pending.remove(xf)
-        self._trace_event("deliver", xf.src, xf.dst, xf.seg, xf.offset, len(xf.payload))
+        if self.record_trace:
+            self._trace_event("deliver", xf.src, xf.dst, xf.seg, xf.offset, len(xf.payload))
 
     def _alive(self, rank: int) -> bool:
         return rank not in self._death_vt

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kmft.errors import ConfigError
 from kmft.kmeans import (
     Dataset,
     KmeansConfig,
+    assign_labels,
     center_means,
     initial_assignment,
     init_centroids,
@@ -149,6 +150,49 @@ class TestCentersPass:
         assert out.changed is True
         assert out.kept.tolist() == [[0, 1]]
         assert out.outgoing == {}
+
+    @staticmethod
+    def _mask_per_destination(values, centers, ids, labels, block_ends, my_pos):
+        """The routing as one boolean mask and one record array per
+        destination: the reference the one-sort routing must equal."""
+        new = assign_labels(values[ids], centers)
+        dest = np.searchsorted(block_ends, new, side="right")
+        outgoing = {}
+        for pos in np.unique(dest):
+            if pos != my_pos:
+                go = dest == pos
+                outgoing[int(pos)] = make_records(ids[go], new[go])
+        stay = dest == my_pos
+        return CentersPass(changed=not np.array_equal(new, labels),
+                           kept=make_records(ids[stay], new[stay]), outgoing=outgoing)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(k=st.integers(1, 8), procs=st.integers(1, 11), n=st.integers(1, 80),
+           pick=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+    @example(k=2, procs=4, n=30, pick=3, seed=1)      # position 3's block is empty
+    @example(k=8, procs=11, n=80, pick=9, seed=2)     # procs > k, several empty blocks
+    @example(k=1, procs=1, n=1, pick=0, seed=3)
+    def test_routing_matches_a_mask_per_destination(self, k, procs, n, pick, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(120, 3))
+        centers = rng.normal(size=(k, 3))
+        ids = np.sort(rng.choice(len(values), size=n, replace=False)).astype(np.int64)
+        labels = rng.integers(0, k, size=n).astype(np.int64)
+        block_ends = np.array([hi for _, hi in partition(k, procs)], dtype=np.int64)
+        my_pos = pick % procs
+        args = (values, centers, ids, labels, block_ends, my_pos)
+        out = centers_compute(*args)
+        ref = self._mask_per_destination(*args)
+        assert out.changed == ref.changed
+        assert out.kept.dtype == ref.kept.dtype and out.kept.shape == ref.kept.shape
+        assert out.kept.tobytes() == ref.kept.tobytes()
+        assert list(out.outgoing) == list(ref.outgoing)
+        for pos, recs in ref.outgoing.items():
+            assert out.outgoing[pos].shape == recs.shape
+            assert out.outgoing[pos].tobytes() == recs.tobytes()
+            assert np.all(np.diff(recs[:, 0].astype(np.int64)) > 0)
+        if partition(k, procs)[my_pos][0] == partition(k, procs)[my_pos][1]:
+            assert len(out.kept) == 0          # an empty block keeps nothing
 
     def test_absorb_merges_batches_in_id_order(self):
         state = CentersPosition(np.zeros((5, 1)), k=2, procs=2, position=1)

@@ -151,6 +151,45 @@ class TestChargeAndLedger:
         assert led[VtPhase.CKPT_START] == 5
         assert sum(led.values()) == w.vt(0)
 
+    def test_phase_scope_restores_the_outer_phase_when_its_body_raises(self):
+        w = spawn_world(1)
+
+        def prog(ctx):
+            with ctx.phase(VtPhase.DETECT):
+                with pytest.raises(ValueError):
+                    with ctx.phase(VtPhase.COMM):
+                        ctx.charge(3)
+                        raise ValueError("body fails")
+                ctx.charge(5)
+            ctx.charge(7)
+
+        w.run({0: prog})
+        led = w.ledger(0)
+        assert (led[VtPhase.COMM], led[VtPhase.DETECT], led[VtPhase.COMPUTE]) == (3, 5, 7)
+
+    def test_nested_scopes_charge_the_innermost_phase(self):
+        w = spawn_world(1)
+
+        def prog(ctx):
+            with ctx.phase(VtPhase.RESTORE):
+                with ctx.phase(VtPhase.CKPT_START):
+                    with ctx.phase(VtPhase.COMM):
+                        ctx.charge(4)
+                        ctx.send(0, b"x")       # an operation's own charges too
+                        ctx.recv(0)
+
+        w.run({0: prog})
+        led = w.ledger(0)
+        assert led[VtPhase.COMM] == w.vt(0) > 4
+        assert all(n == 0 for p, n in led.items() if p is not VtPhase.COMM)
+
+    def test_ledger_has_every_phase_and_sums_to_vt(self):
+        w, _ = TestDeterminism._busy_world(seed=2)
+        for r in range(4):
+            led = w.ledger(r)
+            assert list(led) == list(VtPhase)
+            assert sum(led.values()) == w.vt(r) > 0
+
 
 class TestOperationContract:
     """A tracer counts each public RankContext callable as one operation."""
@@ -1126,6 +1165,52 @@ class TestDeterminism:
                   for _, res in (self._busy_world(seed=s) for s in range(8))]
         assert all(v == values[0] for v in values)
 
+    @staticmethod
+    def _every_event_kind(record):
+        """A 3-rank run that reaches every trace call site: rank 2 dies at
+        its failure point, and 0 and 1 then time out a barrier on it, fail a
+        token to it, and make every other traced operation with each other."""
+        w = spawn_world(3, plan=FailurePlan([FailureEvent(2, 1, FailPhase.DURING_COMPUTE)]),
+                        record_trace=record, segments={0: 16})
+        pair = Group((0, 1))
+
+        def prog(ctx):
+            if ctx.rank == 2:
+                ctx.failure_point(1, FailPhase.DURING_COMPUTE)
+            peer = 1 - ctx.rank
+            assert ctx.barrier(full_group(3), "all") is BarrierStatus.TIMEOUT
+            assert ctx.wait(ctx.write_remote(2, 0, 0, b"lost")) is TokenState.FAILED
+            ctx.send(peer, b"x")
+            ctx.recv(peer)
+            assert ctx.wait(ctx.write_remote(peer, 0, 0, b"abcd")) is TokenState.DELIVERED
+            ctx.read_remote(peer, 0, 0, 4)
+            assert ctx.barrier(pair, "pair") is BarrierStatus.OK
+            ctx.reduce_all(pair, 1, "r")
+            ctx.broadcast(pair, (0,), b"y", "c")
+            ctx.state_vector()
+            return ctx.vt
+
+        res = w.run({r: prog for r in range(3)})
+        return w, res
+
+    def test_trace_covers_every_event_kind(self):
+        w, _ = self._every_event_kind(record=True)
+        assert {entry[0] for entry in w.trace} == {
+            "kill", "bar", "bar-timeout", "rdma", "token", "send", "recv", "deliver",
+            "read", "bar-ok", "red", "bcast", "sv"}
+
+    def test_untraced_run_never_builds_a_trace_event(self, monkeypatch):
+        def refuse(self, *entry):
+            raise AssertionError(f"trace event {entry[0]!r} built with tracing off")
+
+        monkeypatch.setattr(simcluster.ClusterHandle, "_trace_event", refuse)
+        w, res = self._every_event_kind(record=False)
+        assert [res[r].status for r in range(3)] == ["done", "done", "killed"]
+        assert w.trace == []
+        busy, busy_res = self._busy_world(seed=5)
+        assert all(busy_res[r].status == "done" for r in range(4))
+        assert busy.trace == []
+
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_handoff_follows_the_seeded_rotation(self, seed):
         """Each switch hands the baton to the next rank of the seeded order."""
@@ -1140,6 +1225,15 @@ class TestDeterminism:
         assert seen == w.schedule_order * 2
 
 
+def _assert_rank_threads_exit(before: set) -> None:
+    """Every rank thread started since `before` was taken exits within 5 s."""
+    started = [t for t in threading.enumerate()
+               if t.name.startswith("rank-") and t not in before]
+    for t in started:
+        t.join(5.0)
+        assert not t.is_alive(), f"{t.name} still running after the run ended"
+
+
 class TestDeadlock:
     def test_mutual_recv_detected(self):
         w = spawn_world(2)
@@ -1150,8 +1244,10 @@ class TestDeadlock:
         def b(ctx):
             return ctx.recv(0)
 
+        before = set(threading.enumerate())
         with pytest.raises(SimDeadlock):
             w.run({0: a, 1: b})
+        _assert_rank_threads_exit(before)
 
     def test_deadlock_names_only_the_blocked_ranks(self):
         w = spawn_world(3)
@@ -1176,8 +1272,10 @@ class TestDeadlock:
                  2: lambda ctx: ctx.recv(3),
                  3: lambda ctx: ctx.recv(2)}
         for seed in range(20):
+            before = set(threading.enumerate())
             with pytest.raises(SimDeadlock, match=r"blocked: \[0, 1, 2, 3\]$"):
                 spawn_world(4, seed=seed).run(progs)
+            _assert_rank_threads_exit(before)
 
     def test_livelock_hits_the_wall_guard(self, monkeypatch):
         monkeypatch.setattr(simcluster, "WALL_GUARD", 0.2)

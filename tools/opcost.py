@@ -1,0 +1,123 @@
+"""Host cost of single simulator operations and of one baton handoff.
+
+    python3 tools/opcost.py [SRC]
+
+Runs against the kmft package under SRC (default: the `src` directory next
+to this script), pinned to one CPU, and prints microseconds per operation,
+the best and the median of ROUNDS rounds of N calls each:
+  * a `send` + `recv` pair: one rank sends to itself and receives it back;
+  * `charge(1)`;
+  * a `failure_point` that does not fire;
+  * an empty `with ctx.phase(...)` scope;
+  * a baton handoff: two ranks hand the scheduler's baton back and forth
+    with a bare switch, and the run's wall time is split over the handoffs.
+Each loop's own Python overhead is included.  Run it on two checkouts back
+to back to compare them; host speed drifts, so numbers from different
+sessions do not compare.
+"""
+
+from __future__ import annotations
+
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+N = 20_000
+ROUNDS = 7
+HANDOFFS = 5_000       # per rank and round
+
+
+def _pin() -> int | None:
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
+
+
+def _in_one_rank(kmft, body) -> float:
+    """Seconds `body(ctx)` takes inside a one-rank world."""
+    world = kmft.spawn_world(1, plan=kmft.FailurePlan(
+        [kmft.FailureEvent(0, 10**9, kmft.FailPhase.DURING_COMPUTE)]))
+    res = world.run({0: lambda ctx: _timed(body, ctx)})
+    return res[0].value
+
+
+def _timed(body, ctx) -> float:
+    t0 = time.perf_counter()
+    body(ctx)
+    return time.perf_counter() - t0
+
+
+def _send_recv(ctx) -> None:
+    send, recv = ctx.send, ctx.recv
+    for _ in range(N):
+        send(0, b"x")
+        recv(0)
+
+
+def _charge(ctx) -> None:
+    charge = ctx.charge
+    for _ in range(N):
+        charge(1)
+
+
+def _failure_point(kmft):
+    phase = kmft.FailPhase.DURING_COMPUTE
+
+    def body(ctx) -> None:
+        point = ctx.failure_point
+        for _ in range(N):
+            point(1, phase)
+    return body
+
+
+def _phase(kmft):
+    comm = kmft.VtPhase.COMM
+
+    def body(ctx) -> None:
+        phase = ctx.phase
+        for _ in range(N):
+            with phase(comm):
+                pass
+    return body
+
+
+def _handoff(kmft) -> float:
+    """Seconds per handoff between two ranks that only switch."""
+    world = kmft.spawn_world(2)
+
+    def prog(ctx) -> None:
+        switch, rank = ctx._world._sched.switch, ctx.rank
+        for _ in range(HANDOFFS):
+            switch(rank)
+
+    t0 = time.perf_counter()
+    world.run({0: prog, 1: prog})
+    return (time.perf_counter() - t0) / (2 * HANDOFFS)
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src.resolve()))
+    cpu = _pin()
+    from kmft import simcluster as kmft
+
+    cases = {
+        "send+recv pair": lambda: _in_one_rank(kmft, _send_recv) / N,
+        "charge": lambda: _in_one_rank(kmft, _charge) / N,
+        "failure_point (no fire)": lambda: _in_one_rank(kmft, _failure_point(kmft)) / N,
+        "phase scope": lambda: _in_one_rank(kmft, _phase(kmft)) / N,
+        "baton handoff": lambda: _handoff(kmft),
+    }
+    print(f"kmft from {src}, pinned to CPU {cpu}; us per op, best / median of {ROUNDS}")
+    for name, case in cases.items():
+        runs = [case() * 1e6 for _ in range(ROUNDS)]
+        print(f"{name:<24} {min(runs):7.2f} {statistics.median(runs):7.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
