@@ -2,14 +2,15 @@
 
 Each rank keeps its own snapshot in a local segment and pushes a copy into a
 mirror region on its left ring neighbor with a one-sided write.  A snapshot
-becomes a recovery point only after the two-phase dance completes: `start`
-captures the state and launches the transfer, `commit` waits on the transfer
-token and then joins a group barrier, so a barrier-OK implies every rank's
-copy is fully delivered somewhere else.
+becomes a recovery point in two phases: `start` captures the state and
+launches the transfer; `land` waits on the transfer token, and `confirm`
+commits once a group exchange that every member entered after its `land`
+completes, proving every rank's copy is delivered somewhere else: the next
+pass in the runtime, or the barrier of `commit` where no pass follows.
 
 The checkpointer numbers its epochs: `start` opens the one after the last
 commit and returns its number (after `abandon` the same number again),
-`commit` settles it, and `fetch`/`adopt` act on the last committed epoch.
+`confirm` settles it, and `fetch`/`adopt` act on the last committed epoch.
 
 Snapshot regions are double-buffered by epoch parity.  A crash while epoch e
 is in flight can therefore never touch the bytes of epoch e-1, which stays
@@ -22,7 +23,6 @@ record arrays of `parallel`.
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 
@@ -50,18 +50,9 @@ SEG_MIRROR = 1   # snapshots I hold for my right neighbor
 HEADER = struct.Struct("<QQQ")
 
 
-class CommitMode(enum.Enum):
-    # commit in the same checkpoint step that started the epoch
-    EAGER = "eager"
-    # commit the previous epoch when the next one starts, plus a final
-    # commit at termination so finished work is always protected
-    LAZY = "lazy"
-
-
 @dataclass(frozen=True)
 class CheckpointPolicy:
     interval: int
-    mode: CommitMode = CommitMode.EAGER
 
     def __post_init__(self) -> None:
         if self.interval < 1:
@@ -133,21 +124,17 @@ class Checkpointer:
         self.target = mirror_target(ctx.rank, group)
         self.last_committed = last_committed
         self.committed_count = committed_count
-        self._outstanding: tuple[int, Token] | None = None
+        self._started: tuple[int, Token] | None = None
 
     @property
     def slot_bytes(self) -> int:
         return slot_size(self.max_entries)
 
-    @property
-    def outstanding_epoch(self) -> int | None:
-        return self._outstanding[0] if self._outstanding is not None else None
-
     def start(self, iteration: int, entries: np.ndarray) -> int:
         """Capture local state as the next epoch; launch its mirror transfer."""
-        if self._outstanding is not None:
+        if self._started is not None:
             raise SequenceError(
-                f"epoch {self._outstanding[0]} is still started; commit it first")
+                f"epoch {self._started[0]} is still started; commit it first")
         if len(entries) > self.max_entries:
             raise ConfigError(
                 f"{len(entries)} entries exceed the slot capacity {self.max_entries}")
@@ -158,27 +145,41 @@ class Checkpointer:
             self.ctx.charge(self.ctx.costs.payload_ticks(len(payload)))  # local copy
             self.ctx.write_local(SEG_LOCAL, off, payload)
             token = self.ctx.write_remote(self.target, SEG_MIRROR, off, payload)
-        self._outstanding = (epoch, token)
+        self._started = (epoch, token)
         return epoch
 
+    def land(self) -> None:
+        """Wait for the started epoch's transfer, if any.  A FAILED token (its
+        holder died) is left for the group exchange that follows to detect."""
+        if self._started is not None:
+            with self.ctx.phase(VtPhase.CKPT_COMMIT):
+                self.ctx.wait(self._started[1])
+
+    def confirm(self) -> bool:
+        """Commit the started epoch, if any (True then), once a group exchange
+        that every member entered after its `land` has completed."""
+        if self._started is None:
+            return False
+        self.last_committed = self._started[0]
+        self.committed_count += 1
+        self._started = None
+        return True
+
     def commit(self) -> BarrierStatus:
-        """Wait for the started epoch's transfer, then agree on it globally."""
-        if self._outstanding is None:
+        """Land the started epoch and confirm it in a group barrier; after a
+        TIMEOUT it stays started, for the recovery to abandon."""
+        if self._started is None:
             raise SequenceError("commit without a start")
-        epoch, token = self._outstanding
-        self._outstanding = None
+        self.land()
         with self.ctx.phase(VtPhase.CKPT_COMMIT):
-            self.ctx.wait(token)   # FAILED only when the mirror died; the
-            # barrier below stays responsible for surfacing that as TIMEOUT
-            status = self.ctx.barrier(self.group, ("ckpt-commit", epoch))
+            status = self.ctx.barrier(self.group, ("ckpt-commit", self._started[0]))
         if status is BarrierStatus.OK:
-            self.last_committed = epoch
-            self.committed_count += 1
+            self.confirm()
         return status
 
     def abandon(self) -> None:
-        """Forget an outstanding start (used when recovery supersedes it)."""
-        self._outstanding = None
+        """Forget a started epoch (used when recovery supersedes it)."""
+        self._started = None
 
     def fetch(self) -> tuple[int, np.ndarray]:
         """Recover this position's payload for the last committed epoch.

@@ -4,11 +4,11 @@ Every rank runs the same program.  Compute positions iterate the chosen
 decomposition; ranks beyond the active set park as spares and wait for a
 wake or a shutdown.  A failure is detected where the algorithm already
 communicates: the operation that misses a dead member (the centers pass's
-receive, the samples pass's reduce, the one broadcast in which every centers
-position sends its block of new centers, a checkpoint commit, or the one
-barrier each group generation runs when the loop ends) has already waited
-the world's timeout, so the survivor only reads the state vector, which
-names the corrupt ranks.
+receive, the samples pass's reduce, the means step's broadcast or reduces,
+the commit barrier of a capture no pass follows, or the one barrier each
+group generation runs when the loop ends) has already waited the world's
+timeout, so the survivor only reads the state vector, which names the
+corrupt ranks.
 Every survivor then derives the identical recovery plan, a `_Recovery`,
 with no further coordination; the coordinator sends it to the promoted
 spares as their wake, and all apply it alike: promote spares into the
@@ -24,6 +24,12 @@ is known, so no end-of-batch marker is sent, and the flags settle
 convergence without a reduce.  No failure point lies inside a pass, so
 every survivor that completes the exchange holds every flag and takes the
 same branch.
+
+The next pass commits a checkpoint: each rank waits for its own mirror
+transfer between the pass's compute and its exchange, so the transfer
+overlaps the compute, and a completed exchange proves every copy landed (a
+kill before it restores the epoch before).  A capture at the last
+iteration, and re-protection, commit in a barrier.
 
 Each rank holds one `parallel` position state, the same one the lockstep
 driver steps; this module adds only the messages and collectives between
@@ -60,6 +66,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -68,7 +75,6 @@ import numpy as np
 from .checkpoint import (
     Checkpointer,
     CheckpointPolicy,
-    CommitMode,
     mirror_target,
     segment_spec,
 )
@@ -103,6 +109,11 @@ from .simcluster import (
     VtPhase,
     spawn_world,
 )
+
+
+# every failure point of the rank program, as (phase, substep)
+KILL_POINTS = ((FailPhase.DURING_COMPUTE, 0), (FailPhase.BEFORE_BARRIER, 0),
+               *((FailPhase.DURING_CHECKPOINT, s) for s in range(3)))
 
 
 @dataclass(frozen=True)
@@ -196,8 +207,8 @@ def _digest(entries: np.ndarray, epoch: int, iteration: int) -> str:
 
 # -- per-method communication around the parallel.py position state ---------
 #
-# A pass function runs one assignment pass and returns whether any rank's
-# labels changed; a means function returns the new replicated centers.  With
+# A pass runs `land` between its compute and its exchange and returns whether
+# any rank's labels changed; a means function returns the new centers.  With
 # `t` None the means are a post-restore rebuild, charged to RESTORE.
 
 def _phases(t: int | None) -> tuple[VtPhase, VtPhase]:
@@ -208,7 +219,7 @@ def _phases(t: int | None) -> tuple[VtPhase, VtPhase]:
 
 
 def _centers_pass(ctx: RankContext, group: Group, state: CentersPosition,
-                  centers: np.ndarray, t: int) -> bool:
+                  centers: np.ndarray, t: int, land: Callable[[], None]) -> bool:
     """One (changed, records) message to and from each peer; True when any
     rank's labels changed.  A dead or departed peer fails its receive."""
     members = group.members
@@ -217,6 +228,7 @@ def _centers_pass(ctx: RankContext, group: Group, state: CentersPosition,
     with ctx.phase(VtPhase.COMPUTE):
         ctx.charge(ctx.costs.compute_per_sample * state.load)
         out = state.compute(centers)
+    land()
     with ctx.phase(VtPhase.COMM):
         for pos in peers:
             chunk = encode_records(out.outgoing[pos]) if pos in out.outgoing else b""
@@ -251,10 +263,11 @@ def _centers_means(ctx: RankContext, group: Group, state: CentersPosition,
 
 
 def _samples_pass(ctx: RankContext, group: Group, state: SamplesPosition,
-                  centers: np.ndarray, t: int) -> bool:
+                  centers: np.ndarray, t: int, land: Callable[[], None]) -> bool:
     with ctx.phase(VtPhase.COMPUTE):
         ctx.charge(ctx.costs.compute_per_sample * state.load)
         changed = state.compute(centers)
+    land()
     with ctx.phase(VtPhase.COMM):
         return ctx.reduce_all(group, int(changed), ("chg", t)) > 0
 
@@ -347,7 +360,10 @@ class _ActiveDriver:
                 t = self.it + 1
                 self.ctx.failure_point(t, FailPhase.DURING_COMPUTE)
                 try:
-                    changed = self._pass(self.ctx, self.group, self.state, self.centers, t)
+                    changed = self._pass(self.ctx, self.group, self.state, self.centers,
+                                         t, self.cp.land)
+                    if self.cp.confirm():
+                        self.ctx.failure_point(self.it, FailPhase.DURING_CHECKPOINT, 2)
                     if needs_recompute(changed, t):
                         self.centers = self._means(self.ctx, self.group, self.state,
                                                    self.centers, t)
@@ -365,8 +381,6 @@ class _ActiveDriver:
                 self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 0)
                 if t % self.policy.interval == 0:
                     self._checkpoint_step(t)
-            if self.cp.outstanding_epoch is not None:
-                self.cp.commit()    # only a lazy epoch is still started here
         except UnrecoverableError as exc:
             self.reason = str(exc)
             self.converged = False
@@ -388,21 +402,12 @@ class _ActiveDriver:
     # -- checkpointing ---------------------------------------------------
 
     def _checkpoint_step(self, t: int) -> None:
-        cp = self.cp
-        status = BarrierStatus.OK
-        if self.policy.mode is CommitMode.EAGER:
-            self._capture(t)
-            self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
-            status = cp.commit()
-            self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 2)
-        else:
-            # lazy: settle the previous epoch first, then capture the new one
-            if cp.outstanding_epoch is not None:
-                status = cp.commit()
-            if status is BarrierStatus.OK:
-                self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
-                self._capture(t)
-                self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 2)
+        self._capture(t)
+        self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
+        if t < self.cap:
+            return    # pass t + 1 commits it, then reaches substep 2
+        status = self.cp.commit()
+        self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 2)
         if status is BarrierStatus.TIMEOUT:
             self._recover_after_fault("commit timeout without a detectable failure")
 
@@ -510,6 +515,10 @@ def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,
     """Run the chosen decomposition under failures with checkpoint/restart."""
     if force_iters is not None and force_iters < 1:
         raise ConfigError(f"force_iters must be >= 1, got {force_iters}")
+    for ev in plan.events if plan is not None else ():
+        if (ev.phase, ev.substep) not in KILL_POINTS:
+            raise ConfigError(f"the rank program has no failure point "
+                              f"{ev.phase.value}:{ev.substep}")
     started = time.perf_counter()
     # once per run, before any rank starts: a k the data cannot seed is an
     # InitError here, not in every rank thread

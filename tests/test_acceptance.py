@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from kmft.bench import CSV_HEADER, RunConfig, run_experiment
-from kmft.checkpoint import CheckpointPolicy, CommitMode, mirror_source, mirror_target
+from kmft.checkpoint import CheckpointPolicy, mirror_source, mirror_target
 from kmft.datasets import make_blobs
 from kmft.kmeans import (AssignmentTable, CentroidSet, Dataset, KmeansConfig,
                          init_centroids, initial_assignment, lloyd_step,
@@ -154,19 +154,17 @@ def test_criterion_1_oracle_equivalence(oracle_sweep):
 def test_criterion_2_checkpoint_count():
     small, _ = make_blobs(n=120, d=2, blobs=3, spread=0.8, seed=4)
     cfg = KmeansConfig(k=3, max_iters=600, seed=4)
-    for mode in (CommitMode.EAGER, CommitMode.LAZY):
-        out = run_ft_kmeans(small, cfg, Method.SAMPLES,
-                            CheckpointPolicy(interval=50, mode=mode),
-                            WorldLayout(active=2), force_iters=550)
-        assert out.iterations == 550
-        assert out.epochs_committed == 11, mode
+    out = run_ft_kmeans(small, cfg, Method.SAMPLES, CheckpointPolicy(interval=50),
+                        WorldLayout(active=2), force_iters=550)
+    assert out.iterations == 550
+    assert out.epochs_committed == 11
     report = run_experiment(small, RunConfig(
         n=120, d=2, k=3, procs=2, method="samples", interval=50,
         max_iters=600, force_iters=550, seed=4))
     assert report.row["iterations"] == 550
     assert report.row["epochs_committed"] == 11
     print("criterion 2 PASS: 550 forced iterations at interval 50 "
-          "commit exactly 11 epochs (both commit modes)")
+          "commit exactly 11 epochs")
 
 
 def test_criterion_3_failure_transparency(kill_matrix):

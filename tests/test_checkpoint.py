@@ -11,7 +11,6 @@ from kmft.checkpoint import (
     SEG_MIRROR,
     Checkpointer,
     CheckpointPolicy,
-    CommitMode,
     decode_snapshot,
     encode_snapshot,
     mirror_source,
@@ -70,8 +69,6 @@ class TestMirrorPolicy:
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
             CheckpointPolicy(interval=0)
-        p = CheckpointPolicy(interval=5)
-        assert p.mode is CommitMode.EAGER
 
 
 def as_lists(got):
@@ -312,6 +309,31 @@ class TestTwoPhase:
             sync, fetched = res[r].value
             assert sync is BarrierStatus.OK
             assert as_lists(fetched) == (10, entries_for(r, 1))
+
+    def test_an_exchange_after_land_commits_without_a_barrier(self):
+        """`land` waits for this rank's own transfer; once an exchange that
+        every member entered after its `land` completes, `confirm` commits."""
+        w = spawn_world(2, segments=SEGS, record_trace=True)
+        g = Group(members=(0, 1))
+
+        def prog(ctx):
+            cp = Checkpointer(ctx, g, MAX_ENTRIES)
+            cp.land()                  # nothing started: nothing to wait for
+            idle = cp.confirm()
+            cp.start(10, entries_for(ctx.rank, 1))
+            cp.land()
+            ctx.reduce_all(g, 1, "exchange")
+            return idle, cp.confirm(), cp.last_committed, cp.committed_count
+
+        res = w.run({0: prog, 1: prog})
+        slot = slot_size(MAX_ENTRIES)
+        off = slot_offset(1, MAX_ENTRIES)
+        for r in (0, 1):
+            assert res[r].value == (False, True, 1, 1)
+            buf = w.segment_bytes(r, SEG_MIRROR)
+            assert as_lists(decode_snapshot(buf[off:off + slot])) == \
+                (1, 10, entries_for(mirror_source(r, g), 1))
+        assert [e for e in w.trace if e[0] == "bar"] == []
 
 
 class TestRestore:

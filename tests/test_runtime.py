@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kmft import parallel, runtime, simcluster
-from kmft.checkpoint import Checkpointer, CheckpointPolicy, CommitMode, mirror_target
+from kmft.checkpoint import Checkpointer, CheckpointPolicy, mirror_target
 from kmft.errors import (ConfigError, InitError, InvariantError, SimDeadlock,
                          UnrecoverableError)
 from kmft.datasets import make_blobs
 from kmft.kmeans import Dataset, KmeansConfig, objective, run_sequential
 from kmft.parallel import Method, run_parallel
-from kmft.runtime import WorldLayout, run_ft_kmeans
+from kmft.runtime import KILL_POINTS, WorldLayout, run_ft_kmeans
 from kmft.simcluster import (
     FailPhase,
     FailureEvent,
@@ -115,17 +115,16 @@ class TestFailureFree:
             assert out.ledger[spare][VtPhase.CKPT_START] == 0
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
-    def test_one_barrier_per_rank_besides_the_commits(self, method):
+    def test_one_barrier_per_rank_and_none_per_checkpoint(self, method):
         """Failure-free, detection costs one end-of-run barrier per rank and
-        nothing per iteration."""
+        nothing per iteration, and the next pass commits each checkpoint."""
         out = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, force_iters=12,
                             record_trace=True)
+        assert out.epochs_committed == 2
         barriers = {}
         for entry in out.trace:
             if entry[0] == "bar":
-                tag = entry[2][2]
-                if not (isinstance(tag, tuple) and tag[0] == "ckpt-commit"):
-                    barriers[entry[1]] = barriers.get(entry[1], 0) + 1
+                barriers[entry[1]] = barriers.get(entry[1], 0) + 1
         assert barriers == {rank: 1 for rank in range(LAYOUT.active)}
 
     def test_captures_recorded_per_position(self):
@@ -139,11 +138,12 @@ class TestFailureFree:
 
 
 class TestForcedIterations:
-    @pytest.mark.parametrize("mode", [CommitMode.EAGER, CommitMode.LAZY])
-    def test_committed_epochs_exact(self, mode):
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_committed_epochs_exact(self, method):
+        """The centers pass's messages and the samples pass's reduce commit
+        every epoch but the last; the last iteration's commit barrier does."""
         out = run_ft_kmeans(DATA, KmeansConfig(k=6, max_iters=100),
-                            Method.CENTERS,
-                            CheckpointPolicy(interval=10, mode=mode),
+                            method, CheckpointPolicy(interval=10),
                             LAYOUT, force_iters=60)
         assert out.iterations == 60
         assert out.epochs_committed == 6
@@ -217,18 +217,16 @@ class TestSingleFailure:
             assert 0 <= span <= POLICY.interval
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
-    @pytest.mark.parametrize("mode", [CommitMode.EAGER, CommitMode.LAZY])
     @pytest.mark.parametrize("phase, substep, last", [
         (FailPhase.BEFORE_BARRIER, 0, 22),
         (FailPhase.DURING_CHECKPOINT, 0, 22),
         (FailPhase.DURING_CHECKPOINT, 2, 25),     # the last iteration checkpoints
     ], ids=["barrier", "ckpt-0", "ckpt-2"])
-    def test_kill_after_the_last_pass_recovers(self, method, mode, phase, substep, last):
+    def test_kill_after_the_last_pass_recovers(self, method, phase, substep, last):
         """No pass or commit is left to miss the victim: the end-of-run
         barrier does, and the run replays to the same values."""
-        policy = CheckpointPolicy(interval=5, mode=mode)
-        twin = run_ft_kmeans(DATA, CFG, method, policy, LAYOUT, force_iters=last)
-        out = run_ft_kmeans(DATA, CFG, method, policy, LAYOUT, force_iters=last,
+        twin = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, force_iters=last)
+        out = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, force_iters=last,
                             plan=kill(1, last, phase, substep))
         assert out.converged and out.recoveries == 1 and out.reason == ""
         assert out.iterations == last and out.unfired == ()
@@ -349,29 +347,29 @@ class TestAborts:
         assert out.vt_total[0] > 0 and out.vt_total[1] > 0
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
-    @pytest.mark.parametrize("mode, phase, substep, reason", [
-        (CommitMode.EAGER, FailPhase.DURING_COMPUTE, 0,
+    @pytest.mark.parametrize("phase, substep, it, reason", [
+        (FailPhase.DURING_COMPUTE, 0, 3,
          "communication fault without a detectable failure"),
-        (CommitMode.EAGER, FailPhase.DURING_CHECKPOINT, 1,
+        (FailPhase.DURING_CHECKPOINT, 1, 4,     # the next pass misses it
+         "communication fault without a detectable failure"),
+        # the next pass commits the epoch, then the means step misses it
+        (FailPhase.DURING_CHECKPOINT, 2, 4,
+         "communication fault without a detectable failure"),
+        # only the last iteration's capture commits in a barrier
+        (FailPhase.DURING_CHECKPOINT, 1, 6,
          "commit timeout without a detectable failure"),
-        (CommitMode.LAZY, FailPhase.DURING_CHECKPOINT, 0,
-         "commit timeout without a detectable failure"),
-        (CommitMode.EAGER, FailPhase.DURING_CHECKPOINT, 0,
-         "end-of-run timeout without a detectable failure"),
-        (CommitMode.LAZY, FailPhase.DURING_CHECKPOINT, 0,
+        # only the end-of-run barrier can miss a kill after the last pass of
+        # a run forced to an iteration that does not checkpoint
+        (FailPhase.DURING_CHECKPOINT, 0, 7,
          "end-of-run timeout without a detectable failure"),
     ])
     def test_a_fault_nobody_detects_ends_unconverged(self, monkeypatch, method,
-                                                     mode, phase, substep, reason):
+                                                     phase, substep, it, reason):
         """The one abort path: a reason always means converged=False."""
         monkeypatch.setattr(runtime, "detect_failures", lambda *args: ())
         data, _ = make_blobs(n=120, d=2, blobs=3, spread=0.3, seed=1)
-        # only the end-of-run barrier can miss a kill after the last pass of
-        # a run forced to an iteration that does not checkpoint
-        it = (7 if reason.startswith("end-of-run") else
-              3 if phase is FailPhase.DURING_COMPUTE else 4)
         out = run_ft_kmeans(data, KmeansConfig(k=3, max_iters=50), method,
-                            CheckpointPolicy(interval=2, mode=mode),
+                            CheckpointPolicy(interval=2),
                             WorldLayout(active=3, spares=1),
                             plan=kill(1, it, phase, substep), force_iters=max(it, 6))
         assert not out.converged
@@ -441,19 +439,28 @@ class TestTimeout:
     def test_every_collective_waits_the_world_timeout(self):
         """A survivor's collective waits exactly the run's timeout for a dead
         peer, and detection waits no second time: one timeout per fault."""
-        for plan, waits_in in ((kill(1, 3, FailPhase.DURING_COMPUTE), VtPhase.COMM),
-                               (kill(1, 3, FailPhase.BEFORE_BARRIER), VtPhase.COMM),
-                               (kill(1, 5, FailPhase.DURING_CHECKPOINT, 1),
-                                VtPhase.CKPT_COMMIT)):
+        samples, centers = Method.SAMPLES, Method.CENTERS
+        for method, plan, waits_in, force in (
+                (samples, kill(1, 3, FailPhase.DURING_COMPUTE), VtPhase.COMM, None),
+                (samples, kill(1, 3, FailPhase.BEFORE_BARRIER), VtPhase.COMM, None),
+                # pass 6 misses it
+                (samples, kill(1, 5, FailPhase.DURING_CHECKPOINT, 1), VtPhase.COMM, None),
+                # pass 6 commits epoch 1, then the means step misses it
+                (samples, kill(1, 5, FailPhase.DURING_CHECKPOINT, 2), VtPhase.COMM, None),
+                (centers, kill(1, 5, FailPhase.DURING_CHECKPOINT, 2), VtPhase.COMM, None),
+                # the last iteration's capture commits in a barrier
+                (samples, kill(1, 10, FailPhase.DURING_CHECKPOINT, 1),
+                 VtPhase.CKPT_COMMIT, 10)):
             waited, total = {}, {}
             for timeout in (50, 5000):
-                out = run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT,
-                                    plan=plan, timeout=timeout)
-                assert out.converged and out.recoveries == 1
+                out = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT,
+                                    plan=plan, timeout=timeout, force_iters=force)
+                assert out.recoveries == 1 and out.reason == ""
+                assert out.converged == (force is None)
                 waited[timeout] = out.ledger[0][waits_in]
                 total[timeout] = out.vt_total[0]
-            assert waited[5000] - waited[50] == 4950, plan.events
-            assert total[5000] - total[50] == 4950, plan.events
+            assert waited[5000] - waited[50] == 4950, (method, plan.events)
+            assert total[5000] - total[50] == 4950, (method, plan.events)
 
 
 class TestLedgerAcrossRecovery:
@@ -544,7 +551,8 @@ class TestCentersExchange:
         def prog(ctx):
             state = parallel.CentersPosition(self.VALUES, 6, 3, ctx.rank)
             state.restore(np.array(owned[ctx.rank], dtype=np.uint64), ctx.rank)
-            changed = runtime._centers_pass(ctx, group, state, self.CENTERS, 1)
+            changed = runtime._centers_pass(ctx, group, state, self.CENTERS, 1,
+                                            lambda: None)
             return changed, state.entries()
 
         res = spawn_world(3).run({r: prog for r in range(3)})
@@ -561,6 +569,22 @@ class TestCentersExchange:
     def test_no_changed_position_makes_every_rank_report_none(self):
         results = self._pass(0, 0)
         assert [changed for changed, _ in results] == [False, False, False]
+
+
+class TestKillPoints:
+    @pytest.mark.parametrize("event", [
+        FailureEvent(1, 2, FailPhase.DURING_CHECKPOINT, substep=3),
+        FailureEvent(1, 2, FailPhase.DURING_COMPUTE, substep=-1),
+        FailureEvent(1, 2, FailPhase.BEFORE_BARRIER, substep=1),
+    ], ids=["ckpt-3", "compute-minus-1", "barrier-1"])
+    def test_a_point_the_program_lacks_is_refused_before_the_world_spawns(
+            self, monkeypatch, event):
+        def spawn(*args, **kwargs):
+            raise AssertionError("the world was spawned")
+        monkeypatch.setattr(runtime, "spawn_world", spawn)
+        with pytest.raises(ConfigError, match="no failure point"):
+            run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT,
+                          plan=FailurePlan((event,)))
 
 
 class TestSchedulerSwitches:
@@ -584,32 +608,6 @@ class TestSchedulerSwitches:
                             seed=seed, force_iters=5)
         assert out.iterations == 5 and not out.reason
         assert len(switches) <= 220
-
-
-class TestLazyMode:
-    def test_lazy_run_with_failure_still_converges(self):
-        out = run_ft_kmeans(DATA, CFG, Method.CENTERS,
-                            CheckpointPolicy(interval=5, mode=CommitMode.LAZY),
-                            LAYOUT, plan=kill(2, 12))
-        assert out.converged and out.recoveries == 1
-        assert np.array_equal(out.centroids.centers, SEQ_C.centers)
-        # commit lag: at detection only epoch 1 (iteration 5) was settled
-        assert out.recovery_events[0]["epoch"] == 1
-        assert out.recovery_events[0]["resumed_iteration"] == 5
-
-    def test_rollback_never_exceeds_two_intervals(self):
-        """The epoch captured at t commits only at t + interval, so a lazy
-        rollback replays up to twice the interval, and that bound is met."""
-        lazy = CheckpointPolicy(interval=5, mode=CommitMode.LAZY)
-        spans = []
-        for phase in FailPhase:
-            for it in (4, 5, 9, 10, 11):
-                out = run_ft_kmeans(DATA, CFG, Method.CENTERS, lazy, LAYOUT,
-                                    plan=kill(1, it, phase))
-                assert out.converged and out.recoveries == 1
-                ev = out.recovery_events[0]
-                spans.append(ev["completed_iteration"] - ev["resumed_iteration"])
-        assert 0 <= min(spans) and max(spans) == 2 * lazy.interval
 
 
 class TestLongRun:
@@ -670,9 +668,6 @@ class TestInvariants:
 PROP_DATA, _ = make_blobs(300, 3, 4, 2.0, seed=5)
 PROP_CFG = KmeansConfig(k=5)
 PROP_FORCE = 8
-KILL_POINTS = ((FailPhase.DURING_COMPUTE, 0), (FailPhase.BEFORE_BARRIER, 0),
-               (FailPhase.DURING_CHECKPOINT, 0), (FailPhase.DURING_CHECKPOINT, 1),
-               (FailPhase.DURING_CHECKPOINT, 2))
 
 
 @functools.cache
@@ -688,8 +683,8 @@ def _failure_free_twin(method, active, spares):
 @st.composite
 def single_kills(draw):
     active, spares = draw(st.sampled_from(((3, 1), (4, 2))))
-    return (draw(st.sampled_from(Method)), draw(st.sampled_from(CommitMode)),
-            (active, spares), draw(st.integers(1, 3)), draw(st.integers(0, 4)),
+    return (draw(st.sampled_from(Method)), (active, spares),
+            draw(st.integers(1, 3)), draw(st.integers(0, 4)),
             draw(st.integers(0, active - 1)), draw(st.integers(1, PROP_FORCE)),
             draw(st.sampled_from(KILL_POINTS)))
 
@@ -697,14 +692,14 @@ def single_kills(draw):
 class TestAnySingleKill:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(case=single_kills())
-    @example(case=(Method.SAMPLES, CommitMode.EAGER, (4, 2), 3, 0, 2, PROP_FORCE,
+    @example(case=(Method.SAMPLES, (4, 2), 3, 0, 2, PROP_FORCE,
                    (FailPhase.DURING_CHECKPOINT, 0)))
     def test_ends_with_the_failure_free_values(self, case):
         """One kill at any failure point, the last iteration included, ends
         with the failure-free values, bitwise for both methods."""
-        method, mode, (active, spares), interval, seed, rank, it, (phase, substep) = case
+        method, (active, spares), interval, seed, rank, it, (phase, substep) = case
         out = run_ft_kmeans(PROP_DATA, PROP_CFG, method,
-                            CheckpointPolicy(interval=interval, mode=mode),
+                            CheckpointPolicy(interval=interval),
                             WorldLayout(active=active, spares=spares),
                             plan=kill(rank, it, phase, substep), seed=seed,
                             force_iters=PROP_FORCE)
@@ -717,3 +712,89 @@ class TestAnySingleKill:
         assert len(out.unfired) == int(not reached)
         assert out.centroids.centers.tobytes() == twin.centroids.centers.tobytes()
         assert np.array_equal(out.table.assign, twin.table.assign)
+
+
+class TestCommitRule:
+    def test_an_exchange_commits_only_landed_epochs(self, monkeypatch):
+        """Each member waits for its own mirror transfer before it enters an
+        exchange, so whenever an exchange commits an epoch, every member's
+        copy of it has landed.  Swept over both methods, intervals 1 and 5,
+        every active rank, the iteration of each checkpoint and the next,
+        and every failure point; the schedule seed cycles through 0-3."""
+        tokens = {}        # (generation, epoch) -> {rank: its transfer token}
+        confirms, unlanded = [], []
+        real_start, real_confirm = Checkpointer.start, Checkpointer.confirm
+
+        def start(cp, iteration, entries):
+            epoch = real_start(cp, iteration, entries)
+            tokens.setdefault((cp.group.generation, epoch), {})[cp.ctx.rank] = \
+                cp._started[1]
+            return epoch
+
+        def confirm(cp):
+            if cp._started is not None:
+                key = (cp.group.generation, cp._started[0])
+                confirms.append(key)
+                landed = tokens[key]
+                unlanded.extend((key, m) for m in cp.group.members if m not in landed
+                                or landed[m].state is not simcluster.TokenState.DELIVERED)
+            return real_confirm(cp)
+
+        monkeypatch.setattr(Checkpointer, "start", start)
+        monkeypatch.setattr(Checkpointer, "confirm", confirm)
+        force, runs = 6, 0
+        for method in Method:
+            for interval in (1, 5):
+                iters = sorted({i for t in range(interval, force + 1, interval)
+                                for i in (t, t + 1) if i <= force})
+                for rank in range(3):
+                    for it in iters:
+                        for phase, substep in KILL_POINTS:
+                            out = run_ft_kmeans(
+                                PROP_DATA, PROP_CFG, method, CheckpointPolicy(interval),
+                                WorldLayout(active=3, spares=1), seed=runs % 4,
+                                plan=kill(rank, it, phase, substep), force_iters=force)
+                            assert out.reason == "" and out.iterations == force
+                            runs += 1
+        assert runs == 2 * 3 * 5 * (6 + 2)
+        assert len(confirms) > runs and unlanded == []
+
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_a_kill_before_the_next_exchange_restores_the_previous_epoch(self, method):
+        """The epoch captured at 10 commits when pass 11's exchange completes:
+        a kill in pass 11's compute restores epoch 1 (iteration 5), a kill
+        after that exchange restores epoch 2 (iteration 10), and both end
+        with the same values."""
+        before = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT,
+                               plan=kill(1, 11, FailPhase.DURING_COMPUTE))
+        after = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT,
+                              plan=kill(1, 11, FailPhase.BEFORE_BARRIER))
+        for out, epoch, resumed in ((before, 1, 5), (after, 2, 10)):
+            assert out.converged and out.recoveries == 1
+            ev = out.recovery_events[0]
+            assert (ev["epoch"], ev["resumed_iteration"]) == (epoch, resumed)
+        assert before.centroids.centers.tobytes() == after.centroids.centers.tobytes()
+        assert np.array_equal(before.table.assign, after.table.assign)
+
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_rollback_reaches_but_never_exceeds_the_interval(self, method):
+        """The longer window costs no bound: over every failure point around
+        two checkpoints, a rollback replays at most one interval, and a kill
+        in the compute right after a checkpoint replays exactly one."""
+        spans = {}
+        for it in (4, 5, 6, 9, 10, 11):
+            for phase, substep in KILL_POINTS:
+                event = FailureEvent(1, it, phase, substep)
+                out = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT,
+                                    plan=FailurePlan((event,)))
+                # substeps 1 and 2 exist only at a checkpoint iteration
+                if phase is FailPhase.DURING_CHECKPOINT and substep and it % 5:
+                    assert out.unfired == (event,) and out.recoveries == 0
+                    continue
+                assert out.converged and out.recoveries == 1
+                ev = out.recovery_events[0]
+                spans[it, phase, substep] = (ev["completed_iteration"]
+                                             - ev["resumed_iteration"])
+        assert 0 <= min(spans.values())
+        assert max(spans.values()) == POLICY.interval
+        assert spans[11, FailPhase.DURING_COMPUTE, 0] == POLICY.interval
