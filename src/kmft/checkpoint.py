@@ -5,12 +5,15 @@ mirror region on its left ring neighbor with a one-sided write.  A snapshot
 becomes a recovery point in two phases: `start` captures the state and
 launches the transfer; `land` waits on the transfer token, and `confirm`
 commits once a group exchange that every member entered after its `land`
-completes, proving every rank's copy is delivered somewhere else: the next
-pass in the runtime, or the barrier of `commit` where no pass follows.
+completes, proving every rank's copy is delivered somewhere else.  In the
+runtime that exchange is the next pass, a recovery's rebuild exchange (for
+the re-protection of the restored state), or the barrier of `commit` after
+a capture at the last iteration, which no exchange follows.
 
 The checkpointer numbers its epochs: `start` opens the one after the last
-commit and returns its number (after `abandon` the same number again),
-`confirm` settles it, and `fetch`/`adopt` act on the last committed epoch.
+commit and returns its number, `confirm` settles it, and `fetch`/`adopt` act
+on the last committed epoch.  A started epoch that never commits is dropped
+with its checkpointer, and the next start reuses its number and slot.
 
 Snapshot regions are double-buffered by epoch parity.  A crash while epoch e
 is in flight can therefore never touch the bytes of epoch e-1, which stays
@@ -112,18 +115,17 @@ class Checkpointer:
     """Per-rank checkpoint driver bound to one group incarnation.
 
     Rebuilt after every recovery (the ring follows the group); the driver
-    carries `last_committed` and `committed_count` across incarnations.
+    carries `last_committed` across incarnations.
     """
 
     def __init__(self, ctx: RankContext, group: Group, max_entries: int,
-                 last_committed: int | None = None, committed_count: int = 0):
+                 last_committed: int | None = None):
         group.position(ctx.rank)
         self.ctx = ctx
         self.group = group
         self.max_entries = max_entries
         self.target = mirror_target(ctx.rank, group)
         self.last_committed = last_committed
-        self.committed_count = committed_count
         self._started: tuple[int, Token] | None = None
 
     @property
@@ -161,13 +163,12 @@ class Checkpointer:
         if self._started is None:
             return False
         self.last_committed = self._started[0]
-        self.committed_count += 1
         self._started = None
         return True
 
     def commit(self) -> BarrierStatus:
         """Land the started epoch and confirm it in a group barrier; after a
-        TIMEOUT it stays started, for the recovery to abandon."""
+        TIMEOUT it stays started until the recovery drops this checkpointer."""
         if self._started is None:
             raise SequenceError("commit without a start")
         self.land()
@@ -176,10 +177,6 @@ class Checkpointer:
         if status is BarrierStatus.OK:
             self.confirm()
         return status
-
-    def abandon(self) -> None:
-        """Forget a started epoch (used when recovery supersedes it)."""
-        self._started = None
 
     def fetch(self) -> tuple[int, np.ndarray]:
         """Recover this position's payload for the last committed epoch.

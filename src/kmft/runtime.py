@@ -14,9 +14,11 @@ with no further coordination; the coordinator sends it to the promoted
 spares as their wake, and all apply it alike: promote spares into the
 failed positions (ascending) under a fresh group generation, restore the
 last committed snapshot (survivors from their local slot, replacements from
-the failed rank's mirror holder), recompute centroids from the restored
-assignments, and re-protect the restored state with a fresh checkpoint so
-the ring is fully redundant again before normal iterations resume.
+the failed rank's mirror holder), start a fresh checkpoint of the restored
+state and land its copy, then recompute centroids from the restored
+assignments.  That rebuild exchange commits the fresh checkpoint, as a pass
+commits one, so the ring is fully redundant again before normal iterations
+resume; a recovery runs no barrier of its own.
 
 A centers pass sends each peer one message, (changed flag, the records
 handed to it, empty when none are), and receives one from each: the count
@@ -28,8 +30,8 @@ same branch.
 The next pass commits a checkpoint: each rank waits for its own mirror
 transfer between the pass's compute and its exchange, so the transfer
 overlaps the compute, and a completed exchange proves every copy landed (a
-kill before it restores the epoch before).  A capture at the last
-iteration, and re-protection, commit in a barrier.
+kill before it restores the epoch before).  Only a capture at the last
+iteration, which no exchange follows, commits in a barrier.
 
 Each rank holds one `parallel` position state, the same one the lockstep
 driver steps; this module adds only the messages and collectives between
@@ -37,8 +39,8 @@ its calls, the checkpoints and the recovery.  The finished driver is the
 rank's result: the outcome is assembled from the drivers' attributes once
 they agree, and a spare that was never woken returns None.
 
-One join (position, checkpointer, restore; after a recovery also the
-re-protection and the recovery event) serves the fresh start, survivors and
+One join (position, checkpointer, restore with its re-protection; after a
+recovery also the recovery event) serves the fresh start, survivors and
 woken spares, and one detect-and-recover step serves a pass that failed
 mid-communication, a timed-out commit and a timed-out end-of-run barrier.
 
@@ -157,7 +159,6 @@ class _Recovery:
 
     group: Group
     last_committed: int | None
-    committed_count: int
     recoveries: int
     converged: bool
     events: tuple[RecoveryEvent, ...]    # the recoveries before this one
@@ -320,14 +321,12 @@ class _ActiveDriver:
 
     # -- joining a position ----------------------------------------------
 
-    def _join(self, group: Group, last_committed: int | None,
-              committed_count: int) -> str | None:
+    def _join(self, group: Group, last_committed: int | None) -> str | None:
         """Take this rank's position in `group` and restore the last commit."""
         self.group = group
         self.position = group.position(self.ctx.rank)
         self.cp = Checkpointer(self.ctx, group, self.data.n,
-                               last_committed=last_committed,
-                               committed_count=committed_count)
+                               last_committed=last_committed)
         return self._restore()
 
     def _rejoin(self, plan: _Recovery) -> None:
@@ -335,8 +334,7 @@ class _ActiveDriver:
         self.recoveries = plan.recoveries
         self.converged = plan.converged
         self.events = list(plan.events)
-        digest = self._join(plan.group, plan.last_committed, plan.committed_count)
-        self._reprotect()
+        digest = self._join(plan.group, plan.last_committed)
         self.events.append(RecoveryEvent(
             completed_iteration=plan.completed,
             failed=plan.failed,
@@ -353,7 +351,7 @@ class _ActiveDriver:
         """Join (fresh, or as the spare `wake` promotes) and iterate to the end."""
         try:
             if wake is None:
-                self._join(self.group, last_committed=None, committed_count=0)
+                self._join(self.group, last_committed=None)
             else:
                 self._rejoin(wake)
             while not self._ended():
@@ -426,7 +424,6 @@ class _ActiveDriver:
         self._recover(failed)
 
     def _recover(self, failed: tuple[int, ...]) -> None:
-        self.cp.abandon()     # a recovery supersedes any started epoch
         failed = tuple(sorted(failed))
         pool = self.layout.spare_ids[self.recoveries:]
         if len(pool) < len(failed):
@@ -445,10 +442,9 @@ class _ActiveDriver:
             members[self.group.position(dead)] = spare
         plan = _Recovery(
             group=Group(tuple(members), self.group.generation + 1),
-            last_committed=last, committed_count=self.cp.committed_count,
-            recoveries=self.recoveries + len(failed), converged=self.converged,
-            events=tuple(self.events), completed=self.it, failed=failed,
-            promoted=promoted)
+            last_committed=last, recoveries=self.recoveries + len(failed),
+            converged=self.converged, events=tuple(self.events),
+            completed=self.it, failed=failed, promoted=promoted)
 
         survivors = [m for m in self.group.members if m not in failed]
         if self.ctx.rank == min(survivors, key=self.group.position):
@@ -470,18 +466,15 @@ class _ActiveDriver:
             self.cp.adopt(iteration, entries)
             self.state.restore(entries, self.position)
             self.it = iteration
+            # re-protect: the restored state is the next epoch, and the rebuild
+            # exchange, entered after its copy lands, commits it
+            self._capture(iteration)
+            self.cp.land()
             # every center is derived from the restored labels again
             self.centers = self._means(self.ctx, self.group, self.state,
                                        self.init_centers, None)
+            self.cp.confirm()
         return _digest(entries, epoch, iteration)
-
-    def _reprotect(self) -> None:
-        """Fresh checkpoint of the restored state heals ring redundancy."""
-        if self.cp.last_committed is None:
-            return    # rolled back to the initial state; nothing stored to protect
-        self._capture(self.it)
-        if self.cp.commit() is BarrierStatus.TIMEOUT:
-            raise UnrecoverableError("failure during recovery re-protection")
 
     # -- termination -------------------------------------------------------
 
@@ -557,7 +550,7 @@ def _assemble(world: ClusterHandle, results: dict, data: Dataset,
             final_group=(), wall_ms=(time.perf_counter() - started) * 1000.0)
     ref = min(finals, key=lambda d: d.position)
     for attr in ("group", "it", "converged", "recoveries", "reason",
-                 "cp.committed_count"):
+                 "cp.last_committed"):
         vals = {repr(attrgetter(attr)(d)) for d in finals}
         if len(vals) != 1:
             raise InvariantError(f"ranks disagree on {attr}: {sorted(vals)}")
@@ -591,7 +584,7 @@ def _assemble(world: ClusterHandle, results: dict, data: Dataset,
         iterations=ref.it,
         converged=ref.converged,
         recoveries=ref.recoveries,
-        epochs_committed=ref.cp.committed_count,
+        epochs_committed=ref.cp.last_committed or 0,
         reason=ref.reason,
         ledger=ledger,
         vt_total=vt_total,

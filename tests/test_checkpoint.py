@@ -266,31 +266,6 @@ class TestTwoPhase:
             assert last == 1
             assert as_lists(fetched) == (10, entries_for(r, 1))
 
-    def test_abandoned_start_reuses_its_epoch_and_slot(self):
-        """No commit follows an abandoned start, so the next start numbers
-        the same epoch and overwrites its parity slot, never the last commit's."""
-        w = spawn_world(2, segments=SEGS)
-        g = Group(members=(0, 1))
-
-        def prog(ctx):
-            cp = Checkpointer(ctx, g, MAX_ENTRIES, last_committed=4, committed_count=4)
-            first = cp.start(10, entries_for(ctx.rank, 1))
-            cp.abandon()
-            second = cp.start(20, entries_for(ctx.rank, 2))
-            return first, second, cp.commit(), cp.last_committed
-
-        res = w.run({0: prog, 1: prog})
-        slot = slot_size(MAX_ENTRIES)
-        for r in (0, 1):
-            assert res[r].value == (5, 5, BarrierStatus.OK, 5)
-            for seg, owner in ((SEG_LOCAL, r), (SEG_MIRROR, mirror_source(r, g))):
-                buf = w.segment_bytes(r, seg)
-                off = slot_offset(5, MAX_ENTRIES)
-                assert as_lists(decode_snapshot(buf[off:off + slot])) == \
-                    (5, 20, entries_for(owner, 2))
-                off = slot_offset(4, MAX_ENTRIES)
-                assert buf[off:off + slot] == bytes(slot)
-
     def test_double_buffer_isolates_epochs(self):
         w = spawn_world(2, segments=SEGS)
         g = Group(members=(0, 1))
@@ -323,13 +298,13 @@ class TestTwoPhase:
             cp.start(10, entries_for(ctx.rank, 1))
             cp.land()
             ctx.reduce_all(g, 1, "exchange")
-            return idle, cp.confirm(), cp.last_committed, cp.committed_count
+            return idle, cp.confirm(), cp.last_committed
 
         res = w.run({0: prog, 1: prog})
         slot = slot_size(MAX_ENTRIES)
         off = slot_offset(1, MAX_ENTRIES)
         for r in (0, 1):
-            assert res[r].value == (False, True, 1, 1)
+            assert res[r].value == (False, True, 1)
             buf = w.segment_bytes(r, SEG_MIRROR)
             assert as_lists(decode_snapshot(buf[off:off + slot])) == \
                 (1, 10, entries_for(mirror_source(r, g), 1))
@@ -354,12 +329,13 @@ class TestRestore:
 
         def replacement(ctx):
             ctx.recv(1)
-            cp = Checkpointer(ctx, g_new, MAX_ENTRIES,
-                              last_committed=1, committed_count=1)
-            return cp.fetch()
+            cp = Checkpointer(ctx, g_new, MAX_ENTRIES, last_committed=1)
+            return cp.fetch(), cp.last_committed
 
         res = w.run({0: original, 1: original, 2: replacement})
-        assert as_lists(res[2].value) == (10, entries_for(0, 1))
+        fetched, last = res[2].value
+        assert as_lists(fetched) == (10, entries_for(0, 1))
+        assert last == 1
 
     def test_buddy_loss_is_unrecoverable(self):
         plan = FailurePlan([FailureEvent(1, 1, FailPhase.DURING_COMPUTE)])

@@ -115,17 +115,26 @@ class TestFailureFree:
             assert out.ledger[spare][VtPhase.CKPT_START] == 0
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
-    def test_one_barrier_per_rank_and_none_per_checkpoint(self, method):
-        """Failure-free, detection costs one end-of-run barrier per rank and
-        nothing per iteration, and the next pass commits each checkpoint."""
-        out = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, force_iters=12,
-                            record_trace=True)
-        assert out.epochs_committed == 2
+    @pytest.mark.parametrize("one_kill", [False, True], ids=["failure-free", "one-kill"])
+    def test_one_barrier_per_rank_and_none_per_checkpoint(self, method, one_kill):
+        """Detection costs one end-of-run barrier per rank and nothing per
+        iteration; the next pass commits each checkpoint, and a recovery's
+        rebuild exchange commits its re-protection."""
+        if one_kill:
+            out = run_ft_kmeans(PROP_DATA, PROP_CFG, method, CheckpointPolicy(interval=2),
+                                LAYOUT, plan=kill(1, 7, FailPhase.DURING_COMPUTE),
+                                force_iters=9, record_trace=True)
+            assert out.recoveries == 1 and out.epochs_committed == 5
+        else:
+            out = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, force_iters=12,
+                                record_trace=True)
+            assert out.epochs_committed == 2
         barriers = {}
         for entry in out.trace:
             if entry[0] == "bar":
-                barriers[entry[1]] = barriers.get(entry[1], 0) + 1
-        assert barriers == {rank: 1 for rank in range(LAYOUT.active)}
+                _, _, tag = entry[2]        # (generation, "bar", tag)
+                barriers[entry[1], tag] = barriers.get((entry[1], tag), 0) + 1
+        assert barriers == {(rank, "end"): 1 for rank in out.final_group}
 
     def test_captures_recorded_per_position(self):
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT)
@@ -395,7 +404,7 @@ class TestAborts:
         monkeypatch.setattr(Checkpointer, "fetch", fetch)
         monkeypatch.setattr(runtime, "spawn_world", spawn)
         # no agreement step tells the survivors, who still wait for the
-        # spare in the re-protection commit
+        # spare in the restore's rebuild exchange
         with pytest.raises(SimDeadlock):
             run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT, plan=kill(2, 7))
         res = worlds[0]._results[4]
@@ -433,6 +442,23 @@ class TestDoubleFailure:
         assert out.converged and out.recoveries == 2
         assert out.final_group == (5, 1, 2, 3)
         assert np.array_equal(out.centroids.centers, SEQ_C.centers)
+
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_second_kill_in_the_same_checkpoint_iteration_recovers(self, method):
+        """Rank 0 dies before the capture at 6, rank 1 after it.  This pair
+        once raced the survivors' state-vector reads into a deadlock; every
+        schedule now recovers twice with the failure-free values."""
+        plan = FailurePlan((FailureEvent(0, 6, FailPhase.DURING_CHECKPOINT, 0),
+                            FailureEvent(1, 6, FailPhase.DURING_CHECKPOINT, 2)))
+        twin = _failure_free_twin(method, 4, 2)
+        for seed in range(8):
+            out = run_ft_kmeans(PROP_DATA, PROP_CFG, method, CheckpointPolicy(interval=2),
+                                WorldLayout(active=4, spares=2), plan=plan, seed=seed,
+                                force_iters=PROP_FORCE)
+            assert out.reason == "" and out.recoveries == 2, seed
+            assert [(e["failed"], e["epoch"], e["resumed_iteration"])
+                    for e in out.recovery_events] == [((0,), 2, 4), ((1,), 4, 6)]
+            assert out.centroids.centers.tobytes() == twin.centroids.centers.tobytes()
 
 
 class TestTimeout:
@@ -720,10 +746,20 @@ class TestCommitRule:
         exchange, so whenever an exchange commits an epoch, every member's
         copy of it has landed.  Swept over both methods, intervals 1 and 5,
         every active rank, the iteration of each checkpoint and the next,
-        and every failure point; the schedule seed cycles through 0-3."""
+        and every failure point; the schedule seed cycles through 0-3.  A
+        recovery's rebuild exchange commits its re-protection the same way."""
         tokens = {}        # (generation, epoch) -> {rank: its transfer token}
         confirms, unlanded = [], []
+        restoring, restore_confirms = set(), []
         real_start, real_confirm = Checkpointer.start, Checkpointer.confirm
+        real_restore = runtime._ActiveDriver._restore
+
+        def restore(driver):
+            restoring.add(driver.ctx.rank)
+            try:
+                return real_restore(driver)
+            finally:
+                restoring.discard(driver.ctx.rank)
 
         def start(cp, iteration, entries):
             epoch = real_start(cp, iteration, entries)
@@ -735,6 +771,8 @@ class TestCommitRule:
             if cp._started is not None:
                 key = (cp.group.generation, cp._started[0])
                 confirms.append(key)
+                if cp.ctx.rank in restoring:
+                    restore_confirms.append(key)
                 landed = tokens[key]
                 unlanded.extend((key, m) for m in cp.group.members if m not in landed
                                 or landed[m].state is not simcluster.TokenState.DELIVERED)
@@ -742,6 +780,7 @@ class TestCommitRule:
 
         monkeypatch.setattr(Checkpointer, "start", start)
         monkeypatch.setattr(Checkpointer, "confirm", confirm)
+        monkeypatch.setattr(runtime._ActiveDriver, "_restore", restore)
         force, runs = 6, 0
         for method in Method:
             for interval in (1, 5):
@@ -758,6 +797,7 @@ class TestCommitRule:
                             runs += 1
         assert runs == 2 * 3 * 5 * (6 + 2)
         assert len(confirms) > runs and unlanded == []
+        assert restore_confirms and all(gen >= 1 for gen, _ in restore_confirms)
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
     def test_a_kill_before_the_next_exchange_restores_the_previous_epoch(self, method):
@@ -775,6 +815,21 @@ class TestCommitRule:
             assert (ev["epoch"], ev["resumed_iteration"]) == (epoch, resumed)
         assert before.centroids.centers.tobytes() == after.centroids.centers.tobytes()
         assert np.array_equal(before.table.assign, after.table.assign)
+
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_reprotection_reuses_the_number_of_a_superseded_epoch(self, method):
+        """Epoch 3, started at 6, never commits: the recovery restores epoch
+        2 (iteration 4), and its re-protection starts epoch 3 again, which
+        the rebuild exchange commits."""
+        out = run_ft_kmeans(PROP_DATA, PROP_CFG, method, CheckpointPolicy(interval=2),
+                            LAYOUT, plan=kill(1, 6, FailPhase.DURING_CHECKPOINT, 1),
+                            force_iters=9)
+        assert out.reason == "" and out.recoveries == 1
+        assert [(e, it) for e, it, _ in out.captures[0]] == \
+            [(1, 2), (2, 4), (3, 6), (3, 4), (4, 6), (5, 8)]
+        ev = out.recovery_events[0]
+        assert (ev["epoch"], ev["resumed_iteration"]) == (2, 4)
+        assert out.epochs_committed == 5
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
     def test_rollback_reaches_but_never_exceeds_the_interval(self, method):
