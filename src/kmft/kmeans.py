@@ -6,8 +6,8 @@ accumulate coordinate by coordinate, per-cluster sums fold their samples in
 ascending index order from 0.0 (whatever the dimension d), and nearest-center
 ties resolve to the lowest center index.  Any assignment path that must agree
 bitwise with this module has to go through the same kernels
-(`pairwise_sqdist`, `assign_labels`, and `center_sums` with `center_means`
-under `group_means`).
+(`pairwise_sqdist`, `assign_labels`, and `center_sums` with
+`center_means`, which `lloyd_step` chains).
 """
 
 from __future__ import annotations
@@ -147,7 +147,19 @@ def pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 # Rank threads each have a malloc arena, and once glibc raises its mmap
 # threshold an arena keeps the freed temporaries; bounded blocks keep that to
 # a few 128 KiB chunks rather than n x k tables, which held peak RSS up.
+# Once the subtracts run unbuffered (below), 65,536-cell blocks were about as
+# fast, but they raised the benchmark's `wide-centers` peak RSS from 59 to
+# 69 MB.
 ASSIGN_BLOCK_CELLS = 16384
+
+# numpy's ufunc buffer, in elements, while `assign_labels` runs.  numpy
+# buffers a broadcast ufunc whose inner dimension is at most a quarter of the
+# buffer, and the buffered (k x rows) subtracts of `pairwise_sqdist` cost
+# three to four times the unbuffered ones.  At the default 8,192 that is
+# every block of 2,048 rows or fewer: every block this loop makes once k >= 8.
+# At 256 only blocks of 64 rows or fewer are buffered.  Nothing in the loop
+# casts, so no op needs the buffer for anything else.
+ASSIGN_UFUNC_BUFSIZE = 256
 
 
 def assign_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -155,16 +167,22 @@ def assign_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     Rows go through `pairwise_sqdist` in blocks of at most ASSIGN_BLOCK_CELLS
     distances, so no n x k temporary is ever held; each distance does not
-    depend on the row slicing, so neither do the labels.
+    depend on the row slicing, so neither do the labels.  The loop runs under
+    ASSIGN_UFUNC_BUFSIZE, which changes no result; the caller's buffer size
+    (numpy keeps one per thread) is restored on every exit.
     """
     n = len(points)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     rows = max(1, ASSIGN_BLOCK_CELLS // len(centers))
     labels = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, rows):
-        block = pairwise_sqdist(points[lo:lo + rows], centers)
-        labels[lo:lo + rows] = np.argmin(block, axis=1)
+    old = np.setbufsize(ASSIGN_UFUNC_BUFSIZE)
+    try:
+        for lo in range(0, n, rows):
+            block = pairwise_sqdist(points[lo:lo + rows], centers)
+            labels[lo:lo + rows] = np.argmin(block, axis=1)
+    finally:
+        np.setbufsize(old)
     return labels
 
 
@@ -200,20 +218,21 @@ def initial_assignment(n: int, k: int) -> AssignmentTable:
     return AssignmentTable(np.zeros(n, dtype=np.int64), True, counts)
 
 
-def center_sums(values: np.ndarray, rows: np.ndarray, labels: np.ndarray,
+def center_sums(values: np.ndarray, labels: np.ndarray,
                 centers: range) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate sums and member counts of each center in `centers`.
 
-    Row `rows[i]` of `values` is labelled `labels[i]`.  `rows` must ascend:
-    `np.bincount` adds into a zeroed accumulator in index order, so every sum
-    folds its members in ascending sample order.  Labels outside `centers`
-    are counted past its ends and dropped.
+    Row i of `values` is labelled `labels[i]`, and the rows must be in
+    ascending sample order: `np.bincount` adds into a zeroed accumulator in
+    index order, so every sum folds its members in that order.  Each
+    coordinate is read as a column view of `values`.  Labels outside
+    `centers` are counted past its ends and dropped.
     """
     span = slice(centers.start, centers.stop)
     counts = np.bincount(labels, minlength=centers.stop)[span].astype(np.int64)
     sums = np.empty((len(centers), values.shape[1]), dtype=np.float64)
     for j in range(values.shape[1]):
-        sums[:, j] = np.bincount(labels, weights=values[rows, j],
+        sums[:, j] = np.bincount(labels, weights=values[:, j],
                                  minlength=centers.stop)[span]
     return sums, counts
 
@@ -226,13 +245,6 @@ def center_means(sums: np.ndarray, counts: np.ndarray, prev: np.ndarray) -> np.n
     return out
 
 
-def group_means(values: np.ndarray, labels: np.ndarray, k: int,
-                prev: np.ndarray) -> np.ndarray:
-    """Per-cluster means; a cluster with no samples keeps its previous row."""
-    sums, counts = center_sums(values, np.arange(len(labels)), labels, range(k))
-    return center_means(sums, counts, prev)
-
-
 def lloyd_step(data: Dataset, centroids: CentroidSet,
                table: AssignmentTable) -> tuple[CentroidSet, AssignmentTable]:
     """One full pass: reassign every sample, then recompute every center."""
@@ -240,8 +252,8 @@ def lloyd_step(data: Dataset, centroids: CentroidSet,
         raise ConfigError(f"dimension mismatch: data d={data.d}, centers d={centroids.d}")
     labels = assign_labels(data.values, centroids.centers)
     changed = not np.array_equal(labels, table.assign)
-    counts = np.bincount(labels, minlength=centroids.k)
-    centers = group_means(data.values, labels, centroids.k, centroids.centers)
+    sums, counts = center_sums(data.values, labels, range(centroids.k))
+    centers = center_means(sums, counts, centroids.centers)
     return CentroidSet(centers), AssignmentTable(labels, changed, counts)
 
 

@@ -148,7 +148,8 @@ def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
     """
     if len(ids) == 0:
         return CentersPass(changed=False, kept=make_records(ids, labels), outgoing={})
-    new = assign_labels(values[ids], centers)
+    # `take` gathers whole rows, several times faster than `values[ids]`
+    new = assign_labels(values.take(ids, axis=0), centers)
     dest = np.searchsorted(block_ends, new, side="right")
     order = np.argsort(dest, kind="stable")
     records = make_records(ids[order], new[order])
@@ -164,7 +165,7 @@ def centers_recompute(values: np.ndarray, ids: np.ndarray, labels: np.ndarray,
                       centers_prev: np.ndarray, block: tuple[int, int]) -> np.ndarray:
     """New rows for the owned center block; empty centers keep their row."""
     lo, hi = block
-    sums, counts = center_sums(values, ids, labels, range(lo, hi))
+    sums, counts = center_sums(values.take(ids, axis=0), labels, range(lo, hi))
     return center_means(sums, counts, centers_prev[lo:hi])
 
 
@@ -228,7 +229,7 @@ def samples_compute(values_block: np.ndarray, centers: np.ndarray,
 def samples_partials(values_block: np.ndarray, assign: np.ndarray,
                      k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-center coordinate sums and member counts for one block."""
-    return center_sums(values_block, np.arange(len(assign)), assign, range(k))
+    return center_sums(values_block, assign, range(k))
 
 
 class SamplesPosition:

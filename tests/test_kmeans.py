@@ -23,6 +23,7 @@ from kmft.kmeans import (
     run_sequential,
     squared_distance,
 )
+from kmft.simcluster import spawn_world
 
 
 # Brute-force oracles, written independently of the library kernels on
@@ -136,6 +137,46 @@ class TestPairwiseKernel:
         assert not np.any(labels == 5)
 
 
+CALLER_BUFSIZE = 4096           # neither numpy's default nor the loop's
+
+
+@pytest.fixture
+def caller_bufsize():
+    old = np.setbufsize(CALLER_BUFSIZE)
+    yield CALLER_BUFSIZE
+    np.setbufsize(old)
+
+
+class TestUfuncBuffer:
+    """`assign_labels` shrinks numpy's ufunc buffer for its loop only."""
+
+    def test_restored_after_return(self, caller_bufsize):
+        rng = np.random.default_rng(70)
+        assign_labels(rng.normal(size=(300, 3)), rng.normal(size=(4, 3)))
+        assert np.getbufsize() == caller_bufsize
+
+    def test_restored_after_a_raise_inside_the_loop(self, caller_bufsize):
+        rng = np.random.default_rng(71)
+        with pytest.raises(IndexError):      # centers lack the points' last column
+            assign_labels(rng.normal(size=(300, 3)), rng.normal(size=(4, 2)))
+        assert np.getbufsize() == caller_bufsize
+
+    def test_restored_inside_a_rank_and_in_the_caller(self, caller_bufsize):
+        rng = np.random.default_rng(72)
+        pts, ctr = rng.normal(size=(300, 3)), rng.normal(size=(4, 3))
+
+        def prog(ctx):
+            np.setbufsize(CALLER_BUFSIZE)    # each rank thread has its own
+            labels = assign_labels(pts, ctr)
+            return np.getbufsize(), labels
+
+        res = spawn_world(1).run({0: prog})
+        assert np.getbufsize() == caller_bufsize
+        size, labels = res[0].value
+        assert size == CALLER_BUFSIZE
+        assert np.array_equal(labels, assign_labels(pts, ctr))
+
+
 class TestNearestCenter:
     def test_exact_match_wins(self):
         c = CentroidSet(np.array([[0.0, 0.0], [5.0, 5.0]]))
@@ -241,7 +282,7 @@ class TestCenterSums:
         else:
             rows, centers = np.sort(rng.choice(3000, 2000, replace=False)), range(2, 5)
         labels = rng.integers(0, k, size=len(rows))
-        sums, counts = center_sums(values, rows, labels, centers)
+        sums, counts = center_sums(values[rows], labels, centers)
         want_sums, want_counts = naive_center_sums(values, rows, labels, centers)
         assert counts.dtype == np.int64 and counts.tolist() == want_counts
         assert sums.shape == (len(centers), d)
@@ -249,9 +290,24 @@ class TestCenterSums:
 
     def test_center_without_members_sums_to_zero(self):
         values = np.arange(6.0).reshape(3, 2)
-        sums, counts = center_sums(values, np.arange(3), np.array([0, 2, 2]), range(3))
+        sums, counts = center_sums(values[np.arange(3)], np.array([0, 2, 2]), range(3))
         assert counts.tolist() == [1, 0, 2]
         assert sums.tolist() == [[0.0, 1.0], [0.0, 0.0], [6.0, 8.0]]
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_row_slice_of_a_wider_table_sums_bitwise(self, d):
+        # a samples block is a row slice of the whole table: for d > 1 its
+        # columns are strided views, read in place
+        rng = np.random.default_rng(60 + d)
+        k = 5
+        table = rng.normal(scale=3.0, size=(4000, d))
+        rows = np.arange(700, 3300)
+        block = table[700:3300]
+        labels = rng.integers(0, k, size=len(rows))
+        sums, counts = center_sums(block, labels, range(k))
+        want_sums, want_counts = naive_center_sums(table, rows, labels, range(k))
+        assert counts.tolist() == want_counts
+        assert sums.tobytes() == want_sums.tobytes()
 
 
 class TestObjective:

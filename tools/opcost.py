@@ -1,4 +1,5 @@
-"""Host cost of single simulator operations and of one baton handoff.
+"""Host cost of single simulator operations, of one baton handoff and of
+the Lloyd kernels.
 
     python3 tools/opcost.py [SRC]
 
@@ -11,6 +12,10 @@ the best and the median of ROUNDS rounds of N calls each:
   * an empty `with ctx.phase(...)` scope;
   * a baton handoff: two ranks hand the scheduler's baton back and forth
     with a bare switch, and the run's wall time is split over the handoffs.
+Then, per `assign_labels` and per `center_sums` call, the same statistics
+at each benchmark workload's per-rank shape (5,000 x 4 with k=8, 5,000 x 8
+with k=16, 250 x 4 with k=16) and at its oracle shape (20,000 x 4 with k=8,
+20,000 x 8 with k=16, 4,000 x 4 with k=16).
 Each loop's own Python overhead is included.  Run it on two checkouts back
 to back to compare them; host speed drifts, so numbers from different
 sessions do not compare.
@@ -18,15 +23,23 @@ sessions do not compare.
 
 from __future__ import annotations
 
+import inspect
 import os
 import statistics
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 N = 20_000
 ROUNDS = 7
 HANDOFFS = 5_000       # per rank and round
+KERNEL_CELLS = 2_000_000   # samples x centers per kernel round
+KERNEL_SHAPES = [      # (n, d, k): per-rank shapes, then the oracle's
+    (5_000, 4, 8), (5_000, 8, 16), (250, 4, 16),
+    (20_000, 4, 8), (20_000, 8, 16), (4_000, 4, 16),
+]
 
 
 def _pin() -> int | None:
@@ -99,10 +112,36 @@ def _handoff(kmft) -> float:
     return (time.perf_counter() - t0) / (2 * HANDOFFS)
 
 
+def _kernel_cases(kmeans, n: int, d: int, k: int) -> dict:
+    """Seconds per `assign_labels` and per `center_sums` call at one shape."""
+    rng = np.random.default_rng(n + d + k)
+    values = rng.normal(scale=4.0, size=(n, d))
+    centers = rng.normal(scale=4.0, size=(k, d))
+    labels = kmeans.assign_labels(values, centers)
+    # checkouts whose `center_sums` still gathered its rows by index take them
+    rows = ([np.arange(n)] if "rows" in inspect.signature(kmeans.center_sums).parameters
+            else [])
+    calls = max(3, KERNEL_CELLS // (n * k))
+
+    def timed(body) -> float:
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            body()
+        return (time.perf_counter() - t0) / calls
+
+    return {
+        f"assign_labels {n}x{d} k={k}": lambda: timed(
+            lambda: kmeans.assign_labels(values, centers)),
+        f"center_sums {n}x{d} k={k}": lambda: timed(
+            lambda: kmeans.center_sums(values, *rows, labels, range(k))),
+    }
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
     cpu = _pin()
+    from kmft import kmeans
     from kmft import simcluster as kmft
 
     cases = {
@@ -112,10 +151,12 @@ def main(argv: list[str]) -> int:
         "phase scope": lambda: _in_one_rank(kmft, _phase(kmft)) / N,
         "baton handoff": lambda: _handoff(kmft),
     }
+    for shape in KERNEL_SHAPES:
+        cases.update(_kernel_cases(kmeans, *shape))
     print(f"kmft from {src}, pinned to CPU {cpu}; us per op, best / median of {ROUNDS}")
     for name, case in cases.items():
         runs = [case() * 1e6 for _ in range(ROUNDS)]
-        print(f"{name:<24} {min(runs):7.2f} {statistics.median(runs):7.2f}")
+        print(f"{name:<30} {min(runs):9.2f} {statistics.median(runs):9.2f}")
     return 0
 
 
