@@ -7,8 +7,9 @@ launches the transfer; `land` waits on the transfer token, and `confirm`
 commits once a group exchange that every member entered after its `land`
 completes, proving every rank's copy is delivered somewhere else.  In the
 runtime that exchange is the next pass, a recovery's rebuild exchange (for
-the re-protection of the restored state), or the barrier of `commit` after
-a capture at the last iteration, which no exchange follows.
+the re-protection of the restored state), or the end-of-run barrier after
+a capture at the last iteration.  The checkpointer itself runs no
+collective.
 
 The checkpointer numbers its epochs: `start` opens the one after the last
 commit and returns its number, `confirm` settles it, and `fetch`/`adopt` act
@@ -39,13 +40,7 @@ from .errors import (
     UnrecoverableError,
 )
 from .parallel import RECORD_SIZE, decode_records, encode_records
-from .simcluster import (
-    BarrierStatus,
-    Group,
-    RankContext,
-    Token,
-    VtPhase,
-)
+from .simcluster import Group, RankContext, Token, VtPhase
 
 SEG_LOCAL = 0    # my own snapshots, double-buffered
 SEG_MIRROR = 1   # snapshots I hold for my right neighbor
@@ -136,7 +131,7 @@ class Checkpointer:
         """Capture local state as the next epoch; launch its mirror transfer."""
         if self._started is not None:
             raise SequenceError(
-                f"epoch {self._started[0]} is still started; commit it first")
+                f"epoch {self._started[0]} is still started; confirm it first")
         if len(entries) > self.max_entries:
             raise ConfigError(
                 f"{len(entries)} entries exceed the slot capacity {self.max_entries}")
@@ -165,18 +160,6 @@ class Checkpointer:
         self.last_committed = self._started[0]
         self._started = None
         return True
-
-    def commit(self) -> BarrierStatus:
-        """Land the started epoch and confirm it in a group barrier; after a
-        TIMEOUT it stays started until the recovery drops this checkpointer."""
-        if self._started is None:
-            raise SequenceError("commit without a start")
-        self.land()
-        with self.ctx.phase(VtPhase.CKPT_COMMIT):
-            status = self.ctx.barrier(self.group, ("ckpt-commit", self._started[0]))
-        if status is BarrierStatus.OK:
-            self.confirm()
-        return status
 
     def fetch(self) -> tuple[int, np.ndarray]:
         """Recover this position's payload for the last committed epoch.

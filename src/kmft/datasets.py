@@ -84,6 +84,6 @@ def make_blobs(n: int, d: int, blobs: int, spread: float,
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-10.0, 10.0, size=(blobs, d))
     labels = np.arange(n, dtype=np.int64) % blobs
-    values = centers[labels] + rng.normal(0.0, spread, size=(n, d))
+    values = centers.take(labels, axis=0) + rng.normal(0.0, spread, size=(n, d))
     means = np.stack([values[labels == b].mean(axis=0) for b in range(blobs)])
     return Dataset(values), means

@@ -275,7 +275,7 @@ def run_sequential(data: Dataset, cfg: KmeansConfig) -> tuple[CentroidSet, Assig
 
 def objective(data: Dataset, centroids: CentroidSet, table: AssignmentTable) -> float:
     """Sum of squared distances to assigned centers, ascending sample order."""
-    mu = centroids.centers[table.assign]
+    mu = centroids.centers.take(table.assign, axis=0)
     d2 = np.zeros(data.n, dtype=np.float64)
     for j in range(data.d):
         diff = data.values[:, j] - mu[:, j]

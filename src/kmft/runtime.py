@@ -5,10 +5,9 @@ decomposition; ranks beyond the active set park as spares and wait for a
 wake or a shutdown.  A failure is detected where the algorithm already
 communicates: the operation that misses a dead member (the centers pass's
 receive, the samples pass's reduce, the means step's broadcast or reduces,
-the commit barrier of a capture no pass follows, or the one barrier each
-group generation runs when the loop ends) has already waited the world's
-timeout, so the survivor only reads the state vector, which names the
-corrupt ranks.
+or the one barrier each group generation runs when the loop ends) has
+already waited the world's timeout, so the survivor only reads the state
+vector, which names the corrupt ranks.
 Every survivor then derives the identical recovery plan, a `_Recovery`,
 with no further coordination; the coordinator sends it to the promoted
 spares as their wake, and all apply it alike: promote spares into the
@@ -30,8 +29,9 @@ same branch.
 The next pass commits a checkpoint: each rank waits for its own mirror
 transfer between the pass's compute and its exchange, so the transfer
 overlaps the compute, and a completed exchange proves every copy landed (a
-kill before it restores the epoch before).  Only a capture at the last
-iteration, which no exchange follows, commits in a barrier.
+kill before it restores the epoch before).  A capture at the last
+iteration, which no pass follows, lands before the end-of-run barrier,
+and that barrier commits it.
 
 Each rank holds one `parallel` position state, the same one the lockstep
 driver steps; this module adds only the messages and collectives between
@@ -41,8 +41,8 @@ they agree, and a spare that was never woken returns None.
 
 One join (position, checkpointer, restore with its re-protection; after a
 recovery also the recovery event) serves the fresh start, survivors and
-woken spares, and one detect-and-recover step serves a pass that failed
-mid-communication, a timed-out commit and a timed-out end-of-run barrier.
+woken spares, and one detect-and-recover step serves every collective or
+receive that failed, in an iteration or in the end-of-run barrier.
 
 A run is given up one way: a step that cannot continue raises
 UnrecoverableError, and `_ActiveDriver.run` alone catches it, ending the run
@@ -100,7 +100,6 @@ from .parallel import (
 )
 from .simcluster import (
     DEFAULT_TIMEOUT,
-    BarrierStatus,
     ClusterHandle,
     FailPhase,
     FailureEvent,
@@ -354,60 +353,52 @@ class _ActiveDriver:
                 self._join(self.group, last_committed=None)
             else:
                 self._rejoin(wake)
-            while not self._ended():
-                t = self.it + 1
-                self.ctx.failure_point(t, FailPhase.DURING_COMPUTE)
+            while True:
                 try:
-                    changed = self._pass(self.ctx, self.group, self.state, self.centers,
-                                         t, self.cp.land)
-                    if self.cp.confirm():
-                        self.ctx.failure_point(self.it, FailPhase.DURING_CHECKPOINT, 2)
-                    if needs_recompute(changed, t):
-                        self.centers = self._means(self.ctx, self.group, self.state,
-                                                   self.centers, t)
+                    if self.it >= self.cap:
+                        self._end()
+                        break
+                    self._iterate(self.it + 1)
                 except (Timeout, PeerDead):
-                    self._recover_after_fault(
-                        "communication fault without a detectable failure")
-                    continue
-                self.it = t
-                if not changed:
-                    self.converged = True
-                    if self.force_iters is None:
-                        self.cap = t
-                        continue
-                self.ctx.failure_point(t, FailPhase.BEFORE_BARRIER)
-                self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 0)
-                if t % self.policy.interval == 0:
-                    self._checkpoint_step(t)
+                    self._recover_after_fault()
         except UnrecoverableError as exc:
             self.reason = str(exc)
             self.converged = False
         self._shutdown_parked()
         return self
 
-    def _ended(self) -> bool:
-        """Once the last iteration is done, run the group's one end-of-run
-        barrier: True when it finds every member.  A member that died after
-        its last collective is recovered from here, and the loop goes on
-        from the restored iteration."""
-        while self.it >= self.cap:
-            with self.ctx.phase(VtPhase.DETECT):
-                if self.ctx.barrier(self.group, "end") is BarrierStatus.OK:
-                    return True
-            self._recover_after_fault("end-of-run timeout without a detectable failure")
-        return False
+    def _iterate(self, t: int) -> None:
+        """Iteration `t`: its pass, which commits a pending capture, its means
+        step, and the capture when `t` checkpoints."""
+        self.ctx.failure_point(t, FailPhase.DURING_COMPUTE)
+        changed = self._pass(self.ctx, self.group, self.state, self.centers, t,
+                             self.cp.land)
+        if self.cp.confirm():
+            self.ctx.failure_point(self.it, FailPhase.DURING_CHECKPOINT, 2)
+        if needs_recompute(changed, t):
+            self.centers = self._means(self.ctx, self.group, self.state,
+                                       self.centers, t)
+        self.it = t
+        if not changed:
+            self.converged = True
+            if self.force_iters is None:
+                self.cap = t
+                return
+        self.ctx.failure_point(t, FailPhase.BEFORE_BARRIER)
+        self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 0)
+        if t % self.policy.interval == 0:
+            self._capture(t)
+            self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
+
+    def _end(self) -> None:
+        """The group's one end-of-run barrier, which also commits a capture at
+        the last iteration: no failure point follows it."""
+        self.cp.land()
+        with self.ctx.phase(VtPhase.DETECT):
+            self.ctx.barrier(self.group, "end")
+        self.cp.confirm()
 
     # -- checkpointing ---------------------------------------------------
-
-    def _checkpoint_step(self, t: int) -> None:
-        self._capture(t)
-        self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 1)
-        if t < self.cap:
-            return    # pass t + 1 commits it, then reaches substep 2
-        status = self.cp.commit()
-        self.ctx.failure_point(t, FailPhase.DURING_CHECKPOINT, 2)
-        if status is BarrierStatus.TIMEOUT:
-            self._recover_after_fault("commit timeout without a detectable failure")
 
     def _capture(self, iteration: int) -> None:
         entries = self.state.entries()
@@ -416,11 +407,12 @@ class _ActiveDriver:
 
     # -- failure handling ------------------------------------------------
 
-    def _recover_after_fault(self, reason: str) -> None:
-        """A collective timed out: recover from the dead, or give up with `reason`."""
+    def _recover_after_fault(self) -> None:
+        """A collective timed out or met a dead peer: recover from the dead,
+        or give up when the state vector names none."""
         failed = detect_failures(self.ctx, self.group)
         if not failed:
-            raise UnrecoverableError(reason)
+            raise UnrecoverableError("communication fault without a detectable failure")
         self._recover(failed)
 
     def _recover(self, failed: tuple[int, ...]) -> None:

@@ -54,7 +54,7 @@ that order, costs.  The world's `timeout` is its one patience: when a
 corrupt rank owes a deposit, every surviving caller's clock moves to the
 instant it began waiting for that rank (its arrival, or in a broadcast the
 end of the turn before the dead root's, if later) plus the timeout and it
-gets Timeout (a barrier returns TIMEOUT); nobody is left blocked.  `recv_any`
+gets Timeout, a barrier included; nobody is left blocked.  `recv_any`
 raises Timeout once every other rank is corrupt, finished or itself waiting
 in `recv_any`, since a rank waiting there cannot send.
 
@@ -118,11 +118,6 @@ class VtPhase(enum.Enum):
 
 
 _PHASES = tuple(VtPhase)     # a ledger's list holds one count per phase, in this order
-
-
-class BarrierStatus(enum.Enum):
-    OK = "ok"
-    TIMEOUT = "timeout"
 
 
 class TokenState(enum.Enum):
@@ -653,18 +648,12 @@ class RankContext:
             raise Timeout(f"{key[1]} {key[-1]}: a member died before its deposit")
         return coll
 
-    def barrier(self, group: Group, tag: object) -> BarrierStatus:
+    def barrier(self, group: Group, tag: object) -> None:
         key = (group.generation, "bar", tag)
-        try:
-            coll = self._rendezvous(group, key, None)
-        except Timeout:
-            if self._world.record_trace:
-                self._world._trace_event("bar-timeout", self.rank, key)
-            return BarrierStatus.TIMEOUT
+        coll = self._rendezvous(group, key, None)
         self._sync_to(max(coll.deposits.values()) + COSTS.barrier)
         if self._world.record_trace:
             self._world._trace_event("bar-ok", self.rank, key)
-        return BarrierStatus.OK
 
     def reduce_all(self, group: Group, value: object, tag: object) -> object:
         """The sum of every member's `value`, added in group position order.

@@ -23,6 +23,7 @@ import pytest
 from kmft.bench import CSV_HEADER, RunConfig, run_experiment
 from kmft.checkpoint import CheckpointPolicy, mirror_source, mirror_target
 from kmft.datasets import make_blobs
+from kmft.errors import Timeout
 from kmft.kmeans import (AssignmentTable, CentroidSet, Dataset, KmeansConfig,
                          init_centroids, initial_assignment, lloyd_step,
                          objective, run_sequential)
@@ -223,7 +224,8 @@ def test_criterion_5_detection_agreement(kill_matrix):
         group = Group((0, 1, 2))
 
         def survivor(ctx):
-            ctx.barrier(group, "det")
+            with pytest.raises(Timeout):
+                ctx.barrier(group, "det")
             detected = detect_failures(ctx, group)
             with ctx.phase(VtPhase.DETECT):
                 vector = ctx.state_vector()

@@ -19,9 +19,14 @@ from kmft.checkpoint import (
     slot_offset,
     slot_size,
 )
-from kmft.errors import ConfigError, PolicyError, SequenceError, UnrecoverableError
+from kmft.errors import (
+    ConfigError,
+    PolicyError,
+    SequenceError,
+    Timeout,
+    UnrecoverableError,
+)
 from kmft.simcluster import (
-    BarrierStatus,
     FailPhase,
     FailureEvent,
     FailurePlan,
@@ -135,6 +140,14 @@ def entries_for(rank, epoch):
     return [[10 * rank + i, epoch] for i in range(3)]
 
 
+def commit(cp):
+    """Land the started epoch, meet the group in a barrier, then confirm:
+    the end-of-run commit of a capture no pass follows."""
+    cp.land()
+    cp.ctx.barrier(cp.group, ("commit", (cp.last_committed or 0) + 1))
+    return cp.confirm()
+
+
 class TestTwoPhase:
     def test_start_is_asynchronous_until_time_passes(self):
         """The mirror region lags the start and catches up with time."""
@@ -181,14 +194,13 @@ class TestTwoPhase:
         res = w.run({0: prog, 1: idle})
         assert res[0].value == "rejected"
 
-    def test_commit_without_start_rejected(self):
+    def test_confirm_without_start_commits_nothing(self):
         w = spawn_world(2, segments=SEGS)
         g = Group(members=(0, 1))
 
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            with pytest.raises(SequenceError):
-                cp.commit()
+            assert cp.confirm() is False and cp.last_committed is None
             with pytest.raises(SequenceError):
                 cp.fetch()      # nor is there a committed epoch to fetch
             return "ok"
@@ -221,15 +233,15 @@ class TestTwoPhase:
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
             epoch = cp.start(10, entries_for(ctx.rank, 1))
-            status = cp.commit()
+            committed = commit(cp)
             fetched = cp.fetch()
-            return epoch, status, cp.last_committed, fetched
+            return epoch, committed, cp.last_committed, fetched
 
         res = w.run({r: prog for r in range(4)})
         for r in range(4):
-            epoch, status, last, fetched = res[r].value
+            epoch, committed, last, fetched = res[r].value
             assert epoch == 1
-            assert status is BarrierStatus.OK
+            assert committed is True
             assert last == 1
             assert as_lists(fetched) == (10, entries_for(r, 1))
         # each rank's mirror region holds its ring source's payload
@@ -249,20 +261,20 @@ class TestTwoPhase:
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
             cp.start(10, entries_for(ctx.rank, 1))
-            first = cp.commit()
+            first = commit(cp)
             epoch = cp.start(20, entries_for(ctx.rank, 2))
             ctx.failure_point(2, FailPhase.DURING_CHECKPOINT, 1)
-            second = cp.commit()
+            with pytest.raises(Timeout):
+                commit(cp)
             fetched = cp.fetch()
-            return epoch, first, second, cp.last_committed, fetched
+            return epoch, first, cp.last_committed, fetched
 
         res = w.run({r: prog for r in range(4)})
         assert res[2].status == "killed"
         for r in (0, 1, 3):
-            epoch, first, second, last, fetched = res[r].value
+            epoch, first, last, fetched = res[r].value
             assert epoch == 2
-            assert first is BarrierStatus.OK
-            assert second is BarrierStatus.TIMEOUT
+            assert first is True
             assert last == 1
             assert as_lists(fetched) == (10, entries_for(r, 1))
 
@@ -273,17 +285,14 @@ class TestTwoPhase:
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
             cp.start(10, entries_for(ctx.rank, 1))
-            cp.commit()
+            commit(cp)
             cp.start(20, entries_for(ctx.rank, 2))   # in flight, uncommitted
-            sync = ctx.barrier(g, "inflight")
-            fetched = cp.fetch()
-            return sync, fetched
+            ctx.barrier(g, "inflight")
+            return cp.fetch()
 
         res = w.run({0: prog, 1: prog})
         for r in (0, 1):
-            sync, fetched = res[r].value
-            assert sync is BarrierStatus.OK
-            assert as_lists(fetched) == (10, entries_for(r, 1))
+            assert as_lists(res[r].value) == (10, entries_for(r, 1))
 
     def test_an_exchange_after_land_commits_without_a_barrier(self):
         """`land` waits for this rank's own transfer; once an exchange that
@@ -322,7 +331,7 @@ class TestRestore:
         def original(ctx):
             cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
             cp.start(10, entries_for(ctx.rank, 1))
-            cp.commit()
+            commit(cp)
             if ctx.rank == 1:
                 ctx.send(2, "committed")
             return "done"
@@ -346,13 +355,13 @@ class TestRestore:
         def rank0(ctx):
             cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
             cp.start(10, entries_for(0, 1))
-            cp.commit()
+            commit(cp)
             return "done"
 
         def rank1(ctx):
             cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
             cp.start(10, entries_for(1, 1))
-            cp.commit()
+            commit(cp)
             ctx.send(2, "committed")
             ctx.failure_point(1, FailPhase.DURING_COMPUTE)
 
@@ -378,7 +387,7 @@ class TestRestore:
         def original(ctx):
             cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
             cp.start(10, entries_for(ctx.rank, 1))
-            cp.commit()
+            commit(cp)
             if ctx.rank == 1:
                 ctx.send(2, "committed")
             return "done"
@@ -402,7 +411,7 @@ class TestRestore:
         def prog(ctx):
             cp = Checkpointer(ctx, g, MAX_ENTRIES)
             cp.start(10, entries_for(ctx.rank, 1))
-            cp.commit()
+            commit(cp)
             before = ctx.vt
             cp.fetch()
             return ctx.vt - before

@@ -3,6 +3,9 @@
 import ast
 from pathlib import Path
 
+from kmft.runtime import KILL_POINTS
+from kmft.simcluster import FailPhase
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -70,3 +73,29 @@ def test_no_unreferenced_private_names():
               for path, tree in trees.items()
               for name, line in _private_defs(tree) if name not in read]
     assert unread == []
+
+
+def _failure_points(tree: ast.Module) -> list[tuple[FailPhase, int]]:
+    """(phase, substep) of every `ctx.failure_point(iteration, FailPhase.X
+    [, substep])` call, substep given by position or by name."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "failure_point"):
+            continue
+        phase = node.args[1]
+        assert isinstance(phase, ast.Attribute) and isinstance(phase.value, ast.Name) \
+            and phase.value.id == "FailPhase", ast.unparse(node)
+        substep = node.args[2:] + [kw.value for kw in node.keywords if kw.arg == "substep"]
+        found.append((FailPhase[phase.attr],
+                      ast.literal_eval(substep[0]) if substep else 0))
+    return found
+
+
+def test_kill_points_name_every_failure_point_of_the_rank_program():
+    """`runtime.KILL_POINTS`, kept by hand, is exactly the set of failure
+    points that `runtime.py` calls."""
+    path = ROOT / "src/kmft/runtime.py"
+    calls = _failure_points(ast.parse(path.read_text(), filename=str(path)))
+    assert len(set(KILL_POINTS)) == len(KILL_POINTS)
+    assert set(calls) == set(KILL_POINTS)

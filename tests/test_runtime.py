@@ -115,18 +115,20 @@ class TestFailureFree:
             assert out.ledger[spare][VtPhase.CKPT_START] == 0
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
-    @pytest.mark.parametrize("one_kill", [False, True], ids=["failure-free", "one-kill"])
-    def test_one_barrier_per_rank_and_none_per_checkpoint(self, method, one_kill):
+    @pytest.mark.parametrize("case", ["failure-free", "one-kill", "last-checkpoints"])
+    def test_one_barrier_per_rank_and_none_per_checkpoint(self, method, case):
         """Detection costs one end-of-run barrier per rank and nothing per
-        iteration; the next pass commits each checkpoint, and a recovery's
-        rebuild exchange commits its re-protection."""
-        if one_kill:
+        iteration; the next pass commits each checkpoint, a recovery's
+        rebuild exchange commits its re-protection, and the end-of-run
+        barrier commits a capture at the last iteration."""
+        if case == "one-kill":
             out = run_ft_kmeans(PROP_DATA, PROP_CFG, method, CheckpointPolicy(interval=2),
                                 LAYOUT, plan=kill(1, 7, FailPhase.DURING_COMPUTE),
                                 force_iters=9, record_trace=True)
             assert out.recoveries == 1 and out.epochs_committed == 5
         else:
-            out = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, force_iters=12,
+            force = 12 if case == "failure-free" else 10
+            out = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, force_iters=force,
                                 record_trace=True)
             assert out.epochs_committed == 2
         barriers = {}
@@ -150,7 +152,7 @@ class TestForcedIterations:
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
     def test_committed_epochs_exact(self, method):
         """The centers pass's messages and the samples pass's reduce commit
-        every epoch but the last; the last iteration's commit barrier does."""
+        every epoch but the last; the end-of-run barrier commits that one."""
         out = run_ft_kmeans(DATA, KmeansConfig(k=6, max_iters=100),
                             method, CheckpointPolicy(interval=10),
                             LAYOUT, force_iters=60)
@@ -226,19 +228,22 @@ class TestSingleFailure:
             assert 0 <= span <= POLICY.interval
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
-    @pytest.mark.parametrize("phase, substep, last", [
-        (FailPhase.BEFORE_BARRIER, 0, 22),
-        (FailPhase.DURING_CHECKPOINT, 0, 22),
-        (FailPhase.DURING_CHECKPOINT, 2, 25),     # the last iteration checkpoints
+    @pytest.mark.parametrize("phase, substep, last, fires", [
+        (FailPhase.BEFORE_BARRIER, 0, 22, True),
+        (FailPhase.DURING_CHECKPOINT, 0, 22, True),
+        (FailPhase.DURING_CHECKPOINT, 2, 25, False),     # the last iteration checkpoints
     ], ids=["barrier", "ckpt-0", "ckpt-2"])
-    def test_kill_after_the_last_pass_recovers(self, method, phase, substep, last):
-        """No pass or commit is left to miss the victim: the end-of-run
-        barrier does, and the run replays to the same values."""
+    def test_kill_after_the_last_pass_recovers(self, method, phase, substep, last, fires):
+        """No pass is left to miss the victim: the end-of-run barrier does,
+        and the run replays to the same values.  That barrier also commits a
+        capture at the last iteration and nothing follows it, so checkpoint
+        substep 2 of that iteration is never reached."""
         twin = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, force_iters=last)
+        event = FailureEvent(1, last, phase, substep)
         out = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, force_iters=last,
-                            plan=kill(1, last, phase, substep))
-        assert out.converged and out.recoveries == 1 and out.reason == ""
-        assert out.iterations == last and out.unfired == ()
+                            plan=FailurePlan((event,)))
+        assert out.converged and out.recoveries == int(fires) and out.reason == ""
+        assert out.iterations == last and out.unfired == (() if fires else (event,))
         assert out.centroids.centers.tobytes() == twin.centroids.centers.tobytes()
         assert np.array_equal(out.table.assign, twin.table.assign)
 
@@ -356,25 +361,22 @@ class TestAborts:
         assert out.vt_total[0] > 0 and out.vt_total[1] > 0
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
-    @pytest.mark.parametrize("phase, substep, it, reason", [
-        (FailPhase.DURING_COMPUTE, 0, 3,
-         "communication fault without a detectable failure"),
-        (FailPhase.DURING_CHECKPOINT, 1, 4,     # the next pass misses it
-         "communication fault without a detectable failure"),
+    @pytest.mark.parametrize("phase, substep, it", [
+        (FailPhase.DURING_COMPUTE, 0, 3),
+        (FailPhase.DURING_CHECKPOINT, 1, 4),     # the next pass misses it
         # the next pass commits the epoch, then the means step misses it
-        (FailPhase.DURING_CHECKPOINT, 2, 4,
-         "communication fault without a detectable failure"),
-        # only the last iteration's capture commits in a barrier
-        (FailPhase.DURING_CHECKPOINT, 1, 6,
-         "commit timeout without a detectable failure"),
+        (FailPhase.DURING_CHECKPOINT, 2, 4),
+        # the end-of-run barrier, which commits the last iteration's
+        # capture, misses it
+        (FailPhase.DURING_CHECKPOINT, 1, 6),
         # only the end-of-run barrier can miss a kill after the last pass of
         # a run forced to an iteration that does not checkpoint
-        (FailPhase.DURING_CHECKPOINT, 0, 7,
-         "end-of-run timeout without a detectable failure"),
+        (FailPhase.DURING_CHECKPOINT, 0, 7),
     ])
     def test_a_fault_nobody_detects_ends_unconverged(self, monkeypatch, method,
-                                                     phase, substep, it, reason):
-        """The one abort path: a reason always means converged=False."""
+                                                     phase, substep, it):
+        """The one abort path, with one reason wherever the fault is met: a
+        reason always means converged=False."""
         monkeypatch.setattr(runtime, "detect_failures", lambda *args: ())
         data, _ = make_blobs(n=120, d=2, blobs=3, spread=0.3, seed=1)
         out = run_ft_kmeans(data, KmeansConfig(k=3, max_iters=50), method,
@@ -382,7 +384,7 @@ class TestAborts:
                             WorldLayout(active=3, spares=1),
                             plan=kill(1, it, phase, substep), force_iters=max(it, 6))
         assert not out.converged
-        assert out.reason == reason
+        assert out.reason == "communication fault without a detectable failure"
         assert out.centroids is None and out.table is None
 
     def test_spare_whose_restore_fails_ends_with_the_reason(self, monkeypatch):
@@ -474,9 +476,10 @@ class TestTimeout:
                 # pass 6 commits epoch 1, then the means step misses it
                 (samples, kill(1, 5, FailPhase.DURING_CHECKPOINT, 2), VtPhase.COMM, None),
                 (centers, kill(1, 5, FailPhase.DURING_CHECKPOINT, 2), VtPhase.COMM, None),
-                # the last iteration's capture commits in a barrier
+                # the end-of-run barrier, which commits the last capture,
+                # misses it
                 (samples, kill(1, 10, FailPhase.DURING_CHECKPOINT, 1),
-                 VtPhase.CKPT_COMMIT, 10)):
+                 VtPhase.DETECT, 10)):
             waited, total = {}, {}
             for timeout in (50, 5000):
                 out = run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT,
@@ -720,6 +723,9 @@ class TestAnySingleKill:
     @given(case=single_kills())
     @example(case=(Method.SAMPLES, (4, 2), 3, 0, 2, PROP_FORCE,
                    (FailPhase.DURING_CHECKPOINT, 0)))
+    # the end-of-run barrier commits the capture at PROP_FORCE: no substep 2
+    @example(case=(Method.CENTERS, (3, 1), 2, 0, 1, PROP_FORCE,
+                   (FailPhase.DURING_CHECKPOINT, 2)))
     def test_ends_with_the_failure_free_values(self, case):
         """One kill at any failure point, the last iteration included, ends
         with the failure-free values, bitwise for both methods."""
@@ -730,8 +736,11 @@ class TestAnySingleKill:
                             plan=kill(rank, it, phase, substep), seed=seed,
                             force_iters=PROP_FORCE)
         twin = _failure_free_twin(method, active, spares)
-        # checkpoint substeps 1 and 2 exist only in iterations that checkpoint
-        reached = substep == 0 or it % interval == 0
+        # checkpoint substeps 1 and 2 exist only in iterations that checkpoint,
+        # and substep 2 follows a commit, which the last iteration's capture
+        # gets only from the end-of-run barrier, the last step of a run
+        reached = (substep == 0 or it % interval == 0) and \
+            not (substep == 2 and it == PROP_FORCE)
         assert out.reason == "" and out.iterations == PROP_FORCE
         assert out.converged == twin.converged
         assert out.recoveries == int(reached)

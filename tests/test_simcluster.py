@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from kmft import simcluster
 from kmft.errors import ConfigError, PeerDead, SegmentError, SimDeadlock, Timeout
 from kmft.simcluster import (
-    BarrierStatus,
     CostModel,
     FailPhase,
     FailureEvent,
@@ -660,15 +659,13 @@ class TestBarrier:
         def prog(r):
             def run(ctx):
                 ctx.charge(10 * r)
-                status = ctx.barrier(g, "only")
-                return status, ctx.vt
+                assert ctx.barrier(g, "only") is None
+                return ctx.vt
             return run
 
         res = w.run({r: prog(r) for r in range(4)})
         for r in range(4):
-            status, vt = res[r].value
-            assert status is BarrierStatus.OK
-            assert vt == 30 + 20
+            assert res[r].value == 30 + 20
 
     def test_timeout_when_member_dies_before_arriving(self):
         plan = FailurePlan([FailureEvent(3, 1, FailPhase.BEFORE_BARRIER)])
@@ -679,16 +676,15 @@ class TestBarrier:
             def run(ctx):
                 ctx.charge(10 * r)
                 ctx.failure_point(1, FailPhase.BEFORE_BARRIER)
-                status = ctx.barrier(g, "det-1")
-                return status, ctx.vt
+                with pytest.raises(Timeout):
+                    ctx.barrier(g, "det-1")
+                return ctx.vt
             return run
 
         res = w.run({r: prog(r) for r in range(4)})
         assert res[3].status == "killed"
         for r in range(3):
-            status, vt = res[r].value
-            assert status is BarrierStatus.TIMEOUT
-            assert vt == 10 * r + 100  # own arrival plus timeout budget
+            assert res[r].value == 10 * r + 100  # own arrival plus timeout budget
 
     def test_fresh_group_after_failure_reaches_ok(self):
         plan = FailurePlan([FailureEvent(2, 1, FailPhase.BEFORE_BARRIER)])
@@ -699,14 +695,15 @@ class TestBarrier:
         def prog(r):
             def run(ctx):
                 ctx.failure_point(1, FailPhase.BEFORE_BARRIER)
-                first = ctx.barrier(g0, "a")
-                second = ctx.barrier(g1, "a")  # same tag, new generation
-                return first, second
+                with pytest.raises(Timeout):
+                    ctx.barrier(g0, "a")
+                ctx.barrier(g1, "a")  # same tag, new generation
+                return "ok"
             return run
 
         res = w.run({r: prog(r) for r in range(3)})
         for r in (0, 1):
-            assert res[r].value == (BarrierStatus.TIMEOUT, BarrierStatus.OK)
+            assert res[r].value == "ok"
 
     def test_tag_reuse_with_different_shape_rejected(self):
         """Joining an existing slot with a different shape is a caller bug."""
@@ -1178,13 +1175,14 @@ class TestDeterminism:
             if ctx.rank == 2:
                 ctx.failure_point(1, FailPhase.DURING_COMPUTE)
             peer = 1 - ctx.rank
-            assert ctx.barrier(full_group(3), "all") is BarrierStatus.TIMEOUT
+            with pytest.raises(Timeout):
+                ctx.barrier(full_group(3), "all")
             assert ctx.wait(ctx.write_remote(2, 0, 0, b"lost")) is TokenState.FAILED
             ctx.send(peer, b"x")
             ctx.recv(peer)
             assert ctx.wait(ctx.write_remote(peer, 0, 0, b"abcd")) is TokenState.DELIVERED
             ctx.read_remote(peer, 0, 0, 4)
-            assert ctx.barrier(pair, "pair") is BarrierStatus.OK
+            ctx.barrier(pair, "pair")
             ctx.reduce_all(pair, 1, "r")
             ctx.broadcast(pair, (0,), b"y", "c")
             ctx.state_vector()
@@ -1196,7 +1194,7 @@ class TestDeterminism:
     def test_trace_covers_every_event_kind(self):
         w, _ = self._every_event_kind(record=True)
         assert {entry[0] for entry in w.trace} == {
-            "kill", "bar", "bar-timeout", "rdma", "token", "send", "recv", "deliver",
+            "kill", "bar", "rdma", "token", "send", "recv", "deliver",
             "read", "bar-ok", "red", "bcast", "sv"}
 
     def test_untraced_run_never_builds_a_trace_event(self, monkeypatch):
