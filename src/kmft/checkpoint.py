@@ -20,9 +20,13 @@ Snapshot regions are double-buffered by epoch parity.  A crash while epoch e
 is in flight can therefore never touch the bytes of epoch e-1, which stays
 the valid recovery point.
 
-Payload layout (little-endian): epoch u64, iteration u64, count u64, then
-count pairs of (sample id u64, center u64).  Entries travel as the `(m, 2)`
-record arrays of `parallel`.
+A snapshot is algorithm-based: it holds the k x d centers that the pass of
+its iteration read, not the labels that pass derived from them.  Labels are
+a pure function of those centers, so the runtime relabels from them on
+restore.  Every slot has the same size whatever the number of samples.
+
+Payload layout (little-endian): epoch u64, iteration u64, then the k x d
+centers as row-major float64 values.
 """
 
 from __future__ import annotations
@@ -39,13 +43,13 @@ from .errors import (
     SequenceError,
     UnrecoverableError,
 )
-from .parallel import RECORD_SIZE, decode_records, encode_records
 from .simcluster import Group, RankContext, Token, VtPhase
 
 SEG_LOCAL = 0    # my own snapshots, double-buffered
 SEG_MIRROR = 1   # snapshots I hold for my right neighbor
 
-HEADER = struct.Struct("<QQQ")
+HEADER = struct.Struct("<QQ")
+_F8 = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -73,37 +77,38 @@ def mirror_source(rank: int, group: Group) -> int:
     return group.members[(pos + 1) % group.size]
 
 
-def slot_size(max_entries: int) -> int:
-    if max_entries < 0:
-        raise ConfigError(f"max_entries must be >= 0, got {max_entries}")
-    return HEADER.size + max_entries * RECORD_SIZE
+def slot_size(k: int, d: int) -> int:
+    """Bytes of one slot: the header and k x d float64 centers."""
+    if k < 0 or d < 0:
+        raise ConfigError(f"center shape must be non-negative, got ({k}, {d})")
+    return HEADER.size + k * d * _F8.itemsize
 
 
-def segment_spec(max_entries: int) -> dict[int, int]:
-    """Segment sizes to preallocate at spawn for this payload capacity."""
-    size = 2 * slot_size(max_entries)
+def segment_spec(k: int, d: int) -> dict[int, int]:
+    """Segment sizes to preallocate at spawn for k x d centers."""
+    size = 2 * slot_size(k, d)
     return {SEG_LOCAL: size, SEG_MIRROR: size}
 
 
-def slot_offset(epoch: int, max_entries: int) -> int:
-    return slot_size(max_entries) * (epoch % 2)
+def slot_offset(epoch: int, k: int, d: int) -> int:
+    return slot_size(k, d) * (epoch % 2)
 
 
-def encode_snapshot(epoch: int, iteration: int, entries: np.ndarray) -> bytes:
+def encode_snapshot(epoch: int, iteration: int, centers: np.ndarray) -> bytes:
     if epoch < 1:
         raise ConfigError(f"epoch must be >= 1, got {epoch}")
-    return HEADER.pack(epoch, iteration, len(entries)) + encode_records(entries)
+    return HEADER.pack(epoch, iteration) + np.asarray(centers, dtype=_F8).tobytes()
 
 
-def decode_snapshot(buf: bytes) -> tuple[int, int, np.ndarray]:
-    if len(buf) < HEADER.size:
-        raise ConfigError(f"snapshot buffer too short: {len(buf)} bytes")
-    epoch, iteration, count = HEADER.unpack_from(buf, 0)
-    need = HEADER.size + count * RECORD_SIZE
+def decode_snapshot(buf: bytes, k: int, d: int) -> tuple[int, int, np.ndarray]:
+    """(epoch, iteration, read-only k x d centers) from a slot's bytes."""
+    need = slot_size(k, d)
     if len(buf) < need:
-        raise ConfigError(f"snapshot claims {count} entries, buffer has {len(buf)} bytes")
-    entries = decode_records(buf[HEADER.size:need])
-    return epoch, iteration, entries
+        raise ConfigError(f"snapshot of {k}x{d} centers needs {need} bytes, "
+                          f"buffer has {len(buf)}")
+    epoch, iteration = HEADER.unpack_from(buf, 0)
+    centers = np.frombuffer(buf, dtype=_F8, count=k * d, offset=HEADER.size)
+    return epoch, iteration, centers.reshape(k, d)
 
 
 class Checkpointer:
@@ -113,31 +118,33 @@ class Checkpointer:
     carries `last_committed` across incarnations.
     """
 
-    def __init__(self, ctx: RankContext, group: Group, max_entries: int,
+    def __init__(self, ctx: RankContext, group: Group, k: int, d: int,
                  last_committed: int | None = None):
         group.position(ctx.rank)
         self.ctx = ctx
         self.group = group
-        self.max_entries = max_entries
+        self.shape = (k, d)
         self.target = mirror_target(ctx.rank, group)
         self.last_committed = last_committed
         self._started: tuple[int, Token] | None = None
 
     @property
     def slot_bytes(self) -> int:
-        return slot_size(self.max_entries)
+        return slot_size(*self.shape)
 
-    def start(self, iteration: int, entries: np.ndarray) -> int:
-        """Capture local state as the next epoch; launch its mirror transfer."""
+    def start(self, iteration: int, centers: np.ndarray) -> int:
+        """Capture the centers iteration's pass read as the next epoch; launch
+        its mirror transfer."""
         if self._started is not None:
             raise SequenceError(
                 f"epoch {self._started[0]} is still started; confirm it first")
-        if len(entries) > self.max_entries:
+        if np.shape(centers) != self.shape:
             raise ConfigError(
-                f"{len(entries)} entries exceed the slot capacity {self.max_entries}")
+                f"centers of shape {np.shape(centers)} do not fit the "
+                f"{self.shape} slot")
         epoch = (self.last_committed or 0) + 1
-        payload = encode_snapshot(epoch, iteration, entries)
-        off = slot_offset(epoch, self.max_entries)
+        payload = encode_snapshot(epoch, iteration, centers)
+        off = slot_offset(epoch, *self.shape)
         with self.ctx.phase(VtPhase.CKPT_START):
             self.ctx.charge(self.ctx.costs.payload_ticks(len(payload)))  # local copy
             self.ctx.write_local(SEG_LOCAL, off, payload)
@@ -162,7 +169,7 @@ class Checkpointer:
         return True
 
     def fetch(self) -> tuple[int, np.ndarray]:
-        """Recover this position's payload for the last committed epoch.
+        """Recover (iteration, centers) for the last committed epoch.
 
         Reads the local slot first; a survivor always satisfies that.  A
         replacement rank holds nothing locally and falls back to the copy its
@@ -172,7 +179,7 @@ class Checkpointer:
         epoch = self.last_committed
         if epoch is None:
             raise SequenceError("no epoch is committed yet")
-        off = slot_offset(epoch, self.max_entries)
+        off = slot_offset(epoch, *self.shape)
         buf = self.ctx.read_local(SEG_LOCAL, off, self.slot_bytes)
         got = self._try_decode(buf, epoch)
         if got is not None:
@@ -190,17 +197,17 @@ class Checkpointer:
                 f"or its mirror holder {self.target}")
         return got
 
-    def adopt(self, iteration: int, entries: np.ndarray) -> None:
+    def adopt(self, iteration: int, centers: np.ndarray) -> None:
         """Write a fetched payload into the local slot (heals a replacement)."""
         epoch = self.last_committed
-        payload = encode_snapshot(epoch, iteration, entries)
-        self.ctx.write_local(SEG_LOCAL, slot_offset(epoch, self.max_entries), payload)
+        payload = encode_snapshot(epoch, iteration, centers)
+        self.ctx.write_local(SEG_LOCAL, slot_offset(epoch, *self.shape), payload)
 
     def _try_decode(self, buf: bytes, epoch: int) -> tuple[int, np.ndarray] | None:
         try:
-            got_epoch, iteration, entries = decode_snapshot(buf)
+            got_epoch, iteration, centers = decode_snapshot(buf, *self.shape)
         except ConfigError:
             return None
         if got_epoch != epoch:
             return None
-        return iteration, entries
+        return iteration, centers

@@ -49,10 +49,6 @@ class Dataset:
     def d(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def from_rows(cls, rows: object) -> "Dataset":
-        return cls(np.asarray(rows, dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class CentroidSet:
@@ -184,14 +180,6 @@ def assign_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     finally:
         np.setbufsize(old)
     return labels
-
-
-def nearest_center(x: object, centroids: CentroidSet) -> int:
-    """Index of the closest center to x, lowest index on ties."""
-    xs = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if xs.shape[1] != centroids.d:
-        raise ConfigError(f"dimension mismatch: {xs.shape[1]} vs {centroids.d}")
-    return int(assign_labels(xs, centroids.centers)[0])
 
 
 def init_centroids(data: Dataset, k: int) -> CentroidSet:

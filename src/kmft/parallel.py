@@ -19,9 +19,10 @@ Each decomposition is one per-position state class (`CentersPosition`,
 all of its math, with no notion of a cluster.  `run_parallel` steps every
 position in one loop (no simulated cluster, no failure handling); the
 fault-tolerant runtime gives each rank one position and only adds the
-messages and collectives between the same calls.  Ownership records and
-snapshot entries are both `(m, 2)` little-endian u64 arrays of
-(sample id, center) pairs.
+messages and collectives between the same calls.  Ownership records are
+`(m, 2)` little-endian u64 arrays of (sample id, center) pairs; `entries`
+gives a position's labels in that form.  `relabel` rebuilds a position's
+labels from the centers a pass read, which is how the runtime restores one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, UnrecoverableError
+from .errors import ConfigError, InvariantError
 from .kmeans import (
     AssignmentTable,
     CentroidSet,
@@ -197,7 +198,10 @@ class CentersPosition:
 
     def absorb(self, out: CentersPass, batches: list[np.ndarray]) -> None:
         """Keep what stayed and take over the records handed to this position."""
-        self._own(np.concatenate([out.kept, *batches]))
+        records = np.concatenate([out.kept, *batches])
+        order = np.argsort(records[:, 0])
+        self.ids = records[order, 0].astype(np.int64)
+        self.labels = records[order, 1].astype(np.int64)
 
     def recompute(self, centers: np.ndarray) -> np.ndarray:
         return centers_recompute(self.values, self.ids, self.labels, centers,
@@ -206,14 +210,15 @@ class CentersPosition:
     def entries(self) -> np.ndarray:
         return make_records(self.ids, self.labels)
 
-    def restore(self, entries: np.ndarray, position: int) -> None:
+    def relabel(self, centers: np.ndarray, position: int) -> int:
+        """Take `position` with the samples whose label against `centers`
+        falls in its block; returns the rows assigned, every sample."""
         self.position = position
-        self._own(entries)
-
-    def _own(self, records: np.ndarray) -> None:
-        order = np.argsort(records[:, 0])
-        self.ids = records[order, 0].astype(np.int64)
-        self.labels = records[order, 1].astype(np.int64)
+        lo, hi = self.blocks[position]
+        labels = assign_labels(self.values, centers)
+        self.ids = np.flatnonzero((labels >= lo) & (labels < hi))
+        self.labels = labels[self.ids]
+        return len(labels)
 
 
 # -- splitting the samples ---------------------------------------------------
@@ -276,13 +281,12 @@ class SamplesPosition:
         lo, hi = self.blocks[self.position]
         return make_records(np.arange(lo, hi), self.labels)
 
-    def restore(self, entries: np.ndarray, position: int) -> None:
-        lo, hi = self.blocks[position]
-        if not np.array_equal(entries[:, 0], np.arange(lo, hi)):
-            raise UnrecoverableError(
-                f"snapshot does not cover block {lo}:{hi} of position {position}")
+    def relabel(self, centers: np.ndarray, position: int) -> int:
+        """Take `position` with its block labelled against `centers`; returns
+        the rows assigned, the block's."""
         self.position = position
-        self.labels = entries[:, 1].astype(np.int64)
+        self.labels = assign_labels(self._block(), centers)
+        return len(self.labels)
 
 
 POSITIONS = {Method.CENTERS: CentersPosition, Method.SAMPLES: SamplesPosition}

@@ -11,13 +11,20 @@ vector, which names the corrupt ranks.
 Every survivor then derives the identical recovery plan, a `_Recovery`,
 with no further coordination; the coordinator sends it to the promoted
 spares as their wake, and all apply it alike: promote spares into the
-failed positions (ascending) under a fresh group generation, restore the
+failed positions (ascending) under a fresh group generation, fetch the
 last committed snapshot (survivors from their local slot, replacements from
-the failed rank's mirror holder), start a fresh checkpoint of the restored
-state and land its copy, then recompute centroids from the restored
-assignments.  That rebuild exchange commits the fresh checkpoint, as a pass
-commits one, so the ring is fully redundant again before normal iterations
-resume; a recovery runs no barrier of its own.
+the failed rank's mirror holder), relabel from it, start a fresh checkpoint
+of the restored state and land its copy, then recompute centroids from the
+restored labels.  That rebuild exchange commits the fresh checkpoint, as a
+pass commits one, so the ring is fully redundant again before normal
+iterations resume; a recovery runs no barrier of its own.
+
+A snapshot of iteration t holds c_{t-1}, the centers pass t read, and not
+the labels it derived: labels_t = assign(values, c_{t-1}) whatever rows are
+assigned, so a restore relabels its position from c_{t-1} (a samples
+position its block, a centers position every sample, keeping those whose
+label falls in its center block) and rebuilds c_t with c_{t-1} as the
+previous centers, which a center with no members keeps, as the pass did.
 
 A centers pass sends each peer one message, (changed flag, the records
 handed to it, empty when none are), and receives one from each: the count
@@ -197,11 +204,11 @@ def detect_failures(ctx: RankContext, group: Group) -> tuple[int, ...]:
     return tuple(m for m in group.members if sv[m] is Health.CORRUPT)
 
 
-def _digest(entries: np.ndarray, epoch: int, iteration: int) -> str:
+def _digest(centers: np.ndarray, epoch: int, iteration: int) -> str:
     h = hashlib.sha256()
     h.update(epoch.to_bytes(8, "little"))
     h.update(iteration.to_bytes(8, "little"))
-    h.update(encode_records(entries))
+    h.update(centers.tobytes())
     return h.hexdigest()
 
 
@@ -311,6 +318,9 @@ class _ActiveDriver:
         self.init_centers = init_centers      # read-only, shared by every rank
         self.centers = init_centers.copy()
         self.it = 0
+        # the centers pass `it` read; no means step writes into its input,
+        # so holding the reference keeps them
+        self.read = init_centers
         self.recoveries = 0      # also the spares consumed: one per failed rank
         self.events: list[RecoveryEvent] = []
         self.captures: list[tuple[int, int, str]] = []
@@ -324,7 +334,7 @@ class _ActiveDriver:
         """Take this rank's position in `group` and restore the last commit."""
         self.group = group
         self.position = group.position(self.ctx.rank)
-        self.cp = Checkpointer(self.ctx, group, self.data.n,
+        self.cp = Checkpointer(self.ctx, group, self.cfg.k, self.data.d,
                                last_committed=last_committed)
         return self._restore()
 
@@ -371,14 +381,14 @@ class _ActiveDriver:
         """Iteration `t`: its pass, which commits a pending capture, its means
         step, and the capture when `t` checkpoints."""
         self.ctx.failure_point(t, FailPhase.DURING_COMPUTE)
-        changed = self._pass(self.ctx, self.group, self.state, self.centers, t,
+        read = self.centers
+        changed = self._pass(self.ctx, self.group, self.state, read, t,
                              self.cp.land)
         if self.cp.confirm():
             self.ctx.failure_point(self.it, FailPhase.DURING_CHECKPOINT, 2)
         if needs_recompute(changed, t):
-            self.centers = self._means(self.ctx, self.group, self.state,
-                                       self.centers, t)
-        self.it = t
+            self.centers = self._means(self.ctx, self.group, self.state, read, t)
+        self.it, self.read = t, read
         if not changed:
             self.converged = True
             if self.force_iters is None:
@@ -401,9 +411,8 @@ class _ActiveDriver:
     # -- checkpointing ---------------------------------------------------
 
     def _capture(self, iteration: int) -> None:
-        entries = self.state.entries()
-        epoch = self.cp.start(iteration, entries)
-        self.captures.append((epoch, iteration, _digest(entries, epoch, iteration)))
+        epoch = self.cp.start(iteration, self.read)
+        self.captures.append((epoch, iteration, _digest(self.read, epoch, iteration)))
 
     # -- failure handling ------------------------------------------------
 
@@ -452,21 +461,22 @@ class _ActiveDriver:
                 # no rebuild (its centroids are given, not derived)
                 self.state.reset(self.position)
                 self.centers = self.init_centers.copy()
-                self.it = 0
+                self.it, self.read = 0, self.init_centers
                 return None
-            iteration, entries = self.cp.fetch()
-            self.cp.adopt(iteration, entries)
-            self.state.restore(entries, self.position)
-            self.it = iteration
+            iteration, read = self.cp.fetch()
+            self.cp.adopt(iteration, read)
+            rows = self.state.relabel(read, self.position)
+            self.ctx.charge(self.ctx.costs.compute_per_sample * rows)
+            self.it, self.read = iteration, read
             # re-protect: the restored state is the next epoch, and the rebuild
             # exchange, entered after its copy lands, commits it
             self._capture(iteration)
             self.cp.land()
-            # every center is derived from the restored labels again
-            self.centers = self._means(self.ctx, self.group, self.state,
-                                       self.init_centers, None)
+            # every center is derived from the restored labels again; one with
+            # no members keeps its row of the centers the pass read
+            self.centers = self._means(self.ctx, self.group, self.state, read, None)
             self.cp.confirm()
-        return _digest(entries, epoch, iteration)
+        return _digest(read, epoch, iteration)
 
     # -- termination -------------------------------------------------------
 
@@ -509,7 +519,8 @@ def run_ft_kmeans(data: Dataset, cfg: KmeansConfig, method: Method,
     # InitError here, not in every rank thread
     init_centers = init_centroids(data, cfg.k).centers
     world = spawn_world(layout.world_size, plan=plan, seed=seed, timeout=timeout,
-                        record_trace=record_trace, segments=segment_spec(data.n))
+                        record_trace=record_trace,
+                        segments=segment_spec(cfg.k, data.d))
 
     def program(ctx: RankContext):
         driver = _ActiveDriver(ctx, data, cfg, method, policy, layout,

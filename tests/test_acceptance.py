@@ -63,7 +63,7 @@ def oracle_sweep():
                                  spread=float(rng.uniform(0.3, 3.0)),
                                  seed=int(rng.integers(2**31)))
         else:
-            data = Dataset.from_rows(rng.uniform(-10.0, 10.0, size=(n, d)))
+            data = Dataset(rng.uniform(-10.0, 10.0, size=(n, d)))
         cfg = KmeansConfig(k=k, max_iters=60, seed=0)
 
         seq_c, seq_t, seq_it = run_sequential(data, cfg)

@@ -2,11 +2,14 @@
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kmft import runtime
 from kmft.checkpoint import (
+    HEADER,
     SEG_LOCAL,
     SEG_MIRROR,
     Checkpointer,
@@ -26,6 +29,10 @@ from kmft.errors import (
     Timeout,
     UnrecoverableError,
 )
+from kmft.datasets import make_blobs
+from kmft.kmeans import KmeansConfig
+from kmft.parallel import Method
+from kmft.runtime import WorldLayout, run_ft_kmeans
 from kmft.simcluster import (
     FailPhase,
     FailureEvent,
@@ -77,67 +84,69 @@ class TestMirrorPolicy:
 
 
 def as_lists(got):
-    """A decoded (..., entries) tuple with the entries array as nested lists."""
+    """A decoded (..., centers) tuple with the centers array as nested lists."""
     return (*got[:-1], got[-1].tolist())
 
 
 class TestSnapshotBytes:
     def test_golden_layout(self):
-        buf = encode_snapshot(3, 17, [(1, 2), (9, 4)])
+        buf = encode_snapshot(3, 17, np.array([[1.0, -2.0], [0.5, 4.0]]))
         expect = (
             b"\x03" + b"\x00" * 7 +
             b"\x11" + b"\x00" * 7 +
-            b"\x02" + b"\x00" * 7 +
-            b"\x01" + b"\x00" * 7 +
-            b"\x02" + b"\x00" * 7 +
-            b"\x09" + b"\x00" * 7 +
-            b"\x04" + b"\x00" * 7
+            struct.pack("<dddd", 1.0, -2.0, 0.5, 4.0)
         )
         assert buf == expect
 
     def test_roundtrip(self):
-        entries = [[5, 1], [6, 0], [2**50, 3]]
-        assert as_lists(decode_snapshot(encode_snapshot(9, 120, entries))) == (9, 120, entries)
+        centers = [[5.0, -1.25], [6.0, 0.0], [2.0**50, 3.5]]
+        assert as_lists(decode_snapshot(encode_snapshot(9, 120, np.array(centers)),
+                                        3, 2)) == (9, 120, centers)
 
     def test_trailing_slack_ignored(self):
-        buf = encode_snapshot(2, 7, [(1, 1)]) + b"\x00" * 100
-        assert as_lists(decode_snapshot(buf)) == (2, 7, [[1, 1]])
+        buf = encode_snapshot(2, 7, np.array([[1.5]])) + b"\x00" * 100
+        assert as_lists(decode_snapshot(buf, 1, 1)) == (2, 7, [[1.5]])
 
     def test_short_buffer_rejected(self):
         with pytest.raises(ConfigError):
-            decode_snapshot(b"\x00" * 10)
+            decode_snapshot(b"\x00" * 10, 1, 1)
 
-    def test_overclaimed_count_rejected(self):
-        buf = struct.pack("<QQQ", 1, 1, 5) + b"\x00" * 16
+    def test_truncated_centers_rejected(self):
+        buf = struct.pack("<QQ", 1, 1) + b"\x00" * 16
         with pytest.raises(ConfigError):
-            decode_snapshot(buf)
+            decode_snapshot(buf, 3, 1)
 
     def test_epoch_zero_never_encoded(self):
         with pytest.raises(ConfigError):
-            encode_snapshot(0, 1, [])
+            encode_snapshot(0, 1, np.zeros((1, 1)))
 
     @given(epoch=st.integers(1, 2**40), iteration=st.integers(0, 2**40),
-           entries=st.lists(st.tuples(st.integers(0, 2**63), st.integers(0, 2**20)),
-                            max_size=30))
-    def test_roundtrip_property(self, epoch, iteration, entries):
-        assert as_lists(decode_snapshot(encode_snapshot(epoch, iteration, entries))) == \
-            (epoch, iteration, [list(e) for e in entries])
+           k=st.integers(1, 6), d=st.integers(1, 4), data=st.data())
+    def test_roundtrip_property(self, epoch, iteration, k, d, data):
+        values = data.draw(st.lists(st.floats(allow_nan=False), min_size=k * d,
+                                    max_size=k * d))
+        centers = np.array(values, dtype=np.float64).reshape(k, d)
+        got_epoch, got_it, got = decode_snapshot(
+            encode_snapshot(epoch, iteration, centers), k, d)
+        assert (got_epoch, got_it) == (epoch, iteration)
+        assert got.tobytes() == centers.tobytes()
 
     def test_slot_arithmetic(self):
-        assert slot_size(0) == 24
-        assert slot_size(5) == 24 + 80
-        assert segment_spec(5) == {SEG_LOCAL: 208, SEG_MIRROR: 208}
-        assert slot_offset(1, 5) == 104 and slot_offset(2, 5) == 0
+        assert HEADER.size == 16
+        assert slot_size(0, 3) == 16
+        assert slot_size(5, 2) == 16 + 80
+        assert segment_spec(5, 2) == {SEG_LOCAL: 192, SEG_MIRROR: 192}
+        assert slot_offset(1, 5, 2) == 96 and slot_offset(2, 5, 2) == 0
         with pytest.raises(ConfigError):
-            slot_size(-1)
+            slot_size(-1, 2)
 
 
-MAX_ENTRIES = 8
-SEGS = segment_spec(MAX_ENTRIES)
+K, D = 4, 2
+SEGS = segment_spec(K, D)
 
 
-def entries_for(rank, epoch):
-    return [[10 * rank + i, epoch] for i in range(3)]
+def centers_for(rank, epoch):
+    return (10 * rank + epoch + np.arange(K * D, dtype=np.float64) / 8).reshape(K, D)
 
 
 def commit(cp):
@@ -148,48 +157,93 @@ def commit(cp):
     return cp.confirm()
 
 
+def idle(ctx):
+    return None
+
+
+class TestLayout:
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_slot_holds_k_by_d_centers_whatever_n(self, monkeypatch, n):
+        """A run's segments and every checkpointer's slot hold the header and
+        k x d float64 values, however many samples the run has."""
+        k, d = 5, 3
+        want = HEADER.size + 8 * k * d
+        segments, slots = [], set()
+        real_spawn, real_start = runtime.spawn_world, Checkpointer.start
+
+        def spawn(*args, **kwargs):
+            segments.append(kwargs["segments"])
+            return real_spawn(*args, **kwargs)
+
+        def start(cp, iteration, centers):
+            slots.add(cp.slot_bytes)
+            return real_start(cp, iteration, centers)
+
+        monkeypatch.setattr(runtime, "spawn_world", spawn)
+        monkeypatch.setattr(Checkpointer, "start", start)
+        data, _ = make_blobs(n=n, d=d, blobs=3, spread=1.0, seed=2)
+        out = run_ft_kmeans(data, KmeansConfig(k=k), Method.SAMPLES,
+                            CheckpointPolicy(interval=1),
+                            WorldLayout(active=3, spares=1), force_iters=3,
+                            plan=FailurePlan((FailureEvent(1, 3, FailPhase.DURING_COMPUTE),)))
+        assert out.reason == "" and out.recoveries == 1
+        assert segments == [{SEG_LOCAL: 2 * want, SEG_MIRROR: 2 * want}]
+        assert slots == {want}
+
+    @pytest.mark.parametrize("shape", [(K + 1, D), (K, D + 1), (K * D,), (D, K)],
+                             ids=["k+1", "d+1", "flat", "transposed"])
+    def test_start_refuses_centers_of_the_wrong_shape(self, shape):
+        w = spawn_world(2, segments=SEGS)
+        g = Group(members=(0, 1))
+
+        def prog(ctx):
+            cp = Checkpointer(ctx, g, K, D)
+            with pytest.raises(ConfigError):
+                cp.start(1, np.zeros(shape))
+            return cp.start(1, np.zeros((K, D)))
+
+        assert w.run({0: prog, 1: idle})[0].value == 1
+
+
 class TestTwoPhase:
     def test_start_is_asynchronous_until_time_passes(self):
         """The mirror region lags the start and catches up with time."""
-        big = 4096
-        w = spawn_world(2, segments=segment_spec(big))
+        k, d = 1000, 8
+        w = spawn_world(2, segments=segment_spec(k, d))
         g = Group(members=(0, 1))
-        payload_entries = [[i, 1] for i in range(4000)]
+        payload = np.arange(k * d, dtype=np.float64).reshape(k, d)
 
         def writer(ctx):
-            cp = Checkpointer(ctx, g, big)
-            cp.start(5, payload_entries)
+            cp = Checkpointer(ctx, g, k, d)
+            cp.start(5, payload)
             ctx.send(1, "started")
             ctx.recv(1)
 
         def holder(ctx):
             ctx.recv(0)
-            early = ctx.read_local(SEG_MIRROR, slot_offset(1, big), 24)
+            early = ctx.read_local(SEG_MIRROR, slot_offset(1, k, d), HEADER.size)
             ctx.charge(500_000)
-            late_buf = ctx.read_local(SEG_MIRROR, slot_offset(1, big), slot_size(big))
+            late_buf = ctx.read_local(SEG_MIRROR, slot_offset(1, k, d), slot_size(k, d))
             ctx.send(0, "checked")
-            return early, decode_snapshot(late_buf)
+            return early, decode_snapshot(late_buf, k, d)
 
         res = w.run({0: writer, 1: holder})
         early, late = res[1].value
-        assert early == b"\x00" * 24            # not yet updated
-        assert as_lists(late) == (1, 5, payload_entries)  # delivered after the cost
+        assert early == b"\x00" * HEADER.size     # not yet updated
+        assert as_lists(late) == (1, 5, payload.tolist())  # delivered after the cost
 
     def test_double_start_rejected(self):
         w = spawn_world(2, segments=SEGS)
         g = Group(members=(0, 1))
 
         def prog(ctx):
-            cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            cp.start(1, [])
+            cp = Checkpointer(ctx, g, K, D)
+            cp.start(1, np.zeros((K, D)))
             try:
-                cp.start(2, [])
+                cp.start(2, np.zeros((K, D)))
             except SequenceError:
                 return "rejected"
             return "accepted"
-
-        def idle(ctx):
-            return None
 
         res = w.run({0: prog, 1: idle})
         assert res[0].value == "rejected"
@@ -199,40 +253,22 @@ class TestTwoPhase:
         g = Group(members=(0, 1))
 
         def prog(ctx):
-            cp = Checkpointer(ctx, g, MAX_ENTRIES)
+            cp = Checkpointer(ctx, g, K, D)
             assert cp.confirm() is False and cp.last_committed is None
             with pytest.raises(SequenceError):
                 cp.fetch()      # nor is there a committed epoch to fetch
             return "ok"
 
-        def idle(ctx):
-            return None
-
         res = w.run({0: prog, 1: idle})
         assert res[0].value == "ok"
-
-    def test_oversized_payload_rejected(self):
-        w = spawn_world(2, segments=SEGS)
-        g = Group(members=(0, 1))
-
-        def prog(ctx):
-            cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            with pytest.raises(ConfigError):
-                cp.start(1, [(i, 0) for i in range(MAX_ENTRIES + 1)])
-            return "ok"
-
-        def idle(ctx):
-            return None
-
-        assert w.run({0: prog, 1: idle})[0].value == "ok"
 
     def test_full_round_all_committed(self):
         w = spawn_world(4, segments=SEGS)
         g = Group(members=(0, 1, 2, 3))
 
         def prog(ctx):
-            cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            epoch = cp.start(10, entries_for(ctx.rank, 1))
+            cp = Checkpointer(ctx, g, K, D)
+            epoch = cp.start(10, centers_for(ctx.rank, 1))
             committed = commit(cp)
             fetched = cp.fetch()
             return epoch, committed, cp.last_committed, fetched
@@ -243,14 +279,14 @@ class TestTwoPhase:
             assert epoch == 1
             assert committed is True
             assert last == 1
-            assert as_lists(fetched) == (10, entries_for(r, 1))
+            assert as_lists(fetched) == (10, centers_for(r, 1).tolist())
         # each rank's mirror region holds its ring source's payload
         for r in range(4):
             src = mirror_source(r, g)
             buf = w.segment_bytes(r, SEG_MIRROR)
-            off = slot_offset(1, MAX_ENTRIES)
-            got = decode_snapshot(buf[off:off + slot_size(MAX_ENTRIES)])
-            assert as_lists(got) == (1, 10, entries_for(src, 1))
+            off = slot_offset(1, K, D)
+            got = decode_snapshot(buf[off:off + slot_size(K, D)], K, D)
+            assert as_lists(got) == (1, 10, centers_for(src, 1).tolist())
 
     def test_commit_timeout_keeps_previous_epoch(self):
         """A kill between start and commit never disturbs the last commit."""
@@ -259,10 +295,10 @@ class TestTwoPhase:
         g = Group(members=(0, 1, 2, 3))
 
         def prog(ctx):
-            cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            cp.start(10, entries_for(ctx.rank, 1))
+            cp = Checkpointer(ctx, g, K, D)
+            cp.start(10, centers_for(ctx.rank, 1))
             first = commit(cp)
-            epoch = cp.start(20, entries_for(ctx.rank, 2))
+            epoch = cp.start(20, centers_for(ctx.rank, 2))
             ctx.failure_point(2, FailPhase.DURING_CHECKPOINT, 1)
             with pytest.raises(Timeout):
                 commit(cp)
@@ -276,23 +312,23 @@ class TestTwoPhase:
             assert epoch == 2
             assert first is True
             assert last == 1
-            assert as_lists(fetched) == (10, entries_for(r, 1))
+            assert as_lists(fetched) == (10, centers_for(r, 1).tolist())
 
     def test_double_buffer_isolates_epochs(self):
         w = spawn_world(2, segments=SEGS)
         g = Group(members=(0, 1))
 
         def prog(ctx):
-            cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            cp.start(10, entries_for(ctx.rank, 1))
+            cp = Checkpointer(ctx, g, K, D)
+            cp.start(10, centers_for(ctx.rank, 1))
             commit(cp)
-            cp.start(20, entries_for(ctx.rank, 2))   # in flight, uncommitted
+            cp.start(20, centers_for(ctx.rank, 2))   # in flight, uncommitted
             ctx.barrier(g, "inflight")
             return cp.fetch()
 
         res = w.run({0: prog, 1: prog})
         for r in (0, 1):
-            assert as_lists(res[r].value) == (10, entries_for(r, 1))
+            assert as_lists(res[r].value) == (10, centers_for(r, 1).tolist())
 
     def test_an_exchange_after_land_commits_without_a_barrier(self):
         """`land` waits for this rank's own transfer; once an exchange that
@@ -301,22 +337,22 @@ class TestTwoPhase:
         g = Group(members=(0, 1))
 
         def prog(ctx):
-            cp = Checkpointer(ctx, g, MAX_ENTRIES)
+            cp = Checkpointer(ctx, g, K, D)
             cp.land()                  # nothing started: nothing to wait for
             idle = cp.confirm()
-            cp.start(10, entries_for(ctx.rank, 1))
+            cp.start(10, centers_for(ctx.rank, 1))
             cp.land()
             ctx.reduce_all(g, 1, "exchange")
             return idle, cp.confirm(), cp.last_committed
 
         res = w.run({0: prog, 1: prog})
-        slot = slot_size(MAX_ENTRIES)
-        off = slot_offset(1, MAX_ENTRIES)
+        slot = slot_size(K, D)
+        off = slot_offset(1, K, D)
         for r in (0, 1):
             assert res[r].value == (False, True, 1)
             buf = w.segment_bytes(r, SEG_MIRROR)
-            assert as_lists(decode_snapshot(buf[off:off + slot])) == \
-                (1, 10, entries_for(mirror_source(r, g), 1))
+            assert as_lists(decode_snapshot(buf[off:off + slot], K, D)) == \
+                (1, 10, centers_for(mirror_source(r, g), 1).tolist())
         assert [e for e in w.trace if e[0] == "bar"] == []
 
 
@@ -329,8 +365,8 @@ class TestRestore:
         g_new = Group(members=(2, 1), generation=1)   # 2 inherits position 0
 
         def original(ctx):
-            cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
-            cp.start(10, entries_for(ctx.rank, 1))
+            cp = Checkpointer(ctx, g_old, K, D)
+            cp.start(10, centers_for(ctx.rank, 1))
             commit(cp)
             if ctx.rank == 1:
                 ctx.send(2, "committed")
@@ -338,12 +374,12 @@ class TestRestore:
 
         def replacement(ctx):
             ctx.recv(1)
-            cp = Checkpointer(ctx, g_new, MAX_ENTRIES, last_committed=1)
+            cp = Checkpointer(ctx, g_new, K, D, last_committed=1)
             return cp.fetch(), cp.last_committed
 
         res = w.run({0: original, 1: original, 2: replacement})
         fetched, last = res[2].value
-        assert as_lists(fetched) == (10, entries_for(0, 1))
+        assert as_lists(fetched) == (10, centers_for(0, 1).tolist())
         assert last == 1
 
     def test_buddy_loss_is_unrecoverable(self):
@@ -353,14 +389,14 @@ class TestRestore:
         g_new = Group(members=(2, 1), generation=1)
 
         def rank0(ctx):
-            cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
-            cp.start(10, entries_for(0, 1))
+            cp = Checkpointer(ctx, g_old, K, D)
+            cp.start(10, centers_for(0, 1))
             commit(cp)
             return "done"
 
         def rank1(ctx):
-            cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
-            cp.start(10, entries_for(1, 1))
+            cp = Checkpointer(ctx, g_old, K, D)
+            cp.start(10, centers_for(1, 1))
             commit(cp)
             ctx.send(2, "committed")
             ctx.failure_point(1, FailPhase.DURING_COMPUTE)
@@ -369,7 +405,7 @@ class TestRestore:
             ctx.recv(1)
             while ctx.state_vector()[1].value != "corrupt":
                 ctx.charge(1)
-            cp = Checkpointer(ctx, g_new, MAX_ENTRIES, last_committed=1)
+            cp = Checkpointer(ctx, g_new, K, D, last_committed=1)
             try:
                 cp.fetch()
             except UnrecoverableError:
@@ -385,8 +421,8 @@ class TestRestore:
         g_new = Group(members=(2, 1), generation=1)
 
         def original(ctx):
-            cp = Checkpointer(ctx, g_old, MAX_ENTRIES)
-            cp.start(10, entries_for(ctx.rank, 1))
+            cp = Checkpointer(ctx, g_old, K, D)
+            cp.start(10, centers_for(ctx.rank, 1))
             commit(cp)
             if ctx.rank == 1:
                 ctx.send(2, "committed")
@@ -394,23 +430,23 @@ class TestRestore:
 
         def replacement(ctx):
             ctx.recv(1)
-            cp = Checkpointer(ctx, g_new, MAX_ENTRIES, last_committed=1)
+            cp = Checkpointer(ctx, g_new, K, D, last_committed=1)
             iteration, entries = cp.fetch()
             cp.adopt(iteration, entries)
-            buf = ctx.read_local(SEG_LOCAL, slot_offset(1, MAX_ENTRIES),
-                                 slot_size(MAX_ENTRIES))
-            return decode_snapshot(buf)
+            buf = ctx.read_local(SEG_LOCAL, slot_offset(1, K, D),
+                                 slot_size(K, D))
+            return decode_snapshot(buf, K, D)
 
         res = w.run({0: original, 1: original, 2: replacement})
-        assert as_lists(res[2].value) == (1, 10, entries_for(0, 1))
+        assert as_lists(res[2].value) == (1, 10, centers_for(0, 1).tolist())
 
     def test_survivor_fetch_never_leaves_the_rank(self):
         w = spawn_world(2, segments=SEGS)
         g = Group(members=(0, 1))
 
         def prog(ctx):
-            cp = Checkpointer(ctx, g, MAX_ENTRIES)
-            cp.start(10, entries_for(ctx.rank, 1))
+            cp = Checkpointer(ctx, g, K, D)
+            cp.start(10, centers_for(ctx.rank, 1))
             commit(cp)
             before = ctx.vt
             cp.fetch()

@@ -17,7 +17,6 @@ from kmft.kmeans import (
     init_centroids,
     initial_assignment,
     lloyd_step,
-    nearest_center,
     objective,
     pairwise_sqdist,
     run_sequential,
@@ -178,21 +177,22 @@ class TestUfuncBuffer:
 
 
 class TestNearestCenter:
+    """`assign_labels` on a single row is the nearest-center query."""
+
     def test_exact_match_wins(self):
-        c = CentroidSet(np.array([[0.0, 0.0], [5.0, 5.0]]))
-        assert nearest_center([5.0, 5.0], c) == 1
+        c = np.array([[0.0, 0.0], [5.0, 5.0]])
+        assert assign_labels(np.array([[5.0, 5.0]]), c)[0] == 1
 
     def test_tie_breaks_to_lower_index(self):
-        c = CentroidSet(np.array([[0.0], [2.0]]))
-        assert nearest_center([1.0], c) == 0
+        c = np.array([[0.0], [2.0]])
+        assert assign_labels(np.array([[1.0]]), c)[0] == 0
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(11)
         centers = rng.normal(size=(7, 3))
-        cs = CentroidSet(centers)
         for _ in range(50):
             x = rng.normal(size=3)
-            assert nearest_center(x, cs) == naive_nearest(x, centers)
+            assert assign_labels(np.array([x]), centers)[0] == naive_nearest(x, centers)
 
 
 class TestInitCentroids:

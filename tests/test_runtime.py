@@ -189,6 +189,26 @@ class TestSingleFailure:
         np.testing.assert_allclose(out.centroids.centers, SEQ_C.centers,
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_a_center_empty_at_the_restored_iteration_keeps_its_row(self, method):
+        """Center 0 of this heavy-tailed instance has no members from pass 3
+        on.  The rebuild after a restore keeps the row it had before that
+        pass, not its initial row, so every kill ends with the failure-free
+        centroids and assignments."""
+        rng = np.random.default_rng(37)
+        n, k, d = (int(rng.integers(lo, hi)) for lo, hi in ((20, 80), (4, 14), (1, 3)))
+        data = Dataset(rng.standard_cauchy((n, d)))
+        cfg, policy = KmeansConfig(k=k), CheckpointPolicy(interval=1)
+        layout = WorldLayout(active=3, spares=1)
+        twin = run_ft_kmeans(data, cfg, method, policy, layout, force_iters=12)
+        assert twin.table.counts[0] == 0
+        for t in range(5, 12):
+            out = run_ft_kmeans(data, cfg, method, policy, layout, force_iters=12,
+                                plan=kill(1, t, FailPhase.DURING_COMPUTE))
+            assert out.recoveries == 1 and out.recovery_events[0]["epoch"] >= 3
+            assert out.centroids.centers.tobytes() == twin.centroids.centers.tobytes()
+            assert np.array_equal(out.table.assign, twin.table.assign)
+
     def test_group_rebuilt_with_spare_in_failed_position(self):
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT,
                             plan=kill(2, 7))
@@ -579,7 +599,7 @@ class TestCentersExchange:
 
         def prog(ctx):
             state = parallel.CentersPosition(self.VALUES, 6, 3, ctx.rank)
-            state.restore(np.array(owned[ctx.rank], dtype=np.uint64), ctx.rank)
+            state.ids, state.labels = np.array(owned[ctx.rank], dtype=np.int64).T
             changed = runtime._centers_pass(ctx, group, state, self.CENTERS, 1,
                                             lambda: None)
             return changed, state.entries()

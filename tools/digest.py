@@ -3,14 +3,16 @@
     python3 tools/digest.py [SRC]
 
 Runs the 212-run set below against the kmft package under SRC (default: the
-`src` directory next to this script) and prints four lines, `<n> runs
-<sha256>`, `<n> runs values <sha256>`, and one `<n> runs ticks <method>
-<sha256>` line per method over that method's runs.  Run it on two
-checkouts: a refactor that keeps every result prints the same first line; a
-model change, which moves ticks but must keep every value, prints the same
-second line; a change that only regroups the `record_trace` events, and so
-moves the first line, prints the same ticks lines when no tick moved; and a
-change to one decomposition prints the same ticks line for the other.
+`src` directory next to this script) and prints five lines, `<n> runs
+<sha256>`, `<n> runs values <sha256>`, one `<n> runs ticks <method>
+<sha256>` line per method over that method's runs, and `<n> runs results
+<sha256>`.  Run it on two checkouts: a refactor that keeps every result
+prints the same first line; a model change, which moves ticks but must keep
+every value, prints the same second line; a change that only regroups the
+`record_trace` events, and so moves the first line, prints the same ticks
+lines when no tick moved; a change to one decomposition prints the same
+ticks line for the other; and a change to what a snapshot holds, which
+moves captures and restore digests, prints the same results line.
 
 For each method (centers, samples), with checkpoint interval 5, the set
 holds:
@@ -23,8 +25,10 @@ holds:
 The schedule seed of each run is its index mod 5.  Each run hashes its
 ledgers, vt totals, trace, centroid bytes, assignments, recovery events,
 captures, reason, iterations, converged flag, recoveries, epochs and final
-group; the values line leaves out the ledgers, vt totals and trace, and the
-ticks line leaves out only the trace.  Only the public API is used, so any
+group; the values line leaves out the ledgers, vt totals and trace, the
+ticks line leaves out only the trace, and the results line leaves out the
+ledgers, vt totals, trace, captures and the recovery events' restore
+digests.  Only the public API is used, so any
 checkout since the set was defined can be fingerprinted; one that still
 has commit modes runs its default mode, eager.
 """
@@ -61,7 +65,8 @@ def _scenarios(kmft):
     yield (4, 3), (ev(1, 3, barrier), ev(4, 8, barrier)), FORCE, False
 
 
-def _fingerprint(out, ticks: bool = True, trace: bool = True) -> bytes:
+def _fingerprint(out, ticks: bool = True, trace: bool = True,
+                 snapshots: bool = True) -> bytes:
     parts = [
         sorted((r, sorted((p.value, n) for p, n in led.items()))
                for r, led in out.ledger.items()),
@@ -73,9 +78,12 @@ def _fingerprint(out, ticks: bool = True, trace: bool = True) -> bytes:
         None if out.centroids is None else out.centroids.centers.tobytes(),
         None if out.table is None else out.table.assign.tobytes(),
         [sorted((k, sorted(v.items()) if isinstance(v, dict) else v)
-                for k, v in ev.items())
+                for k, v in ev.items() if snapshots or k != "digests")
          for ev in out.recovery_events],
-        sorted(out.captures.items()),
+    ]
+    if snapshots:
+        parts.append(sorted(out.captures.items()))
+    parts += [
         out.reason, out.iterations, out.converged, out.recoveries,
         out.epochs_committed, out.final_group,
     ]
@@ -93,6 +101,7 @@ def main(argv: list[str]) -> int:
     values = hashlib.sha256()
     ticks = {method: hashlib.sha256()
              for method in (kmft.Method.CENTERS, kmft.Method.SAMPLES)}
+    results = hashlib.sha256()
     runs = 0
     policy = kmft.CheckpointPolicy(interval=5)
     for method in ticks:
@@ -107,11 +116,14 @@ def main(argv: list[str]) -> int:
                 _fingerprint(out, ticks=False, trace=False)).digest())
             ticks[method].update(
                 hashlib.sha256(_fingerprint(out, trace=False)).digest())
+            results.update(hashlib.sha256(_fingerprint(
+                out, ticks=False, trace=False, snapshots=False)).digest())
             runs += 1
     print(f"{runs} runs {total.hexdigest()}")
     print(f"{runs} runs values {values.hexdigest()}")
     for method, digest in ticks.items():
         print(f"{runs // len(ticks)} runs ticks {method.value} {digest.hexdigest()}")
+    print(f"{runs} runs results {results.hexdigest()}")
     return 0
 
 
