@@ -8,6 +8,13 @@ ties resolve to the lowest center index.  Any assignment path that must agree
 bitwise with this module has to go through the same kernels
 (`pairwise_sqdist`, `assign_labels`, and `center_sums` with
 `center_means`, which `lloyd_step` chains).
+
+`assign_bounded` is `assign_labels` for a caller that assigns the same
+points pass after pass: it keeps, per row, a lower bound on how much nearer
+the nearest center is than the second nearest, lowers it by how far the
+centers moved, and sends only the rows whose bound is no longer positive
+through the same kernels.  The rows it skips keep labels those kernels
+would give them again, so its labels are bitwise `assign_labels`'.
 """
 
 from __future__ import annotations
@@ -180,6 +187,108 @@ def assign_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     finally:
         np.setbufsize(old)
     return labels
+
+
+# `assign_bounded` loosens every bound it computes by this relative slack
+# and by an absolute floor, so that a row it skips is one whose label
+# `assign_labels` would leave as it is.  A computed squared distance over d
+# coordinates is within d + 2 units of rounding (2**-53 each) of the true
+# one, its square root within d/2 + 2, and the three operations that make a
+# gap add three more.  A strict order of the true distances then carries
+# over to the computed squares once it leads by 2 (d + 2) units: about
+# 3 d + 11 units in all, which 2**-20 covers for every d below 2**31 (one
+# such row alone is 16 GiB).  A positive gap so loosened implies that the
+# nearest center's computed squared distance is strictly below every other
+# center's, so argmin, which breaks ties to the lowest index, returns the
+# label the row has.  Each pass also inflates the drifts, which are
+# computed distances too, and shrinks the gaps by the slack before lowering
+# them, which covers the rounding of that subtraction however many passes a
+# row is skipped for.
+BOUND_SLACK = 2.0 ** -20
+# Squares of coordinate differences below about 1e-154 round to subnormals
+# or to 0, where rounding is absolute, not relative: at most 2**-1074 per
+# term, d terms per distance, or sqrt(d) * 2**-537 on a distance.  The
+# floor, 2**-500, covers that for every d below 2**70, on gaps and on
+# drifts alike; rows whose distances are this small always reassign.
+BOUND_FLOOR = 2.0 ** -500
+_SQ_MAX = np.finfo(np.float64).max
+
+
+@dataclass(frozen=True)
+class NearestBound:
+    """A lower bound per row on (distance to the second-nearest center) -
+    (distance to the nearest), valid for the centers `ref`.  A row whose
+    bound is positive has a nearest center no other center ties."""
+
+    gap: np.ndarray                    # (n,) float64
+    ref: np.ndarray                    # (k, d) the centers the bound holds for
+
+
+def _nearest_two(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`assign_labels` of the rows, with each row's gap bound; the same
+    blocks under the same buffer size."""
+    n = len(points)
+    rows = max(1, ASSIGN_BLOCK_CELLS // len(centers))
+    labels = np.empty(n, dtype=np.int64)
+    gap = np.empty(n, dtype=np.float64)
+    old = np.setbufsize(ASSIGN_UFUNC_BUFSIZE)
+    try:
+        for lo in range(0, n, rows):
+            block = pairwise_sqdist(points[lo:lo + rows], centers)
+            near = np.argmin(block, axis=1)
+            labels[lo:lo + rows] = near
+            table = block.T                       # (k, rows), contiguous
+            first = table.min(axis=0)
+            table[near, np.arange(len(near))] = np.inf
+            # the second square is inf when k = 1 or when it overflowed; a
+            # true square that overflowed is about _SQ_MAX or more, and
+            # with k = 1 any bound holds
+            second = np.minimum(table.min(axis=0), _SQ_MAX)
+            np.sqrt(second, out=second)
+            second *= 1.0 - BOUND_SLACK
+            second -= np.sqrt(first)
+            second -= BOUND_FLOOR
+            gap[lo:lo + rows] = second
+    finally:
+        np.setbufsize(old)
+    return labels, gap
+
+
+def assign_bounded(points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
+                   bound: NearestBound | None) -> tuple[np.ndarray, bool, NearestBound]:
+    """`assign_labels(points, centers)`, reassigning only the rows whose
+    nearest center can have changed; also whether any label changed.
+
+    `labels` and `bound` come from the previous call on the same points
+    (Elkan, ICML 2003; Hamerly, SDM 2010).  Each center's drift since
+    `bound.ref` lowers every row's gap by the drift of its own center plus
+    the largest drift: no center came nearer, and its own went no further,
+    than that.  Only rows whose gap is then not positive (NaN and -inf
+    included) are reassigned, through `pairwise_sqdist` and argmin as in
+    `assign_labels`, and get a fresh gap; the others keep their labels,
+    which are still nearest.  With no bound every row is reassigned.
+    Returns the labels, whether any differs from `labels`, and the bound
+    for `centers`.
+    """
+    if bound is None:
+        gap = np.zeros(len(points), dtype=np.float64)
+    else:
+        diff = centers - bound.ref
+        drift = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        drift *= 1.0 + BOUND_SLACK
+        drift += BOUND_FLOOR
+        lower = drift.take(labels)
+        lower += drift.max()
+        gap = bound.gap * (1.0 - BOUND_SLACK)
+        gap -= lower
+    stale = np.flatnonzero(~(gap > 0))
+    new = labels.copy()
+    changed = False
+    if len(stale):
+        fresh, gap[stale] = _nearest_two(points.take(stale, axis=0), centers)
+        changed = not np.array_equal(fresh, labels[stale])
+        new[stale] = fresh
+    return new, changed, NearestBound(gap, centers.copy())
 
 
 def init_centroids(data: Dataset, k: int) -> CentroidSet:

@@ -10,9 +10,14 @@ bitwise identical to the sequential pass.
 SAMPLES splits the dataset into fixed contiguous blocks: each position
 assigns its block against the full replicated center list, then the per
 center partial sums and counts are combined across positions in ascending
-order and every position performs the same division.  Assignments match the
-sequential pass exactly; centroids agree to rounding because the summation
-tree differs.
+order and every position performs the same division.  Since a block never
+changes, a position keeps a per-row bound between passes (`assign_bounded`)
+and reassigns only the rows whose nearest center can have changed; the
+labels are still exactly the full pass's.  Assignments match the sequential
+pass exactly; centroids agree to rounding because the summation tree
+differs.  The CENTERS split stays on plain `assign_labels`: its rows move
+between positions, and bounds that travel with them cost more than they
+saved on small blocks.
 
 Each decomposition is one per-position state class (`CentersPosition`,
 `SamplesPosition`) that holds what a position owns in numpy arrays and does
@@ -38,6 +43,8 @@ from .kmeans import (
     CentroidSet,
     Dataset,
     KmeansConfig,
+    NearestBound,
+    assign_bounded,
     assign_labels,
     center_means,
     center_sums,
@@ -223,12 +230,12 @@ class CentersPosition:
 
 # -- splitting the samples ---------------------------------------------------
 
-def samples_compute(values_block: np.ndarray, centers: np.ndarray,
-                    prev_assign: np.ndarray) -> tuple[np.ndarray, bool]:
-    if values_block.shape[0] == 0:
-        return prev_assign.copy(), False
-    new = assign_labels(values_block, centers)
-    return new, not np.array_equal(new, prev_assign)
+def samples_compute(values_block: np.ndarray, centers: np.ndarray, prev_assign: np.ndarray,
+                    bound: NearestBound | None) -> tuple[np.ndarray, bool, NearestBound]:
+    """Reassign one block, only the rows whose nearest center can have
+    changed since `bound` (see `assign_bounded`); returns the labels,
+    whether any changed, and the bound for `centers`."""
+    return assign_bounded(values_block, centers, prev_assign, bound)
 
 
 def samples_partials(values_block: np.ndarray, assign: np.ndarray,
@@ -238,8 +245,10 @@ def samples_partials(values_block: np.ndarray, assign: np.ndarray,
 
 
 class SamplesPosition:
-    """One position of the sample split: a fixed block of samples and their
-    labels."""
+    """One position of the sample split: a fixed block of samples, their
+    labels, and the bound that lets a pass skip the rows whose label cannot
+    change.  The bound is a cache: `reset` and `relabel` drop it, so the
+    next pass reassigns the whole block, and no checkpoint holds it."""
 
     def __init__(self, values: np.ndarray, k: int, procs: int, position: int):
         self.values = values
@@ -252,6 +261,7 @@ class SamplesPosition:
         self.position = position
         lo, hi = self.blocks[position]
         self.labels = np.zeros(hi - lo, dtype=np.int64)
+        self.bound: NearestBound | None = None
 
     @property
     def load(self) -> int:
@@ -263,7 +273,8 @@ class SamplesPosition:
 
     def compute(self, centers: np.ndarray) -> bool:
         """Reassign the block; True when a label changed."""
-        self.labels, changed = samples_compute(self._block(), centers, self.labels)
+        self.labels, changed, self.bound = samples_compute(
+            self._block(), centers, self.labels, self.bound)
         return changed
 
     def partials(self) -> tuple[np.ndarray, np.ndarray]:
@@ -286,6 +297,7 @@ class SamplesPosition:
         the rows assigned, the block's."""
         self.position = position
         self.labels = assign_labels(self._block(), centers)
+        self.bound = None
         return len(self.labels)
 
 

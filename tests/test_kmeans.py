@@ -195,6 +195,103 @@ class TestNearestCenter:
             assert assign_labels(np.array([x]), centers)[0] == naive_nearest(x, centers)
 
 
+# Data scales: subnormal squares, plain, near and past float64 overflow of
+# the squared distances (1e150 apart squares to 1e300; 1e154 to inf)
+BOUND_SCALES = (1e-160, 1.0, 1e150, 1e154)
+STEP_KINDS = ("drift", "ulp", "jump", "same", "duplicate")
+
+
+@st.composite
+def center_trajectories(draw):
+    """Points on a coarse grid (exact ties), then a run of centers, each
+    step a small drift, a one-ulp nudge of one coordinate, an arbitrary
+    jump, a repeat or a duplicated center."""
+    n, d, k = draw(st.integers(0, 24)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    scale = draw(st.sampled_from(BOUND_SCALES))
+
+    def grid(rows):
+        cells = draw(st.lists(st.integers(-4, 4), min_size=rows * d, max_size=rows * d))
+        return np.array(cells, dtype=np.float64).reshape(rows, d) * scale
+
+    points = grid(n)
+    centers = grid(k)
+    steps = [centers]
+    for kind in draw(st.lists(st.sampled_from(STEP_KINDS), min_size=1, max_size=6)):
+        centers = centers.copy()
+        j = draw(st.integers(0, k - 1))
+        if kind == "drift":
+            size = scale * 2.0 ** -draw(st.integers(2, 50))
+            centers += grid(k) * size / scale
+        elif kind == "ulp":
+            c = draw(st.integers(0, d - 1))
+            centers[j, c] = np.nextafter(centers[j, c], draw(st.sampled_from((-np.inf, np.inf))))
+        elif kind == "jump":
+            centers = grid(k)
+        elif kind == "duplicate":
+            centers[j] = centers[draw(st.integers(0, k - 1))]
+        steps.append(centers)
+    return points, steps
+
+
+class TestBoundedAssign:
+    """`assign_bounded` gives `assign_labels`' labels at every step."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(center_trajectories())
+    def test_every_step_matches_a_full_pass(self, case):
+        points, steps = case
+        labels = np.zeros(len(points), dtype=np.int64)
+        bound = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for centers in steps:
+                got, changed, bound = kmeans.assign_bounded(points, centers, labels, bound)
+                want = assign_labels(points, centers)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want)
+                assert changed == (not np.array_equal(want, labels))
+                assert bound.gap.shape == (len(points),)
+                assert np.array_equal(bound.ref, centers)
+                labels = got
+
+    # Each case is one point and two steps of centers whose second step
+    # the bound must not skip; each needs one term of the bound.  The last
+    # two were found by a random search with that term set to zero.
+    @pytest.mark.parametrize("point,before,after", [
+        ([0.0], [[-1.0], [1.5]], [[-1.3], [1.2]]),
+        ([0.0], [[np.inf], [-1.0], [1.5]], [[np.inf], [-1.3], [1.2]]),
+        ([-0.5751959525206257, 0.6891171897768885, -0.808324789806057],
+         [[0.8216181435011584, 0.33043707618338714, -1.303157231604361],
+          [0.9053558666731177, 0.4463745723640113, -0.5369532353602852]],
+         [[0.8216181435011584, 0.3304370761833871, -1.303157231604361],
+          [0.9053558666731178, 0.4463745723640112, -0.5369532353602853]]),
+        ([2.06173378200992e-158, 6.636814527231314e-159],
+         [[-8.665944277304319e-160, -1.3236967761633773e-158],
+          [-7.015462842657897e-159, -2.9994390583705126e-159]],
+         [[-8.652276579463962e-160, -1.3235433206045417e-158],
+          [-7.01559626111231e-159, -3.0001126068884517e-159]]),
+    ], ids=["both drifts", "a center at infinity", "rounding at a near tie",
+            "subnormal squares"])
+    def test_a_step_that_moves_the_nearest_center_is_reassigned(self, point, before,
+                                                                after):
+        points = np.array([point])
+        before, after = np.array(before), np.array(after)
+        with np.errstate(invalid="ignore"):
+            labels, _, bound = kmeans.assign_bounded(
+                points, before, np.zeros(1, dtype=np.int64), None)
+            got, changed, _ = kmeans.assign_bounded(points, after, labels, bound)
+        assert labels.tolist() == assign_labels(points, before).tolist()
+        assert got.tolist() == assign_labels(points, after).tolist() != labels.tolist()
+        assert changed
+
+    def test_bound_holds_for_a_copy_of_the_centers(self):
+        points = np.array([[0.0], [1.0], [9.0]])
+        centers = np.array([[0.0], [9.0]])
+        _, _, bound = kmeans.assign_bounded(points, centers, np.zeros(3, dtype=np.int64),
+                                            None)
+        centers[0] = 100.0
+        assert bound.ref.tolist() == [[0.0], [9.0]]
+
+
 class TestInitCentroids:
     def test_skips_duplicates(self):
         data = Dataset(np.array([[1.0], [1.0], [2.0]]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kmft import kmeans
 from kmft.errors import ConfigError
 from kmft.kmeans import (
     Dataset,
@@ -21,6 +22,7 @@ from kmft.parallel import (
     CentersPass,
     CentersPosition,
     Method,
+    SamplesPosition,
     centers_compute,
     centers_recompute,
     decode_records,
@@ -231,14 +233,58 @@ class TestSamplesPass:
     def test_compute_hand_trace(self):
         values = np.array([[0.0], [1.0], [9.0], [10.0]])
         centers = np.array([[0.0], [9.0]])
-        new, changed = samples_compute(values, centers, np.zeros(4, dtype=np.int64))
+        new, changed, bound = samples_compute(values, centers,
+                                              np.zeros(4, dtype=np.int64), None)
         assert np.array_equal(new, [0, 0, 1, 1])
         assert changed is True
+        assert np.array_equal(bound.ref, centers)
 
     def test_compute_empty_block(self):
-        new, changed = samples_compute(np.zeros((0, 2)), np.zeros((1, 2)),
-                                       np.zeros(0, dtype=np.int64))
-        assert new.shape == (0,) and changed is False
+        new, changed, bound = samples_compute(np.zeros((0, 2)), np.zeros((1, 2)),
+                                              np.zeros(0, dtype=np.int64), None)
+        assert new.shape == (0,) and changed is False and bound.gap.shape == (0,)
+
+    @pytest.fixture
+    def rows_assigned(self, monkeypatch):
+        """Rows that go through the distance kernel, counted per call."""
+        calls = []
+        kernel = kmeans.pairwise_sqdist
+
+        def counted(points, centers):
+            calls.append(len(points))
+            return kernel(points, centers)
+
+        monkeypatch.setattr(kmeans, "pairwise_sqdist", counted)
+        return calls
+
+    def _position(self):
+        data = random_dataset(21, n=90)
+        state = SamplesPosition(data.values, k=4, procs=2, position=1)
+        return data, state, init_centroids(data, 4).centers
+
+    def test_a_pass_on_the_same_centers_computes_no_distance(self, rows_assigned):
+        _, state, centers = self._position()
+        state.compute(centers)
+        assert sum(rows_assigned) == state.load == 45
+        rows_assigned.clear()
+        assert state.compute(centers.copy()) is False
+        assert rows_assigned == []
+        assert np.array_equal(state.labels, assign_labels(state._block(), centers))
+
+    @pytest.mark.parametrize("drop", ["relabel", "reset"])
+    def test_after_relabel_or_reset_the_next_pass_computes_the_block(self, rows_assigned,
+                                                                     drop):
+        _, state, centers = self._position()
+        state.compute(centers)
+        moved = centers + 1e-3          # a drift that bounds alone would skip
+        if drop == "relabel":
+            state.relabel(centers, 1)
+        else:
+            state.reset(1)
+        rows_assigned.clear()
+        state.compute(moved)
+        assert sum(rows_assigned) == state.load
+        assert np.array_equal(state.labels, assign_labels(state._block(), moved))
 
     def test_partials(self):
         values = np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 10.0]])

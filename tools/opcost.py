@@ -15,7 +15,11 @@ the best and the median of ROUNDS rounds of N calls each:
 Then, per `assign_labels` and per `center_sums` call, the same statistics
 at each benchmark workload's per-rank shape (5,000 x 4 with k=8, 5,000 x 8
 with k=16, 250 x 4 with k=16) and at its oracle shape (20,000 x 4 with k=8,
-20,000 x 8 with k=16, 4,000 x 4 with k=16).
+20,000 x 8 with k=16, 4,000 x 4 with k=16).  Last, per bounded samples pass
+(`assign_bounded`, where the checkout has it), the mean over a real center
+trajectory: the 60 centers a failure-free samples run of 20,000 x 4 blobs
+with k=8 on 4 positions reads, each pass on position 0's 5,000 x 4 block,
+the first with no bound.
 Each loop's own Python overhead is included.  Run it on two checkouts back
 to back to compare them; host speed drifts, so numbers from different
 sessions do not compare.
@@ -137,10 +141,35 @@ def _kernel_cases(kmeans, n: int, d: int, k: int) -> dict:
     }
 
 
+def _bounded_pass_case(package) -> dict:
+    """Seconds per bounded samples pass over a lockstep center trajectory."""
+    kmeans = package.kmeans
+    if not hasattr(kmeans, "assign_bounded"):
+        return {}
+    n, d, k, procs, iters = 20_000, 4, 8, 4, 60
+    data, _ = package.make_blobs(n=n, d=d, blobs=5, spread=3.0, seed=1)
+    run = package.run_parallel(data, package.KmeansConfig(k=k), procs,
+                               package.Method.SAMPLES, record_history=True,
+                               force_iters=iters)
+    read = [kmeans.init_centroids(data, k).centers,
+            *(rec.centers for rec in run.history[:-1])]
+    block = data.values[:n // procs]
+
+    def trajectory() -> float:
+        labels, bound = np.zeros(len(block), dtype=np.int64), None
+        t0 = time.perf_counter()
+        for centers in read:
+            labels, _, bound = kmeans.assign_bounded(block, centers, labels, bound)
+        return (time.perf_counter() - t0) / len(read)
+
+    return {f"bounded pass {len(block)}x{d} k={k}": trajectory}
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
     cpu = _pin()
+    import kmft as package
     from kmft import kmeans
     from kmft import simcluster as kmft
 
@@ -153,6 +182,7 @@ def main(argv: list[str]) -> int:
     }
     for shape in KERNEL_SHAPES:
         cases.update(_kernel_cases(kmeans, *shape))
+    cases.update(_bounded_pass_case(package))
     print(f"kmft from {src}, pinned to CPU {cpu}; us per op, best / median of {ROUNDS}")
     for name, case in cases.items():
         runs = [case() * 1e6 for _ in range(ROUNDS)]
