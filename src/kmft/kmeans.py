@@ -14,7 +14,11 @@ points pass after pass: it keeps, per row, a lower bound on how much nearer
 the nearest center is than the second nearest, lowers it by how far the
 centers moved, and sends only the rows whose bound is no longer positive
 through the same kernels.  The rows it skips keep labels those kernels
-would give them again, so its labels are bitwise `assign_labels`'.
+would give them again, so its labels are bitwise `assign_labels`'.  A
+caller whose rows are scattered over a larger table passes the table and
+their row ids, and only the rows that need distances are gathered.  A
+block of fewer than BOUND_MIN_CELLS distances is assigned plainly, with no
+bound: there the bookkeeping costs more than the distances it saves.
 """
 
 from __future__ import annotations
@@ -211,6 +215,15 @@ BOUND_SLACK = 2.0 ** -20
 # floor, 2**-500, covers that for every d below 2**70, on gaps and on
 # drifts alike; rows whose distances are this small always reassign.
 BOUND_FLOOR = 2.0 ** -500
+# `assign_bounded` assigns a block of fewer distances (rows x k) than this
+# with plain `assign_labels` and keeps no bound for it.  A bounded pass makes
+# about a dozen more numpy calls than a plain one (the drifts, the gap
+# update, the stale selection, a gather and a scatter), a fixed cost that
+# on a small block is more than the distances it can save.  Over a lockstep
+# centers trajectory (`tools/opcost.py`, k=16) a bounded pass cost 1.5-1.6x a
+# plain one at about 250 rows (4,500 distances), 0.8x at about 1,100
+# (17,600) and 0.3x at about 6,000 (97,000); the rule is one kernel block.
+BOUND_MIN_CELLS = ASSIGN_BLOCK_CELLS
 _SQ_MAX = np.finfo(np.float64).max
 
 
@@ -224,17 +237,22 @@ class NearestBound:
     ref: np.ndarray                    # (k, d) the centers the bound holds for
 
 
-def _nearest_two(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`assign_labels` of the rows, with each row's gap bound; the same
-    blocks under the same buffer size."""
-    n = len(points)
+def _nearest_two(points: np.ndarray, centers: np.ndarray,
+                 ids: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """`assign_labels` of the rows (with `ids`, the rows `ids` of `points`),
+    with each row's gap bound; the same blocks under the same buffer size.
+    Rows picked by id are gathered one block at a time, so no copy of them
+    all is ever held."""
+    n = len(points) if ids is None else len(ids)
     rows = max(1, ASSIGN_BLOCK_CELLS // len(centers))
     labels = np.empty(n, dtype=np.int64)
     gap = np.empty(n, dtype=np.float64)
     old = np.setbufsize(ASSIGN_UFUNC_BUFSIZE)
     try:
         for lo in range(0, n, rows):
-            block = pairwise_sqdist(points[lo:lo + rows], centers)
+            # `take` gathers whole rows, several times faster than `points[ids]`
+            block = pairwise_sqdist(points[lo:lo + rows] if ids is None
+                                    else points.take(ids[lo:lo + rows], axis=0), centers)
             near = np.argmin(block, axis=1)
             labels[lo:lo + rows] = near
             table = block.T                       # (k, rows), contiguous
@@ -255,37 +273,45 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, n
 
 
 def assign_bounded(points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
-                   bound: NearestBound | None) -> tuple[np.ndarray, bool, NearestBound]:
-    """`assign_labels(points, centers)`, reassigning only the rows whose
-    nearest center can have changed; also whether any label changed.
+                   bound: NearestBound | None, ids: np.ndarray | None = None,
+                   ) -> tuple[np.ndarray, bool, NearestBound | None]:
+    """`assign_labels` of the rows, reassigning only those whose nearest
+    center can have changed; also whether any label changed.
 
-    `labels` and `bound` come from the previous call on the same points
-    (Elkan, ICML 2003; Hamerly, SDM 2010).  Each center's drift since
-    `bound.ref` lowers every row's gap by the drift of its own center plus
-    the largest drift: no center came nearer, and its own went no further,
-    than that.  Only rows whose gap is then not positive (NaN and -inf
+    The rows are `points`, or with `ids` the rows `ids` of `points`; only
+    the rows reassigned are gathered.  `labels` and `bound` come from the
+    previous call on the same rows (Elkan, ICML 2003; Hamerly, SDM 2010).
+    Each center's drift since `bound.ref` lowers every row's gap by the
+    drift of its own center plus the largest drift: no center came nearer,
+    and its own went no further, than that.  Only rows whose gap is then not
+    positive (0, as a caller sets for a row new to it, NaN and -inf
     included) are reassigned, through `pairwise_sqdist` and argmin as in
     `assign_labels`, and get a fresh gap; the others keep their labels,
-    which are still nearest.  With no bound every row is reassigned.
-    Returns the labels, whether any differs from `labels`, and the bound
-    for `centers`.
+    which are still nearest.  With no bound every row is reassigned.  A
+    block of fewer than BOUND_MIN_CELLS distances is `assign_labels`' whole
+    and keeps no bound.  Returns the labels, whether any differs from
+    `labels`, and the bound for `centers`, None for a plain block.
     """
-    if bound is None:
-        gap = np.zeros(len(points), dtype=np.float64)
-    else:
-        diff = centers - bound.ref
-        drift = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        drift *= 1.0 + BOUND_SLACK
-        drift += BOUND_FLOOR
-        lower = drift.take(labels)
-        lower += drift.max()
-        gap = bound.gap * (1.0 - BOUND_SLACK)
-        gap -= lower
+    if len(labels) * len(centers) < BOUND_MIN_CELLS:
+        new = assign_labels(points if ids is None else points.take(ids, axis=0), centers)
+        return new, not np.array_equal(new, labels), None
+    if bound is None:                   # every row is stale: nothing to select
+        new, gap = _nearest_two(points, centers, ids)
+        return new, not np.array_equal(new, labels), NearestBound(gap, centers.copy())
+    diff = centers - bound.ref
+    drift = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    drift *= 1.0 + BOUND_SLACK
+    drift += BOUND_FLOOR
+    lower = drift.take(labels)
+    lower += drift.max()
+    gap = bound.gap * (1.0 - BOUND_SLACK)
+    gap -= lower
     stale = np.flatnonzero(~(gap > 0))
     new = labels.copy()
     changed = False
     if len(stale):
-        fresh, gap[stale] = _nearest_two(points.take(stale, axis=0), centers)
+        fresh, gap[stale] = _nearest_two(points, centers,
+                                         stale if ids is None else ids.take(stale))
         changed = not np.array_equal(fresh, labels[stale])
         new[stale] = fresh
     return new, changed, NearestBound(gap, centers.copy())

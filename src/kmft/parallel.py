@@ -15,9 +15,13 @@ changes, a position keeps a per-row bound between passes (`assign_bounded`)
 and reassigns only the rows whose nearest center can have changed; the
 labels are still exactly the full pass's.  Assignments match the sequential
 pass exactly; centroids agree to rounding because the summation tree
-differs.  The CENTERS split stays on plain `assign_labels`: its rows move
-between positions, and bounds that travel with them cost more than they
-saved on small blocks.
+differs.
+
+Both splits reassign through the same `assign_bounded`.  A CENTERS position
+keeps the bound of the rows it kept; a row that arrives by record carries
+no bound, so it gets a gap of 0 and its next pass reassigns it.  Records,
+messages and ticks are those of a full pass.  Blocks under the kernel's size
+rule (`kmeans.BOUND_MIN_CELLS`) are assigned whole and keep no bound.
 
 Each decomposition is one per-position state class (`CentersPosition`,
 `SamplesPosition`) that holds what a position owns in numpy arrays and does
@@ -45,7 +49,6 @@ from .kmeans import (
     KmeansConfig,
     NearestBound,
     assign_bounded,
-    assign_labels,
     center_means,
     center_sums,
     init_centroids,
@@ -142,22 +145,23 @@ class CentersPass:
     changed: bool
     kept: np.ndarray                        # (m, 2) records that stay here
     outgoing: dict[int, np.ndarray]         # dst position -> (m, 2) records
+    bound: NearestBound | None = None       # gaps of the kept rows, record order
 
 
 def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
-                    labels: np.ndarray, block_ends: np.ndarray,
-                    my_pos: int) -> CentersPass:
+                    labels: np.ndarray, block_ends: np.ndarray, my_pos: int,
+                    bound: NearestBound | None = None) -> CentersPass:
     """Reassign this position's samples against the full center list.
 
-    `ids` ascend and `labels` are their current centers.  A new center is
-    owned by the first block that ends after it, which skips empty blocks.
-    One stable sort by destination groups the records, so each destination's
+    `ids` ascend, `labels` are their current centers and `bound` their
+    bound from the last pass (see `assign_bounded`).  A new center is owned
+    by the first block that ends after it, which skips empty blocks.  One
+    stable sort by destination groups the records, so each destination's
     are one slice of a single record array, ids still ascending.
     """
     if len(ids) == 0:
         return CentersPass(changed=False, kept=make_records(ids, labels), outgoing={})
-    # `take` gathers whole rows, several times faster than `values[ids]`
-    new = assign_labels(values.take(ids, axis=0), centers)
+    new, changed, fresh = assign_bounded(values, centers, labels, bound, ids)
     dest = np.searchsorted(block_ends, new, side="right")
     order = np.argsort(dest, kind="stable")
     records = make_records(ids[order], new[order])
@@ -165,8 +169,10 @@ def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
     starts = [0, *ends[:-1]]
     outgoing = {pos: records[lo:hi] for pos, (lo, hi) in enumerate(zip(starts, ends))
                 if hi > lo and pos != my_pos}
-    return CentersPass(changed=not np.array_equal(new, labels),
-                       kept=records[starts[my_pos]:ends[my_pos]], outgoing=outgoing)
+    mine = slice(starts[my_pos], ends[my_pos])
+    if fresh is not None:
+        fresh = NearestBound(fresh.gap.take(order[mine]), fresh.ref)
+    return CentersPass(changed=changed, kept=records[mine], outgoing=outgoing, bound=fresh)
 
 
 def centers_recompute(values: np.ndarray, ids: np.ndarray, labels: np.ndarray,
@@ -179,7 +185,8 @@ def centers_recompute(values: np.ndarray, ids: np.ndarray, labels: np.ndarray,
 
 class CentersPosition:
     """One position of the center split: its center block and the samples
-    currently assigned to it, as ascending ids with aligned labels."""
+    currently assigned to it, as ascending ids with aligned labels and, for
+    a block over the size rule, their bound (see `SamplesPosition`)."""
 
     def __init__(self, values: np.ndarray, k: int, procs: int, position: int):
         self.values = values
@@ -194,6 +201,7 @@ class CentersPosition:
         n = len(self.values) if position == 0 else 0
         self.ids = np.arange(n, dtype=np.int64)
         self.labels = np.zeros(n, dtype=np.int64)
+        self.bound: NearestBound | None = None
 
     @property
     def load(self) -> int:
@@ -201,14 +209,20 @@ class CentersPosition:
 
     def compute(self, centers: np.ndarray) -> CentersPass:
         return centers_compute(self.values, centers, self.ids, self.labels,
-                               self.block_ends, self.position)
+                               self.block_ends, self.position, self.bound)
 
     def absorb(self, out: CentersPass, batches: list[np.ndarray]) -> None:
-        """Keep what stayed and take over the records handed to this position."""
+        """Keep what stayed and take over the records handed to this
+        position.  An arrival's gap is 0, so the next pass reassigns it."""
         records = np.concatenate([out.kept, *batches])
         order = np.argsort(records[:, 0])
         self.ids = records[order, 0].astype(np.int64)
         self.labels = records[order, 1].astype(np.int64)
+        self.bound = None
+        if out.bound is not None:
+            gap = np.zeros(len(records), dtype=np.float64)
+            gap[:len(out.kept)] = out.bound.gap
+            self.bound = NearestBound(gap.take(order), out.bound.ref)
 
     def recompute(self, centers: np.ndarray) -> np.ndarray:
         return centers_recompute(self.values, self.ids, self.labels, centers,
@@ -219,19 +233,24 @@ class CentersPosition:
 
     def relabel(self, centers: np.ndarray, position: int) -> int:
         """Take `position` with the samples whose label against `centers`
-        falls in its block; returns the rows assigned, every sample."""
+        falls in its block, and their bound; returns the rows assigned,
+        every sample."""
         self.position = position
         lo, hi = self.blocks[position]
-        labels = assign_labels(self.values, centers)
+        n = len(self.values)
+        labels, _, bound = assign_bounded(self.values, centers,
+                                          np.zeros(n, dtype=np.int64), None)
         self.ids = np.flatnonzero((labels >= lo) & (labels < hi))
         self.labels = labels[self.ids]
-        return len(labels)
+        self.bound = None if bound is None else NearestBound(bound.gap[self.ids], bound.ref)
+        return n
 
 
 # -- splitting the samples ---------------------------------------------------
 
 def samples_compute(values_block: np.ndarray, centers: np.ndarray, prev_assign: np.ndarray,
-                    bound: NearestBound | None) -> tuple[np.ndarray, bool, NearestBound]:
+                    bound: NearestBound | None,
+                    ) -> tuple[np.ndarray, bool, NearestBound | None]:
     """Reassign one block, only the rows whose nearest center can have
     changed since `bound` (see `assign_bounded`); returns the labels,
     whether any changed, and the bound for `centers`."""
@@ -247,8 +266,9 @@ def samples_partials(values_block: np.ndarray, assign: np.ndarray,
 class SamplesPosition:
     """One position of the sample split: a fixed block of samples, their
     labels, and the bound that lets a pass skip the rows whose label cannot
-    change.  The bound is a cache: `reset` and `relabel` drop it, so the
-    next pass reassigns the whole block, and no checkpoint holds it."""
+    change.  The bound is a cache that no checkpoint holds: `relabel`
+    builds it from the distances it computes anyway, and `reset` drops it,
+    so the next pass reassigns the whole block."""
 
     def __init__(self, values: np.ndarray, k: int, procs: int, position: int):
         self.values = values
@@ -296,8 +316,9 @@ class SamplesPosition:
         """Take `position` with its block labelled against `centers`; returns
         the rows assigned, the block's."""
         self.position = position
-        self.labels = assign_labels(self._block(), centers)
-        self.bound = None
+        block = self._block()
+        self.labels, _, self.bound = assign_bounded(
+            block, centers, np.zeros(len(block), dtype=np.int64), None)
         return len(self.labels)
 
 

@@ -1,5 +1,7 @@
 """Sequential K-means against brute-force oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,7 +207,8 @@ STEP_KINDS = ("drift", "ulp", "jump", "same", "duplicate")
 def center_trajectories(draw):
     """Points on a coarse grid (exact ties), then a run of centers, each
     step a small drift, a one-ulp nudge of one coordinate, an arbitrary
-    jump, a repeat or a duplicated center."""
+    jump, a repeat or a duplicated center; and before each step after the
+    first, the rows that arrive stale."""
     n, d, k = draw(st.integers(0, 24)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
     scale = draw(st.sampled_from(BOUND_SCALES))
 
@@ -230,28 +233,61 @@ def center_trajectories(draw):
         elif kind == "duplicate":
             centers[j] = centers[draw(st.integers(0, k - 1))]
         steps.append(centers)
-    return points, steps
+    arrivals = [np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+                for _ in steps[1:]]
+    return points, steps, arrivals
+
+
+def bounded_at_every_size():
+    """`assign_bounded` with its size rule off, so that blocks far below it
+    still take the bounded path."""
+    return mock.patch.object(kmeans, "BOUND_MIN_CELLS", 0)
 
 
 class TestBoundedAssign:
     """`assign_bounded` gives `assign_labels`' labels at every step."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(center_trajectories())
-    def test_every_step_matches_a_full_pass(self, case):
-        points, steps = case
-        labels = np.zeros(len(points), dtype=np.int64)
+    @given(center_trajectories(), st.booleans())
+    def test_every_step_matches_a_full_pass(self, case, scattered):
+        """Rows that arrive stale (gap 0, any label) are reassigned; with
+        `scattered` the rows sit reversed between far rows of a larger
+        table and are passed by id."""
+        points, steps, arrivals = case
+        n = len(points)
+        table, ids = points, None
+        if scattered:
+            ids = np.arange(2 * n - 1, -1, -2, dtype=np.int64)
+            table = np.full((2 * n + 1, points.shape[1]), 1e300)
+            table[ids] = points
+        labels = np.zeros(n, dtype=np.int64)
         bound = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            for centers in steps:
-                got, changed, bound = kmeans.assign_bounded(points, centers, labels, bound)
+        with np.errstate(over="ignore", invalid="ignore"), bounded_at_every_size():
+            for step, centers in enumerate(steps):
+                if step:
+                    stale = arrivals[step - 1]
+                    labels = np.where(stale, np.arange(n) % len(centers), labels)
+                    bound = kmeans.NearestBound(np.where(stale, 0.0, bound.gap), bound.ref)
+                got, changed, bound = kmeans.assign_bounded(table, centers, labels, bound,
+                                                            ids)
                 want = assign_labels(points, centers)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want)
                 assert changed == (not np.array_equal(want, labels))
-                assert bound.gap.shape == (len(points),)
+                assert bound.gap.shape == (n,)
                 assert np.array_equal(bound.ref, centers)
                 labels = got
+
+    @pytest.mark.parametrize("rows,bounded", [(2047, False), (2048, True)])
+    def test_a_block_under_the_size_rule_is_assigned_plainly(self, rows, bounded):
+        k = 8                               # 2048 x 8 cells is BOUND_MIN_CELLS
+        assert kmeans.BOUND_MIN_CELLS == 2048 * k
+        rng = np.random.default_rng(3)
+        points, centers = rng.normal(size=(rows, 2)), rng.normal(size=(k, 2))
+        labels, changed, bound = kmeans.assign_bounded(
+            points, centers, np.zeros(rows, dtype=np.int64), None)
+        assert np.array_equal(labels, assign_labels(points, centers)) and changed
+        assert (bound is not None) == bounded
 
     # Each case is one point and two steps of centers whose second step
     # the bound must not skip; each needs one term of the bound.  The last
@@ -275,7 +311,7 @@ class TestBoundedAssign:
                                                                 after):
         points = np.array([point])
         before, after = np.array(before), np.array(after)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"), bounded_at_every_size():
             labels, _, bound = kmeans.assign_bounded(
                 points, before, np.zeros(1, dtype=np.int64), None)
             got, changed, _ = kmeans.assign_bounded(points, after, labels, bound)
@@ -286,8 +322,9 @@ class TestBoundedAssign:
     def test_bound_holds_for_a_copy_of_the_centers(self):
         points = np.array([[0.0], [1.0], [9.0]])
         centers = np.array([[0.0], [9.0]])
-        _, _, bound = kmeans.assign_bounded(points, centers, np.zeros(3, dtype=np.int64),
-                                            None)
+        with bounded_at_every_size():
+            _, _, bound = kmeans.assign_bounded(points, centers,
+                                                np.zeros(3, dtype=np.int64), None)
         centers[0] = 100.0
         assert bound.ref.tolist() == [[0.0], [9.0]]
 

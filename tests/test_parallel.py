@@ -10,6 +10,7 @@ from kmft.errors import ConfigError
 from kmft.kmeans import (
     Dataset,
     KmeansConfig,
+    NearestBound,
     assign_labels,
     center_means,
     initial_assignment,
@@ -38,6 +39,27 @@ from kmft.parallel import (
 def random_dataset(seed, n=60, d=3):
     rng = np.random.default_rng(seed)
     return Dataset(rng.normal(size=(n, d)) * 5.0)
+
+
+@pytest.fixture
+def bounded(monkeypatch):
+    """`assign_bounded` with its size rule off, so that these small blocks
+    take the bounded path."""
+    monkeypatch.setattr(kmeans, "BOUND_MIN_CELLS", 0)
+
+
+@pytest.fixture
+def rows_assigned(monkeypatch):
+    """Rows that go through the distance kernel, counted per call."""
+    calls = []
+    kernel = kmeans.pairwise_sqdist
+
+    def counted(points, centers):
+        calls.append(len(points))
+        return kernel(points, centers)
+
+    monkeypatch.setattr(kmeans, "pairwise_sqdist", counted)
+    return calls
 
 
 def sequential_trace(data, cfg):
@@ -196,13 +218,57 @@ class TestCentersPass:
         if partition(k, procs)[my_pos][0] == partition(k, procs)[my_pos][1]:
             assert len(out.kept) == 0          # an empty block keeps nothing
 
-    def test_absorb_merges_batches_in_id_order(self):
+    @pytest.mark.parametrize("with_bound", [True, False])
+    def test_absorb_merges_batches_in_id_order(self, with_bound):
+        """Arrivals start stale: their gap is 0 beside the kept rows' gaps.
+        A pass under the size rule kept no bound, and the position has none."""
         state = CentersPosition(np.zeros((5, 1)), k=2, procs=2, position=1)
-        kept = CentersPass(changed=False, kept=make_records([1], [0]), outgoing={})
+        ref = np.array([[0.0], [1.0]])
+        kept = CentersPass(changed=False, kept=make_records([1, 2], [0, 1]), outgoing={},
+                           bound=NearestBound(np.array([0.5, 0.25]), ref)
+                           if with_bound else None)
         state.absorb(kept, [make_records([4], [1]), make_records([0, 3], [1, 0])])
-        assert state.ids.tolist() == [0, 1, 3, 4]
-        assert state.labels.tolist() == [1, 0, 0, 1]
-        assert state.entries().tolist() == [[0, 1], [1, 0], [3, 0], [4, 1]]
+        assert state.ids.tolist() == [0, 1, 2, 3, 4]
+        assert state.labels.tolist() == [1, 0, 1, 0, 1]
+        assert state.entries().tolist() == [[0, 1], [1, 0], [2, 1], [3, 0], [4, 1]]
+        if with_bound:
+            assert state.bound.gap.tolist() == [0.0, 0.5, 0.25, 0.0, 0.0]
+            assert state.bound.ref is ref
+        else:
+            assert state.bound is None
+
+    def test_a_pass_on_the_same_centers_computes_only_arrivals(self, bounded,
+                                                               rows_assigned):
+        data = random_dataset(21, n=90)
+        centers = init_centroids(data, 4).centers
+        states = [CentersPosition(data.values, k=4, procs=2, position=p) for p in (0, 1)]
+        passes = [s.compute(centers) for s in states]
+        arrived = []
+        for p, state in enumerate(states):
+            batches = [passes[1 - p].outgoing[p]] if p in passes[1 - p].outgoing else []
+            arrived.append(sum(len(b) for b in batches))
+            state.absorb(passes[p], batches)
+        # position 0 kept its rows' bounds; every row of position 1 arrived
+        assert arrived == [0, states[1].load] and states[0].load > 0
+        want = assign_labels(data.values, centers)
+        for state, rows in zip(states, arrived):
+            rows_assigned.clear()
+            out = state.compute(centers.copy())
+            assert sum(rows_assigned) == rows
+            assert out.changed is False and out.outgoing == {}
+            assert np.array_equal(state.labels, want[state.ids])
+
+    def test_after_relabel_a_pass_on_the_same_centers_computes_no_distance(
+            self, bounded, rows_assigned):
+        data = random_dataset(21, n=90)
+        centers = init_centroids(data, 4).centers
+        state = CentersPosition(data.values, k=4, procs=2, position=0)
+        assert state.relabel(centers, 1) == 90
+        rows_assigned.clear()
+        out = state.compute(centers.copy())
+        assert rows_assigned == [] and out.changed is False and out.outgoing == {}
+        assert state.load > 0
+        assert np.array_equal(state.labels, assign_labels(data.values, centers)[state.ids])
 
     def test_recompute_means_and_keep_empty(self):
         values = np.array([[0.0], [1.0], [9.0], [10.0]])
@@ -229,6 +295,7 @@ class TestCentersPass:
             assert np.array_equal(got[ctr], expect)
 
 
+@pytest.mark.usefixtures("bounded")
 class TestSamplesPass:
     def test_compute_hand_trace(self):
         values = np.array([[0.0], [1.0], [9.0], [10.0]])
@@ -243,19 +310,6 @@ class TestSamplesPass:
         new, changed, bound = samples_compute(np.zeros((0, 2)), np.zeros((1, 2)),
                                               np.zeros(0, dtype=np.int64), None)
         assert new.shape == (0,) and changed is False and bound.gap.shape == (0,)
-
-    @pytest.fixture
-    def rows_assigned(self, monkeypatch):
-        """Rows that go through the distance kernel, counted per call."""
-        calls = []
-        kernel = kmeans.pairwise_sqdist
-
-        def counted(points, centers):
-            calls.append(len(points))
-            return kernel(points, centers)
-
-        monkeypatch.setattr(kmeans, "pairwise_sqdist", counted)
-        return calls
 
     def _position(self):
         data = random_dataset(21, n=90)
@@ -274,6 +328,9 @@ class TestSamplesPass:
     @pytest.mark.parametrize("drop", ["relabel", "reset"])
     def test_after_relabel_or_reset_the_next_pass_computes_the_block(self, rows_assigned,
                                                                      drop):
+        """A reset drops the bound, so the next pass assigns the whole block;
+        a relabel builds it from the distances it computes, so the next pass
+        assigns only the rows a small drift leaves stale."""
         _, state, centers = self._position()
         state.compute(centers)
         moved = centers + 1e-3          # a drift that bounds alone would skip
@@ -283,7 +340,10 @@ class TestSamplesPass:
             state.reset(1)
         rows_assigned.clear()
         state.compute(moved)
-        assert sum(rows_assigned) == state.load
+        if drop == "relabel":
+            assert sum(rows_assigned) < state.load
+        else:
+            assert sum(rows_assigned) == state.load
         assert np.array_equal(state.labels, assign_labels(state._block(), moved))
 
     def test_partials(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kmft import parallel, runtime, simcluster
+from kmft import kmeans, parallel, runtime, simcluster
 from kmft.checkpoint import Checkpointer, CheckpointPolicy, mirror_target
 from kmft.errors import (ConfigError, InitError, InvariantError, SimDeadlock,
                          UnrecoverableError)
@@ -560,6 +560,40 @@ class TestDeterminism:
             assert np.array_equal(r.table.assign, SEQ_T.assign)
             if method is Method.CENTERS:
                 assert np.array_equal(r.centroids.centers, SEQ_C.centers)
+
+
+class TestBoundPruning:
+    """Skipping rows changes no result and no tick: a run whose blocks are
+    over the size rule, with a kill and a restore from a committed epoch,
+    equals the same run with every block assigned whole."""
+
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_a_pruned_run_equals_the_plain_run(self, method, monkeypatch):
+        data, _ = make_blobs(6000, 3, 8, 3.0, seed=4)
+        kernel = kmeans.pairwise_sqdist
+
+        def run():
+            rows = []
+            monkeypatch.setattr(kmeans, "pairwise_sqdist",
+                                lambda points, centers: rows.append(len(points))
+                                or kernel(points, centers))
+            out = run_ft_kmeans(data, KmeansConfig(k=8), method, CheckpointPolicy(interval=3),
+                                WorldLayout(active=2, spares=1),
+                                plan=kill(1, 8, FailPhase.DURING_COMPUTE),
+                                force_iters=14, record_trace=True)
+            return out, sum(rows)
+
+        pruned, pruned_rows = run()
+        monkeypatch.setattr(kmeans, "BOUND_MIN_CELLS", 2**62)
+        plain, plain_rows = run()
+        assert pruned.recoveries == 1 and pruned.recovery_events[0]["resumed_iteration"] == 6
+        assert pruned_rows < plain_rows / 2
+        assert pruned.centroids.centers.tobytes() == plain.centroids.centers.tobytes()
+        assert np.array_equal(pruned.table.assign, plain.table.assign)
+        assert pruned.ledger == plain.ledger and pruned.vt_total == plain.vt_total
+        assert pruned.trace == plain.trace
+        assert pruned.recovery_events == plain.recovery_events
+        assert pruned.captures == plain.captures
 
 
 class TestCentersExchange:

@@ -15,11 +15,20 @@ the best and the median of ROUNDS rounds of N calls each:
 Then, per `assign_labels` and per `center_sums` call, the same statistics
 at each benchmark workload's per-rank shape (5,000 x 4 with k=8, 5,000 x 8
 with k=16, 250 x 4 with k=16) and at its oracle shape (20,000 x 4 with k=8,
-20,000 x 8 with k=16, 4,000 x 4 with k=16).  Last, per bounded samples pass
+20,000 x 8 with k=16, 4,000 x 4 with k=16).  Then, per bounded samples pass
 (`assign_bounded`, where the checkout has it), the mean over a real center
 trajectory: the 60 centers a failure-free samples run of 20,000 x 4 blobs
 with k=8 on 4 positions reads, each pass on position 0's 5,000 x 4 block,
-the first with no bound.
+the first with no bound.  Last, per centers pass of position 1 at each
+centers workload's shape (about 250 x 4 of 4,000 x 4 on 16 positions, and
+5,000 x 8 of 20,000 x 8 on 4 positions, both k=16) and between them
+(about 1,000 x 4 of 16,000 x 4 on 16 positions, near the size rule), the
+mean over the passes of a failure-free lockstep centers run in which the
+position holds rows: the plain pass (`assign_labels` of its rows) and,
+where the checkout gathers rows by id, the bounded pass with its size rule
+off, the rows it kept carrying their gaps and the rows that arrived
+starting stale.  Only the assignment call is timed, not the bookkeeping
+between passes.
 Each loop's own Python overhead is included.  Run it on two checkouts back
 to back to compare them; host speed drifts, so numbers from different
 sessions do not compare.
@@ -165,6 +174,65 @@ def _bounded_pass_case(package) -> dict:
     return {f"bounded pass {len(block)}x{d} k={k}": trajectory}
 
 
+# (n, d, blobs, spread, k, procs, iters): the two centers workloads, and
+# between them a block near kmeans.BOUND_MIN_CELLS (about 1,000 rows x k=16)
+CENTERS_SHAPES = [(4_000, 4, 8, 3.0, 16, 16, 30), (16_000, 4, 8, 3.0, 16, 16, 30),
+                  (20_000, 8, 10, 4.0, 16, 4, 20)]
+CENTERS_POSITION = 1
+
+
+def _centers_pass_cases(package, n: int, d: int, blobs: int, spread: float, k: int,
+                        procs: int, iters: int) -> dict:
+    """Seconds per plain and per bounded centers pass of one position over a
+    lockstep center trajectory."""
+    kmeans = package.kmeans
+    data, _ = package.make_blobs(n=n, d=d, blobs=blobs, spread=spread, seed=1)
+    run = package.run_parallel(data, package.KmeansConfig(k=k), procs,
+                               package.Method.CENTERS, record_history=True,
+                               force_iters=iters)
+    values = data.values
+    lo, hi = package.partition(k, procs)[CENTERS_POSITION]
+    # per pass: the centers read and the labels every row starts it with
+    passes = [(kmeans.init_centroids(data, k).centers, np.zeros(n, dtype=np.int64)),
+              *((rec.centers, rec.assign) for rec in run.history[:-1])]
+    owned = [np.flatnonzero((start >= lo) & (start < hi)) for _, start in passes]
+    passes = [(centers, ids, start[ids]) for (centers, start), ids in zip(passes, owned)
+              if len(ids)]
+    rows = round(statistics.mean(len(ids) for _, ids, _ in passes))
+    shape = f"{rows}x{d} k={k}"
+
+    def plain() -> float:
+        spent = 0.0
+        for centers, ids, _ in passes:
+            t0 = time.perf_counter()
+            kmeans.assign_labels(values.take(ids, axis=0), centers)
+            spent += time.perf_counter() - t0
+        return spent / len(passes)
+
+    def bounded() -> float:
+        spent, kept, bound = 0.0, np.zeros(0, dtype=np.int64), None
+        cells, kmeans.BOUND_MIN_CELLS = kmeans.BOUND_MIN_CELLS, 0
+        try:
+            for centers, ids, labels in passes:
+                if bound is not None:       # kept rows keep their gap, arrivals get 0
+                    at = np.minimum(np.searchsorted(kept, ids), len(kept) - 1)
+                    stays = kept[at] == ids
+                    bound = kmeans.NearestBound(np.where(stays, bound.gap.take(at), 0.0),
+                                                bound.ref)
+                t0 = time.perf_counter()
+                _, _, bound = kmeans.assign_bounded(values, centers, labels, bound, ids)
+                spent += time.perf_counter() - t0
+                kept = ids
+        finally:
+            kmeans.BOUND_MIN_CELLS = cells
+        return spent / len(passes)
+
+    cases = {f"centers plain pass {shape}": plain}
+    if "ids" in inspect.signature(kmeans.assign_bounded).parameters:
+        cases[f"centers bounded pass {shape}"] = bounded
+    return cases
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
@@ -183,10 +251,12 @@ def main(argv: list[str]) -> int:
     for shape in KERNEL_SHAPES:
         cases.update(_kernel_cases(kmeans, *shape))
     cases.update(_bounded_pass_case(package))
+    for shape in CENTERS_SHAPES:
+        cases.update(_centers_pass_cases(package, *shape))
     print(f"kmft from {src}, pinned to CPU {cpu}; us per op, best / median of {ROUNDS}")
     for name, case in cases.items():
         runs = [case() * 1e6 for _ in range(ROUNDS)]
-        print(f"{name:<30} {min(runs):9.2f} {statistics.median(runs):9.2f}")
+        print(f"{name:<34} {min(runs):9.2f} {statistics.median(runs):9.2f}")
     return 0
 
 
