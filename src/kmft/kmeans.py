@@ -7,7 +7,9 @@ ascending index order from 0.0 (whatever the dimension d), and nearest-center
 ties resolve to the lowest center index.  Any assignment path that must agree
 bitwise with this module has to go through the same kernels
 (`pairwise_sqdist`, `assign_labels`, and `center_sums` with
-`center_means`, which `lloyd_step` chains).
+`center_means`).  `lloyd_step` chains them into one plain pass, the
+reference a Lloyd loop is replayed against; `run_sequential` and both
+decompositions assign through `assign_bounded` instead.
 
 `assign_bounded` is `assign_labels` for a caller that assigns the same
 points pass after pass: it keeps, per row, a lower bound on how much nearer
@@ -370,7 +372,8 @@ def center_means(sums: np.ndarray, counts: np.ndarray, prev: np.ndarray) -> np.n
 
 def lloyd_step(data: Dataset, centroids: CentroidSet,
                table: AssignmentTable) -> tuple[CentroidSet, AssignmentTable]:
-    """One full pass: reassign every sample, then recompute every center."""
+    """One plain pass: reassign every sample through `assign_labels`, then
+    recompute every center."""
     if centroids.d != data.d:
         raise ConfigError(f"dimension mismatch: data d={data.d}, centers d={centroids.d}")
     labels = assign_labels(data.values, centroids.centers)
@@ -383,17 +386,24 @@ def lloyd_step(data: Dataset, centroids: CentroidSet,
 def run_sequential(data: Dataset, cfg: KmeansConfig) -> tuple[CentroidSet, AssignmentTable, int]:
     """Lloyd iterations until no assignment changes or max_iters is hit.
 
-    Returns (centroids, assignments, iterations completed).
+    Each pass is `lloyd_step`'s, bit for bit, but assigns through
+    `assign_bounded`, keeping the labels and bound of the previous pass, so
+    above BOUND_MIN_CELLS only the rows whose nearest center can have
+    changed get distances.  Returns (centroids, assignments, iterations
+    completed).
     """
-    centroids = init_centroids(data, cfg.k)
-    table = initial_assignment(data.n, cfg.k)
+    values = data.values
+    centers = init_centroids(data, cfg.k).centers
+    labels, bound = initial_assignment(data.n, cfg.k).assign, None
     iters = 0
     for _ in range(cfg.max_iters):
-        centroids, table = lloyd_step(data, centroids, table)
+        labels, changed, bound = assign_bounded(values, centers, labels, bound)
+        sums, counts = center_sums(values, labels, range(cfg.k))
+        centers = center_means(sums, counts, centers)
         iters += 1
-        if not table.changed:
+        if not changed:
             break
-    return centroids, table, iters
+    return CentroidSet(centers), AssignmentTable(labels, changed, counts), iters
 
 
 def objective(data: Dataset, centroids: CentroidSet, table: AssignmentTable) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmft import kmeans
+from kmft.datasets import make_blobs
 from kmft.errors import ConfigError, InitError
 from kmft.kmeans import (
     AssignmentTable,
@@ -516,6 +517,62 @@ class TestRunSequential:
         data = Dataset(rng.normal(size=(35, 2)))
         c, t, _ = run_sequential(data, KmeansConfig(k=6))
         t.validate(6)
+
+    # Above the size rule `run_sequential` skips rows by its bound; each
+    # case replays it as plain `lloyd_step` passes and compares bitwise.
+
+    def assert_plain_passes_replay(self, data, cfg):
+        """Returns the replay's iterations, last `changed` and per-pass counts."""
+        assert data.n * cfg.k >= kmeans.BOUND_MIN_CELLS
+        c, t = init_centroids(data, cfg.k), initial_assignment(data.n, cfg.k)
+        iters, counts = 0, []
+        for _ in range(cfg.max_iters):
+            c, t = lloyd_step(data, c, t)
+            iters += 1
+            counts.append(t.counts)
+            if not t.changed:
+                break
+        got_c, got_t, got_iters = run_sequential(data, cfg)
+        assert got_c.centers.tobytes() == c.centers.tobytes()
+        assert got_t.assign.dtype == np.int64
+        assert np.array_equal(got_t.assign, t.assign)
+        assert np.array_equal(got_t.counts, t.counts)
+        assert got_t.changed == t.changed
+        assert got_iters == iters
+        return iters, t.changed, counts
+
+    def test_blobs_that_converge_replay_bitwise(self):
+        data, _ = make_blobs(n=6000, d=3, blobs=5, spread=3.0, seed=11)
+        iters, changed, _ = self.assert_plain_passes_replay(data, KmeansConfig(k=8))
+        assert not changed and iters >= 8
+
+    def test_blobs_capped_by_max_iters_replay_bitwise(self):
+        data, _ = make_blobs(n=6000, d=3, blobs=5, spread=3.0, seed=11)
+        iters, changed, _ = self.assert_plain_passes_replay(
+            data, KmeansConfig(k=8, max_iters=5))
+        assert changed and iters == 5
+
+    def test_integer_grid_with_ties_replays_bitwise(self):
+        rng = np.random.default_rng(41)
+        data = Dataset(rng.integers(-3, 4, size=(6000, 2)).astype(np.float64))
+        first = np.sort(pairwise_sqdist(data.values, init_centroids(data, 5).centers), axis=1)
+        assert np.any(first[:, 0] == first[:, 1])       # exact distance ties
+        assert len(np.unique(data.values, axis=0)) < 100   # duplicate rows
+        iters, _, _ = self.assert_plain_passes_replay(data, KmeansConfig(k=5))
+        assert iters >= 3
+
+    def test_a_center_that_goes_empty_replays_bitwise(self):
+        # with k=3 the center started at -4 loses every member at pass 2
+        cycle = [-5.0, -4.0, -5.0, 6.0, 2.0, -6.0, 1.0, 2.0]
+        data = Dataset(np.tile(cycle, 700).reshape(-1, 1))
+        _, _, counts = self.assert_plain_passes_replay(data, KmeansConfig(k=3))
+        assert any(0 in c for c in counts)
+
+    def test_one_center_replays_bitwise(self):
+        # every label starts at 0, so the first pass changes none
+        data, _ = make_blobs(n=17000, d=2, blobs=3, spread=2.0, seed=5)
+        iters, changed, _ = self.assert_plain_passes_replay(data, KmeansConfig(k=1))
+        assert not changed and iters == 1
 
 
 @st.composite

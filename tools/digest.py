@@ -14,6 +14,13 @@ lines when no tick moved; a change to one decomposition prints the same
 ticks line for the other; and a change to what a snapshot holds, which
 moves captures and restore digests, prints the same results line.
 
+A sixth line, `<n> runs oracle <sha256>`, fingerprints `run_sequential`
+alone: its centroid bytes, assignments, counts, changed flag and
+iterations at each benchmark workload's shape (seed 1, `max_iters` the
+workload's iteration count) and at one shape under
+`kmeans.BOUND_MIN_CELLS`.  A change to the sequential oracle that must
+keep its results prints the same oracle line.
+
 For each method (centers, samples), with checkpoint interval 5, the set
 holds:
   * two failure-free runs: 4+1 ranks forced to 12 iterations with
@@ -41,6 +48,11 @@ from pathlib import Path
 
 FORCE = 12
 KILL_ITERS = (1, 2, 5, 7, 10)
+# (n, d, blobs, spread, k, max_iters) per oracle run: the wide-centers,
+# bulk-centers and churn-samples workloads, then 400 samples with k=6
+# (2,400 distances, under the oracle's size rule)
+ORACLE_SHAPES = ((4000, 4, 8, 3.0, 16, 30), (20000, 8, 10, 4.0, 16, 20),
+                 (20000, 4, 5, 3.0, 8, 60), (400, 3, 4, 2.0, 6, 100))
 
 
 def _scenarios(kmft):
@@ -124,6 +136,15 @@ def main(argv: list[str]) -> int:
     for method, digest in ticks.items():
         print(f"{runs // len(ticks)} runs ticks {method.value} {digest.hexdigest()}")
     print(f"{runs} runs results {results.hexdigest()}")
+    oracle = hashlib.sha256()
+    for n, d, blobs, spread, k, max_iters in ORACLE_SHAPES:
+        data, _ = kmft.make_blobs(n=n, d=d, blobs=blobs, spread=spread, seed=1)
+        centroids, table, iters = kmft.run_sequential(
+            data, kmft.KmeansConfig(k=k, max_iters=max_iters, seed=1))
+        oracle.update(hashlib.sha256(repr([
+            centroids.centers.tobytes(), table.assign.tobytes(), table.counts.tobytes(),
+            table.changed, iters]).encode()).digest())
+    print(f"{len(ORACLE_SHAPES)} runs oracle {oracle.hexdigest()}")
     return 0
 
 

@@ -15,7 +15,10 @@ the best and the median of ROUNDS rounds of N calls each:
 Then, per `assign_labels` and per `center_sums` call, the same statistics
 at each benchmark workload's per-rank shape (5,000 x 4 with k=8, 5,000 x 8
 with k=16, 250 x 4 with k=16) and at its oracle shape (20,000 x 4 with k=8,
-20,000 x 8 with k=16, 4,000 x 4 with k=16).  Then, per bounded samples pass
+20,000 x 8 with k=16, 4,000 x 4 with k=16).  Then, per whole
+`run_sequential` call (one per round), the same statistics at each oracle
+shape on that workload's data (`make_blobs` at seed 1) with its k and its
+iteration count as `max_iters`.  Then, per bounded samples pass
 (`assign_bounded`, where the checkout has it), the mean over a real center
 trajectory: the 60 centers a failure-free samples run of 20,000 x 4 blobs
 with k=8 on 4 positions reads, each pass on position 0's 5,000 x 4 block,
@@ -150,6 +153,26 @@ def _kernel_cases(kmeans, n: int, d: int, k: int) -> dict:
     }
 
 
+# (n, d, blobs, spread, k, iters): the oracle runs of the churn-samples,
+# bulk-centers and wide-centers workloads, at the oracle shapes above
+ORACLE_RUNS = [(20_000, 4, 5, 3.0, 8, 60), (20_000, 8, 10, 4.0, 16, 20),
+               (4_000, 4, 8, 3.0, 16, 30)]
+
+
+def _oracle_case(package, n: int, d: int, blobs: int, spread: float, k: int,
+                 iters: int) -> dict:
+    """Seconds per whole `run_sequential` call on one workload's data."""
+    data, _ = package.make_blobs(n=n, d=d, blobs=blobs, spread=spread, seed=1)
+    cfg = package.KmeansConfig(k=k, max_iters=iters, seed=1)
+
+    def run() -> float:
+        t0 = time.perf_counter()
+        package.run_sequential(data, cfg)
+        return time.perf_counter() - t0
+
+    return {f"run_sequential {n}x{d} k={k} cap {iters}": run}
+
+
 def _bounded_pass_case(package) -> dict:
     """Seconds per bounded samples pass over a lockstep center trajectory."""
     kmeans = package.kmeans
@@ -250,6 +273,8 @@ def main(argv: list[str]) -> int:
     }
     for shape in KERNEL_SHAPES:
         cases.update(_kernel_cases(kmeans, *shape))
+    for run in ORACLE_RUNS:
+        cases.update(_oracle_case(package, *run))
     cases.update(_bounded_pass_case(package))
     for shape in CENTERS_SHAPES:
         cases.update(_centers_pass_cases(package, *shape))
