@@ -8,8 +8,9 @@ with the shared distance kernel and ascending-index extraction the result is
 bitwise identical to the sequential pass.
 
 SAMPLES splits the dataset into fixed contiguous blocks: each position
-assigns its block against the full replicated center list, then the per
-center partial sums and counts are combined across positions in ascending
+assigns its block against the full replicated center list, then one
+float64 (k, d+1) array per position, each center's sums with its member
+count (exact below 2^53) last, is added across positions in ascending
 order and every position performs the same division.  Since a block never
 changes, a position keeps a per-row bound between passes (`assign_bounded`)
 and reassigns only the rows whose nearest center can have changed; the
@@ -257,10 +258,10 @@ def samples_compute(values_block: np.ndarray, centers: np.ndarray, prev_assign: 
     return assign_bounded(values_block, centers, prev_assign, bound)
 
 
-def samples_partials(values_block: np.ndarray, assign: np.ndarray,
-                     k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-center coordinate sums and member counts for one block."""
-    return center_sums(values_block, assign, range(k))
+def samples_partials(values_block: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """One block's (k, d+1) float64 partials: row j holds center j's
+    coordinate sums, then its member count, so one reduce adds both."""
+    return np.column_stack(center_sums(values_block, assign, range(k)))
 
 
 class SamplesPosition:
@@ -297,12 +298,14 @@ class SamplesPosition:
             self._block(), centers, self.labels, self.bound)
         return changed
 
-    def partials(self) -> tuple[np.ndarray, np.ndarray]:
+    def partials(self) -> np.ndarray:
         return samples_partials(self._block(), self.labels, self.k)
 
-    def means(self, sums: np.ndarray, counts: np.ndarray,
-              centers_prev: np.ndarray) -> np.ndarray:
-        """Centers from the sums and counts combined over every position."""
+    def means(self, total: np.ndarray, centers_prev: np.ndarray) -> np.ndarray:
+        """Centers from the `samples_partials` arrays added over every
+        position: sums in the first d columns, then counts, which float64
+        holds exactly below 2^53."""
+        sums, counts = total[:, :-1], total[:, -1]
         if int(counts.sum()) != len(self.values):
             raise InvariantError(
                 f"count conservation violated: {int(counts.sum())} != {len(self.values)}")
@@ -371,10 +374,8 @@ def _samples_step(states: list[SamplesPosition], centers: np.ndarray,
         changed = state.compute(centers) or changed
     if not needs_recompute(changed, t):
         return centers, changed
-    parts = [s.partials() for s in states]     # ascending fold, same as the reduction
-    sums = sum(ps for ps, _ in parts)
-    counts = sum(pc for _, pc in parts)
-    return states[0].means(sums, counts, centers), changed
+    total = sum(s.partials() for s in states)     # ascending fold, same as the reduction
+    return states[0].means(total, centers), changed
 
 
 def run_parallel(data: Dataset, cfg: KmeansConfig, procs: int, method: Method,

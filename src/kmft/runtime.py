@@ -4,7 +4,7 @@ Every rank runs the same program.  Compute positions iterate the chosen
 decomposition; ranks beyond the active set park as spares and wait for a
 wake or a shutdown.  A failure is detected where the algorithm already
 communicates: the operation that misses a dead member (the centers pass's
-receive, the samples pass's reduce, the means step's broadcast or reduces,
+receive, the samples pass's reduce, the means step's broadcast or reduce,
 or the one barrier each group generation runs when the loop ends) has
 already waited the world's timeout, so the survivor only reads the state
 vector, which names the corrupt ranks.
@@ -284,12 +284,11 @@ def _samples_means(ctx: RankContext, group: Group, state: SamplesPosition,
     tag = ("ms", t) if t is not None else ("rcs",)
     work, exchange = _phases(t)
     with ctx.phase(work):
-        sums, counts = state.partials()
+        partials = state.partials()
         ctx.charge(ctx.costs.compute_per_sample * state.load)
     with ctx.phase(exchange):
-        gsums = ctx.reduce_all(group, sums, tag + ("s",))
-        gcounts = ctx.reduce_all(group, counts, tag + ("c",))
-    return state.means(gsums, gcounts, centers)
+        total = ctx.reduce_all(group, partials, tag)
+    return state.means(total, centers)
 
 
 _EXCHANGES = {Method.CENTERS: (_centers_pass, _centers_means),

@@ -349,9 +349,12 @@ class TestSamplesPass:
     def test_partials(self):
         values = np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 10.0]])
         assign = np.array([0, 0, 2], dtype=np.int64)
-        sums, counts = samples_partials(values, assign, 3)
+        partials = samples_partials(values, assign, 3)
+        assert partials.shape == (3, 3) and partials.dtype == np.float64
+        sums, counts = partials[:, :-1], partials[:, -1]
         assert np.array_equal(sums, [[4.0, 6.0], [0.0, 0.0], [10.0, 10.0]])
         assert np.array_equal(counts, [2, 0, 1])
+        assert np.array_equal(counts, np.bincount(assign, minlength=3))
 
     def test_divide_keeps_empty_centers(self):
         sums = np.array([[4.0], [0.0]])

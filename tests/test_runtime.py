@@ -654,6 +654,43 @@ class TestCentersExchange:
         assert [changed for changed, _ in results] == [False, False, False]
 
 
+class TestSamplesExchange:
+    """A samples pass makes one `("chg", t)` reduce, and a means step or a
+    post-restore rebuild one reduce of its (k, d+1) partials."""
+
+    @staticmethod
+    def _reduce_tags(monkeypatch) -> list:
+        tags = []
+        real = simcluster.RankContext.reduce_all
+
+        def counting(ctx, group, value, tag):
+            tags.append(tag)
+            return real(ctx, group, value, tag)
+
+        monkeypatch.setattr(simcluster.RankContext, "reduce_all", counting)
+        return tags
+
+    @pytest.mark.parametrize("iters", [1, 7])
+    def test_one_reduce_per_pass_and_per_means_step(self, monkeypatch, iters):
+        tags = self._reduce_tags(monkeypatch)
+        out = run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT,
+                            force_iters=iters)
+        assert out.iterations == iters < SEQ_IT        # every pass changes a label
+        assert out.recoveries == 0 and not out.reason
+        assert len(tags) == 4 * (iters + iters)
+        assert sorted(tags) == sorted(4 * [(kind, t) for t in range(1, iters + 1)
+                                           for kind in ("chg", "ms")])
+
+    def test_a_rebuild_is_one_reduce_per_member_of_the_new_group(self, monkeypatch):
+        tags = self._reduce_tags(monkeypatch)
+        out = run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT,
+                            plan=kill(2, 7), force_iters=10)
+        assert out.recoveries == 1 and not out.reason
+        assert tags.count(("rcs",)) == LAYOUT.active
+        assert all(tag == ("rcs",) or (tag[0] in ("chg", "ms") and len(tag) == 2)
+                   for tag in tags)
+
+
 class TestKillPoints:
     @pytest.mark.parametrize("event", [
         FailureEvent(1, 2, FailPhase.DURING_CHECKPOINT, substep=3),
@@ -671,12 +708,8 @@ class TestKillPoints:
 
 
 class TestSchedulerSwitches:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_wide_centers_run_gives_the_baton_up_rarely(self, monkeypatch, seed):
-        """A deterministic proxy for thread cost: one center exchange is one
-        wait, not one per position, and one message per peer carries a pass
-        with no reduce (213 switches; 288 with end-of-batch markers and a
-        reduce per pass, 779-949 with one broadcast per position)."""
+    @staticmethod
+    def _count_switches(monkeypatch) -> list:
         switches = []
         switch = simcluster._DetScheduler.switch
 
@@ -685,12 +718,33 @@ class TestSchedulerSwitches:
             return switch(*args, **kwargs)
 
         monkeypatch.setattr(simcluster._DetScheduler, "switch", counting)
+        return switches
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_wide_centers_run_gives_the_baton_up_rarely(self, monkeypatch, seed):
+        """A deterministic proxy for thread cost: one center exchange is one
+        wait, not one per position, and one message per peer carries a pass
+        with no reduce (213 switches; 288 with end-of-batch markers and a
+        reduce per pass, 779-949 with one broadcast per position)."""
+        switches = self._count_switches(monkeypatch)
         data, _ = make_blobs(800, 4, 8, 3.0, seed=1)
         out = run_ft_kmeans(data, KmeansConfig(k=16, max_iters=100), Method.CENTERS,
                             CheckpointPolicy(interval=5), WorldLayout(active=16, spares=1),
                             seed=seed, force_iters=5)
         assert out.iterations == 5 and not out.reason
         assert len(switches) <= 220
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_samples_run_gives_the_baton_up_rarely(self, monkeypatch, seed):
+        """One reduce of the partials per means step, not one for the sums
+        and one for the counts (239 switches; 341 with two)."""
+        switches = self._count_switches(monkeypatch)
+        data, _ = make_blobs(n=2000, d=4, blobs=5, spread=3.0, seed=1)
+        out = run_ft_kmeans(data, KmeansConfig(k=8, max_iters=200, seed=1), Method.SAMPLES,
+                            CheckpointPolicy(interval=5), WorldLayout(active=4, spares=1),
+                            seed=seed)
+        assert out.converged and not out.reason
+        assert len(switches) <= 245
 
 
 class TestLongRun:
@@ -736,9 +790,9 @@ class TestInvariants:
         real = parallel.samples_partials
 
         def overcounting(values_block, assign, k):
-            sums, counts = real(values_block, assign, k)
-            counts[0] += 1
-            return sums, counts
+            partials = real(values_block, assign, k)
+            partials[0, -1] += 1      # the count column
+            return partials
 
         monkeypatch.setattr(parallel, "samples_partials", overcounting)
         with pytest.raises(InvariantError, match="count conservation"):

@@ -11,7 +11,9 @@ the best and the median of ROUNDS rounds of N calls each:
   * a `failure_point` that does not fire;
   * an empty `with ctx.phase(...)` scope;
   * a baton handoff: two ranks hand the scheduler's baton back and forth
-    with a bare switch, and the run's wall time is split over the handoffs.
+    with a bare switch, and the run's wall time is split over the handoffs;
+  * a 4-rank `reduce_all` of an (8, 5) float64 array, churn-samples'
+    partials, the run's wall time split over the reduces.
 Then, per `assign_labels` and per `center_sums` call, the same statistics
 at each benchmark workload's per-rank shape (5,000 x 4 with k=8, 5,000 x 8
 with k=16, 250 x 4 with k=16) and at its oracle shape (20,000 x 4 with k=8,
@@ -51,6 +53,7 @@ import numpy as np
 N = 20_000
 ROUNDS = 7
 HANDOFFS = 5_000       # per rank and round
+REDUCES = 2_000        # per round
 KERNEL_CELLS = 2_000_000   # samples x centers per kernel round
 KERNEL_SHAPES = [      # (n, d, k): per-rank shapes, then the oracle's
     (5_000, 4, 8), (5_000, 8, 16), (250, 4, 16),
@@ -126,6 +129,22 @@ def _handoff(kmft) -> float:
     t0 = time.perf_counter()
     world.run({0: prog, 1: prog})
     return (time.perf_counter() - t0) / (2 * HANDOFFS)
+
+
+def _reduce(kmft) -> float:
+    """Seconds per 4-rank reduce of one (8, 5) float64 array."""
+    world = kmft.spawn_world(4)
+    group = kmft.Group((0, 1, 2, 3))
+    partials = np.ones((8, 5))
+
+    def prog(ctx) -> None:
+        reduce_all = ctx.reduce_all
+        for i in range(REDUCES):
+            reduce_all(group, partials, i)
+
+    t0 = time.perf_counter()
+    world.run({rank: prog for rank in group.members})
+    return (time.perf_counter() - t0) / REDUCES
 
 
 def _kernel_cases(kmeans, n: int, d: int, k: int) -> dict:
@@ -270,6 +289,7 @@ def main(argv: list[str]) -> int:
         "failure_point (no fire)": lambda: _in_one_rank(kmft, _failure_point(kmft)) / N,
         "phase scope": lambda: _in_one_rank(kmft, _phase(kmft)) / N,
         "baton handoff": lambda: _handoff(kmft),
+        "reduce_all 4 ranks (8, 5) f64": lambda: _reduce(kmft),
     }
     for shape in KERNEL_SHAPES:
         cases.update(_kernel_cases(kmeans, *shape))
