@@ -3,9 +3,14 @@
 CENTERS splits the center list: each position owns a contiguous block of
 centers and, dynamically, the samples currently assigned to those centers.
 A sample whose nearest center moved to another block is handed over with a
-16-byte ownership record.  Center recomputation is local to the owner, so
-with the shared distance kernel and ascending-index extraction the result is
-bitwise identical to the sequential pass.
+16-byte ownership record.  A pass's bookkeeping costs in proportion to the
+records that move, not to the rows a position owns: a k-entry table gives
+each center's owner, the rows that stay keep their ascending order, only the
+rows that leave are sorted by destination, and a position that receives
+records merges those ascending runs into its own with one stable argsort.
+Center recomputation is local to the owner, so with the shared distance
+kernel and ascending-index extraction the result is bitwise identical to the
+sequential pass.
 
 SAMPLES splits the dataset into fixed contiguous blocks: each position
 assigns its block against the full replicated center list, then one
@@ -156,24 +161,31 @@ def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
 
     `ids` ascend, `labels` are their current centers and `bound` their
     bound from the last pass (see `assign_bounded`).  A new center is owned
-    by the first block that ends after it, which skips empty blocks.  One
-    stable sort by destination groups the records, so each destination's
-    are one slice of a single record array, ids still ascending.
+    by the first block that ends after it, which skips empty blocks; one
+    k-entry table gives each center's owner, and each row reads its
+    destination there.  The rows that stay are taken by a mask, so they
+    keep their ascending order; only the rows that leave are grouped, by a
+    stable sort on destination, so each destination's records are one slice
+    of a single array, ids still ascending.
     """
     if len(ids) == 0:
         return CentersPass(changed=False, kept=make_records(ids, labels), outgoing={})
     new, changed, fresh = assign_bounded(values, centers, labels, bound, ids)
-    dest = np.searchsorted(block_ends, new, side="right")
-    order = np.argsort(dest, kind="stable")
-    records = make_records(ids[order], new[order])
-    ends = np.cumsum(np.bincount(dest, minlength=len(block_ends))).tolist()
-    starts = [0, *ends[:-1]]
-    outgoing = {pos: records[lo:hi] for pos, (lo, hi) in enumerate(zip(starts, ends))
-                if hi > lo and pos != my_pos}
-    mine = slice(starts[my_pos], ends[my_pos])
+    owner = np.searchsorted(block_ends, np.arange(len(centers)), side="right")
+    dest = owner.take(new)
+    stay = dest == my_pos
+    kept = make_records(ids[stay], new[stay])
     if fresh is not None:
-        fresh = NearestBound(fresh.gap.take(order[mine]), fresh.ref)
-    return CentersPass(changed=changed, kept=records[mine], outgoing=outgoing, bound=fresh)
+        fresh = NearestBound(fresh.gap[stay], fresh.ref)
+    leave = np.flatnonzero(~stay)
+    outgoing = {}
+    if len(leave):
+        leave = leave.take(np.argsort(dest.take(leave), kind="stable"))
+        records = make_records(ids.take(leave), new.take(leave))
+        ends = np.cumsum(np.bincount(dest.take(leave), minlength=len(block_ends))).tolist()
+        outgoing = {pos: records[lo:hi] for pos, (lo, hi) in enumerate(zip([0, *ends], ends))
+                    if hi > lo}
+    return CentersPass(changed=changed, kept=kept, outgoing=outgoing, bound=fresh)
 
 
 def centers_recompute(values: np.ndarray, ids: np.ndarray, labels: np.ndarray,
@@ -214,16 +226,23 @@ class CentersPosition:
 
     def absorb(self, out: CentersPass, batches: list[np.ndarray]) -> None:
         """Keep what stayed and take over the records handed to this
-        position.  An arrival's gap is 0, so the next pass reassigns it."""
+        position.  An arrival's gap is 0, so the next pass reassigns it.
+
+        The kept records and each batch are ascending runs of ids, so with
+        no arrival the kept rows are already in order, and otherwise one
+        stable argsort of the concatenation merges the runs.
+        """
         records = np.concatenate([out.kept, *batches])
-        order = np.argsort(records[:, 0])
-        self.ids = records[order, 0].astype(np.int64)
-        self.labels = records[order, 1].astype(np.int64)
-        self.bound = None
-        if out.bound is not None:
-            gap = np.zeros(len(records), dtype=np.float64)
-            gap[:len(out.kept)] = out.bound.gap
-            self.bound = NearestBound(gap.take(order), out.bound.ref)
+        ids = records[:, 0].astype(np.int64)
+        labels = records[:, 1].astype(np.int64)
+        gap = None if out.bound is None else out.bound.gap
+        if len(records) > len(out.kept):
+            order = np.argsort(ids, kind="stable")
+            ids, labels = ids.take(order), labels.take(order)
+            if gap is not None:
+                gap = np.concatenate([gap, np.zeros(len(records) - len(gap))]).take(order)
+        self.ids, self.labels = ids, labels
+        self.bound = None if gap is None else NearestBound(gap, out.bound.ref)
 
     def recompute(self, centers: np.ndarray) -> np.ndarray:
         return centers_recompute(self.values, self.ids, self.labels, centers,

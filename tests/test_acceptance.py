@@ -15,7 +15,10 @@ summary line (visible with -s or on failure).
  9. virtual-time accounting in every report row
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -102,8 +105,33 @@ MATRIX_POLICY = CheckpointPolicy(interval=5)
 MATRIX_LAYOUT = WorldLayout(active=4, spares=1)
 
 
+def _matrix_run(method, event):
+    """The matrix config run with one planned failure.  A pool worker
+    imports this module, so it rebuilds the data from the constants above."""
+    return run_ft_kmeans(MATRIX_DATA, MATRIX_CFG, method, MATRIX_POLICY,
+                         MATRIX_LAYOUT, plan=FailurePlan((event,)))
+
+
 @pytest.fixture(scope="module")
-def kill_matrix():
+def matrix_pool():
+    """Worker processes for the kill runs, one per CPU this process may use,
+    started fresh (never forked from a process that holds threads)."""
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield pool
+
+
+def _matrix_runs(pool, cases):
+    """`_matrix_run` of each (method, event), results in the order given;
+    a pool that has not returned them all within criterion 3's bound fails."""
+    methods, events = zip(*cases)
+    return list(pool.map(_matrix_run, methods, events, chunksize=8, timeout=300.0))
+
+
+@pytest.fixture(scope="module")
+def kill_matrix(matrix_pool):
     """A single failure at every (rank, iteration <= 30, phase), both methods."""
     baselines = {}
     for m in (Method.CENTERS, Method.SAMPLES):
@@ -114,25 +142,23 @@ def kill_matrix():
 
     runs = []
     started = time.perf_counter()
-    for m in (Method.CENTERS, Method.SAMPLES):
+    cases = [(m, FailureEvent(rank=rank, iteration=it, phase=phase))
+             for m in (Method.CENTERS, Method.SAMPLES)
+             for rank in range(MATRIX_LAYOUT.active)
+             for it in range(1, 31)
+             for phase in FailPhase]
+    for (m, ev), out in zip(cases, _matrix_runs(matrix_pool, cases)):
         want = baselines[m].centroids.centers
-        for rank in range(MATRIX_LAYOUT.active):
-            for it in range(1, 31):
-                for phase in FailPhase:
-                    plan = FailurePlan((FailureEvent(rank=rank, iteration=it,
-                                                     phase=phase),))
-                    out = run_ft_kmeans(MATRIX_DATA, MATRIX_CFG, m,
-                                        MATRIX_POLICY, MATRIX_LAYOUT, plan=plan)
-                    got = (out.centroids.centers if out.centroids is not None
-                           else None)
-                    runs.append({
-                        "method": m, "rank": rank, "iteration": it,
-                        "phase": phase, "converged": out.converged,
-                        "recoveries": out.recoveries, "reason": out.reason,
-                        "iterations": out.iterations, "events": out.recovery_events,
-                        "bitwise": (got is not None
-                                    and got.tobytes() == want.tobytes()),
-                    })
+        got = (out.centroids.centers if out.centroids is not None
+               else None)
+        runs.append({
+            "method": m, "rank": ev.rank, "iteration": ev.iteration,
+            "phase": ev.phase, "converged": out.converged,
+            "recoveries": out.recoveries, "reason": out.reason,
+            "iterations": out.iterations, "events": out.recovery_events,
+            "bitwise": (got is not None
+                        and got.tobytes() == want.tobytes()),
+        })
     return {"baselines": baselines, "runs": runs,
             "elapsed": time.perf_counter() - started}
 
@@ -246,46 +272,45 @@ def test_criterion_5_detection_agreement(kill_matrix):
           "the state vector marks exactly the dead ranks")
 
 
-def test_criterion_6_snapshot_consistency(kill_matrix):
+def test_criterion_6_snapshot_consistency(kill_matrix, matrix_pool):
     def capture_at(captures, position, epoch):
         hits = [dig for ep, _, dig in captures[position] if ep == epoch]
         assert len(hits) == 1, (position, epoch)
         return hits[0]
 
+    cases = [(m, FailureEvent(rank=rank, iteration=it,
+                              phase=FailPhase.DURING_CHECKPOINT, substep=substep))
+             for m in (Method.CENTERS, Method.SAMPLES)
+             for rank in range(MATRIX_LAYOUT.active)
+             for it in (5, 10, 25, 30)            # checkpoint iterations
+             for substep in (0, 1, 2)]            # before / inside / after commit
     checked = 0
-    for m in (Method.CENTERS, Method.SAMPLES):
+    for (m, ev), out in zip(cases, _matrix_runs(matrix_pool, cases)):
         base = kill_matrix["baselines"][m]
         want = base.centroids.centers
-        for rank in range(MATRIX_LAYOUT.active):
-            for it in (5, 10, 25, 30):            # checkpoint iterations
-                for substep in (0, 1, 2):         # before / inside / after commit
-                    plan = FailurePlan((FailureEvent(
-                        rank=rank, iteration=it,
-                        phase=FailPhase.DURING_CHECKPOINT, substep=substep),))
-                    out = run_ft_kmeans(MATRIX_DATA, MATRIX_CFG, m,
-                                        MATRIX_POLICY, MATRIX_LAYOUT, plan=plan)
-                    assert out.converged and out.recoveries == 1
-                    assert out.centroids.centers.tobytes() == want.tobytes()
-                    (ev,) = out.recovery_events
-                    epoch = it // MATRIX_POLICY.interval
-                    committed = epoch if substep == 2 else epoch - 1
-                    if committed == 0:
-                        # nothing committed yet: replay from the seed state
-                        assert ev["epoch"] is None
-                        assert ev["resumed_iteration"] == 0
-                        continue
-                    assert ev["epoch"] == committed
-                    assert ev["resumed_iteration"] == committed * 5
-                    for pos, digest in ev["digests"].items():
-                        if pos == rank:
-                            # the spare read the dead rank's mirror: bytes must
-                            # match what the failure-free twin captured there
-                            twin = capture_at(base.captures, pos, committed)
-                            assert digest == twin
-                        else:
-                            own = capture_at(out.captures, pos, committed)
-                            assert digest == own
-                    checked += 1
+        rank, it, substep = ev.rank, ev.iteration, ev.substep
+        assert out.converged and out.recoveries == 1
+        assert out.centroids.centers.tobytes() == want.tobytes()
+        (rec,) = out.recovery_events
+        epoch = it // MATRIX_POLICY.interval
+        committed = epoch if substep == 2 else epoch - 1
+        if committed == 0:
+            # nothing committed yet: replay from the seed state
+            assert rec["epoch"] is None
+            assert rec["resumed_iteration"] == 0
+            continue
+        assert rec["epoch"] == committed
+        assert rec["resumed_iteration"] == committed * 5
+        for pos, digest in rec["digests"].items():
+            if pos == rank:
+                # the spare read the dead rank's mirror: bytes must
+                # match what the failure-free twin captured there
+                twin = capture_at(base.captures, pos, committed)
+                assert digest == twin
+            else:
+                own = capture_at(out.captures, pos, committed)
+                assert digest == own
+        checked += 1
     print(f"criterion 6 PASS: {checked} committed-epoch restores byte-identical "
           "to their captures under kills at every checkpoint substep")
 

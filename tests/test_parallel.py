@@ -196,6 +196,9 @@ class TestCentersPass:
     @example(k=2, procs=4, n=30, pick=3, seed=1)      # position 3's block is empty
     @example(k=8, procs=11, n=80, pick=9, seed=2)     # procs > k, several empty blocks
     @example(k=1, procs=1, n=1, pick=0, seed=3)
+    @example(k=1, procs=3, n=80, pick=0, seed=4)      # no row moves, no label changes
+    @example(k=8, procs=1, n=80, pick=0, seed=5)      # no row moves, labels change
+    @example(k=4, procs=8, n=80, pick=6, seed=6)      # every row moves, to four positions
     def test_routing_matches_a_mask_per_destination(self, k, procs, n, pick, seed):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(120, 3))
@@ -236,6 +239,41 @@ class TestCentersPass:
             assert state.bound.ref is ref
         else:
             assert state.bound is None
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(kept=st.integers(0, 40), sizes=st.lists(st.integers(0, 20), max_size=3),
+           with_bound=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_absorb_matches_a_sort_of_the_concatenation(self, kept, sizes, with_bound,
+                                                        seed):
+        """Kept ids and each batch are disjoint ascending runs; the merge
+        must equal one sort of them all, arrivals at gap 0."""
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(200)[:kept + sum(sizes)]
+        runs = np.split(ids, np.cumsum([kept, *sizes])[:-1])
+        runs = [np.sort(run) for run in runs]
+        labels = [rng.integers(0, 6, size=len(run)) for run in runs]
+        ref = np.ones((6, 2))
+        gap = rng.random(kept)
+        out = CentersPass(changed=True, kept=make_records(runs[0], labels[0]), outgoing={},
+                          bound=NearestBound(gap.copy(), ref) if with_bound else None)
+        state = CentersPosition(np.zeros((200, 2)), k=6, procs=2, position=1)
+        state.absorb(out, [make_records(run, lab) for run, lab in zip(runs[1:], labels[1:])])
+
+        order = np.argsort(np.concatenate(runs), kind="stable")
+        assert state.ids.dtype == state.labels.dtype == np.int64
+        assert np.all(np.diff(state.ids) > 0)
+        assert np.array_equal(state.ids, np.concatenate(runs)[order])
+        assert np.array_equal(state.labels, np.concatenate(labels)[order])
+        if with_bound:
+            want = np.concatenate([gap, np.zeros(len(ids) - kept)])[order]
+            assert np.array_equal(state.bound.gap, want) and state.bound.ref is ref
+        else:
+            assert state.bound is None
+        if not sizes:                   # nothing arrived: the kept rows as they were
+            assert np.array_equal(state.ids, runs[0])
+            assert np.array_equal(state.labels, labels[0])
+            if with_bound:
+                assert np.array_equal(state.bound.gap, gap)
 
     def test_a_pass_on_the_same_centers_computes_only_arrivals(self, bounded,
                                                                rows_assigned):

@@ -24,7 +24,7 @@ iteration count as `max_iters`.  Then, per bounded samples pass
 (`assign_bounded`, where the checkout has it), the mean over a real center
 trajectory: the 60 centers a failure-free samples run of 20,000 x 4 blobs
 with k=8 on 4 positions reads, each pass on position 0's 5,000 x 4 block,
-the first with no bound.  Last, per centers pass of position 1 at each
+the first with no bound.  Then, per centers pass of position 1 at each
 centers workload's shape (about 250 x 4 of 4,000 x 4 on 16 positions, and
 5,000 x 8 of 20,000 x 8 on 4 positions, both k=16) and between them
 (about 1,000 x 4 of 16,000 x 4 on 16 positions, near the size rule), the
@@ -33,7 +33,11 @@ position holds rows: the plain pass (`assign_labels` of its rows) and,
 where the checkout gathers rows by id, the bounded pass with its size rule
 off, the rows it kept carrying their gaps and the rows that arrived
 starting stale.  Only the assignment call is timed, not the bookkeeping
-between passes.
+between passes.  Last, at the same three shapes, per centers position step
+(where the checkout has `CentersPosition`): the mean of one position's
+`compute` + `absorb`, over the same lockstep trajectory with every position
+stepped as `run_parallel` steps them, bounded pass and ownership bookkeeping
+together.
 Each loop's own Python overhead is included.  Run it on two checkouts back
 to back to compare them; host speed drifts, so numbers from different
 sessions do not compare.
@@ -275,6 +279,35 @@ def _centers_pass_cases(package, n: int, d: int, blobs: int, spread: float, k: i
     return cases
 
 
+def _centers_step_case(package, n: int, d: int, blobs: int, spread: float, k: int,
+                       procs: int, iters: int) -> dict:
+    """Seconds per `CentersPosition.compute` + `absorb` of one position, over
+    the center trajectory of a failure-free lockstep centers run."""
+    parallel = package.parallel
+    if not hasattr(parallel, "CentersPosition"):
+        return {}
+    data, _ = package.make_blobs(n=n, d=d, blobs=blobs, spread=spread, seed=1)
+    run = package.run_parallel(data, package.KmeansConfig(k=k), procs,
+                               package.Method.CENTERS, record_history=True,
+                               force_iters=iters)
+    read = [package.init_centroids(data, k).centers,
+            *(rec.centers for rec in run.history[:-1])]
+    states = [parallel.CentersPosition(data.values, k, procs, p) for p in range(procs)]
+
+    def trajectory() -> float:
+        for p, state in enumerate(states):
+            state.reset(p)
+        t0 = time.perf_counter()
+        for centers in read:
+            passes = [state.compute(centers) for state in states]
+            for p, state in enumerate(states):
+                state.absorb(passes[p], [out.outgoing[p] for src, out in enumerate(passes)
+                                         if src != p and p in out.outgoing])
+        return (time.perf_counter() - t0) / (len(read) * procs)
+
+    return {f"centers position step {n // procs}x{d} k={k}": trajectory}
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
@@ -298,6 +331,8 @@ def main(argv: list[str]) -> int:
     cases.update(_bounded_pass_case(package))
     for shape in CENTERS_SHAPES:
         cases.update(_centers_pass_cases(package, *shape))
+    for shape in CENTERS_SHAPES:
+        cases.update(_centers_step_case(package, *shape))
     print(f"kmft from {src}, pinned to CPU {cpu}; us per op, best / median of {ROUNDS}")
     for name, case in cases.items():
         runs = [case() * 1e6 for _ in range(ROUNDS)]
