@@ -29,7 +29,8 @@ def file_bytes(n: int, d: int) -> int:
 
 
 def encode_dataset(data: Dataset) -> bytes:
-    values = np.ascontiguousarray(data.values, dtype="<f8")
+    # `tobytes` writes in row-major order whatever the layout in memory
+    values = data.values.astype("<f8", copy=False)
     return MAGIC + _SIZES.pack(data.n, data.d) + values.tobytes()
 
 
@@ -44,7 +45,7 @@ def decode_dataset(buf: bytes) -> Dataset:
     if n < 1 or d < 1:
         raise ConfigError(f"dataset header has n={n}, d={d}")
     values = np.frombuffer(buf, dtype="<f8", offset=HEADER_BYTES)
-    return Dataset(values.reshape(n, d).astype(np.float64))
+    return Dataset(values.reshape(n, d))       # the one copy, column-major
 
 
 def write_dataset(path: str | Path, data: Dataset) -> None:

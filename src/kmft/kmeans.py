@@ -11,6 +11,14 @@ bitwise with this module has to go through the same kernels
 reference a Lloyd loop is replayed against; `run_sequential` and both
 decompositions assign through `assign_bounded` instead.
 
+The kernels read coordinates, not rows: a distance table is filled one
+coordinate at a time, and a center's sums are one `bincount` per
+coordinate.  So a `Dataset` stores its samples column-major, each
+coordinate one contiguous run; a block of rows is a row slice of that, with
+the same contiguous columns, and rows picked by id are gathered as columns
+(`take_rows`).  Labels come from the row minimum of the (k, rows) distance
+table, as the first center that reaches it: argmin's lowest-index rule.
+
 `assign_bounded` is `assign_labels` for a caller that assigns the same
 points pass after pass: it keeps, per row, a lower bound on how much nearer
 the nearest center is than the second nearest, lowers it by how far the
@@ -40,17 +48,23 @@ def _as_matrix(values: object) -> np.ndarray:
         raise ConfigError(f"need at least one row and one column, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError("samples must be finite")
-    return np.ascontiguousarray(arr)
+    return arr
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable table of n d-dimensional samples, row-major float64."""
+    """Immutable table of n d-dimensional float64 samples.
+
+    `values` has shape (n, d) and is a read-only copy of the input, stored
+    column-major: the transpose of a contiguous (d, n) array, so each
+    coordinate, in the whole table and in any row slice of it, is one
+    contiguous run for the kernels to read.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_matrix(self.values).copy()
+        arr = _as_matrix(self.values).copy(order="F")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -131,13 +145,16 @@ def pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     Accumulates over coordinates in ascending order so each entry is bitwise
     identical to `squared_distance` on the same pair, no matter how the caller
-    sliced its rows out of a larger table.  The work is center-major: the
-    points are transposed once to a contiguous (d, n) array, and each
-    coordinate fills a (k, n) table whose rows run along the points.  The
-    first coordinate's square starts each sum, since 0.0 + x == x for every
-    square x.  The result is the transposed (n, k) view of that table.
+    sliced its rows out of a larger table.  The work is center-major: each
+    coordinate, a row of `points.T`, fills a (k, n) table whose rows run
+    along the points.  Column-major points (a `Dataset`'s values, a row
+    slice of them, rows from `take_rows`) make each of those reads
+    contiguous; points in any other layout give the same bits, read with a
+    stride.  The first coordinate's square starts each sum, since
+    0.0 + x == x for every square x.  The result is the transposed (n, k)
+    view of that table.
     """
-    cols = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    cols = np.asarray(points, dtype=np.float64).T
     ctr = np.asarray(centers, dtype=np.float64)
     out = np.empty((ctr.shape[0], cols.shape[1]), dtype=np.float64)
     np.subtract(cols[0], ctr[:, 0, np.newaxis], out=out)
@@ -150,10 +167,27 @@ def pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def take_rows(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows `ids` of `values`, gathered as columns: a column-major
+    (len(ids), d) array, the layout `pairwise_sqdist` and `center_sums`
+    read contiguously."""
+    return values.T.take(ids, axis=1).T
+
+
+def _nearest(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of a (k, rows) distance table, its minimum and the first
+    center that reaches it: argmin's lowest-index tie rule, exactly, since
+    no distance is NaN (points and centers are finite, so each distance is
+    a sum of squares, inf at worst).  A column that is all inf gets center
+    0, as argmin gives it."""
+    first = table.min(axis=0)
+    return first, (table == first).argmax(axis=0)
+
+
 # Distances per `assign_labels` block: 16,384 float64 are 128 KiB, glibc's
-# initial mmap threshold.  `pairwise_sqdist` holds three arrays per block: the
-# transposed points (d x rows), the distances and one scratch (k x rows each).
-# Rank threads each have a malloc arena, and once glibc raises its mmap
+# initial mmap threshold.  `pairwise_sqdist` holds two arrays per block, the
+# distances and one scratch (k x rows each), and rows picked by id add their
+# gathered coordinates (d x rows).  Rank threads each have a malloc arena, and once glibc raises its mmap
 # threshold an arena keeps the freed temporaries; bounded blocks keep that to
 # a few 128 KiB chunks rather than n x k tables, which held peak RSS up.
 # Once the subtracts run unbuffered (below), 65,536-cell blocks were about as
@@ -189,7 +223,7 @@ def assign_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     try:
         for lo in range(0, n, rows):
             block = pairwise_sqdist(points[lo:lo + rows], centers)
-            labels[lo:lo + rows] = np.argmin(block, axis=1)
+            labels[lo:lo + rows] = _nearest(block.T)[1]
     finally:
         np.setbufsize(old)
     return labels
@@ -205,7 +239,7 @@ def assign_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 # 3 d + 11 units in all, which 2**-20 covers for every d below 2**31 (one
 # such row alone is 16 GiB).  A positive gap so loosened implies that the
 # nearest center's computed squared distance is strictly below every other
-# center's, so argmin, which breaks ties to the lowest index, returns the
+# center's, so the labelling, which breaks ties to the lowest index, gives the
 # label the row has.  Each pass also inflates the drifts, which are
 # computed distances too, and shrinks the gaps by the slack before lowering
 # them, which covers the rounding of that subtraction however many passes a
@@ -252,13 +286,11 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray,
     old = np.setbufsize(ASSIGN_UFUNC_BUFSIZE)
     try:
         for lo in range(0, n, rows):
-            # `take` gathers whole rows, several times faster than `points[ids]`
             block = pairwise_sqdist(points[lo:lo + rows] if ids is None
-                                    else points.take(ids[lo:lo + rows], axis=0), centers)
-            near = np.argmin(block, axis=1)
-            labels[lo:lo + rows] = near
+                                    else take_rows(points, ids[lo:lo + rows]), centers)
             table = block.T                       # (k, rows), contiguous
-            first = table.min(axis=0)
+            first, near = _nearest(table)
+            labels[lo:lo + rows] = near
             table[near, np.arange(len(near))] = np.inf
             # the second square is inf when k = 1 or when it overflowed; a
             # true square that overflowed is about _SQ_MAX or more, and
@@ -287,7 +319,7 @@ def assign_bounded(points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
     drift of its own center plus the largest drift: no center came nearer,
     and its own went no further, than that.  Only rows whose gap is then not
     positive (0, as a caller sets for a row new to it, NaN and -inf
-    included) are reassigned, through `pairwise_sqdist` and argmin as in
+    included) are reassigned, through `pairwise_sqdist` and the labelling of
     `assign_labels`, and get a fresh gap; the others keep their labels,
     which are still nearest.  With no bound every row is reassigned.  A
     block of fewer than BOUND_MIN_CELLS distances is `assign_labels`' whole
@@ -295,7 +327,7 @@ def assign_bounded(points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
     `labels`, and the bound for `centers`, None for a plain block.
     """
     if len(labels) * len(centers) < BOUND_MIN_CELLS:
-        new = assign_labels(points if ids is None else points.take(ids, axis=0), centers)
+        new = assign_labels(points if ids is None else take_rows(points, ids), centers)
         return new, not np.array_equal(new, labels), None
     if bound is None:                   # every row is stale: nothing to select
         new, gap = _nearest_two(points, centers, ids)
@@ -350,8 +382,10 @@ def center_sums(values: np.ndarray, labels: np.ndarray,
     Row i of `values` is labelled `labels[i]`, and the rows must be in
     ascending sample order: `np.bincount` adds into a zeroed accumulator in
     index order, so every sum folds its members in that order.  Each
-    coordinate is read as a column view of `values`.  Labels outside
-    `centers` are counted past its ends and dropped.
+    coordinate is read as a column view of `values`: one contiguous run of
+    weights when `values` is column-major (a `Dataset`'s values, a row slice
+    of them, rows from `take_rows`), a strided one otherwise, with the same
+    sums.  Labels outside `centers` are counted past its ends and dropped.
     """
     span = slice(centers.start, centers.stop)
     counts = np.bincount(labels, minlength=centers.stop)[span].astype(np.int64)

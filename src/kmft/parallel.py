@@ -58,6 +58,7 @@ from .kmeans import (
     center_means,
     center_sums,
     init_centroids,
+    take_rows,
 )
 
 
@@ -149,9 +150,10 @@ class CentersPass:
     """Result of one assignment pass over the samples a position owns."""
 
     changed: bool
-    kept: np.ndarray                        # (m, 2) records that stay here
+    kept_ids: np.ndarray                    # (m,) int64 ids that stay here, ascending
+    kept_labels: np.ndarray                 # (m,) int64 their centers
     outgoing: dict[int, np.ndarray]         # dst position -> (m, 2) records
-    bound: NearestBound | None = None       # gaps of the kept rows, record order
+    bound: NearestBound | None = None       # gaps of the kept rows, id order
 
 
 def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
@@ -164,17 +166,17 @@ def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
     by the first block that ends after it, which skips empty blocks; one
     k-entry table gives each center's owner, and each row reads its
     destination there.  The rows that stay are taken by a mask, so they
-    keep their ascending order; only the rows that leave are grouped, by a
-    stable sort on destination, so each destination's records are one slice
-    of a single array, ids still ascending.
+    keep their ascending order, and stay int64 ids and labels; only the
+    rows that leave become records, grouped by a stable sort on
+    destination, so each destination's records are one slice of a single
+    array, ids still ascending.
     """
     if len(ids) == 0:
-        return CentersPass(changed=False, kept=make_records(ids, labels), outgoing={})
+        return CentersPass(changed=False, kept_ids=ids, kept_labels=labels, outgoing={})
     new, changed, fresh = assign_bounded(values, centers, labels, bound, ids)
     owner = np.searchsorted(block_ends, np.arange(len(centers)), side="right")
     dest = owner.take(new)
     stay = dest == my_pos
-    kept = make_records(ids[stay], new[stay])
     if fresh is not None:
         fresh = NearestBound(fresh.gap[stay], fresh.ref)
     leave = np.flatnonzero(~stay)
@@ -185,14 +187,15 @@ def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
         ends = np.cumsum(np.bincount(dest.take(leave), minlength=len(block_ends))).tolist()
         outgoing = {pos: records[lo:hi] for pos, (lo, hi) in enumerate(zip([0, *ends], ends))
                     if hi > lo}
-    return CentersPass(changed=changed, kept=kept, outgoing=outgoing, bound=fresh)
+    return CentersPass(changed=changed, kept_ids=ids[stay], kept_labels=new[stay],
+                       outgoing=outgoing, bound=fresh)
 
 
 def centers_recompute(values: np.ndarray, ids: np.ndarray, labels: np.ndarray,
                       centers_prev: np.ndarray, block: tuple[int, int]) -> np.ndarray:
     """New rows for the owned center block; empty centers keep their row."""
     lo, hi = block
-    sums, counts = center_sums(values.take(ids, axis=0), labels, range(lo, hi))
+    sums, counts = center_sums(take_rows(values, ids), labels, range(lo, hi))
     return center_means(sums, counts, centers_prev[lo:hi])
 
 
@@ -228,19 +231,20 @@ class CentersPosition:
         """Keep what stayed and take over the records handed to this
         position.  An arrival's gap is 0, so the next pass reassigns it.
 
-        The kept records and each batch are ascending runs of ids, so with
-        no arrival the kept rows are already in order, and otherwise one
+        The kept ids and each batch are ascending runs of ids, so with no
+        arrival the kept rows are already in order, and otherwise one
         stable argsort of the concatenation merges the runs.
         """
-        records = np.concatenate([out.kept, *batches])
-        ids = records[:, 0].astype(np.int64)
-        labels = records[:, 1].astype(np.int64)
+        ids, labels = out.kept_ids, out.kept_labels
         gap = None if out.bound is None else out.bound.gap
-        if len(records) > len(out.kept):
+        if batches:
+            arrived = np.concatenate(batches).astype(np.int64)
+            ids = np.concatenate([ids, arrived[:, 0]])
             order = np.argsort(ids, kind="stable")
-            ids, labels = ids.take(order), labels.take(order)
+            ids = ids.take(order)
+            labels = np.concatenate([labels, arrived[:, 1]]).take(order)
             if gap is not None:
-                gap = np.concatenate([gap, np.zeros(len(records) - len(gap))]).take(order)
+                gap = np.concatenate([gap, np.zeros(len(arrived))]).take(order)
         self.ids, self.labels = ids, labels
         self.bound = None if gap is None else NearestBound(gap, out.bound.ref)
 

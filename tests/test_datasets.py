@@ -43,6 +43,16 @@ class TestFormat:
         assert np.array_equal(back.values, data.values)
         assert back.values.dtype == np.float64
 
+    def test_payload_is_row_major_whatever_the_layout_in_memory(self):
+        x = np.random.default_rng(8).normal(size=(40, 3))
+        data = Dataset(x)
+        assert data.values.flags.f_contiguous and not data.values.flags.c_contiguous
+        buf = encode_dataset(data)
+        assert buf[HEADER_BYTES:] == np.ascontiguousarray(x, dtype="<f8").tobytes()
+        back = decode_dataset(buf)
+        assert back.values.flags.f_contiguous and not back.values.flags.writeable
+        assert back.values.tobytes() == x.tobytes()
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ConfigError, match="magic"):
             decode_dataset(b"XMDS" + bytes(16))

@@ -330,6 +330,106 @@ class TestBoundedAssign:
         assert bound.ref.tolist() == [[0.0], [9.0]]
 
 
+@st.composite
+def labelling_cases(draw):
+    """Rows and two sets of centers, all picked from one small pool of grid
+    points: rows repeat, centers repeat (exact ties) and grid symmetry adds
+    ties between distinct centers.  At scale 1e154 most squared distances
+    overflow to inf, and a row can be inf from every center."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    scale = draw(st.sampled_from((1.0, 1e154)))
+    size = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(-4, 4), min_size=size * d, max_size=size * d))
+    pool = np.array(cells, dtype=np.float64).reshape(size, d) * scale
+
+    def pick(count):
+        return pool[draw(st.lists(st.integers(0, size - 1), min_size=count,
+                                  max_size=count))]
+
+    return pick(draw(st.integers(1, 40))), pick(k), pick(k)
+
+
+class TestLabellingRule:
+    """Every labelling path gives `np.argmin` of the distances: the lowest
+    center index among those at the row's minimum."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(labelling_cases(), st.sampled_from(("C", "F", "ids")))
+    def test_labels_are_the_argmin_of_the_distances(self, case, layout):
+        """`assign_labels`, and `assign_bounded` plain and bounded, with no
+        bound and then with the bound of a previous call, on rows stored
+        row-major, column-major, or scattered over a larger table and
+        passed by id (gathered by `take_rows` for `assign_labels`)."""
+        points, centers, moved = case
+        n = len(points)
+        ids = None
+        if layout == "ids":
+            ids = np.arange(2 * n - 1, -1, -2, dtype=np.int64)
+            table = np.full((2 * n + 1, points.shape[1]), 1e300)
+            table[ids] = points
+            rows = kmeans.take_rows(table, ids)
+        else:
+            table = rows = np.asarray(points, order=layout)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.argmin(pairwise_sqdist(points, centers), axis=1)
+            want_moved = np.argmin(pairwise_sqdist(points, moved), axis=1)
+            assert np.array_equal(assign_labels(rows, centers), want)
+            for cells in (kmeans.BOUND_MIN_CELLS, 0):     # plain, then bounded
+                with mock.patch.object(kmeans, "BOUND_MIN_CELLS", cells):
+                    got, _, bound = kmeans.assign_bounded(
+                        table, centers, np.zeros(n, dtype=np.int64), None, ids)
+                    assert np.array_equal(got, want)
+                    assert (bound is None) == (cells > 0)
+                    got, _, _ = kmeans.assign_bounded(table, moved, got, bound, ids)
+                    assert np.array_equal(got, want_moved)
+
+    def test_a_row_at_inf_from_every_center_gets_center_0(self):
+        points = np.array([[4e154], [0.0]])
+        centers = np.array([[-4e154], [-1e154]])
+        with np.errstate(over="ignore"):
+            assert np.isinf(pairwise_sqdist(points[:1], centers)).all()
+            assert assign_labels(points, centers).tolist() == [0, 1]
+
+
+class TestDatasetLayout:
+    """A `Dataset` holds one column-major, read-only copy of its input,
+    and the kernels give the same bytes whatever layout they read."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_values_are_a_column_major_read_only_copy(self, order):
+        x = np.asarray(np.random.default_rng(5).normal(size=(50, 3)), order=order)
+        data = Dataset(x)
+        values = data.values
+        assert values.flags.f_contiguous and not values.flags.c_contiguous
+        assert not values.flags.writeable
+        assert values.shape == x.shape and values.tobytes() == x.tobytes()
+        assert not np.shares_memory(values, x)
+        before = values.tobytes()
+        x[0, 0] += 1.0
+        x[-1] = 0.0
+        assert values.tobytes() == before
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_kernels_give_identical_bytes_on_c_and_f_copies(self, d):
+        rng = np.random.default_rng(70 + d)
+        k = 7
+        x = rng.normal(scale=3.0, size=(3000, d))
+        centers = rng.normal(scale=3.0, size=(k, d))
+        labels = rng.integers(0, k, size=3000)
+        c, f = np.ascontiguousarray(x), np.asfortranarray(x)
+        ids = np.sort(rng.choice(3000, 900, replace=False))
+        for a, b, lab in [(c, f, labels), (c[700:2300], f[700:2300], labels[700:2300]),
+                          (c.take(ids, axis=0), kmeans.take_rows(f, ids), labels[ids])]:
+            assert pairwise_sqdist(a, centers).tobytes() == pairwise_sqdist(b, centers).tobytes()
+            for got, want in zip(center_sums(b, lab, range(k)), center_sums(a, lab, range(k))):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_take_rows_gathers_columns(self):
+        f = Dataset(np.arange(12.0).reshape(4, 3)).values
+        rows = kmeans.take_rows(f, np.array([3, 1]))
+        assert rows.flags.f_contiguous and rows.tolist() == [[9.0, 10.0, 11.0], [3.0, 4.0, 5.0]]
+
+
 class TestInitCentroids:
     def test_skips_duplicates(self):
         data = Dataset(np.array([[1.0], [1.0], [2.0]]))

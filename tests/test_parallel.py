@@ -62,6 +62,11 @@ def rows_assigned(monkeypatch):
     return calls
 
 
+def kept_records(out):
+    """A pass's kept rows as the (m, 2) records they would travel as."""
+    return make_records(out.kept_ids, out.kept_labels)
+
+
 def sequential_trace(data, cfg):
     """Independent per-iteration record of the plain algorithm."""
     centroids = init_centroids(data, cfg.k)
@@ -115,7 +120,7 @@ class TestPartition:
         centers = np.arange(10, dtype=np.float64)[:, None]
         ids = np.arange(10, dtype=np.int64)
         out = centers_compute(values, centers, ids, np.zeros(10, dtype=np.int64), ends, 0)
-        assert out.kept.tolist() == [[0, 0], [1, 1], [2, 2]]
+        assert kept_records(out).tolist() == [[0, 0], [1, 1], [2, 2]]
         assert {dst: recs.tolist() for dst, recs in out.outgoing.items()} == {
             2: [[3, 3], [4, 4], [5, 5]], 3: [[6, 6], [7, 7]], 5: [[8, 8], [9, 9]]}
 
@@ -155,7 +160,7 @@ class TestCentersPass:
         out = centers_compute(values, centers, np.arange(4), np.zeros(4, dtype=np.int64),
                               ends, 0)
         assert out.changed is True
-        assert out.kept.tolist() == [[0, 0], [1, 0]]
+        assert kept_records(out).tolist() == [[0, 0], [1, 0]]
         assert {dst: recs.tolist() for dst, recs in out.outgoing.items()} == \
             {1: [[2, 1], [3, 1]]}
 
@@ -164,7 +169,7 @@ class TestCentersPass:
         centers = np.zeros((1, 1))
         empty = np.zeros(0, dtype=np.int64)
         out = centers_compute(values, centers, empty, empty, np.array([1, 1]), 1)
-        assert out.changed is False and out.kept.tolist() == [] and out.outgoing == {}
+        assert out.changed is False and kept_records(out).tolist() == [] and out.outgoing == {}
 
     def test_move_within_own_block_still_counts_as_change(self):
         values = np.array([[5.0]])
@@ -172,7 +177,7 @@ class TestCentersPass:
         out = centers_compute(values, centers, np.array([0]), np.array([0]),
                               np.array([2]), 0)
         assert out.changed is True
-        assert out.kept.tolist() == [[0, 1]]
+        assert kept_records(out).tolist() == [[0, 1]]
         assert out.outgoing == {}
 
     @staticmethod
@@ -187,8 +192,8 @@ class TestCentersPass:
                 go = dest == pos
                 outgoing[int(pos)] = make_records(ids[go], new[go])
         stay = dest == my_pos
-        return CentersPass(changed=not np.array_equal(new, labels),
-                           kept=make_records(ids[stay], new[stay]), outgoing=outgoing)
+        return CentersPass(changed=not np.array_equal(new, labels), kept_ids=ids[stay],
+                           kept_labels=new[stay], outgoing=outgoing)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(k=st.integers(1, 8), procs=st.integers(1, 11), n=st.integers(1, 80),
@@ -211,15 +216,16 @@ class TestCentersPass:
         out = centers_compute(*args)
         ref = self._mask_per_destination(*args)
         assert out.changed == ref.changed
-        assert out.kept.dtype == ref.kept.dtype and out.kept.shape == ref.kept.shape
-        assert out.kept.tobytes() == ref.kept.tobytes()
+        assert out.kept_ids.dtype == out.kept_labels.dtype == np.int64
+        assert kept_records(out).shape == kept_records(ref).shape
+        assert kept_records(out).tobytes() == kept_records(ref).tobytes()
         assert list(out.outgoing) == list(ref.outgoing)
         for pos, recs in ref.outgoing.items():
             assert out.outgoing[pos].shape == recs.shape
             assert out.outgoing[pos].tobytes() == recs.tobytes()
             assert np.all(np.diff(recs[:, 0].astype(np.int64)) > 0)
         if partition(k, procs)[my_pos][0] == partition(k, procs)[my_pos][1]:
-            assert len(out.kept) == 0          # an empty block keeps nothing
+            assert len(out.kept_ids) == 0      # an empty block keeps nothing
 
     @pytest.mark.parametrize("with_bound", [True, False])
     def test_absorb_merges_batches_in_id_order(self, with_bound):
@@ -227,7 +233,8 @@ class TestCentersPass:
         A pass under the size rule kept no bound, and the position has none."""
         state = CentersPosition(np.zeros((5, 1)), k=2, procs=2, position=1)
         ref = np.array([[0.0], [1.0]])
-        kept = CentersPass(changed=False, kept=make_records([1, 2], [0, 1]), outgoing={},
+        kept = CentersPass(changed=False, kept_ids=np.array([1, 2]),
+                           kept_labels=np.array([0, 1]), outgoing={},
                            bound=NearestBound(np.array([0.5, 0.25]), ref)
                            if with_bound else None)
         state.absorb(kept, [make_records([4], [1]), make_records([0, 3], [1, 0])])
@@ -254,7 +261,7 @@ class TestCentersPass:
         labels = [rng.integers(0, 6, size=len(run)) for run in runs]
         ref = np.ones((6, 2))
         gap = rng.random(kept)
-        out = CentersPass(changed=True, kept=make_records(runs[0], labels[0]), outgoing={},
+        out = CentersPass(changed=True, kept_ids=runs[0], kept_labels=labels[0], outgoing={},
                           bound=NearestBound(gap.copy(), ref) if with_bound else None)
         state = CentersPosition(np.zeros((200, 2)), k=6, procs=2, position=1)
         state.absorb(out, [make_records(run, lab) for run, lab in zip(runs[1:], labels[1:])])

@@ -17,7 +17,8 @@ the best and the median of ROUNDS rounds of N calls each:
 Then, per `assign_labels` and per `center_sums` call, the same statistics
 at each benchmark workload's per-rank shape (5,000 x 4 with k=8, 5,000 x 8
 with k=16, 250 x 4 with k=16) and at its oracle shape (20,000 x 4 with k=8,
-20,000 x 8 with k=16, 4,000 x 4 with k=16).  Then, per whole
+20,000 x 8 with k=16, 4,000 x 4 with k=16), on the values of a `Dataset`,
+so in the layout the checkout stores samples in.  Then, per whole
 `run_sequential` call (one per round), the same statistics at each oracle
 shape on that workload's data (`make_blobs` at seed 1) with its k and its
 iteration count as `max_iters`.  Then, per bounded samples pass
@@ -29,7 +30,9 @@ centers workload's shape (about 250 x 4 of 4,000 x 4 on 16 positions, and
 5,000 x 8 of 20,000 x 8 on 4 positions, both k=16) and between them
 (about 1,000 x 4 of 16,000 x 4 on 16 positions, near the size rule), the
 mean over the passes of a failure-free lockstep centers run in which the
-position holds rows: the plain pass (`assign_labels` of its rows) and,
+position holds rows: the plain pass (`assign_labels` of its rows,
+gathered as the checkout gathers them, by `kmeans.take_rows` where it has
+it) and,
 where the checkout gathers rows by id, the bounded pass with its size rule
 off, the rows it kept carrying their gaps and the rows that arrived
 starting stale.  Only the assignment call is timed, not the bookkeeping
@@ -154,7 +157,7 @@ def _reduce(kmft) -> float:
 def _kernel_cases(kmeans, n: int, d: int, k: int) -> dict:
     """Seconds per `assign_labels` and per `center_sums` call at one shape."""
     rng = np.random.default_rng(n + d + k)
-    values = rng.normal(scale=4.0, size=(n, d))
+    values = kmeans.Dataset(rng.normal(scale=4.0, size=(n, d))).values
     centers = rng.normal(scale=4.0, size=(k, d))
     labels = kmeans.assign_labels(values, centers)
     # checkouts whose `center_sums` still gathered its rows by index take them
@@ -237,6 +240,8 @@ def _centers_pass_cases(package, n: int, d: int, blobs: int, spread: float, k: i
                                package.Method.CENTERS, record_history=True,
                                force_iters=iters)
     values = data.values
+    # checkouts without `take_rows` gathered whole rows
+    take_rows = getattr(kmeans, "take_rows", lambda table, ids: table.take(ids, axis=0))
     lo, hi = package.partition(k, procs)[CENTERS_POSITION]
     # per pass: the centers read and the labels every row starts it with
     passes = [(kmeans.init_centroids(data, k).centers, np.zeros(n, dtype=np.int64)),
@@ -251,7 +256,7 @@ def _centers_pass_cases(package, n: int, d: int, blobs: int, spread: float, k: i
         spent = 0.0
         for centers, ids, _ in passes:
             t0 = time.perf_counter()
-            kmeans.assign_labels(values.take(ids, axis=0), centers)
+            kmeans.assign_labels(take_rows(values, ids), centers)
             spent += time.perf_counter() - t0
         return spent / len(passes)
 
