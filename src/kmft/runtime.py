@@ -258,15 +258,12 @@ def _centers_means(ctx: RankContext, group: Group, state: CentersPosition,
     with ctx.phase(work):
         mine = state.recompute(centers)
         ctx.charge(ctx.costs.compute_per_sample * state.load)
-    owners = [pos for pos, (lo, hi) in enumerate(state.blocks) if hi > lo]
+    # `partition` puts empty blocks last, so the first min(k, size) positions
+    # own every center, in order, and their blocks stack into the new centers
+    roots = group.members[:min(len(centers), group.size)]
     with ctx.phase(exchange):
-        blocks = ctx.broadcast(group, tuple(group.members[pos] for pos in owners),
-                               mine if state.position in owners else None, tag)
-    new_centers = centers.copy()
-    for pos, block in zip(owners, blocks):
-        lo, hi = state.blocks[pos]
-        new_centers[lo:hi] = block
-    return new_centers
+        blocks = ctx.broadcast(group, roots, mine, tag)
+    return np.concatenate(blocks)
 
 
 def _samples_pass(ctx: RankContext, group: Group, state: SamplesPosition,

@@ -18,9 +18,9 @@ identical event order, and results do not depend on the seed.
 Each rank is one RankContext.  It holds the rank's own state (its clock,
 per-phase ledger, entered generation and the set of corrupt peers reported
 to it), and every operation is the RankContext method of that name.  The
-ClusterHandle holds only what ranks share: channels, segments, pending
-transfers, collective slots, the death record, the results and the
-scheduler.  State is touched only by the rank holding the baton, so the
+ClusterHandle holds only what ranks share: channels (one FIFO per ordered
+pair of ranks, built at spawn), segments, pending transfers, collective
+slots, the death record, the results and the scheduler.  State is touched only by the rank holding the baton, so the
 scheduler's own lock and one baton lock per rank are the only
 synchronization.  A deadlock is found structurally: when no rank can run,
 the run raises SimDeadlock.  A livelock, a run that never ends, raises it
@@ -47,10 +47,13 @@ FAILED when the destination's clock at its kill was below that time.
 
 Barrier, reduce and broadcast share one rendezvous, and a caller waits in
 it at most once: each member deposits into a slot keyed by generation, kind
-and tag, and a deposit made before its owner died still counts.  In a
-broadcast only the roots deposit; one call broadcasts from each root in
-turn and costs exactly what one single-root broadcast per root, made in
-that order, costs.  The world's `timeout` is its one patience: when a
+and tag, and a deposit made before its owner died still counts.  Each
+deposit is copied once and frozen, and a slot's outcome is settled once,
+not once per caller: a broadcast hands every caller the same read-only
+payload copies, and a reduce hands each caller its own copy of the one
+sum.  In a broadcast only the roots deposit; one call broadcasts from each
+root in turn and costs exactly what one single-root broadcast per root,
+made in that order, costs.  The world's `timeout` is its one patience: when a
 corrupt rank owes a deposit, every surviving caller's clock moves to the
 instant it began waiting for that rank (its arrival, or in a broadcast the
 end of the turn before the dead root's, if later) plus the timeout and it
@@ -238,8 +241,9 @@ class _Collective:
     members: tuple[int, ...]
     roots: tuple[int, ...] | None = None     # a broadcast's roots, in turn order
     deposits: dict[int, int] = field(default_factory=dict)   # rank -> arrival vt
-    values: dict[int, object] = field(default_factory=dict)
-    result: object = None
+    values: dict[int, object] = field(default_factory=dict)   # frozen copies
+    result: object = None    # a reduce's sum, or a broadcast's turn ends
+    payloads: list = field(default_factory=list)   # a broadcast's, in turn order
     combined: bool = False
     returned: int = 0        # members that have left the operation
 
@@ -248,18 +252,20 @@ class _Collective:
 
         Root i broadcasts once it has arrived and root i-1's turn has ended,
         so its turn ends at max(arrival, previous end) + collective_base +
-        payload_ticks.  Computed once: the prefix is fixed by the time any
-        caller asks, since every root in it has deposited and the root after
-        it, if any, is dead.
+        payload_ticks.  Computed once, with the payloads of the same roots:
+        the prefix is fixed by the time any caller asks, since every root in
+        it has deposited and the root after it, if any, is dead.
         """
         if not self.combined:
             ends: list[int] = []
             for root in self.roots:
                 if root not in self.deposits:
                     break
+                value = self.values[root]
                 start = max(self.deposits[root], ends[-1]) if ends else self.deposits[root]
                 ends.append(start + COSTS.collective_base
-                            + COSTS.payload_ticks(_payload_nbytes(self.values[root])))
+                            + COSTS.payload_ticks(_payload_nbytes(value)))
+                self.payloads.append(value)
             self.result = ends
             self.combined = True
         return self.result
@@ -372,6 +378,7 @@ class RankContext:
         self._ledger = [0] * len(_PHASES)
         self._generation = 0                  # entered so far
         self._known_dead: set[int] = set()    # corrupt ranks reported to this one
+        self._inbox = world._channels[rank]   # one FIFO per source rank
 
     @property
     def costs(self) -> CostModel:
@@ -406,10 +413,6 @@ class RankContext:
         if instant > self._vt:
             self._charge(instant - self._vt)
 
-    def _enter_generation(self, generation: int) -> None:
-        if generation > self._generation:
-            self._generation = generation
-
     # -- local work ------------------------------------------------------
 
     def charge(self, ticks: int) -> None:
@@ -427,8 +430,8 @@ class RankContext:
         w._sched.switch(rank)
         w._death_vt[rank] = self._vt
         # nothing addressed to a dead rank is ever read again
-        for src in range(w.world_size):
-            w._channels.pop((src, rank), None)
+        for queue in self._inbox:
+            queue.clear()
         w._pending = [xf for xf in w._pending if xf.dst != rank]
         if w.record_trace:
             w._trace_event("kill", rank, iteration, phase.value, substep, self._vt)
@@ -507,20 +510,22 @@ class RankContext:
 
     def send(self, dst: int, payload: object, generation: int = 0) -> None:
         w = self._world
-        w._check_rank(dst)
-        if generation < self._generation:
-            raise ConfigError(f"rank {self.rank} sends under generation {generation} "
-                              f"after entering {self._generation}")
-        self._enter_generation(generation)
+        if not 0 <= dst < w.world_size:
+            raise ConfigError(f"no such rank {dst}")
+        if generation != self._generation:
+            if generation < self._generation:
+                raise ConfigError(f"rank {self.rank} sends under generation {generation} "
+                                  f"after entering {self._generation}")
+            self._generation = generation
         self._charge(COSTS.send)
         if dst in self._known_dead:
             raise PeerDead(f"send to corrupt rank {dst}")
         if w.record_trace:
             w._trace_event("send", self.rank, dst)
-        if not w._alive(dst):
+        if dst in w._death_vt:
             return
-        arrival = self._vt + COSTS.msg_latency
-        w._channel(self.rank, dst).append((_share(payload), arrival, generation))
+        w._channels[dst][self.rank].append(
+            (_share(payload), self._vt + COSTS.msg_latency, generation))
 
     def _take(self, src: int, queue: deque, index: int) -> object:
         payload, arrival, _ = queue[index]
@@ -535,16 +540,18 @@ class RankContext:
     def recv(self, src: int, generation: int = 0) -> object:
         """Next message from `src` sent under `generation` (module docstring)."""
         w = self._world
-        w._check_rank(src)
-        queue = w._channel(src, self.rank)
+        if not 0 <= src < w.world_size:
+            raise ConfigError(f"no such rank {src}")
+        queue = self._inbox[src]
         if queue and queue[0][2] == generation:
             return self._take(src, queue, 0)      # already here: nothing to wait for
+        dead = w._death_vt
 
         def ready() -> bool:
             # a sender's stamps never decrease, so the newest one decides
             if queue and queue[-1][2] >= generation:
                 return True
-            return (w._ctxs[src]._generation > generation or not w._alive(src)
+            return (w._ctxs[src]._generation > generation or src in dead
                     or src in w._results)
 
         if not ready():
@@ -553,7 +560,7 @@ class RankContext:
             queue.popleft()       # stale traffic of an earlier generation
         if queue and queue[0][2] == generation:
             return self._take(src, queue, 0)
-        if not w._alive(src):
+        if src in dead:
             self._known_dead.add(src)
             raise PeerDead(f"recv from corrupt rank {src}")
         raise Timeout(f"rank {src} finished or left generation {generation} "
@@ -566,12 +573,10 @@ class RankContext:
         """
         w = self._world
         rank = self.rank
+        inbox = self._inbox
 
         def find() -> tuple[int, int] | None:
-            for src in range(w.world_size):
-                queue = w._channels.get((src, rank))
-                if not queue:
-                    continue
+            for src, queue in enumerate(inbox):
                 for index, (payload, _, _) in enumerate(queue):
                     if match is None or match(payload):
                         return src, index
@@ -591,7 +596,7 @@ class RankContext:
         if found is None:
             raise Timeout("every peer is corrupt, finished or waiting in recv_any")
         src, index = found
-        return src, self._take(src, w._channels[(src, rank)], index)
+        return src, self._take(src, inbox[src], index)
 
     # -- collectives -----------------------------------------------------
 
@@ -604,22 +609,26 @@ class RankContext:
         until all have or until a missing one is dead.  In a broadcast only
         `roots` deposit, and a caller waits until all have or until the
         first root without a deposit is dead; its timeout then runs from the
-        end of the turn before that root's.
+        end of the turn before that root's.  The caller that opens the slot
+        checks the roots; a later caller passes only if its own match.
         """
         w = self._world
         rank = self.rank
         arrived = self._vt
         group.position(rank)  # membership check
         needed = group.members if roots is None else roots
-        self._enter_generation(group.generation)
         coll = w._collectives.get(key)
         if coll is None:
+            if roots is not None:
+                _check_roots(group, roots)
             coll = w._collectives[key] = _Collective(group.members, roots)
         elif coll.members != group.members or coll.roots != roots:
             raise ConfigError(f"collective tag {key} reused with different shape")
+        if group.generation > self._generation:
+            self._generation = group.generation
         if rank in needed:
             coll.deposits[rank] = arrived
-            coll.values[rank] = _share(value)
+            coll.values[rank] = _freeze(_share(value))
         if w.record_trace:
             w._trace_event(key[1], rank, key)
 
@@ -686,17 +695,14 @@ class RankContext:
         syncs to the last C_i.  When root i died before its deposit, every
         caller syncs to max(its arrival, C_{i-1}) + timeout and raises
         Timeout.  A deposit made before its root died still counts.
+
+        Each root's payload is copied once, when it deposits, and frozen:
+        every caller gets the same read-only copies.
         """
-        if not roots:
-            raise ConfigError("broadcast needs at least one root")
-        if len(set(roots)) != len(roots):
-            raise ConfigError(f"duplicate broadcast roots {roots}")
-        for root in roots:
-            group.position(root)
         key = (group.generation, "bcast", tag)
         coll = self._rendezvous(group, key, payload, roots)
         self._sync_to(coll.turn_ends()[-1])
-        return [_share(coll.values[root]) for root in roots]
+        return list(coll.payloads)
 
     def state_vector(self) -> dict[int, Health]:
         w = self._world
@@ -736,6 +742,23 @@ def _share(value: object) -> object:
     return value
 
 
+def _freeze(value: object) -> object:
+    """Make a deposit's own array copy read-only, so callers can share it."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
+
+
+def _check_roots(group: Group, roots: tuple[int, ...]) -> None:
+    """A broadcast's roots are distinct members of `group`, at least one."""
+    if not roots:
+        raise ConfigError("broadcast needs at least one root")
+    if len(set(roots)) != len(roots):
+        raise ConfigError(f"duplicate broadcast roots {roots}")
+    for root in roots:
+        group.position(root)
+
+
 class ClusterHandle:
     """A spawned world of ranks plus the transport state they share."""
 
@@ -756,8 +779,9 @@ class ClusterHandle:
         self.record_trace = record_trace
         self.trace: list[tuple] = []
 
-        # (src, dst) -> FIFO of (payload, arrival vt, generation)
-        self._channels: dict[tuple[int, int], deque[tuple[object, int, int]]] = {}
+        # _channels[dst][src]: FIFO of (payload, arrival vt, generation)
+        self._channels: list[list[deque[tuple[object, int, int]]]] = [
+            [deque() for _ in range(world_size)] for _ in range(world_size)]
         self._death_vt: dict[int, int] = {}      # the one death record: clock at the kill
         self._segments: dict[tuple[int, int], bytearray] = {}
         self._pending: list[Token] = []
@@ -869,12 +893,6 @@ class ClusterHandle:
 
     def _alive(self, rank: int) -> bool:
         return rank not in self._death_vt
-
-    def _channel(self, src: int, dst: int) -> deque:
-        queue = self._channels.get((src, dst))
-        if queue is None:
-            queue = self._channels[(src, dst)] = deque()
-        return queue
 
 
 def _payload_nbytes(value: object) -> int:

@@ -48,7 +48,7 @@ class TestSpawn:
         w = spawn_world(2, segments={0: 16})
         with pytest.raises(ConfigError, match="no such rank 5"):
             w.run({0: op, 1: lambda ctx: None})
-        assert w._channels == {}
+        assert not any(queue for row in w._channels for queue in row)
 
     def test_initial_state(self):
         w = spawn_world(4)
@@ -429,7 +429,7 @@ class TestMessages:
 
         res = w.run({0: sender, 1: victim, 2: witness})
         assert res[0].value == "peerdead"
-        assert not w._channels.get((0, 1))    # nothing kept for the dead rank
+        assert not w._channels[1][0]    # nothing kept for the dead rank
 
     def test_matching_recv_any_leaves_other_messages_queued(self):
         """A parked spare's control wait keeps early data for its first pass."""
