@@ -115,17 +115,19 @@ class Checkpointer:
     """Per-rank checkpoint driver bound to one group incarnation.
 
     Rebuilt after every recovery (the ring follows the group); the driver
-    carries `last_committed` across incarnations.
+    carries `last_committed` across incarnations.  `fresh` names the members
+    promoted in the recovery that built it, whose own slots hold nothing yet.
     """
 
     def __init__(self, ctx: RankContext, group: Group, k: int, d: int,
-                 last_committed: int | None = None):
+                 last_committed: int | None = None, fresh: tuple[int, ...] = ()):
         group.position(ctx.rank)
         self.ctx = ctx
         self.group = group
         self.shape = (k, d)
         self.target = mirror_target(ctx.rank, group)
         self.last_committed = last_committed
+        self.fresh = fresh
         self._started: tuple[int, Token] | None = None
 
     @property
@@ -174,7 +176,12 @@ class Checkpointer:
         Reads the local slot first; a survivor always satisfies that.  A
         replacement rank holds nothing locally and falls back to the copy its
         ring target stores, which the left neighbor kept on behalf of the
-        failed predecessor at the same position.
+        failed predecessor at the same position.  Every member captures the
+        same bytes for an epoch, so when that holder is dead or stale any
+        other member's own slot serves: they are tried in ring order from
+        the right neighbor, skipping dead ones and stale epochs.  Fresh
+        members are not tried: whether one has adopted yet depends on the
+        schedule, and so would the reads charged.
         """
         epoch = self.last_committed
         if epoch is None:
@@ -184,18 +191,21 @@ class Checkpointer:
         got = self._try_decode(buf, epoch)
         if got is not None:
             return got
-        try:
-            buf = self.ctx.read_remote(self.target, SEG_MIRROR, off, self.slot_bytes)
-        except PeerDead:
-            raise UnrecoverableError(
-                f"epoch {epoch}: local slot invalid and mirror holder "
-                f"{self.target} is corrupt") from None
-        got = self._try_decode(buf, epoch)
-        if got is None:
-            raise UnrecoverableError(
-                f"epoch {epoch}: no valid copy on rank {self.ctx.rank} "
-                f"or its mirror holder {self.target}")
-        return got
+        members = self.group.members
+        pos = self.group.position(self.ctx.rank)
+        copies = [(self.target, SEG_MIRROR),
+                  *((peer, SEG_LOCAL) for peer in members[pos + 1:] + members[:pos]
+                    if peer not in self.fresh)]
+        for holder, seg in copies:
+            try:
+                buf = self.ctx.read_remote(holder, seg, off, self.slot_bytes)
+            except PeerDead:
+                continue
+            got = self._try_decode(buf, epoch)
+            if got is not None:
+                return got
+        raise UnrecoverableError(
+            f"epoch {epoch}: no live member of {members} holds a valid copy")
 
     def adopt(self, iteration: int, centers: np.ndarray) -> None:
         """Write a fetched payload into the local slot (heals a replacement)."""

@@ -13,9 +13,9 @@ with no further coordination; the coordinator sends it to the promoted
 spares as their wake, and all apply it alike: promote spares into the
 failed positions (ascending) under a fresh group generation, fetch the
 last committed snapshot (survivors from their local slot, replacements from
-the failed rank's mirror holder), relabel from it, start a fresh checkpoint
-of the restored state and land its copy, then recompute centroids from the
-restored labels.  That rebuild exchange commits the fresh checkpoint, as a
+the failed rank's mirror holder or, when it died too, from any member's own
+slot), relabel from it, start a fresh checkpoint of the restored state and
+land its copy, then recompute centroids from the restored labels.  That rebuild exchange commits the fresh checkpoint, as a
 pass commits one, so the ring is fully redundant again before normal
 iterations resume; a recovery runs no barrier of its own.
 
@@ -84,7 +84,6 @@ import numpy as np
 from .checkpoint import (
     Checkpointer,
     CheckpointPolicy,
-    mirror_target,
     segment_spec,
 )
 from .errors import ConfigError, InvariantError, PeerDead, Timeout, UnrecoverableError
@@ -326,12 +325,14 @@ class _ActiveDriver:
 
     # -- joining a position ----------------------------------------------
 
-    def _join(self, group: Group, last_committed: int | None) -> str | None:
-        """Take this rank's position in `group` and restore the last commit."""
+    def _join(self, group: Group, last_committed: int | None,
+              fresh: tuple[int, ...] = ()) -> str | None:
+        """Take this rank's position in `group` and restore the last commit;
+        `fresh` are the members just promoted."""
         self.group = group
         self.position = group.position(self.ctx.rank)
         self.cp = Checkpointer(self.ctx, group, self.cfg.k, self.data.d,
-                               last_committed=last_committed)
+                               last_committed=last_committed, fresh=fresh)
         return self._restore()
 
     def _rejoin(self, plan: _Recovery) -> None:
@@ -339,7 +340,7 @@ class _ActiveDriver:
         self.recoveries = plan.recoveries
         self.converged = plan.converged
         self.events = list(plan.events)
-        digest = self._join(plan.group, plan.last_committed)
+        digest = self._join(plan.group, plan.last_committed, plan.promoted)
         self.events.append(RecoveryEvent(
             completed_iteration=plan.completed,
             failed=plan.failed,
@@ -427,12 +428,6 @@ class _ActiveDriver:
             raise UnrecoverableError(
                 f"need {len(failed)} spares for {failed} but only {len(pool)} left")
         last = self.cp.last_committed
-        if last is not None:
-            for dead in failed:
-                holder = mirror_target(dead, self.group)
-                if holder in failed:
-                    raise UnrecoverableError(
-                        f"rank {dead} and its mirror holder {holder} both failed")
         promoted = tuple(pool[:len(failed)])
         members = list(self.group.members)
         for dead, spare in zip(failed, promoted):

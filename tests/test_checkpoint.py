@@ -382,38 +382,48 @@ class TestRestore:
         assert as_lists(fetched) == (10, centers_for(0, 1).tolist())
         assert last == 1
 
-    def test_buddy_loss_is_unrecoverable(self):
-        plan = FailurePlan([FailureEvent(1, 1, FailPhase.DURING_COMPUTE)])
-        w = spawn_world(3, plan=plan, segments=SEGS)
-        g_old = Group(members=(0, 1))
-        g_new = Group(members=(2, 1), generation=1)
+    @staticmethod
+    def _fetch_after_kills(dead, g_new):
+        """Ranks 0-3 commit epoch 1 (each its own centers) in one group, then
+        the ranks in `dead` die; rank 4, at position 0 of `g_new`, fetches."""
+        plan = FailurePlan([FailureEvent(r, 1, FailPhase.DURING_COMPUTE) for r in dead])
+        w = spawn_world(6, plan=plan, segments=SEGS)
+        g_old = Group(members=(0, 1, 2, 3))
 
-        def rank0(ctx):
+        def original(ctx):
             cp = Checkpointer(ctx, g_old, K, D)
-            cp.start(10, centers_for(0, 1))
+            cp.start(10, centers_for(ctx.rank, 1))
             commit(cp)
-            return "done"
-
-        def rank1(ctx):
-            cp = Checkpointer(ctx, g_old, K, D)
-            cp.start(10, centers_for(1, 1))
-            commit(cp)
-            ctx.send(2, "committed")
+            ctx.send(4, "committed")
             ctx.failure_point(1, FailPhase.DURING_COMPUTE)
+            return "survived"
 
         def replacement(ctx):
-            ctx.recv(1)
-            while ctx.state_vector()[1].value != "corrupt":
+            for r in g_old.members:
+                ctx.recv(r)
+            while sum(h.value == "corrupt" for h in ctx.state_vector().values()) < len(dead):
                 ctx.charge(1)
             cp = Checkpointer(ctx, g_new, K, D, last_committed=1)
             try:
-                cp.fetch()
-            except UnrecoverableError:
-                return "unrecoverable"
-            return "fetched"
+                return cp.fetch()
+            except UnrecoverableError as exc:
+                return str(exc)
 
-        res = w.run({0: rank0, 1: rank1, 2: replacement})
-        assert res[2].value == "unrecoverable"
+        res = w.run({0: original, 1: original, 2: original, 3: original,
+                     4: replacement, 5: lambda ctx: None})
+        return res[4].value
+
+    def test_replacement_falls_back_to_any_members_own_slot(self):
+        """Rank 0 and its mirror holder, rank 3, are lost; 3's stand-in holds
+        no mirror copy yet and rank 1 is dead too, so rank 2's own slot
+        serves."""
+        fetched = self._fetch_after_kills((0, 1, 3), Group((4, 1, 2, 5), generation=1))
+        assert as_lists(fetched) == (10, centers_for(2, 1).tolist())
+
+    def test_losing_every_holder_is_unrecoverable(self):
+        """The mirror holder and every other member are dead or stale."""
+        got = self._fetch_after_kills((0, 1, 2, 3), Group((4, 1, 2, 5), generation=1))
+        assert "no live member" in got
 
     def test_adopt_heals_local_slot(self):
         w = spawn_world(3, segments=SEGS)

@@ -352,15 +352,16 @@ class TestAborts:
         assert "spares" in out.reason
         assert out.centroids is None and out.table is None
 
-    def test_buddy_pair_loss_is_unrecoverable(self):
-        g = Group((0, 1, 2, 3))
-        buddy = mirror_target(2, g)
-        plan = FailurePlan((FailureEvent(2, 7, FailPhase.BEFORE_BARRIER),
-                            FailureEvent(buddy, 7, FailPhase.BEFORE_BARRIER)))
-        out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY,
-                            WorldLayout(active=4, spares=2), plan=plan)
-        assert not out.converged
-        assert "mirror" in out.reason
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_losing_every_holder_of_the_epoch_ends_with_a_reason(self, method):
+        """Every active rank dies after epoch 1 committed: spares are left,
+        but no live rank holds a copy of the epoch."""
+        plan = FailurePlan(tuple(FailureEvent(r, 7, FailPhase.BEFORE_BARRIER)
+                                 for r in range(4)))
+        out = run_ft_kmeans(DATA, CFG, method, POLICY, WorldLayout(active=4, spares=4),
+                            plan=plan)
+        assert not out.converged and out.centroids is None
+        assert out.reason == "every active rank failed"
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
     @pytest.mark.parametrize("phase", [FailPhase.BEFORE_BARRIER, FailPhase.DURING_COMPUTE])
@@ -481,6 +482,39 @@ class TestDoubleFailure:
             assert [(e["failed"], e["epoch"], e["resumed_iteration"])
                     for e in out.recovery_events] == [((0,), 2, 4), ((1,), 4, 6)]
             assert out.centroids.centers.tobytes() == twin.centroids.centers.tobytes()
+
+
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    @pytest.mark.parametrize("rank", range(4))
+    def test_losing_a_rank_and_its_mirror_holder_recovers_bitwise(self, method, rank):
+        """Every member captures the same bytes for an epoch, so the stand-in
+        of a rank whose mirror holder died with it reads another member's
+        own copy."""
+        g = Group((0, 1, 2, 3))
+        pair = (rank, mirror_target(rank, g))
+        plan = FailurePlan(tuple(FailureEvent(r, 7, FailPhase.BEFORE_BARRIER) for r in pair))
+        twin = run_ft_kmeans(DATA, CFG, method, POLICY, WorldLayout(active=4, spares=2))
+        out = run_ft_kmeans(DATA, CFG, method, POLICY, WorldLayout(active=4, spares=2),
+                            plan=plan)
+        assert out.reason == "" and out.converged and out.recoveries == 2
+        assert [e["failed"] for e in out.recovery_events] == [tuple(sorted(pair))]
+        assert out.centroids.centers.tobytes() == twin.centroids.centers.tobytes()
+        assert np.array_equal(out.table.assign, twin.table.assign)
+
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_losing_three_of_four_recovers_alike_under_every_schedule(self, method):
+        """Stand-ins never read each other's own slots, whose adopt may or
+        may not have happened yet, so the ticks charged do not depend on
+        the schedule seed."""
+        plan = FailurePlan(tuple(FailureEvent(r, 7, FailPhase.BEFORE_BARRIER)
+                                 for r in (0, 1, 3)))
+        twin = run_ft_kmeans(DATA, CFG, method, POLICY, WorldLayout(active=4, spares=3))
+        outs = [run_ft_kmeans(DATA, CFG, method, POLICY, WorldLayout(active=4, spares=3),
+                              plan=plan, seed=seed) for seed in range(4)]
+        for out in outs:
+            assert out.reason == "" and out.recoveries == 3
+            assert out.centroids.centers.tobytes() == twin.centroids.centers.tobytes()
+            assert out.ledger == outs[0].ledger
 
 
 class TestTimeout:

@@ -1086,6 +1086,89 @@ class TestBroadcastTurns:
         assert _run_turns(case, False, seeds[0]) == _run_turns(case, True, seeds[1])
 
 
+class TestBroadcastShares:
+    """A broadcast copies each root's payload once, freezes the copy and
+    hands that same copy to every caller."""
+
+    ROOTS = (2, 0, 3)
+
+    def _run(self, after=lambda ctx, payload: None):
+        g = full_group(4)
+        payloads = {r: np.full((2, 3), float(r)) for r in range(4)}
+
+        def prog(ctx):
+            got = ctx.broadcast(g, self.ROOTS, payloads[ctx.rank], "b")
+            after(ctx, payloads[ctx.rank])
+            ctx.barrier(g, "after")
+            return got
+
+        return spawn_world(4).run({r: prog for r in range(4)})
+
+    def test_every_caller_gets_equal_bytes_for_every_root(self):
+        res = self._run()
+        for r in range(4):
+            got = res[r].value
+            assert [block.tobytes() for block in got] == [
+                np.full((2, 3), float(root)).tobytes() for root in self.ROOTS]
+            # the same frozen copies, not one copy per caller
+            assert all(a is b for a, b in zip(got, res[0].value))
+
+    def test_results_are_read_only(self):
+        for block in self._run()[1].value:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = -1.0
+
+    def test_a_root_mutating_its_payload_afterwards_is_not_seen(self):
+        def mutate(ctx, payload):
+            payload[:] = -1.0
+
+        res = self._run(mutate)
+        for r in range(4):
+            for root, block in zip(self.ROOTS, res[r].value):
+                assert np.array_equal(block, np.full((2, 3), float(root)))
+
+    @pytest.mark.parametrize("roots", [(), (0, 0), (0, 2)],
+                             ids=["empty", "duplicate", "outsider"])
+    def test_joining_an_open_slot_with_other_roots_is_rejected(self, roots):
+        """Rank 1 opens the slot with valid roots and leaves it; rank 0
+        joins the still open slot with bad roots."""
+        g = Group((0, 1))
+
+        def opener(ctx):
+            got = ctx.broadcast(g, (1,), b"x", "b")
+            ctx.send(0, "opened")
+            return got
+
+        def joiner(ctx):
+            ctx.recv(1)
+            with pytest.raises(ConfigError):
+                ctx.broadcast(g, roots, b"y", "b")
+            return "rejected"
+
+        res = spawn_world(3).run({0: joiner, 1: opener, 2: lambda ctx: None})
+        assert res[0].value == "rejected" and res[1].value == [b"x"]
+
+    def test_a_slot_copies_each_payload_once(self, monkeypatch):
+        """16 roots on 16 ranks: 16 copies per slot, not 16 + 16 x 16."""
+        copies = []
+        share = simcluster._share
+
+        def counting(value):
+            copies.append(1)
+            return share(value)
+
+        monkeypatch.setattr(simcluster, "_share", counting)
+        g = full_group(16)
+
+        def prog(ctx):
+            return ctx.broadcast(g, g.members, np.full((1, 4), float(ctx.rank)), "b")
+
+        res = spawn_world(16).run({r: prog for r in range(16)})
+        assert len(copies) == 16
+        assert all(len(res[r].value) == 16 for r in range(16))
+
+
 class TestFailureInjection:
     def test_kill_fires_only_at_matching_point(self):
         plan = FailurePlan([FailureEvent(0, 3, FailPhase.DURING_COMPUTE)])
