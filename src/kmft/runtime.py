@@ -8,16 +8,17 @@ receive, the samples pass's reduce, the means step's broadcast or reduce,
 or the one barrier each group generation runs when the loop ends) has
 already waited the world's timeout, so the survivor only reads the state
 vector, which names the corrupt ranks.
-Every survivor then derives the identical recovery plan, a `_Recovery`,
-with no further coordination; the coordinator sends it to the promoted
-spares as their wake, and all apply it alike: promote spares into the
-failed positions (ascending) under a fresh group generation, fetch the
-last committed snapshot (survivors from their local slot, replacements from
-the failed rank's mirror holder or, when it died too, from any member's own
-slot), relabel from it, start a fresh checkpoint of the restored state and
-land its copy, then recompute centroids from the restored labels.  That rebuild exchange commits the fresh checkpoint, as a
-pass commits one, so the ring is fully redundant again before normal
-iterations resume; a recovery runs no barrier of its own.
+Every survivor then derives the identical recovery plan, a `_Recovery`, with
+no further coordination; the coordinator sends it to the promoted spares as
+their wake, and all apply it alike: promote spares into the failed positions
+(ascending) under a fresh group generation, fetch the last committed
+snapshot (survivors from their local slot, replacements from the failed
+rank's mirror holder or, when it died too, from any member's own slot),
+relabel from it, start a fresh checkpoint of the restored state and land its
+copy, then recompute centroids from the restored labels.  That rebuild
+exchange commits the fresh checkpoint, as a pass commits one, so the ring is
+fully redundant again before normal iterations resume; a recovery runs no
+barrier of its own.
 
 A snapshot of iteration t holds c_{t-1}, the centers pass t read, and not
 the labels it derived: labels_t = assign(values, c_{t-1}) whatever rows are

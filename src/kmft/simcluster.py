@@ -20,13 +20,13 @@ per-phase ledger, entered generation and the set of corrupt peers reported
 to it), and every operation is the RankContext method of that name.  The
 ClusterHandle holds only what ranks share: channels (one FIFO per ordered
 pair of ranks, built at spawn), segments, pending transfers, collective
-slots, the death record, the results and the scheduler.  State is touched only by the rank holding the baton, so the
-scheduler's own lock and one baton lock per rank are the only
-synchronization.  A deadlock is found structurally: when no rank can run,
-the run raises SimDeadlock.  A livelock, a run that never ends, raises it
-once the WALL_GUARD of host seconds has passed.  After either, the released
-ranks only unwind, and a rank that never waits meets the poison at its next
-operation.
+slots, the death record, the results and the scheduler.  State is touched
+only by the rank holding the baton, so the scheduler's own lock and one
+baton lock per rank are the only synchronization.  A deadlock is found
+structurally: when no rank can run, the run raises SimDeadlock.  A livelock,
+a run that never ends, raises it once the WALL_GUARD of host seconds has
+passed.  After either, the released ranks only unwind, and a rank that never
+waits meets the poison at its next operation.
 
 Time is virtual: every rank owns an integer tick clock, operations charge
 costs from the one CostModel, `COSTS`, and synchronizing operations pull a
@@ -45,21 +45,21 @@ rank is lost, and the receive or collective that needs the rank reports
 it.  A token wait always completes at the transfer's ready time and reports
 FAILED when the destination's clock at its kill was below that time.
 
-Barrier, reduce and broadcast share one rendezvous, and a caller waits in
-it at most once: each member deposits into a slot keyed by generation, kind
-and tag, and a deposit made before its owner died still counts.  Each
-deposit is copied once and frozen, and a slot's outcome is settled once,
-not once per caller: a broadcast hands every caller the same read-only
-payload copies, and a reduce hands each caller its own copy of the one
-sum.  In a broadcast only the roots deposit; one call broadcasts from each
-root in turn and costs exactly what one single-root broadcast per root,
-made in that order, costs.  The world's `timeout` is its one patience: when a
-corrupt rank owes a deposit, every surviving caller's clock moves to the
-instant it began waiting for that rank (its arrival, or in a broadcast the
-end of the turn before the dead root's, if later) plus the timeout and it
-gets Timeout, a barrier included; nobody is left blocked.  `recv_any`
-raises Timeout once every other rank is corrupt, finished or itself waiting
-in `recv_any`, since a rank waiting there cannot send.
+Barrier, reduce and broadcast share one rendezvous, and a caller waits in it
+at most once: each member deposits into a slot keyed by generation, kind and
+tag, and a deposit made before its owner died still counts.  Each deposit is
+copied once and frozen, and a slot's outcome is settled once, not once per
+caller: a broadcast hands every caller the same read-only payload copies,
+and a reduce hands each caller its own copy of the one sum.  In a broadcast
+only the roots deposit; one call broadcasts from each root in turn and costs
+exactly what one single-root broadcast per root, made in that order, costs.
+The world's `timeout` is its one patience: when a corrupt rank owes a
+deposit, every surviving caller's clock moves to the instant it began
+waiting for that rank (its arrival, or in a broadcast the end of the turn
+before the dead root's, if later) plus the timeout and it gets Timeout, a
+barrier included; nobody is left blocked.  `recv_any` raises Timeout once
+every other rank is corrupt, finished or itself waiting in `recv_any`, since
+a rank waiting there cannot send.
 
 Messages are scoped by group generation.  Each carries the generation it
 was sent under, and a rank enters a generation by sending under it or by
@@ -610,7 +610,7 @@ class RankContext:
         `roots` deposit, and a caller waits until all have or until the
         first root without a deposit is dead; its timeout then runs from the
         end of the turn before that root's.  The caller that opens the slot
-        checks the roots; a later caller passes only if its own match.
+        checks the roots; a later caller passes only if its roots match.
         """
         w = self._world
         rank = self.rank

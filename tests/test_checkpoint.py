@@ -401,7 +401,8 @@ class TestRestore:
         def replacement(ctx):
             for r in g_old.members:
                 ctx.recv(r)
-            while sum(h.value == "corrupt" for h in ctx.state_vector().values()) < len(dead):
+            while (sum(h.value == "corrupt" for h in ctx.state_vector().values())
+                   < len(dead)):
                 ctx.charge(1)
             cp = Checkpointer(ctx, g_new, K, D, last_committed=1)
             try:

@@ -13,7 +13,13 @@ the best and the median of ROUNDS rounds of N calls each:
   * a baton handoff: two ranks hand the scheduler's baton back and forth
     with a bare switch, and the run's wall time is split over the handoffs;
   * a 4-rank `reduce_all` of an (8, 5) float64 array, churn-samples'
-    partials, the run's wall time split over the reduces.
+    partials, the run's wall time split over the reduces;
+  * a 16-root `broadcast` of (1, 4) float64 blocks on 16 ranks, as
+    wide-centers' means step makes it, the run's wall time split over the
+    broadcasts;
+  * an all-to-all pass on 16 ranks, as wide-centers' centers pass makes
+    it: each rank sends one message to each peer, then receives one from
+    each, the run's wall time split over the rank-passes.
 Then, per `assign_labels` and per `center_sums` call, the same statistics
 at each benchmark workload's per-rank shape (5,000 x 4 with k=8, 5,000 x 8
 with k=16, 250 x 4 with k=16) and at its oracle shape (20,000 x 4 with k=8,
@@ -61,6 +67,9 @@ N = 20_000
 ROUNDS = 7
 HANDOFFS = 5_000       # per rank and round
 REDUCES = 2_000        # per round
+WIDE = 16              # ranks of the wide-centers world's compute group
+BROADCASTS = 400       # per round
+PASSES = 200           # per round
 KERNEL_CELLS = 2_000_000   # samples x centers per kernel round
 KERNEL_SHAPES = [      # (n, d, k): per-rank shapes, then the oracle's
     (5_000, 4, 8), (5_000, 8, 16), (250, 4, 16),
@@ -152,6 +161,40 @@ def _reduce(kmft) -> float:
     t0 = time.perf_counter()
     world.run({rank: prog for rank in group.members})
     return (time.perf_counter() - t0) / REDUCES
+
+
+def _broadcast(kmft) -> float:
+    """Seconds per 16-root broadcast of (1, 4) float64 blocks on 16 ranks."""
+    world = kmft.spawn_world(WIDE)
+    group = kmft.Group(tuple(range(WIDE)))
+
+    def prog(ctx) -> None:
+        broadcast, block = ctx.broadcast, np.full((1, 4), float(ctx.rank))
+        for i in range(BROADCASTS):
+            broadcast(group, group.members, block, i)
+
+    t0 = time.perf_counter()
+    world.run({rank: prog for rank in group.members})
+    return (time.perf_counter() - t0) / BROADCASTS
+
+
+def _all_to_all(kmft) -> float:
+    """Seconds per rank-pass of a 16-rank exchange: one `send` to and one
+    `recv` from each peer, a centers pass message with no records."""
+    world = kmft.spawn_world(WIDE)
+
+    def prog(ctx) -> None:
+        send, recv = ctx.send, ctx.recv
+        peers = [r for r in range(WIDE) if r != ctx.rank]
+        for _ in range(PASSES):
+            for peer in peers:
+                send(peer, (False, b""))
+            for peer in peers:
+                recv(peer)
+
+    t0 = time.perf_counter()
+    world.run({rank: prog for rank in range(WIDE)})
+    return (time.perf_counter() - t0) / (PASSES * WIDE)
 
 
 def _kernel_cases(kmeans, n: int, d: int, k: int) -> dict:
@@ -328,6 +371,8 @@ def main(argv: list[str]) -> int:
         "phase scope": lambda: _in_one_rank(kmft, _phase(kmft)) / N,
         "baton handoff": lambda: _handoff(kmft),
         "reduce_all 4 ranks (8, 5) f64": lambda: _reduce(kmft),
+        "broadcast 16 roots (1, 4) f64": lambda: _broadcast(kmft),
+        "all-to-all pass 16 ranks": lambda: _all_to_all(kmft),
     }
     for shape in KERNEL_SHAPES:
         cases.update(_kernel_cases(kmeans, *shape))
