@@ -6,9 +6,8 @@ becomes a recovery point in two phases: `start` captures the state and
 launches the transfer; `land` waits on the transfer token, and `confirm`
 commits once a group exchange that every member entered after its `land`
 completes, proving every rank's copy is delivered somewhere else.  In the
-runtime that exchange is the next pass, a recovery's rebuild exchange (for
-the re-protection of the restored state), or the end-of-run barrier after
-a capture at the last iteration.  The checkpointer itself runs no
+runtime that exchange is the next pass, or the end-of-run barrier after a
+capture at the last iteration.  The checkpointer itself runs no
 collective.
 
 The checkpointer numbers its epochs: `start` opens the one after the last
@@ -22,8 +21,10 @@ the valid recovery point.
 
 A snapshot is algorithm-based: it holds the k x d centers that the pass of
 its iteration read, not the labels that pass derived from them.  Labels are
-a pure function of those centers, so the runtime relabels from them on
-restore.  Every slot has the same size whatever the number of samples.
+a pure function of those centers, so on restore the runtime runs that pass
+again from them, and the capture that replayed iteration makes protects the
+restored state anew.  Every slot has the same size whatever the number of
+samples.
 
 Payload layout (little-endian): epoch u64, iteration u64, then the k x d
 centers as row-major float64 values.

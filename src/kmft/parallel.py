@@ -36,8 +36,10 @@ position in one loop (no simulated cluster, no failure handling); the
 fault-tolerant runtime gives each rank one position and only adds the
 messages and collectives between the same calls.  Ownership records are
 `(m, 2)` little-endian u64 arrays of (sample id, center) pairs; `entries`
-gives a position's labels in that form.  `relabel` rebuilds a position's
-labels from the centers a pass read, which is how the runtime restores one.
+gives a position's labels in that form.  `reset` puts a position back in
+the bootstrap state, every sample on center 0 (in the center split, all
+owned by position 0); the runtime restores a position that way and runs the
+pass again from the centers that pass read.
 """
 
 from __future__ import annotations
@@ -255,20 +257,6 @@ class CentersPosition:
     def entries(self) -> np.ndarray:
         return make_records(self.ids, self.labels)
 
-    def relabel(self, centers: np.ndarray, position: int) -> int:
-        """Take `position` with the samples whose label against `centers`
-        falls in its block, and their bound; returns the rows assigned,
-        every sample."""
-        self.position = position
-        lo, hi = self.blocks[position]
-        n = len(self.values)
-        labels, _, bound = assign_bounded(self.values, centers,
-                                          np.zeros(n, dtype=np.int64), None)
-        self.ids = np.flatnonzero((labels >= lo) & (labels < hi))
-        self.labels = labels[self.ids]
-        self.bound = None if bound is None else NearestBound(bound.gap[self.ids], bound.ref)
-        return n
-
 
 # -- splitting the samples ---------------------------------------------------
 
@@ -290,9 +278,8 @@ def samples_partials(values_block: np.ndarray, assign: np.ndarray, k: int) -> np
 class SamplesPosition:
     """One position of the sample split: a fixed block of samples, their
     labels, and the bound that lets a pass skip the rows whose label cannot
-    change.  The bound is a cache that no checkpoint holds: `relabel`
-    builds it from the distances it computes anyway, and `reset` drops it,
-    so the next pass reassigns the whole block."""
+    change.  The bound is a cache that no checkpoint holds: `reset` drops
+    it, so the next pass reassigns the whole block."""
 
     def __init__(self, values: np.ndarray, k: int, procs: int, position: int):
         self.values = values
@@ -337,15 +324,6 @@ class SamplesPosition:
     def entries(self) -> np.ndarray:
         lo, hi = self.blocks[self.position]
         return make_records(np.arange(lo, hi), self.labels)
-
-    def relabel(self, centers: np.ndarray, position: int) -> int:
-        """Take `position` with its block labelled against `centers`; returns
-        the rows assigned, the block's."""
-        self.position = position
-        block = self._block()
-        self.labels, _, self.bound = assign_bounded(
-            block, centers, np.zeros(len(block), dtype=np.int64), None)
-        return len(self.labels)
 
 
 POSITIONS = {Method.CENTERS: CentersPosition, Method.SAMPLES: SamplesPosition}

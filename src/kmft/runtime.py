@@ -13,19 +13,24 @@ no further coordination; the coordinator sends it to the promoted spares as
 their wake, and all apply it alike: promote spares into the failed positions
 (ascending) under a fresh group generation, fetch the last committed
 snapshot (survivors from their local slot, replacements from the failed
-rank's mirror holder or, when it died too, from any member's own slot),
-relabel from it, start a fresh checkpoint of the restored state and land its
-copy, then recompute centroids from the restored labels.  That rebuild
-exchange commits the fresh checkpoint, as a pass commits one, so the ring is
-fully redundant again before normal iterations resume; a recovery runs no
-barrier of its own.
+rank's mirror holder or, when it died too, from any member's own slot) and
+roll back to the start of the pass that snapshot's iteration ran.  A
+recovery runs no exchange and no barrier of its own.
 
 A snapshot of iteration t holds c_{t-1}, the centers pass t read, and not
 the labels it derived: labels_t = assign(values, c_{t-1}) whatever rows are
-assigned, so a restore relabels its position from c_{t-1} (a samples
-position its block, a centers position every sample, keeping those whose
-label falls in its center block) and rebuilds c_t with c_{t-1} as the
-previous centers, which a center with no members keeps, as the pass did.
+assigned.  A restore resets its position to the bootstrap state (every
+sample on center 0, in the center split all owned by position 0) and sets
+the iteration to t - 1 and the centers to c_{t-1}, so the loop's own
+iteration t replays the pass: it assigns every sample once, its means step
+rebuilds c_t with c_{t-1} as the previous centers, which a center with no
+members keeps, as the pass did, and its capture protects the state again,
+which pass t + 1 commits.  The replayed pass starts from placeholder
+labels, so its changed flag says nothing: it always recomputes and never
+counts as converged.  That is what the lost pass did, since a free run
+captures only after a pass that changed; in a forced run a settled pass
+skipped its recompute, and recomputing from unchanged labels gives back
+the centers it read.
 
 A centers pass sends each peer one message, (changed flag, the records
 handed to it, empty when none are), and receives one from each: the count
@@ -47,18 +52,18 @@ its calls, the checkpoints and the recovery.  The finished driver is the
 rank's result: the outcome is assembled from the drivers' attributes once
 they agree, and a spare that was never woken returns None.
 
-One join (position, checkpointer, restore with its re-protection; after a
-recovery also the recovery event) serves the fresh start, survivors and
-woken spares, and one detect-and-recover step serves every collective or
-receive that failed, in an iteration or in the end-of-run barrier.
+One join (position, checkpointer and rollback; after a recovery also the
+recovery event) serves the fresh start, survivors and woken spares, and
+one detect-and-recover step serves every collective or receive that
+failed, in an iteration or in the end-of-run barrier.
 
 A run is given up one way: a step that cannot continue raises
 UnrecoverableError, and `_ActiveDriver.run` alone catches it, ending the run
 unconverged with the error as its `reason`; a woken spare joins inside it.
 
-A failure before the first commit rolls back to the deterministic initial
-state instead of a snapshot; that state needs no re-protection because it
-is reconstructible from the run configuration alone.
+A failure before the first commit rolls back to the seed state instead of a
+snapshot, which the run configuration alone rebuilds; pass 1 then runs as
+it always does.
 
 Rendezvous discipline: collective tags carry the iteration or epoch they
 belong to (a generation runs its end-of-run barrier at most once, so that
@@ -215,14 +220,7 @@ def _digest(centers: np.ndarray, epoch: int, iteration: int) -> str:
 # -- per-method communication around the parallel.py position state ---------
 #
 # A pass runs `land` between its compute and its exchange and returns whether
-# any rank's labels changed; a means function returns the new centers.  With
-# `t` None the means are a post-restore rebuild, charged to RESTORE.
-
-def _phases(t: int | None) -> tuple[VtPhase, VtPhase]:
-    """Ledger phases of a means step's local work and of its exchange."""
-    if t is None:
-        return VtPhase.RESTORE, VtPhase.RESTORE
-    return VtPhase.COMPUTE, VtPhase.COMM
+# any rank's labels changed; a means function returns the new centers.
 
 
 def _centers_pass(ctx: RankContext, group: Group, state: CentersPosition,
@@ -252,17 +250,15 @@ def _centers_pass(ctx: RankContext, group: Group, state: CentersPosition,
 
 
 def _centers_means(ctx: RankContext, group: Group, state: CentersPosition,
-                   centers: np.ndarray, t: int | None) -> np.ndarray:
-    tag = ("cb", t) if t is not None else ("rcb",)
-    work, exchange = _phases(t)
-    with ctx.phase(work):
+                   centers: np.ndarray, t: int) -> np.ndarray:
+    with ctx.phase(VtPhase.COMPUTE):
         mine = state.recompute(centers)
         ctx.charge(ctx.costs.compute_per_sample * state.load)
     # `partition` puts empty blocks last, so the first min(k, size) positions
     # own every center, in order, and their blocks stack into the new centers
     roots = group.members[:min(len(centers), group.size)]
-    with ctx.phase(exchange):
-        blocks = ctx.broadcast(group, roots, mine, tag)
+    with ctx.phase(VtPhase.COMM):
+        blocks = ctx.broadcast(group, roots, mine, ("cb", t))
     return np.concatenate(blocks)
 
 
@@ -277,14 +273,12 @@ def _samples_pass(ctx: RankContext, group: Group, state: SamplesPosition,
 
 
 def _samples_means(ctx: RankContext, group: Group, state: SamplesPosition,
-                   centers: np.ndarray, t: int | None) -> np.ndarray:
-    tag = ("ms", t) if t is not None else ("rcs",)
-    work, exchange = _phases(t)
-    with ctx.phase(work):
+                   centers: np.ndarray, t: int) -> np.ndarray:
+    with ctx.phase(VtPhase.COMPUTE):
         partials = state.partials()
         ctx.charge(ctx.costs.compute_per_sample * state.load)
-    with ctx.phase(exchange):
-        total = ctx.reduce_all(group, partials, tag)
+    with ctx.phase(VtPhase.COMM):
+        total = ctx.reduce_all(group, partials, ("ms", t))
     return state.means(total, centers)
 
 
@@ -317,6 +311,8 @@ class _ActiveDriver:
         # the centers pass `it` read; no means step writes into its input,
         # so holding the reference keeps them
         self.read = init_centers
+        # the iteration of the restored snapshot, 0 for the seed state
+        self.restored = 0
         self.recoveries = 0      # also the spares consumed: one per failed rank
         self.events: list[RecoveryEvent] = []
         self.captures: list[tuple[int, int, str]] = []
@@ -328,8 +324,8 @@ class _ActiveDriver:
 
     def _join(self, group: Group, last_committed: int | None,
               fresh: tuple[int, ...] = ()) -> str | None:
-        """Take this rank's position in `group` and restore the last commit;
-        `fresh` are the members just promoted."""
+        """Take this rank's position in `group` and roll back to the last
+        commit; `fresh` are the members just promoted."""
         self.group = group
         self.position = group.position(self.ctx.rank)
         self.cp = Checkpointer(self.ctx, group, self.cfg.k, self.data.d,
@@ -347,7 +343,7 @@ class _ActiveDriver:
             failed=plan.failed,
             promoted=plan.promoted,
             epoch=plan.last_committed,
-            resumed_iteration=self.it,
+            resumed_iteration=self.restored,
             position=self.position,
             restored_digest=digest,
         ))
@@ -380,8 +376,10 @@ class _ActiveDriver:
         step, and the capture when `t` checkpoints."""
         self.ctx.failure_point(t, FailPhase.DURING_COMPUTE)
         read = self.centers
+        # a replayed pass starts from the bootstrap labels, not from those
+        # of pass t - 1, so it always recomputes and never converges
         changed = self._pass(self.ctx, self.group, self.state, read, t,
-                             self.cp.land)
+                             self.cp.land) or t == self.restored
         if self.cp.confirm():
             self.ctx.failure_point(self.it, FailPhase.DURING_CHECKPOINT, 2)
         if needs_recompute(changed, t):
@@ -446,28 +444,17 @@ class _ActiveDriver:
         self._rejoin(plan)
 
     def _restore(self) -> str | None:
+        """Roll back to the start of the last committed epoch's pass, which
+        the loop then runs again; the seed state when nothing is committed."""
         epoch = self.cp.last_committed
+        self.state.reset(self.position)
+        if epoch is None:
+            self.restored, self.it, self.centers = 0, 0, self.init_centers.copy()
+            return None
         with self.ctx.phase(VtPhase.RESTORE):
-            if epoch is None:
-                # nothing committed yet: back to the seed state, which wants
-                # no rebuild (its centroids are given, not derived)
-                self.state.reset(self.position)
-                self.centers = self.init_centers.copy()
-                self.it, self.read = 0, self.init_centers
-                return None
             iteration, read = self.cp.fetch()
             self.cp.adopt(iteration, read)
-            rows = self.state.relabel(read, self.position)
-            self.ctx.charge(self.ctx.costs.compute_per_sample * rows)
-            self.it, self.read = iteration, read
-            # re-protect: the restored state is the next epoch, and the rebuild
-            # exchange, entered after its copy lands, commits it
-            self._capture(iteration)
-            self.cp.land()
-            # every center is derived from the restored labels again; one with
-            # no members keeps its row of the centers the pass read
-            self.centers = self._means(self.ctx, self.group, self.state, read, None)
-            self.cp.confirm()
+        self.restored, self.it, self.centers = iteration, iteration - 1, read
         return _digest(read, epoch, iteration)
 
     # -- termination -------------------------------------------------------

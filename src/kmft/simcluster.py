@@ -48,9 +48,9 @@ FAILED when the destination's clock at its kill was below that time.
 Barrier, reduce and broadcast share one rendezvous, and a caller waits in it
 at most once: each member deposits into a slot keyed by generation, kind and
 tag, and a deposit made before its owner died still counts.  Each deposit is
-copied once and frozen, and a slot's outcome is settled once, not once per
-caller: a broadcast hands every caller the same read-only payload copies,
-and a reduce hands each caller its own copy of the one sum.  In a broadcast
+copied once, and a slot's outcome is settled once, not once per caller: a
+broadcast freezes its payload copies and hands every caller the same
+read-only ones, and a reduce hands each caller its own copy of the one sum.  In a broadcast
 only the roots deposit; one call broadcasts from each root in turn and costs
 exactly what one single-root broadcast per root, made in that order, costs.
 The world's `timeout` is its one patience: when a corrupt rank owes a
@@ -241,11 +241,12 @@ class _Collective:
     members: tuple[int, ...]
     roots: tuple[int, ...] | None = None     # a broadcast's roots, in turn order
     deposits: dict[int, int] = field(default_factory=dict)   # rank -> arrival vt
-    values: dict[int, object] = field(default_factory=dict)   # frozen copies
+    values: dict[int, object] = field(default_factory=dict)   # private copies
     result: object = None    # a reduce's sum, or a broadcast's turn ends
     payloads: list = field(default_factory=list)   # a broadcast's, in turn order
     combined: bool = False
     returned: int = 0        # members that have left the operation
+    error: str = ""          # why the slot failed: every caller raises it
 
     def turn_ends(self) -> list[int]:
         """Each root's completion instant, up to the first without a deposit.
@@ -265,7 +266,7 @@ class _Collective:
                 start = max(self.deposits[root], ends[-1]) if ends else self.deposits[root]
                 ends.append(start + COSTS.collective_base
                             + COSTS.payload_ticks(_payload_nbytes(value)))
-                self.payloads.append(value)
+                self.payloads.append(_freeze(value))
             self.result = ends
             self.combined = True
         return self.result
@@ -610,7 +611,10 @@ class RankContext:
         `roots` deposit, and a caller waits until all have or until the
         first root without a deposit is dead; its timeout then runs from the
         end of the turn before that root's.  The caller that opens the slot
-        checks the roots; a later caller passes only if its roots match.
+        checks the roots; a later caller passes only if its roots and members
+        match.  A caller that fails either check fails the slot, so every
+        caller waiting in it, or joining it later, raises the same
+        ConfigError, and none waits for a deposit that will never come.
         """
         w = self._world
         rank = self.rank
@@ -619,22 +623,27 @@ class RankContext:
         needed = group.members if roots is None else roots
         coll = w._collectives.get(key)
         if coll is None:
-            if roots is not None:
-                _check_roots(group, roots)
             coll = w._collectives[key] = _Collective(group.members, roots)
+            if roots is not None:
+                try:
+                    _check_roots(group, roots)
+                except ConfigError as exc:
+                    coll.error = str(exc)
         elif coll.members != group.members or coll.roots != roots:
-            raise ConfigError(f"collective tag {key} reused with different shape")
+            coll.error = coll.error or f"collective tag {key} reused with different shape"
+        if coll.error:
+            raise ConfigError(coll.error)
         if group.generation > self._generation:
             self._generation = group.generation
         if rank in needed:
             coll.deposits[rank] = arrived
-            coll.values[rank] = _freeze(_share(value))
+            coll.values[rank] = _share(value)
         if w.record_trace:
             w._trace_event(key[1], rank, key)
 
         def ready() -> bool:
             # polled at every handoff: the common case costs one comparison
-            if len(coll.deposits) == len(needed):
+            if len(coll.deposits) == len(needed) or coll.error:
                 return True
             dead = w._death_vt
             if not dead:
@@ -645,6 +654,8 @@ class RankContext:
 
         if not ready():
             w._sched.switch(rank, ready)
+        if coll.error:
+            raise ConfigError(coll.error)
         coll.returned += 1
         if coll.returned == len(coll.members):
             del w._collectives[key]     # every member has left the slot
@@ -696,8 +707,8 @@ class RankContext:
         caller syncs to max(its arrival, C_{i-1}) + timeout and raises
         Timeout.  A deposit made before its root died still counts.
 
-        Each root's payload is copied once, when it deposits, and frozen:
-        every caller gets the same read-only copies.
+        Each root's payload is copied once, when it deposits, and frozen
+        when the slot settles: every caller gets the same read-only copies.
         """
         key = (group.generation, "bcast", tag)
         coll = self._rendezvous(group, key, payload, roots)
@@ -743,7 +754,8 @@ def _share(value: object) -> object:
 
 
 def _freeze(value: object) -> object:
-    """Make a deposit's own array copy read-only, so callers can share it."""
+    """Make a broadcast deposit's own array copy read-only, so callers can
+    share it."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
     return value

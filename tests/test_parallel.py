@@ -303,18 +303,6 @@ class TestCentersPass:
             assert out.changed is False and out.outgoing == {}
             assert np.array_equal(state.labels, want[state.ids])
 
-    def test_after_relabel_a_pass_on_the_same_centers_computes_no_distance(
-            self, bounded, rows_assigned):
-        data = random_dataset(21, n=90)
-        centers = init_centroids(data, 4).centers
-        state = CentersPosition(data.values, k=4, procs=2, position=0)
-        assert state.relabel(centers, 1) == 90
-        rows_assigned.clear()
-        out = state.compute(centers.copy())
-        assert rows_assigned == [] and out.changed is False and out.outgoing == {}
-        assert state.load > 0
-        assert np.array_equal(state.labels, assign_labels(data.values, centers)[state.ids])
-
     def test_recompute_means_and_keep_empty(self):
         values = np.array([[0.0], [1.0], [9.0], [10.0]])
         prev = np.array([[0.0], [9.0], [77.0]])
@@ -370,25 +358,15 @@ class TestSamplesPass:
         assert rows_assigned == []
         assert np.array_equal(state.labels, assign_labels(state._block(), centers))
 
-    @pytest.mark.parametrize("drop", ["relabel", "reset"])
-    def test_after_relabel_or_reset_the_next_pass_computes_the_block(self, rows_assigned,
-                                                                     drop):
-        """A reset drops the bound, so the next pass assigns the whole block;
-        a relabel builds it from the distances it computes, so the next pass
-        assigns only the rows a small drift leaves stale."""
+    def test_after_reset_the_next_pass_computes_the_block(self, rows_assigned):
+        """A reset drops the bound, so the next pass assigns the whole block."""
         _, state, centers = self._position()
         state.compute(centers)
         moved = centers + 1e-3          # a drift that bounds alone would skip
-        if drop == "relabel":
-            state.relabel(centers, 1)
-        else:
-            state.reset(1)
+        state.reset(1)
         rows_assigned.clear()
         state.compute(moved)
-        if drop == "relabel":
-            assert sum(rows_assigned) < state.load
-        else:
-            assert sum(rows_assigned) == state.load
+        assert sum(rows_assigned) == state.load
         assert np.array_equal(state.labels, assign_labels(state._block(), moved))
 
     def test_partials(self):

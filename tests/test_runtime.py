@@ -1,6 +1,7 @@
 """Fault-tolerant driver: transparency, rollback, detection, spare handling."""
 
 import functools
+import threading
 
 import numpy as np
 import pytest
@@ -118,9 +119,9 @@ class TestFailureFree:
     @pytest.mark.parametrize("case", ["failure-free", "one-kill", "last-checkpoints"])
     def test_one_barrier_per_rank_and_none_per_checkpoint(self, method, case):
         """Detection costs one end-of-run barrier per rank and nothing per
-        iteration; the next pass commits each checkpoint, a recovery's
-        rebuild exchange commits its re-protection, and the end-of-run
-        barrier commits a capture at the last iteration."""
+        iteration; the next pass commits each checkpoint, the replayed
+        iteration's capture included, and the end-of-run barrier commits a
+        capture at the last iteration."""
         if case == "one-kill":
             out = run_ft_kmeans(PROP_DATA, PROP_CFG, method, CheckpointPolicy(interval=2),
                                 LAYOUT, plan=kill(1, 7, FailPhase.DURING_COMPUTE),
@@ -192,9 +193,9 @@ class TestSingleFailure:
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
     def test_a_center_empty_at_the_restored_iteration_keeps_its_row(self, method):
         """Center 0 of this heavy-tailed instance has no members from pass 3
-        on.  The rebuild after a restore keeps the row it had before that
-        pass, not its initial row, so every kill ends with the failure-free
-        centroids and assignments."""
+        on.  The replayed pass's means step keeps the row it had before
+        that pass, not its initial row, so every kill ends with the
+        failure-free centroids and assignments."""
         rng = np.random.default_rng(37)
         n, k, d = (int(rng.integers(lo, hi)) for lo, hi in ((20, 80), (4, 14), (1, 3)))
         data = Dataset(rng.standard_cauchy((n, d)))
@@ -427,7 +428,7 @@ class TestAborts:
         monkeypatch.setattr(Checkpointer, "fetch", fetch)
         monkeypatch.setattr(runtime, "spawn_world", spawn)
         # no agreement step tells the survivors, who still wait for the
-        # spare in the restore's rebuild exchange
+        # spare in the replayed pass
         with pytest.raises(SimDeadlock):
             run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT, plan=kill(2, 7))
         res = worlds[0]._results[4]
@@ -554,8 +555,67 @@ class TestLedgerAcrossRecovery:
             assert sum(phases.values()) == out.vt_total[rank]
         survivors = [0, 1, 3]
         assert all(out.ledger[r][VtPhase.DETECT] > 0 for r in survivors)
-        assert all(out.ledger[r][VtPhase.RESTORE] > 0 for r in survivors)
-        assert out.ledger[4][VtPhase.RESTORE] > 0          # the promoted spare
+        # a survivor restores from its own slot, a local read that costs
+        # nothing; the promoted spare reads a copy remotely
+        assert all(out.ledger[r][VtPhase.RESTORE] == 0 for r in survivors)
+        assert out.ledger[4][VtPhase.RESTORE] > 0
+
+
+class TestReplayedPass:
+    def test_a_centers_recovery_assigns_each_sample_once(self, monkeypatch):
+        """On 8+1 ranks, from each rank's recovery plan to the end of its
+        first means step after it, the replayed iteration's, the new group
+        sends n rows through the distance kernel in all: the replayed pass
+        starts from the bootstrap ownership, so position 0 assigns every
+        sample once and routes it, and no rank assigns all n for itself."""
+        layout = WorldLayout(active=8, spares=1)
+        rows, windows, closed = {}, {}, []     # windows: rank thread -> rank
+        kernel = kmeans.pairwise_sqdist
+        real_rejoin = runtime._ActiveDriver._rejoin
+        pass_fn, real_means = runtime._EXCHANGES[Method.CENTERS]
+
+        def counted(points, centers):
+            rank = windows.get(threading.get_ident())
+            if rank is not None:
+                rows[rank] = rows.get(rank, 0) + len(points)
+            return kernel(points, centers)
+
+        def rejoin(driver, plan):
+            windows[threading.get_ident()] = driver.ctx.rank
+            real_rejoin(driver, plan)
+
+        def means(ctx, group, state, centers, t):
+            new = real_means(ctx, group, state, centers, t)
+            if windows.pop(threading.get_ident(), None) is not None:
+                closed.append(ctx.rank)
+            return new
+
+        monkeypatch.setattr(kmeans, "pairwise_sqdist", counted)
+        monkeypatch.setattr(runtime._ActiveDriver, "_rejoin", rejoin)
+        monkeypatch.setitem(runtime._EXCHANGES, Method.CENTERS, (pass_fn, means))
+        out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, layout,
+                            plan=kill(2, 7), force_iters=10)
+        assert out.recoveries == 1 and not out.reason
+        assert out.recovery_events[0]["resumed_iteration"] == 5
+        assert sorted(closed) == sorted(out.final_group) and windows == {}
+        assert sum(rows.values()) == DATA.n
+
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_a_kill_in_the_replayed_pass_recovers_from_the_same_epoch(self, method):
+        """The spare promoted at epoch 1 (iteration 5) runs iteration 5
+        again, so a kill planned for it there fires in the replayed pass;
+        the next recovery restores epoch 1 again and the run ends with the
+        failure-free values."""
+        layout = WorldLayout(active=4, spares=2)
+        twin = run_ft_kmeans(DATA, CFG, method, POLICY, layout, force_iters=12)
+        plan = FailurePlan((FailureEvent(1, 7, FailPhase.DURING_COMPUTE),
+                            FailureEvent(4, 5, FailPhase.DURING_COMPUTE)))
+        out = run_ft_kmeans(DATA, CFG, method, POLICY, layout, plan=plan, force_iters=12)
+        assert out.reason == "" and out.recoveries == 2 and out.unfired == ()
+        assert [(ev["epoch"], ev["resumed_iteration"]) for ev in out.recovery_events] \
+            == [(1, 5), (1, 5)]
+        assert out.centroids.centers.tobytes() == twin.centroids.centers.tobytes()
+        assert np.array_equal(out.table.assign, twin.table.assign)
 
 
 class TestDeterminism:
@@ -689,8 +749,8 @@ class TestCentersExchange:
 
 
 class TestSamplesExchange:
-    """A samples pass makes one `("chg", t)` reduce, and a means step or a
-    post-restore rebuild one reduce of its (k, d+1) partials."""
+    """A samples pass makes one `("chg", t)` reduce, and a means step one
+    reduce of its (k, d+1) partials."""
 
     @staticmethod
     def _reduce_tags(monkeypatch) -> list:
@@ -715,14 +775,18 @@ class TestSamplesExchange:
         assert sorted(tags) == sorted(4 * [(kind, t) for t in range(1, iters + 1)
                                            for kind in ("chg", "ms")])
 
-    def test_a_rebuild_is_one_reduce_per_member_of_the_new_group(self, monkeypatch):
+    def test_a_recovery_replays_one_pass_and_one_means_reduce_per_member(
+            self, monkeypatch):
+        """The restored epoch holds iteration 5: every member of the new
+        group runs pass 5 and its means step again, and a recovery makes no
+        reduce of its own."""
         tags = self._reduce_tags(monkeypatch)
         out = run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT,
                             plan=kill(2, 7), force_iters=10)
         assert out.recoveries == 1 and not out.reason
-        assert tags.count(("rcs",)) == LAYOUT.active
-        assert all(tag == ("rcs",) or (tag[0] in ("chg", "ms") and len(tag) == 2)
-                   for tag in tags)
+        assert out.recovery_events[0]["resumed_iteration"] == 5
+        assert tags.count(("chg", 5)) == tags.count(("ms", 5)) == 2 * LAYOUT.active
+        assert all(tag[0] in ("chg", "ms") and len(tag) == 2 for tag in tags)
 
 
 class TestKillPoints:
@@ -898,7 +962,9 @@ class TestCommitRule:
         copy of it has landed.  Swept over both methods, intervals 1 and 5,
         every active rank, the iteration of each checkpoint and the next,
         and every failure point; the schedule seed cycles through 0-3.  A
-        recovery's rebuild exchange commits its re-protection the same way."""
+        recovery commits nothing itself: the capture of the replayed
+        iteration is committed by the next pass, or the end-of-run barrier,
+        of the new generation, the same way."""
         tokens = {}        # (generation, epoch) -> {rank: its transfer token}
         confirms, unlanded = [], []
         restoring, restore_confirms = set(), []
@@ -948,7 +1014,8 @@ class TestCommitRule:
                             runs += 1
         assert runs == 2 * 3 * 5 * (6 + 2)
         assert len(confirms) > runs and unlanded == []
-        assert restore_confirms and all(gen >= 1 for gen, _ in restore_confirms)
+        assert restore_confirms == []
+        assert any(gen >= 1 for gen, _ in confirms)
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
     def test_a_kill_before_the_next_exchange_restores_the_previous_epoch(self, method):
@@ -970,8 +1037,8 @@ class TestCommitRule:
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
     def test_reprotection_reuses_the_number_of_a_superseded_epoch(self, method):
         """Epoch 3, started at 6, never commits: the recovery restores epoch
-        2 (iteration 4), and its re-protection starts epoch 3 again, which
-        the rebuild exchange commits."""
+        2 (iteration 4), and the replayed iteration 4 starts epoch 3 again,
+        which pass 5 commits."""
         out = run_ft_kmeans(PROP_DATA, PROP_CFG, method, CheckpointPolicy(interval=2),
                             LAYOUT, plan=kill(1, 6, FailPhase.DURING_CHECKPOINT, 1),
                             force_iters=9)

@@ -727,7 +727,9 @@ class TestBarrier:
         assert res[0].value == "ok"
         assert res[1].value == "rejected"
 
-        # same generation and tag under a group with different members
+        # same generation and tag under a group with different members; the
+        # outsider fails the open slot, so the member that joins it later is
+        # rejected with the same error
         w = spawn_world(3)
 
         def pair(ctx):
@@ -735,23 +737,50 @@ class TestBarrier:
             ctx.send(2, "slot exists")
             return "ok"
 
-        def outsider(ctx):
-            ctx.recv(0)
-            try:
-                ctx.broadcast(Group((0, 2)), (0,), None, "m")[0]
-            except ConfigError:
-                return "rejected"
-            return "accepted"
+        def join(group, after):
+            def prog(ctx):
+                ctx.recv(after)
+                try:
+                    ctx.broadcast(group, (0,), None, "m")[0]
+                    verdict = "accepted"
+                except ConfigError as exc:
+                    verdict = f"rejected: {exc}"
+                if ctx.rank == 2:
+                    ctx.send(1, verdict)
+                return verdict
+            return prog
 
-        res = w.run({0: pair,
-                     1: lambda ctx: ctx.broadcast(Group((0, 1)), (0,), None, "m")[0],
-                     2: outsider})
+        res = w.run({0: pair, 1: join(Group((0, 1)), 2), 2: join(Group((0, 2)), 0)})
         assert res[0].value == "ok"
-        assert res[1].value == "payload"
-        assert res[2].value == "rejected"
+        assert res[2].value.startswith("rejected: ") and "different shape" in res[2].value
+        assert res[1].value == res[2].value
 
 
 class TestCollectives:
+    @pytest.mark.parametrize("opened, joined", [((0, 1), (1, 1)), ((0, 1), (1, 0)),
+                                                ((0, 0), (0, 1))],
+                             ids=["duplicate", "reordered", "bad-opener"])
+    def test_a_caller_that_fails_an_open_slot_fails_every_member(self, opened, joined):
+        """Rank 0 opens a broadcast and, with valid roots, waits for rank 1's
+        deposit; rank 1 joins with other roots.  Whichever caller fails a
+        check fails the slot, so the run ends in that ConfigError, not in a
+        deadlock."""
+        g = full_group(2)
+
+        def opener(ctx):
+            ctx.send(1, "opening")
+            return ctx.broadcast(g, opened, b"x", "b")
+
+        def joiner(ctx):
+            ctx.recv(0)
+            return ctx.broadcast(g, joined, b"y", "b")
+
+        world = spawn_world(2)
+        with pytest.raises(ConfigError):
+            world.run({0: opener, 1: joiner})
+        assert all(world._results[r].status == "error" for r in (0, 1))
+        assert str(world._results[0].error) == str(world._results[1].error)
+
     def test_reduce_flag_sum_is_positive_when_a_flag_is_set(self):
         """A 0/1 sum is > 0 iff some member's flag is set."""
         w = spawn_world(4)

@@ -42,11 +42,18 @@ it) and,
 where the checkout gathers rows by id, the bounded pass with its size rule
 off, the rows it kept carrying their gaps and the rows that arrived
 starting stale.  Only the assignment call is timed, not the bookkeeping
-between passes.  Last, at the same three shapes, per centers position step
+between passes.  Then, at the same three shapes, per centers position step
 (where the checkout has `CentersPosition`): the mean of one position's
 `compute` + `absorb`, over the same lockstep trajectory with every position
 stepped as `run_parallel` steps them, bounded pass and ownership bookkeeping
-together.
+together.  Last, per one-kill recovery: the host time of a forced
+fault-tolerant run in which rank 1 dies in the compute of iteration 12,
+minus that of the same run without the kill (the fastest of three
+alternating runs each per round), at the wide-centers shape (4,000 x 4,
+k=16, 16+1 ranks, interval 10, forced to 30) and at churn-samples' (20,000
+x 4, k=8, samples on 4+3 ranks, interval 1, forced to 60).  It holds the
+restore, the replayed passes and the detection's host work; the timeout
+the survivors wait is virtual.
 Each loop's own Python overhead is included.  Run it on two checkouts back
 to back to compare them; host speed drifts, so numbers from different
 sessions do not compare.
@@ -356,6 +363,48 @@ def _centers_step_case(package, n: int, d: int, blobs: int, spread: float, k: in
     return {f"centers position step {n // procs}x{d} k={k}": trajectory}
 
 
+# (n, d, blobs, spread, k, method, active, spares, interval, iters): the
+# wide-centers and churn-samples runs, each given one kill of rank 1 in the
+# compute of iteration 12
+RECOVERY_RUNS = [(4_000, 4, 8, 3.0, 16, "centers", 16, 1, 10, 30),
+                 (20_000, 4, 5, 3.0, 8, "samples", 4, 3, 1, 60)]
+RECOVERY_KILL = (1, 12)
+RECOVERY_REPEATS = 3   # runs per side and round
+
+
+def _recovery_case(package, n: int, d: int, blobs: int, spread: float, k: int,
+                   method: str, active: int, spares: int, interval: int,
+                   iters: int) -> dict:
+    """Seconds a one-kill fault-tolerant run takes beyond the same run
+    without the kill."""
+    data, _ = package.make_blobs(n=n, d=d, blobs=blobs, spread=spread, seed=1)
+    kill = package.FailurePlan([package.FailureEvent(
+        *RECOVERY_KILL, package.FailPhase.DURING_COMPUTE)])
+
+    def run(plan) -> float:
+        t0 = time.perf_counter()
+        out = package.run_ft_kmeans(
+            data, package.KmeansConfig(k=k, max_iters=iters), package.Method(method),
+            package.CheckpointPolicy(interval), package.WorldLayout(active, spares),
+            plan=plan, seed=1, force_iters=iters)
+        spent = time.perf_counter() - t0
+        if out.reason or out.recoveries != (plan is not None):
+            raise RuntimeError(f"{method} run: {out.recoveries} recoveries, "
+                               f"reason {out.reason!r}")
+        return spent
+
+    def case() -> float:
+        # the fastest of a few alternating runs per side damps host noise,
+        # which on one run is as large as the recovery itself
+        killed, plain = [], []
+        for _ in range(RECOVERY_REPEATS):
+            killed.append(run(kill))
+            plain.append(run(None))
+        return min(killed) - min(plain)
+
+    return {f"one-kill recovery {method} {active}+{spares}": case}
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
@@ -383,6 +432,8 @@ def main(argv: list[str]) -> int:
         cases.update(_centers_pass_cases(package, *shape))
     for shape in CENTERS_SHAPES:
         cases.update(_centers_step_case(package, *shape))
+    for run in RECOVERY_RUNS:
+        cases.update(_recovery_case(package, *run))
     print(f"kmft from {src}, pinned to CPU {cpu}; us per op, best / median of {ROUNDS}")
     for name, case in cases.items():
         runs = [case() * 1e6 for _ in range(ROUNDS)]
