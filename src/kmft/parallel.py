@@ -25,8 +25,8 @@ differs.
 
 Both splits reassign through the same `assign_bounded`.  A CENTERS position
 keeps the bound of the rows it kept; a row that arrives by record carries
-no bound, so it gets a gap of 0 and its next pass reassigns it.  Records,
-messages and ticks are those of a full pass.  Blocks under the kernel's size
+no bound, so it gets a gap of 0 and its next pass reassigns it.  Records
+and ticks are those of a full pass.  Blocks under the kernel's size
 rule (`kmeans.BOUND_MIN_CELLS`) are assigned whole and keep no bound.
 
 Each decomposition is one per-position state class (`CentersPosition`,
@@ -34,12 +34,14 @@ Each decomposition is one per-position state class (`CentersPosition`,
 all of its math, with no notion of a cluster.  `run_parallel` steps every
 position in one loop (no simulated cluster, no failure handling); the
 fault-tolerant runtime gives each rank one position and only adds the
-messages and collectives between the same calls.  Ownership records are
-`(m, 2)` little-endian u64 arrays of (sample id, center) pairs; `entries`
-gives a position's labels in that form.  `reset` puts a position back in
-the bootstrap state, every sample on center 0 (in the center split, all
-owned by position 0); the runtime restores a position that way and runs the
-pass again from the centers that pass read.
+collectives between the same calls.  Ownership records are `(m, 2)`
+little-endian u64 arrays of (sample id, center) pairs, and they travel as
+such: a pass's `records`, grouped by destination with `ends`, go to the
+runtime's one all-to-all exchange as they are, never encoded to bytes.
+`entries` gives a position's labels in that form.  `reset` puts a position
+back in the bootstrap state, every sample on center 0 (in the center split,
+all owned by position 0); the runtime restores a position that way and runs
+the pass again from the centers that pass read.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ def partition(total: int, parts: int) -> list[tuple[int, int]]:
 
 # 16-byte ownership record: sample id, new center id, both little-endian u64
 _U8 = np.dtype("<u8")
-RECORD_SIZE = 2 * _U8.itemsize
 
 
 def make_records(ids: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -102,14 +103,8 @@ def make_records(ids: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_records(records: np.ndarray) -> bytes:
-    return np.asarray(records, dtype=_U8).tobytes()
-
-
-def decode_records(buf: bytes) -> np.ndarray:
-    if len(buf) % RECORD_SIZE:
-        raise ConfigError(f"record buffer length {len(buf)} is not a multiple of {RECORD_SIZE}")
-    return np.frombuffer(buf, dtype=_U8).reshape(-1, 2)
+_NO_RECORDS = make_records([], [])
+_NO_RECORDS.flags.writeable = False
 
 
 def gather_labels(fragments: list[np.ndarray], n: int) -> np.ndarray:
@@ -154,8 +149,18 @@ class CentersPass:
     changed: bool
     kept_ids: np.ndarray                    # (m,) int64 ids that stay here, ascending
     kept_labels: np.ndarray                 # (m,) int64 their centers
-    outgoing: dict[int, np.ndarray]         # dst position -> (m, 2) records
+    records: np.ndarray                     # (m, 2) records that leave, by destination
+    ends: list[int]                         # position p's are records[ends[p-1]:ends[p]]
     bound: NearestBound | None = None       # gaps of the kept rows, id order
+
+    @property
+    def outgoing(self) -> dict[int, np.ndarray]:
+        """dst position -> its (m, 2) records, for each position that gets any."""
+        if not len(self.records):
+            return {}
+        ends = self.ends
+        return {pos: self.records[lo:hi] for pos, (lo, hi) in enumerate(zip([0, *ends], ends))
+                if hi > lo}
 
 
 def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
@@ -173,8 +178,10 @@ def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
     destination, so each destination's records are one slice of a single
     array, ids still ascending.
     """
+    ends = [0] * len(block_ends)
     if len(ids) == 0:
-        return CentersPass(changed=False, kept_ids=ids, kept_labels=labels, outgoing={})
+        return CentersPass(changed=False, kept_ids=ids, kept_labels=labels,
+                           records=_NO_RECORDS, ends=ends)
     new, changed, fresh = assign_bounded(values, centers, labels, bound, ids)
     owner = np.searchsorted(block_ends, np.arange(len(centers)), side="right")
     dest = owner.take(new)
@@ -182,15 +189,13 @@ def centers_compute(values: np.ndarray, centers: np.ndarray, ids: np.ndarray,
     if fresh is not None:
         fresh = NearestBound(fresh.gap[stay], fresh.ref)
     leave = np.flatnonzero(~stay)
-    outgoing = {}
+    records = _NO_RECORDS
     if len(leave):
         leave = leave.take(np.argsort(dest.take(leave), kind="stable"))
         records = make_records(ids.take(leave), new.take(leave))
         ends = np.cumsum(np.bincount(dest.take(leave), minlength=len(block_ends))).tolist()
-        outgoing = {pos: records[lo:hi] for pos, (lo, hi) in enumerate(zip([0, *ends], ends))
-                    if hi > lo}
     return CentersPass(changed=changed, kept_ids=ids[stay], kept_labels=new[stay],
-                       outgoing=outgoing, bound=fresh)
+                       records=records, ends=ends, bound=fresh)
 
 
 def centers_recompute(values: np.ndarray, ids: np.ndarray, labels: np.ndarray,
@@ -352,10 +357,10 @@ def _centers_step(states: list[CentersPosition], centers: np.ndarray,
                   t: int, transfers: list[int]) -> tuple[np.ndarray, bool]:
     passes = [s.compute(centers) for s in states]
     changed = any(out.changed for out in passes)
+    sent = [out.outgoing for out in passes]
     moved = 0
     for p, state in enumerate(states):
-        batches = [out.outgoing[p] for src, out in enumerate(passes)
-                   if src != p and p in out.outgoing]
+        batches = [out[p] for src, out in enumerate(sent) if src != p and p in out]
         moved += sum(len(b) for b in batches)
         state.absorb(passes[p], batches)
     transfers.append(moved)

@@ -4,10 +4,11 @@ Every rank runs the same program.  Compute positions iterate the chosen
 decomposition; ranks beyond the active set park as spares and wait for a
 wake or a shutdown.  A failure is detected where the algorithm already
 communicates: the operation that misses a dead member (the centers pass's
-receive, the samples pass's reduce, the means step's broadcast or reduce,
+exchange, the samples pass's reduce, the means step's broadcast or reduce,
 or the one barrier each group generation runs when the loop ends) has
-already waited the world's timeout, so the survivor only reads the state
-vector, which names the corrupt ranks.
+already given up on it, the collectives after the world's timeout and the
+exchange at once, so the survivor only reads the state vector, which
+names the corrupt ranks.
 Every survivor then derives the identical recovery plan, a `_Recovery`, with
 no further coordination; the coordinator sends it to the promoted spares as
 their wake, and all apply it alike: promote spares into the failed positions
@@ -32,12 +33,12 @@ captures only after a pass that changed; in a forced run a settled pass
 skipped its recompute, and recomputing from unchanged labels gives back
 the centers it read.
 
-A centers pass sends each peer one message, (changed flag, the records
-handed to it, empty when none are), and receives one from each: the count
-is known, so no end-of-batch marker is sent, and the flags settle
-convergence without a reduce.  No failure point lies inside a pass, so
-every survivor that completes the exchange holds every flag and takes the
-same branch.
+A centers pass is one `exchange`: each rank deposits its changed flag and
+the records its pass built, grouped by destination position, and gets
+back the OR of every flag and the records handed to it, so the flags
+settle convergence without a reduce.  No failure point lies inside a
+pass, so every survivor that completes the exchange holds every flag and
+takes the same branch.
 
 The next pass commits a checkpoint: each rank waits for its own mirror
 transfer between the pass's compute and its exchange, so the transfer
@@ -70,11 +71,12 @@ belong to (a generation runs its end-of-run barrier at most once, so that
 tag needs neither), and the group generation separates the tag spaces of
 different incarnations, so a rank can never meet a stale slot after
 recovery rewinds the iteration counter.
-Pass messages travel under the group generation too: a survivor
-that recovers late drops its stale traffic without touching the records a
-faster survivor already sent under the new generation, and a rank still
-waiting in the old generation gets a Timeout from a peer that moved on.
-The coordinator sends a spare's wake under the new generation.
+A pass's exchange is keyed by the group generation too: a survivor that
+recovers late never meets the records a faster survivor already deposited
+under the new generation, and a rank still waiting in the old generation
+gets a Timeout from a peer that moved on.  The coordinator sends a
+spare's wake under the new generation; a parked spare's inbox holds only
+wakes and shutdowns.
 """
 
 from __future__ import annotations
@@ -105,8 +107,6 @@ from .parallel import (
     CentersPosition,
     Method,
     SamplesPosition,
-    decode_records,
-    encode_records,
     final_result,
     needs_recompute,
 )
@@ -225,26 +225,15 @@ def _digest(centers: np.ndarray, epoch: int, iteration: int) -> str:
 
 def _centers_pass(ctx: RankContext, group: Group, state: CentersPosition,
                   centers: np.ndarray, t: int, land: Callable[[], None]) -> bool:
-    """One (changed, records) message to and from each peer; True when any
-    rank's labels changed.  A dead or departed peer fails its receive."""
-    members = group.members
-    peers = [pos for pos in range(len(members)) if pos != state.position]
-    gen = group.generation
+    """One exchange of (changed, records) among the positions; True when any
+    rank's labels changed.  A dead or departed peer fails it."""
     with ctx.phase(VtPhase.COMPUTE):
         ctx.charge(ctx.costs.compute_per_sample * state.load)
         out = state.compute(centers)
     land()
     with ctx.phase(VtPhase.COMM):
-        for pos in peers:
-            chunk = encode_records(out.outgoing[pos]) if pos in out.outgoing else b""
-            ctx.send(members[pos], (out.changed, chunk), gen)
-        changed = out.changed
-        batches = []
-        for pos in peers:
-            peer_changed, chunk = ctx.recv(members[pos], gen)
-            changed = changed or peer_changed
-            if chunk:
-                batches.append(decode_records(chunk))
+        changed, batches = ctx.exchange(group, out.changed, out.records, out.ends,
+                                        ("cx", t))
         state.absorb(out, batches)
     return changed
 
@@ -472,9 +461,7 @@ def _spare_program(ctx: RankContext, driver: _ActiveDriver) -> _ActiveDriver | N
     """The woken spare's finished driver; None for a spare never woken."""
     try:
         with ctx.phase(VtPhase.COMM):     # parked time is waiting, not work
-            # data sent early to a just-promoted spare stays queued for its
-            # first pass
-            _, wake = ctx.recv_any(lambda m: m is None or isinstance(m, _Recovery))
+            _, wake = ctx.recv_any()
     except Timeout:
         return None     # every active rank is gone without a shutdown
     return None if wake is None else driver.run(wake)

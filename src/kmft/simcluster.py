@@ -41,9 +41,9 @@ failure is reported only where it is decided in virtual time, never by where
 the victim's thread happened to run.  As in ULFM, a send raises PeerDead
 only to a rank the sender already knows is corrupt (from a state vector, a
 receive or a read that reported it); otherwise the message to a corrupt
-rank is lost, and the receive or collective that needs the rank reports
-it.  A token wait always completes at the transfer's ready time and reports
-FAILED when the destination's clock at its kill was below that time.
+rank is lost, and the receive, exchange or collective that needs the rank
+reports it.  A token wait always completes at the transfer's ready time and
+reports FAILED when the destination's clock at its kill was below that time.
 
 Barrier, reduce and broadcast share one rendezvous, and a caller waits in it
 at most once: each member deposits into a slot keyed by generation, kind and
@@ -60,6 +60,22 @@ before the dead root's, if later) plus the timeout and it gets Timeout, a
 barrier included; nobody is left blocked.  `recv_any` raises Timeout once
 every other rank is corrupt, finished or itself waiting in `recv_any`, since
 a rank waiting there cannot send.
+
+An exchange is an all-to-all in one slot of the same table: each member
+deposits its changed flag and one record array grouped by destination
+position, and gets back the OR of every flag and the slices addressed to
+it, read-only views of one frozen copy per sender.  It costs exactly what
+one `send` to each peer, then one `recv` from each, in position order,
+cost: the caller charges send x (P - 1), then per peer q in position order
+syncs to q's entry clock + send x (1 + the caller's index among q's peers)
++ msg_latency and charges recv.  Once every member has deposited, the
+first caller to leave settles every member's clock and records at once.
+It gives up as that receive loop did, without waiting a timeout: at the
+first peer, in position order, whose records never reach the caller, after
+the receives from the peers before it, it raises PeerDead when that peer
+is corrupt and Timeout when it finished or entered a later generation.  A
+caller that knows a peer is corrupt raises PeerDead at that peer's send,
+once its records have reached the peers before it.
 
 Messages are scoped by group generation.  Each carries the generation it
 was sent under, and a rank enters a generation by sending under it or by
@@ -78,6 +94,7 @@ A reader never observes a torn payload.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import threading
 from collections import deque
@@ -242,11 +259,12 @@ class _Collective:
     roots: tuple[int, ...] | None = None     # a broadcast's roots, in turn order
     deposits: dict[int, int] = field(default_factory=dict)   # rank -> arrival vt
     values: dict[int, object] = field(default_factory=dict)   # private copies
-    result: object = None    # a reduce's sum, or a broadcast's turn ends
+    result: object = None    # a reduce's sum, broadcast turn ends or exchange outcome
     payloads: list = field(default_factory=list)   # a broadcast's, in turn order
     combined: bool = False
     returned: int = 0        # members that have left the operation
     error: str = ""          # why the slot failed: every caller raises it
+    reach: dict[int, int] = field(default_factory=dict)   # an exchange's short sends
 
     def turn_ends(self) -> list[int]:
         """Each root's completion instant, up to the first without a deposit.
@@ -270,6 +288,77 @@ class _Collective:
             self.result = ends
             self.combined = True
         return self.result
+
+    def received(self, pos: int, got: int, clock: int) -> tuple[bool, int, list]:
+        """An exchange member's receives from its first `got` peers, in
+        position order, starting at `clock`: the OR of their flags, its
+        clock after them and the non-empty record slices they address to it.
+
+        Peer q's records arrive at its entry clock + send x (1 + the
+        member's index among q's peers) + msg_latency; each receive syncs
+        to that instant, then charges one recv.
+        """
+        send, latency, recv = COSTS.send, COSTS.msg_latency, COSTS.recv
+        flag = False
+        inbox = []
+        for j in range(got):
+            src = self.members[j + (j >= pos)]
+            changed, records, ends = self.values[src]
+            index = pos - (j < pos)      # the member among the sender's peers
+            clock = max(clock, self.deposits[src] + send * (index + 1) + latency) + recv
+            flag = flag or changed
+            lo = ends[pos - 1] if pos else 0
+            if ends[pos] > lo:
+                inbox.append(records[lo:ends[pos]])
+        return flag, clock, inbox
+
+    def settle(self) -> list[tuple[bool, int, list]]:
+        """A complete exchange's outcome for every member, by position,
+        computed once: the OR of every flag, the member's clock once its
+        receives are done, and the record slices `received` gives it.
+
+        The clocks are `received`'s loop in closed form (`_finish_offsets`).
+        """
+        if not self.combined:
+            members = self.members
+            entry = np.array([self.deposits[m] for m in members], dtype=np.int64)
+            clocks = (entry + _finish_offsets(len(members))).max(axis=1).tolist()
+            inboxes = [[] for _ in members]
+            for q, m in enumerate(members):
+                _, records, ends = self.values[m]
+                if len(records):
+                    lo = 0
+                    for p, hi in enumerate(ends):
+                        if hi > lo and p != q:
+                            inboxes[p].append(records[lo:hi])
+                        lo = hi
+            flag = any(changed for changed, _, _ in self.values.values())
+            self.result = [(flag, clock, inbox) for clock, inbox in zip(clocks, inboxes)]
+            self.combined = True
+        return self.result
+
+
+@functools.cache
+def _finish_offsets(size: int) -> np.ndarray:
+    """offsets[p, q] + q's entry clock: a bound on when member p's receives
+    in a complete exchange of `size` members end; the largest over q is
+    that instant.
+
+    Member p starts its receives at its entry + send x (P - 1) and receives
+    each peer's records, in position order, once they arrive; its k-th
+    peer q's arrive at q's entry + send x (1 + p's index among q's peers) +
+    msg_latency.  Each receive charges recv, so p ends at the largest of
+    its start + (P - 1) recv (the diagonal) and every arrival + (P - 1 - k)
+    recv.
+    """
+    peers = size - 1
+    p = np.arange(size)[:, None]
+    q = p.T
+    offsets = (COSTS.send * (1 + p - (q < p)) + COSTS.msg_latency
+               + COSTS.recv * (peers - (q - (q > p))))
+    np.fill_diagonal(offsets, (COSTS.send + COSTS.recv) * peers)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _always() -> bool:
@@ -601,26 +690,17 @@ class RankContext:
 
     # -- collectives -----------------------------------------------------
 
-    def _rendezvous(self, group: Group, key: tuple, value: object,
-                    roots: tuple[int, ...] | None = None) -> _Collective:
-        """Deposit `value` and wait once for the slot; the one give-up of
-        every collective (module docstring).
+    def _slot(self, group: Group, key: tuple,
+              roots: tuple[int, ...] | None = None) -> _Collective:
+        """Open or join the slot `key` and enter the group's generation.
 
-        In a barrier or reduce every member deposits, and a caller waits
-        until all have or until a missing one is dead.  In a broadcast only
-        `roots` deposit, and a caller waits until all have or until the
-        first root without a deposit is dead; its timeout then runs from the
-        end of the turn before that root's.  The caller that opens the slot
-        checks the roots; a later caller passes only if its roots and members
-        match.  A caller that fails either check fails the slot, so every
-        caller waiting in it, or joining it later, raises the same
-        ConfigError, and none waits for a deposit that will never come.
+        The caller that opens the slot checks the roots; a later caller
+        passes only if its roots and members match.  A caller that fails
+        either check fails the slot, so every caller waiting in it, or
+        joining it later, raises the same ConfigError, and none waits for a
+        deposit that will never come.
         """
         w = self._world
-        rank = self.rank
-        arrived = self._vt
-        group.position(rank)  # membership check
-        needed = group.members if roots is None else roots
         coll = w._collectives.get(key)
         if coll is None:
             coll = w._collectives[key] = _Collective(group.members, roots)
@@ -635,6 +715,31 @@ class RankContext:
             raise ConfigError(coll.error)
         if group.generation > self._generation:
             self._generation = group.generation
+        return coll
+
+    def _leave(self, key: tuple, coll: _Collective) -> None:
+        coll.returned += 1
+        if coll.returned == len(coll.members):
+            del self._world._collectives[key]     # every member has left the slot
+
+    def _rendezvous(self, group: Group, key: tuple, value: object,
+                    roots: tuple[int, ...] | None = None) -> _Collective:
+        """Deposit `value` and wait once for the slot; the one give-up of
+        barrier, reduce and broadcast (module docstring).
+
+        In a barrier or reduce every member deposits, and a caller waits
+        until all have or until a missing one is dead.  In a broadcast only
+        `roots` deposit, and a caller waits until all have or until the
+        first root without a deposit is dead; its timeout then runs from the
+        end of the turn before that root's.  A caller whose shape differs
+        from the slot's fails it (`_slot`).
+        """
+        w = self._world
+        rank = self.rank
+        arrived = self._vt
+        group.position(rank)  # membership check
+        needed = group.members if roots is None else roots
+        coll = self._slot(group, key, roots)
         if rank in needed:
             coll.deposits[rank] = arrived
             coll.values[rank] = _share(value)
@@ -656,9 +761,7 @@ class RankContext:
             w._sched.switch(rank, ready)
         if coll.error:
             raise ConfigError(coll.error)
-        coll.returned += 1
-        if coll.returned == len(coll.members):
-            del w._collectives[key]     # every member has left the slot
+        self._leave(key, coll)
         if len(coll.deposits) < len(needed):
             since = arrived
             if roots is not None and coll.turn_ends():
@@ -714,6 +817,89 @@ class RankContext:
         coll = self._rendezvous(group, key, payload, roots)
         self._sync_to(coll.turn_ends()[-1])
         return list(coll.payloads)
+
+    def exchange(self, group: Group, changed: bool, records: np.ndarray,
+                 ends: list[int], tag: object) -> tuple[bool, list[np.ndarray]]:
+        """An all-to-all: each member hands every other one its rows of
+        `records` and its `changed` flag.  Returns the OR of every member's
+        flag and the non-empty record slices addressed to the caller, in
+        position order, as read-only views of one frozen copy per sender.
+
+        `records` rows are grouped by destination position: position p gets
+        records[ends[p - 1]:ends[p]] (from row 0 for p = 0).  The call costs
+        exactly what one `send` to each peer, then one `recv` from each, in
+        position order, cost (module docstring).
+        """
+        w = self._world
+        rank = self.rank
+        members = group.members
+        me = group.position(rank)
+        entry = self._vt
+        key = (group.generation, "xchg", tag)
+        coll = self._slot(group, key)
+        if len(ends) != len(members):
+            coll.error = f"exchange {tag!r}: {len(ends)} ends for {len(members)} members"
+            raise ConfigError(coll.error)
+        peers = members[:me] + members[me + 1:]
+        # the sends: one to a peer the caller knows is dead raises, after
+        # the sends before it went out
+        reach = len(peers)
+        if self._known_dead:
+            reach = next((j for j, m in enumerate(peers) if m in self._known_dead), reach)
+        self._charge(COSTS.send * min(reach + 1, len(peers)))
+        coll.deposits[rank] = entry
+        coll.values[rank] = (changed, _freeze(_share(records)), tuple(ends))
+        if w.record_trace:
+            w._trace_event("xchg", rank, key)
+        if reach < len(peers):
+            coll.reach[rank] = reach
+            self._leave(key, coll)
+            raise PeerDead(f"send to corrupt rank {peers[reach]}")
+
+        gen = group.generation
+        dead, finished, ctxs = w._death_vt, w._results, w._ctxs
+        got = 0      # peers[:got] have deposited records that reach the caller
+
+        def ready() -> bool:
+            # polled at every handoff; `got` only grows, as the receive loop
+            # it stands for only moves on
+            nonlocal got
+            while got < len(peers):
+                src = peers[got]
+                if src not in coll.deposits:
+                    break
+                short = coll.reach.get(src)
+                # reached: the caller's index among the sender's peers is below it
+                if short is not None and short <= me - (got < me):
+                    break
+                got += 1
+            else:
+                return True
+            return bool(coll.error) or src in dead or src in finished \
+                or ctxs[src]._generation > gen
+
+        if not ready():
+            w._sched.switch(rank, ready)
+        if coll.error:
+            raise ConfigError(coll.error)
+        self._leave(key, coll)
+        if got == len(peers) and not coll.reach:
+            flag, clock, inbox = coll.settle()[me]
+            self._sync_to(clock)
+            return flag, inbox
+        # some member's records did not reach every peer: receive, in
+        # order, what reached the caller, then give up on the first peer
+        # whose records did not, if any
+        flag, clock, inbox = coll.received(me, got, self._vt)
+        self._sync_to(clock)
+        if got == len(peers):
+            return flag or changed, inbox
+        src = peers[got]
+        if src in dead:
+            self._known_dead.add(src)
+            raise PeerDead(f"exchange {tag!r}: rank {src} is corrupt")
+        raise Timeout(f"exchange {tag!r}: rank {src} finished or left generation "
+                      f"{gen} without sending")
 
     def state_vector(self) -> dict[int, Health]:
         w = self._world

@@ -1,5 +1,7 @@
 """Decomposition passes vs the sequential oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,15 +21,12 @@ from kmft.kmeans import (
     run_sequential,
 )
 from kmft.parallel import (
-    RECORD_SIZE,
     CentersPass,
     CentersPosition,
     Method,
     SamplesPosition,
     centers_compute,
     centers_recompute,
-    decode_records,
-    encode_records,
     make_records,
     partition,
     run_parallel,
@@ -60,6 +59,9 @@ def rows_assigned(monkeypatch):
 
     monkeypatch.setattr(kmeans, "pairwise_sqdist", counted)
     return calls
+
+
+NO_RECORDS = make_records([], [])
 
 
 def kept_records(out):
@@ -127,29 +129,11 @@ class TestPartition:
 
 class TestOwnershipRecords:
     def test_record_is_sixteen_bytes(self):
-        assert RECORD_SIZE == 16
-        assert len(encode_records([(7, 3)])) == 16
+        assert make_records([7], [3]).nbytes == 16
 
     def test_little_endian_layout(self):
-        buf = encode_records([(1, 2)])
+        buf = make_records([1], [2]).tobytes()
         assert buf == b"\x01" + b"\x00" * 7 + b"\x02" + b"\x00" * 7
-
-    def test_roundtrip(self):
-        pairs = [[0, 0], [12345, 6], [2**40, 2**33]]
-        assert decode_records(encode_records(pairs)).tolist() == pairs
-
-    def test_empty(self):
-        assert encode_records([]) == b""
-        assert decode_records(b"").tolist() == []
-
-    def test_ragged_buffer_rejected(self):
-        with pytest.raises(ConfigError):
-            decode_records(b"\x00" * 17)
-
-    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
-                    max_size=20))
-    def test_roundtrip_property(self, pairs):
-        assert decode_records(encode_records(pairs)).tolist() == [list(p) for p in pairs]
 
 
 class TestCentersPass:
@@ -192,8 +176,8 @@ class TestCentersPass:
                 go = dest == pos
                 outgoing[int(pos)] = make_records(ids[go], new[go])
         stay = dest == my_pos
-        return CentersPass(changed=not np.array_equal(new, labels), kept_ids=ids[stay],
-                           kept_labels=new[stay], outgoing=outgoing)
+        return SimpleNamespace(changed=not np.array_equal(new, labels), kept_ids=ids[stay],
+                               kept_labels=new[stay], outgoing=outgoing)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(k=st.integers(1, 8), procs=st.integers(1, 11), n=st.integers(1, 80),
@@ -219,6 +203,7 @@ class TestCentersPass:
         assert out.kept_ids.dtype == out.kept_labels.dtype == np.int64
         assert kept_records(out).shape == kept_records(ref).shape
         assert kept_records(out).tobytes() == kept_records(ref).tobytes()
+        assert len(out.ends) == procs and out.ends[-1] == len(out.records)
         assert list(out.outgoing) == list(ref.outgoing)
         for pos, recs in ref.outgoing.items():
             assert out.outgoing[pos].shape == recs.shape
@@ -234,7 +219,7 @@ class TestCentersPass:
         state = CentersPosition(np.zeros((5, 1)), k=2, procs=2, position=1)
         ref = np.array([[0.0], [1.0]])
         kept = CentersPass(changed=False, kept_ids=np.array([1, 2]),
-                           kept_labels=np.array([0, 1]), outgoing={},
+                           kept_labels=np.array([0, 1]), records=NO_RECORDS, ends=[0, 0],
                            bound=NearestBound(np.array([0.5, 0.25]), ref)
                            if with_bound else None)
         state.absorb(kept, [make_records([4], [1]), make_records([0, 3], [1, 0])])
@@ -261,7 +246,8 @@ class TestCentersPass:
         labels = [rng.integers(0, 6, size=len(run)) for run in runs]
         ref = np.ones((6, 2))
         gap = rng.random(kept)
-        out = CentersPass(changed=True, kept_ids=runs[0], kept_labels=labels[0], outgoing={},
+        out = CentersPass(changed=True, kept_ids=runs[0], kept_labels=labels[0],
+                          records=NO_RECORDS, ends=[0, 0],
                           bound=NearestBound(gap.copy(), ref) if with_bound else None)
         state = CentersPosition(np.zeros((200, 2)), k=6, procs=2, position=1)
         state.absorb(out, [make_records(run, lab) for run, lab in zip(runs[1:], labels[1:])])

@@ -693,9 +693,10 @@ class TestBoundPruning:
 class TestCentersExchange:
     @pytest.mark.parametrize("iters", [1, 7])
     def test_one_message_per_ordered_pair_per_pass(self, monkeypatch, iters):
-        """Each pass sends one message to each peer and needs no reduce; the
-        only other send is the shutdown of the parked spare."""
-        calls = {"send": 0, "recv": 0, "reduce_all": 0}
+        """Each pass is one exchange per rank, which hands each peer its
+        flag and records, and needs no reduce; the only send is the shutdown
+        of the parked spare."""
+        calls = {"exchange": 0, "send": 0, "recv": 0, "reduce_all": 0}
 
         def counting(name):
             real = getattr(simcluster.RankContext, name)
@@ -710,8 +711,7 @@ class TestCentersExchange:
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT,
                             force_iters=iters)
         assert out.iterations == iters and out.recoveries == 0 and not out.reason
-        assert calls == {"send": 4 * 3 * iters + 1, "recv": 4 * 3 * iters,
-                         "reduce_all": 0}
+        assert calls == {"exchange": 4 * iters, "send": 1, "recv": 0, "reduce_all": 0}
 
     # 1-D centers 0, 10, ..., 50 in blocks (0, 2), (2, 4), (4, 6); sample i < 6
     # sits on center i, sample 6 (value 1) is nearest center 0
@@ -821,9 +821,10 @@ class TestSchedulerSwitches:
     @pytest.mark.parametrize("seed", range(8))
     def test_wide_centers_run_gives_the_baton_up_rarely(self, monkeypatch, seed):
         """A deterministic proxy for thread cost: one center exchange is one
-        wait, not one per position, and one message per peer carries a pass
-        with no reduce (213 switches; 288 with end-of-batch markers and a
-        reduce per pass, 779-949 with one broadcast per position)."""
+        wait, not one per position, and one exchange per rank carries a
+        pass with no reduce (198 switches, as many as with one message per
+        peer; 288 with end-of-batch markers and a reduce per pass, 779-949
+        with one broadcast per position)."""
         switches = self._count_switches(monkeypatch)
         data, _ = make_blobs(800, 4, 8, 3.0, seed=1)
         out = run_ft_kmeans(data, KmeansConfig(k=16, max_iters=100), Method.CENTERS,
@@ -875,12 +876,15 @@ class TestLongRun:
         assert len(long._collectives) == (0 if plan is None else 1)
 
     def test_records_of_an_abandoned_pass_are_dropped(self, monkeypatch):
-        """Survivors send the failing pass's records to the dead peer and
-        leave the pass at its receive, before reading later peers; neither
-        kind of record may stay queued."""
-        world = self._world_after(monkeypatch, 20, kill(1, 7, FailPhase.DURING_COMPUTE),
-                                  Method.CENTERS)
-        assert not any(queue for row in world._channels for queue in row)
+        """Survivors deposit the failing pass's records for the dead peer
+        too and leave the exchange when they reach it; only that pass's
+        slot, which the dead peer never left, may stay, however long the
+        run, and no record may stay queued."""
+        plan = kill(1, 7, FailPhase.DURING_COMPUTE)
+        short = self._world_after(monkeypatch, 20, plan, Method.CENTERS)
+        long = self._world_after(monkeypatch, 40, plan, Method.CENTERS)
+        assert len(short._collectives) == len(long._collectives) <= 1
+        assert not any(queue for row in long._channels for queue in row)
 
 
 class TestInvariants:

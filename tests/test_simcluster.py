@@ -28,6 +28,11 @@ def full_group(world_size):
     return Group(members=tuple(range(world_size)))
 
 
+def make_pairs(pairs):
+    """(m, 2) little-endian u64 records."""
+    return np.array(pairs, dtype="<u8").reshape(-1, 2)
+
+
 class TestSpawn:
     def test_world_size_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -195,7 +200,7 @@ class TestOperationContract:
 
     OPS = {"charge", "failure_point", "write_local", "read_local", "write_remote",
            "wait", "read_remote", "send", "recv", "recv_any", "barrier",
-           "reduce_all", "broadcast", "state_vector"}
+           "reduce_all", "broadcast", "exchange", "state_vector"}
 
     def test_public_callables_are_the_operations_and_phase(self):
         public = {name for name, value in vars(simcluster.RankContext).items()
@@ -225,6 +230,7 @@ class TestOperationContract:
             ctx.read_remote(peer, 0, 0, 4)
             ctx.reduce_all(group, 1, "r")
             ctx.broadcast(group, (0,), b"y" if ctx.rank == 0 else None, "c")[0]
+            ctx.exchange(group, True, make_pairs([(ctx.rank, peer)]), [1 - ctx.rank, 1], "x")
             ctx.state_vector()
 
         w.run({0: prog, 1: prog})
@@ -1196,6 +1202,207 @@ class TestBroadcastShares:
         res = spawn_world(16).run({r: prog for r in range(16)})
         assert len(copies) == 16
         assert all(len(res[r].value) == 16 for r in range(16))
+
+
+def _reference_pass(ctx, group, changed, outgoing):
+    """The centers pass as messages: one send to each peer, then one recv
+    from each, in position order; returns the OR of the flags and the
+    non-empty record arrays received."""
+    peers = [m for m in group.members if m != ctx.rank]
+    for m in peers:
+        ctx.send(m, (changed, outgoing[m]))
+    batches = []
+    for m in peers:
+        flag, records = ctx.recv(m)
+        changed = changed or flag
+        if len(records):
+            batches.append(records)
+    return changed, batches
+
+
+def _exchange_programs(case, reference):
+    """Each rank charges, then exchanges its flag and its records per
+    destination in one `exchange` or in `_reference_pass`, and reports what
+    it got.  The failed rank, if any, is killed before it deposits, returns
+    at once, or enters generation 1 and waits there until every other rank
+    has finished; the witness, if any, learns of the kill before its own
+    exchange.  A rank first reads its own segment
+    `polls` times, and each read yields, so ranks reach the exchange in
+    varied host order."""
+    size, charges, flags, rows, polls, failed, mode, witness = case
+    g = full_group(size)
+
+    def prog(ctx):
+        rank = ctx.rank
+        ctx.charge(charges[rank])
+        ctx.failure_point(1, FailPhase.DURING_COMPUTE)    # mode "dead"
+        if rank == failed and mode == "finished":
+            return "finished"
+        if rank == failed and mode == "later":
+            ctx.barrier(Group((rank,), generation=1), "left")
+            with pytest.raises(Timeout):
+                ctx.recv_any(lambda message: False)
+            return "left"
+        if rank == witness:
+            with pytest.raises(PeerDead):
+                ctx.recv(failed)
+        for _ in range(polls[rank]):
+            ctx.read_local(0, 0, 1)
+        outgoing = {m: make_pairs(rows[rank][m])
+                    for m in range(size)}
+        try:
+            with ctx.phase(VtPhase.COMM):
+                if reference:
+                    changed, batches = _reference_pass(ctx, g, flags[rank], outgoing)
+                else:
+                    ends = np.cumsum([len(outgoing[m]) for m in range(size)]).tolist()
+                    records = np.concatenate([outgoing[m] for m in range(size)])
+                    changed, batches = ctx.exchange(g, flags[rank], records, ends, "x")
+        except (PeerDead, Timeout) as exc:
+            return type(exc).__name__
+        return changed, [(b.shape, b.tobytes()) for b in batches]
+
+    return {r: prog for r in range(size)}
+
+
+def _run_exchange(case, reference, seed):
+    size, failed, mode = case[0], case[5], case[6]
+    plan = FailurePlan([FailureEvent(failed, 1, FailPhase.DURING_COMPUTE)]
+                       * (mode == "dead"))
+    w = spawn_world(size, plan=plan, seed=seed, segments={0: 1})
+    res = w.run(_exchange_programs(case, reference))
+    return {r: (res[r].status, res[r].value, w.vt(r), w.ledger(r)) for r in range(size)}
+
+
+@st.composite
+def _exchange_cases(draw):
+    size = draw(st.integers(2, 6))
+    charges = draw(st.lists(st.integers(0, 60), min_size=size, max_size=size))
+    flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    pair = st.lists(st.integers(0, 2**40), min_size=2, max_size=2)
+    rows = [[[] if dst == src else draw(st.lists(pair, max_size=3))
+             for dst in range(size)] for src in range(size)]
+    polls = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    mode = draw(st.sampled_from((None, "dead", "finished", "later")))
+    failed = draw(st.integers(0, size - 1)) if mode else None
+    witness = None
+    if mode == "dead":
+        witness = draw(st.sampled_from((None, *(r for r in range(size) if r != failed))))
+    return size, charges, flags, rows, polls, failed, mode, witness
+
+
+class TestExchange:
+    """One `exchange` costs and returns what one send to each peer, then one
+    recv from each, in position order, cost and returned."""
+
+    def _run(self, charges, after=lambda ctx, records: None):
+        size = len(charges)
+        g = full_group(size)
+        # rank r sends position p the one record (r, p)
+        rows = {r: make_pairs([(r, p) for p in range(size) if p != r]) for r in range(size)}
+
+        def prog(ctx):
+            ctx.charge(charges[ctx.rank])
+            ends = np.cumsum([p != ctx.rank for p in range(size)]).tolist()
+            got = ctx.exchange(g, ctx.rank == 1, rows[ctx.rank], ends, "x")
+            after(ctx, rows[ctx.rank])
+            ctx.barrier(g, "after")
+            return got
+
+        w = spawn_world(size)
+        res = w.run({r: prog for r in range(size)})
+        return w, {r: res[r].value for r in range(size)}
+
+    def test_hand_computed_clocks(self):
+        """Entries 0, 30 and 5.  Rank 2's sends end at 9; rank 0's records
+        reach it at 0 + 2 x 2 + 10 = 14, since rank 2 is rank 0's second
+        peer, and its recv ends at 16; rank 1's arrive at 30 + 2 x 2 + 10 =
+        44, and that recv ends at 46."""
+        charges = [0, 30, 5]
+        g = full_group(3)
+        empty = make_pairs([])
+
+        def prog(ctx):
+            ctx.charge(charges[ctx.rank])
+            ctx.exchange(g, False, empty, [0, 0, 0], "x")
+            return ctx.vt
+
+        res = spawn_world(3).run({r: prog for r in range(3)})
+        assert [res[r].value for r in range(3)] == [46, 38, 46]
+
+    def test_every_caller_gets_its_records_in_position_order(self):
+        _, got = self._run([3, 0, 7, 1])
+        for r in range(4):
+            changed, batches = got[r]
+            assert changed is True         # rank 1's flag reaches everyone
+            assert [b.tolist() for b in batches] == [[[src, r]] for src in range(4)
+                                                      if src != r]
+
+    def test_results_are_read_only_views_of_one_copy_per_sender(self):
+        def mutate(ctx, records):
+            records[:] = 99
+
+        _, got = self._run([0, 0, 0], mutate)
+        for r in range(3):
+            for src, block in zip([s for s in range(3) if s != r], got[r][1]):
+                assert block.tolist() == [[src, r]]      # a later mutation is not seen
+                assert not block.flags.writeable
+        # rank 0's records to ranks 1 and 2 are views of one array
+        assert got[1][1][0].base is got[2][1][0].base is not None
+
+    def test_a_known_dead_peer_fails_the_send_after_the_sends_before_it(self):
+        """Rank 0 knows rank 2 is dead: its records still reach rank 1, the
+        peer before 2, but not rank 3, which times out once rank 0 leaves."""
+        plan = FailurePlan([FailureEvent(2, 1, FailPhase.DURING_COMPUTE)])
+        w = spawn_world(4, plan=plan)
+        g = full_group(4)
+
+        def prog(ctx):
+            ctx.failure_point(1, FailPhase.DURING_COMPUTE)
+            if ctx.rank == 0:
+                with pytest.raises(PeerDead):
+                    ctx.recv(2)
+            try:
+                ctx.exchange(g, False, make_pairs([(ctx.rank, 9)] * 3),
+                             np.cumsum([p != ctx.rank for p in range(4)]).tolist(), "x")
+            except (PeerDead, Timeout) as exc:
+                return type(exc).__name__, ctx.vt
+            return "completed", ctx.vt
+
+        res = w.run({r: prog for r in range(4)})
+        # rank 0 charged two sends; rank 1's sends ended at 6, rank 0's
+        # records reached it at 2 + 10 and its recv ended at 14
+        assert res[0].value == ("PeerDead", 4)
+        assert res[1].value == ("PeerDead", 14)
+        assert res[3].value == ("Timeout", 6)
+
+    def test_ends_must_give_one_end_per_member(self):
+        g = full_group(2)
+
+        def prog(ctx):
+            with pytest.raises(ConfigError):
+                ctx.exchange(g, False, make_pairs([]), [0] * (1 + ctx.rank), "x")
+            return "rejected"
+
+        res = spawn_world(2).run({r: prog for r in range(2)})
+        assert [res[r].value for r in range(2)] == ["rejected", "rejected"]
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(case=_exchange_cases(), seeds=st.tuples(st.integers(0, 7), st.integers(0, 7)))
+    @example(case=(3, [0, 30, 5], [False, True, False],
+                   [[[], [[1, 2]], []], [[], [], [[3, 4], [5, 6]]], [[7, 8]] * 3],
+                   [0, 0, 0], None, None, None), seeds=(0, 1))
+    @example(case=(4, [10, 0, 40, 3], [True] * 4, [[[[0, 1]]] * 4] * 4, [1, 0, 2, 0],
+                   2, "dead", 0), seeds=(2, 3))
+    @example(case=(4, [10, 0, 40, 3], [False] * 4, [[[]] * 4] * 4, [0] * 4,
+                   1, "later", None), seeds=(4, 5))
+    @example(case=(5, [9, 8, 7, 6, 5], [False] * 5, [[[[1, 1]]] * 5] * 5, [0] * 5,
+                   3, "finished", None), seeds=(6, 7))
+    def test_one_exchange_equals_a_send_and_recv_per_peer(self, case, seeds):
+        """Status, value, vt and ledger of every rank, with no failed peer or
+        one that died before its deposit (maybe known to one rank), finished
+        or left for a later generation, whatever the schedule seeds."""
+        assert _run_exchange(case, False, seeds[0]) == _run_exchange(case, True, seeds[1])
 
 
 class TestFailureInjection:

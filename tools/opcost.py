@@ -17,9 +17,12 @@ the best and the median of ROUNDS rounds of N calls each:
   * a 16-root `broadcast` of (1, 4) float64 blocks on 16 ranks, as
     wide-centers' means step makes it, the run's wall time split over the
     broadcasts;
-  * an all-to-all pass on 16 ranks, as wide-centers' centers pass makes
-    it: each rank sends one message to each peer, then receives one from
-    each, the run's wall time split over the rank-passes.
+  * an all-to-all pass on 16 ranks, as wide-centers' centers pass made
+    it before the `exchange` op: each rank sends one message to each peer,
+    then receives one from each, the run's wall time split over the
+    rank-passes;
+  * the same pass as one `exchange` per rank, as wide-centers' centers
+    pass makes it, with no records (where the checkout has the op).
 Then, per `assign_labels` and per `center_sums` call, the same statistics
 at each benchmark workload's per-rank shape (5,000 x 4 with k=8, 5,000 x 8
 with k=16, 250 x 4 with k=16) and at its oracle shape (20,000 x 4 with k=8,
@@ -198,6 +201,22 @@ def _all_to_all(kmft) -> float:
                 send(peer, (False, b""))
             for peer in peers:
                 recv(peer)
+
+    t0 = time.perf_counter()
+    world.run({rank: prog for rank in range(WIDE)})
+    return (time.perf_counter() - t0) / (PASSES * WIDE)
+
+
+def _exchange(kmft) -> float:
+    """Seconds per rank-pass of a 16-rank `exchange` with no records."""
+    world = kmft.spawn_world(WIDE)
+    group = kmft.Group(tuple(range(WIDE)))
+    records, ends = np.empty((0, 2), dtype="<u8"), [0] * WIDE
+
+    def prog(ctx) -> None:
+        exchange = ctx.exchange
+        for i in range(PASSES):
+            exchange(group, False, records, ends, i)
 
     t0 = time.perf_counter()
     world.run({rank: prog for rank in range(WIDE)})
@@ -423,6 +442,8 @@ def main(argv: list[str]) -> int:
         "broadcast 16 roots (1, 4) f64": lambda: _broadcast(kmft),
         "all-to-all pass 16 ranks": lambda: _all_to_all(kmft),
     }
+    if hasattr(kmft.RankContext, "exchange"):
+        cases["exchange 16 ranks"] = lambda: _exchange(kmft)
     for shape in KERNEL_SHAPES:
         cases.update(_kernel_cases(kmeans, *shape))
     for run in ORACLE_RUNS:
