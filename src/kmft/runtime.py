@@ -6,9 +6,8 @@ wake or a shutdown.  A failure is detected where the algorithm already
 communicates: the operation that misses a dead member (the centers pass's
 exchange, the samples pass's reduce, the means step's broadcast or reduce,
 or the one barrier each group generation runs when the loop ends) has
-already given up on it, the collectives after the world's timeout and the
-exchange at once, so the survivor only reads the state vector, which
-names the corrupt ranks.
+already given up on it after the world's timeout, so the survivor only
+reads the state vector, which names the corrupt ranks.
 Every survivor then derives the identical recovery plan, a `_Recovery`, with
 no further coordination; the coordinator sends it to the promoted spares as
 their wake, and all apply it alike: promote spares into the failed positions
@@ -55,8 +54,8 @@ they agree, and a spare that was never woken returns None.
 
 One join (position, checkpointer and rollback; after a recovery also the
 recovery event) serves the fresh start, survivors and woken spares, and
-one detect-and-recover step serves every collective or receive that
-failed, in an iteration or in the end-of-run barrier.
+one detect-and-recover step serves every group operation that gave up,
+in an iteration or in the end-of-run barrier.
 
 A run is given up one way: a step that cannot continue raises
 UnrecoverableError, and `_ActiveDriver.run` alone catches it, ending the run
@@ -70,13 +69,13 @@ Rendezvous discipline: collective tags carry the iteration or epoch they
 belong to (a generation runs its end-of-run barrier at most once, so that
 tag needs neither), and the group generation separates the tag spaces of
 different incarnations, so a rank can never meet a stale slot after
-recovery rewinds the iteration counter.
-A pass's exchange is keyed by the group generation too: a survivor that
-recovers late never meets the records a faster survivor already deposited
-under the new generation, and a rank still waiting in the old generation
-gets a Timeout from a peer that moved on.  The coordinator sends a
-spare's wake under the new generation; a parked spare's inbox holds only
-wakes and shutdowns.
+recovery rewinds the iteration counter.  A pass's exchange is a slot of
+the same kind: a survivor that recovers late never meets the records a
+faster survivor already deposited under the new generation, and a rank
+still waiting in the old generation gives up on a peer that moved on.
+Messages carry only the coordinator's wake to a promoted spare and the
+shutdown of the spares left parked, so a parked spare takes whatever
+arrives first.
 """
 
 from __future__ import annotations
@@ -429,7 +428,7 @@ class _ActiveDriver:
         survivors = [m for m in self.group.members if m not in failed]
         if self.ctx.rank == min(survivors, key=self.group.position):
             for spare in promoted:
-                self.ctx.send(spare, plan, plan.group.generation)
+                self.ctx.send(spare, plan)
         self._rejoin(plan)
 
     def _restore(self) -> str | None:
@@ -454,7 +453,7 @@ class _ActiveDriver:
         if not alive or self.ctx.rank != min(alive, key=self.group.position):
             return
         for spare in self.layout.spare_ids[self.recoveries:]:
-            self.ctx.send(spare, None, self.group.generation)    # shut down
+            self.ctx.send(spare, None)    # shut down
 
 
 def _spare_program(ctx: RankContext, driver: _ActiveDriver) -> _ActiveDriver | None:

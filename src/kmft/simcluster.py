@@ -39,51 +39,45 @@ instants; when the rank's program reaches that point its context is killed,
 its state flips to CORRUPT forever, and it never communicates again.  A
 failure is reported only where it is decided in virtual time, never by where
 the victim's thread happened to run.  As in ULFM, a send raises PeerDead
-only to a rank the sender already knows is corrupt (from a state vector, a
-receive or a read that reported it); otherwise the message to a corrupt
-rank is lost, and the receive, exchange or collective that needs the rank
-reports it.  A token wait always completes at the transfer's ready time and
-reports FAILED when the destination's clock at its kill was below that time.
+only to a rank the sender already knows is corrupt (from a state vector or
+a read that reported it); otherwise the message to a corrupt rank is lost.
+A token wait always completes at the transfer's ready time and reports
+FAILED when the destination's clock at its kill was below that time.
 
-Barrier, reduce and broadcast share one rendezvous, and a caller waits in it
-at most once: each member deposits into a slot keyed by generation, kind and
-tag, and a deposit made before its owner died still counts.  Each deposit is
-copied once, and a slot's outcome is settled once, not once per caller: a
-broadcast freezes its payload copies and hands every caller the same
-read-only ones, and a reduce hands each caller its own copy of the one sum.  In a broadcast
-only the roots deposit; one call broadcasts from each root in turn and costs
-exactly what one single-root broadcast per root, made in that order, costs.
-The world's `timeout` is its one patience: when a corrupt rank owes a
-deposit, every surviving caller's clock moves to the instant it began
-waiting for that rank (its arrival, or in a broadcast the end of the turn
-before the dead root's, if later) plus the timeout and it gets Timeout, a
-barrier included; nobody is left blocked.  `recv_any` raises Timeout once
-every other rank is corrupt, finished or itself waiting in `recv_any`, since
-a rank waiting there cannot send.
+Messages only wake and stop parked ranks: a message arrives msg_latency
+after its send, and `recv_any` takes the oldest message of the lowest
+source that has one queued, syncs to its arrival and charges recv.  It
+raises Timeout once every other rank is corrupt, finished or itself
+waiting in `recv_any`, since a rank waiting there cannot send.
 
-An exchange is an all-to-all in one slot of the same table: each member
+Barrier, reduce, broadcast and exchange share one rendezvous, and a caller
+waits in it at most once: each member deposits into a slot keyed by
+generation, kind and tag, and a deposit made before its owner died still
+counts.  A rank enters a generation by joining one of its slots.  Each
+deposit is copied once, and a slot's outcome is settled once, not once per
+caller: a broadcast freezes its payload copies and hands every caller the
+same read-only ones, and a reduce hands each caller its own copy of the one
+sum.  In a broadcast only the roots deposit; one call broadcasts from each
+root in turn and costs exactly what one single-root broadcast per root,
+made in that order, costs.
+
+The rendezvous is the one give-up rule, and the world's `timeout` its one
+patience, as every blocking GASPI procedure takes a timeout: once a member
+that owes a deposit is dead, has finished or has entered a later
+generation (in a broadcast, only the first root without a deposit
+counts), every caller's clock moves to the instant it began waiting (its
+arrival, or in a broadcast the end of the turn before that root's, if
+later) plus the timeout and it gets Timeout; nobody is left blocked.
+
+An exchange is an all-to-all: each member charges one send per peer, then
 deposits its changed flag and one record array grouped by destination
 position, and gets back the OR of every flag and the slices addressed to
 it, read-only views of one frozen copy per sender.  It costs exactly what
-one `send` to each peer, then one `recv` from each, in position order,
-cost: the caller charges send x (P - 1), then per peer q in position order
-syncs to q's entry clock + send x (1 + the caller's index among q's peers)
-+ msg_latency and charges recv.  Once every member has deposited, the
-first caller to leave settles every member's clock and records at once.
-It gives up as that receive loop did, without waiting a timeout: at the
-first peer, in position order, whose records never reach the caller, after
-the receives from the peers before it, it raises PeerDead when that peer
-is corrupt and Timeout when it finished or entered a later generation.  A
-caller that knows a peer is corrupt raises PeerDead at that peer's send,
-once its records have reached the peers before it.
-
-Messages are scoped by group generation.  Each carries the generation it
-was sent under, and a rank enters a generation by sending under it or by
-joining one of its collectives.  A receive under generation g drops
-messages stamped older than g, returns one stamped g, and raises Timeout
-once the source has entered a later generation without sending one, so a
-rank that recovered early never meets a peer's stale traffic and a rank
-still in the old generation never waits for a peer that has moved on.
+one `send` to each peer, then one receive from each, in position order,
+cost: per peer q in position order the caller syncs to q's entry clock +
+send x (1 + the caller's index among q's peers) + msg_latency and charges
+recv.  Once every member has deposited, the first caller to leave settles
+every member's clock and records at once.
 
 One-sided writes land with all-or-nothing visibility: the payload becomes
 visible at the destination when the writer waits on the completion token, or
@@ -264,7 +258,6 @@ class _Collective:
     combined: bool = False
     returned: int = 0        # members that have left the operation
     error: str = ""          # why the slot failed: every caller raises it
-    reach: dict[int, int] = field(default_factory=dict)   # an exchange's short sends
 
     def turn_ends(self) -> list[int]:
         """Each root's completion instant, up to the first without a deposit.
@@ -289,35 +282,11 @@ class _Collective:
             self.combined = True
         return self.result
 
-    def received(self, pos: int, got: int, clock: int) -> tuple[bool, int, list]:
-        """An exchange member's receives from its first `got` peers, in
-        position order, starting at `clock`: the OR of their flags, its
-        clock after them and the non-empty record slices they address to it.
-
-        Peer q's records arrive at its entry clock + send x (1 + the
-        member's index among q's peers) + msg_latency; each receive syncs
-        to that instant, then charges one recv.
-        """
-        send, latency, recv = COSTS.send, COSTS.msg_latency, COSTS.recv
-        flag = False
-        inbox = []
-        for j in range(got):
-            src = self.members[j + (j >= pos)]
-            changed, records, ends = self.values[src]
-            index = pos - (j < pos)      # the member among the sender's peers
-            clock = max(clock, self.deposits[src] + send * (index + 1) + latency) + recv
-            flag = flag or changed
-            lo = ends[pos - 1] if pos else 0
-            if ends[pos] > lo:
-                inbox.append(records[lo:ends[pos]])
-        return flag, clock, inbox
-
     def settle(self) -> list[tuple[bool, int, list]]:
         """A complete exchange's outcome for every member, by position,
         computed once: the OR of every flag, the member's clock once its
-        receives are done, and the record slices `received` gives it.
-
-        The clocks are `received`'s loop in closed form (`_finish_offsets`).
+        receives are done (`_finish_offsets`), and the non-empty record
+        slices addressed to it, in position order.
         """
         if not self.combined:
             members = self.members
@@ -340,23 +309,24 @@ class _Collective:
 
 @functools.cache
 def _finish_offsets(size: int) -> np.ndarray:
-    """offsets[p, q] + q's entry clock: a bound on when member p's receives
+    """offsets[p, q] + q's deposit clock: a bound on when member p's receives
     in a complete exchange of `size` members end; the largest over q is
     that instant.
 
-    Member p starts its receives at its entry + send x (P - 1) and receives
+    A member deposits once its P - 1 sends are charged, one per peer in
+    position order, and member p starts its receives then.  It receives
     each peer's records, in position order, once they arrive; its k-th
-    peer q's arrive at q's entry + send x (1 + p's index among q's peers) +
-    msg_latency.  Each receive charges recv, so p ends at the largest of
-    its start + (P - 1) recv (the diagonal) and every arrival + (P - 1 - k)
-    recv.
+    peer q's arrive at q's deposit - send x (P - 2 - p's index among q's
+    peers) + msg_latency.  Each receive charges recv, so p ends at the
+    largest of its deposit + (P - 1) recv (the diagonal) and every arrival
+    + (P - 1 - k) recv.
     """
     peers = size - 1
     p = np.arange(size)[:, None]
     q = p.T
-    offsets = (COSTS.send * (1 + p - (q < p)) + COSTS.msg_latency
+    offsets = (COSTS.send * (1 + p - (q < p) - peers) + COSTS.msg_latency
                + COSTS.recv * (peers - (q - (q > p))))
-    np.fill_diagonal(offsets, (COSTS.send + COSTS.recv) * peers)
+    np.fill_diagonal(offsets, COSTS.recv * peers)
     offsets.flags.writeable = False
     return offsets
 
@@ -598,15 +568,10 @@ class RankContext:
 
     # -- messages --------------------------------------------------------
 
-    def send(self, dst: int, payload: object, generation: int = 0) -> None:
+    def send(self, dst: int, payload: object) -> None:
         w = self._world
         if not 0 <= dst < w.world_size:
             raise ConfigError(f"no such rank {dst}")
-        if generation != self._generation:
-            if generation < self._generation:
-                raise ConfigError(f"rank {self.rank} sends under generation {generation} "
-                                  f"after entering {self._generation}")
-            self._generation = generation
         self._charge(COSTS.send)
         if dst in self._known_dead:
             raise PeerDead(f"send to corrupt rank {dst}")
@@ -614,66 +579,17 @@ class RankContext:
             w._trace_event("send", self.rank, dst)
         if dst in w._death_vt:
             return
-        w._channels[dst][self.rank].append(
-            (_share(payload), self._vt + COSTS.msg_latency, generation))
+        w._channels[dst][self.rank].append((_share(payload), self._vt + COSTS.msg_latency))
 
-    def _take(self, src: int, queue: deque, index: int) -> object:
-        payload, arrival, _ = queue[index]
-        del queue[index]
-        self._sync_to(arrival)
-        self._charge(COSTS.recv)
-        w = self._world
-        if w.record_trace:
-            w._trace_event("recv", self.rank, src)
-        return payload
-
-    def recv(self, src: int, generation: int = 0) -> object:
-        """Next message from `src` sent under `generation` (module docstring)."""
-        w = self._world
-        if not 0 <= src < w.world_size:
-            raise ConfigError(f"no such rank {src}")
-        queue = self._inbox[src]
-        if queue and queue[0][2] == generation:
-            return self._take(src, queue, 0)      # already here: nothing to wait for
-        dead = w._death_vt
-
-        def ready() -> bool:
-            # a sender's stamps never decrease, so the newest one decides
-            if queue and queue[-1][2] >= generation:
-                return True
-            return (w._ctxs[src]._generation > generation or src in dead
-                    or src in w._results)
-
-        if not ready():
-            w._sched.switch(self.rank, ready)
-        while queue and queue[0][2] < generation:
-            queue.popleft()       # stale traffic of an earlier generation
-        if queue and queue[0][2] == generation:
-            return self._take(src, queue, 0)
-        if src in dead:
-            self._known_dead.add(src)
-            raise PeerDead(f"recv from corrupt rank {src}")
-        raise Timeout(f"rank {src} finished or left generation {generation} "
-                      "without sending")
-
-    def recv_any(self, match=None) -> tuple[int, object]:
-        """Next message `match` accepts, lowest source first, any generation.
-
-        Messages `match` rejects stay queued for a later `recv`.
-        """
+    def recv_any(self) -> tuple[int, object]:
+        """The source and payload of the oldest message from the lowest
+        source that has one queued (module docstring)."""
         w = self._world
         rank = self.rank
         inbox = self._inbox
 
-        def find() -> tuple[int, int] | None:
-            for src, queue in enumerate(inbox):
-                for index, (payload, _, _) in enumerate(queue):
-                    if match is None or match(payload):
-                        return src, index
-            return None
-
         def ready() -> bool:
-            if find() is not None:
+            if any(inbox):
                 return True
             return all(not w._alive(s) or s in w._results or s in w._in_recv_any
                        for s in range(w.world_size) if s != rank)
@@ -682,11 +598,15 @@ class RankContext:
             w._in_recv_any.add(rank)
             w._sched.switch(rank, ready)
             w._in_recv_any.discard(rank)
-        found = find()
-        if found is None:
-            raise Timeout("every peer is corrupt, finished or waiting in recv_any")
-        src, index = found
-        return src, self._take(src, inbox[src], index)
+        for src, queue in enumerate(inbox):
+            if queue:
+                payload, arrival = queue.popleft()
+                self._sync_to(arrival)
+                self._charge(COSTS.recv)
+                if w.record_trace:
+                    w._trace_event("recv", rank, src)
+                return src, payload
+        raise Timeout("every peer is corrupt, finished or waiting in recv_any")
 
     # -- collectives -----------------------------------------------------
 
@@ -715,6 +635,7 @@ class RankContext:
             raise ConfigError(coll.error)
         if group.generation > self._generation:
             self._generation = group.generation
+            w._newest_generation = max(w._newest_generation, group.generation)
         return coll
 
     def _leave(self, key: tuple, coll: _Collective) -> None:
@@ -725,14 +646,14 @@ class RankContext:
     def _rendezvous(self, group: Group, key: tuple, value: object,
                     roots: tuple[int, ...] | None = None) -> _Collective:
         """Deposit `value` and wait once for the slot; the one give-up of
-        barrier, reduce and broadcast (module docstring).
+        every group operation (module docstring).
 
-        In a barrier or reduce every member deposits, and a caller waits
-        until all have or until a missing one is dead.  In a broadcast only
-        `roots` deposit, and a caller waits until all have or until the
-        first root without a deposit is dead; its timeout then runs from the
-        end of the turn before that root's.  A caller whose shape differs
-        from the slot's fails it (`_slot`).
+        Every member deposits, or in a broadcast only `roots`.  A caller
+        waits until all have, or until one that owes a deposit is gone
+        (`ClusterHandle._owed_gone`); its timeout runs from its arrival, or
+        in a broadcast from the end of the turn before the missing root's,
+        if later.  A caller whose shape differs from the slot's fails it
+        (`_slot`).
         """
         w = self._world
         rank = self.rank
@@ -746,16 +667,15 @@ class RankContext:
         if w.record_trace:
             w._trace_event(key[1], rank, key)
 
+        gen = key[0]
+
         def ready() -> bool:
-            # polled at every handoff: the common case costs one comparison
+            # polled at every handoff: the common case costs one comparison,
+            # and while no rank has died, finished or moved on, no call
             if len(coll.deposits) == len(needed) or coll.error:
                 return True
-            dead = w._death_vt
-            if not dead:
-                return False
-            if roots is None:
-                return any(m in needed and m not in coll.deposits for m in dead)
-            return next(r for r in roots if r not in coll.deposits) in dead
+            return bool(w._death_vt or w._results or w._newest_generation > gen) \
+                and w._owed_gone(coll, gen)
 
         if not ready():
             w._sched.switch(rank, ready)
@@ -765,10 +685,11 @@ class RankContext:
         if len(coll.deposits) < len(needed):
             since = arrived
             if roots is not None and coll.turn_ends():
-                # the dead root's turn would start once the turn before it ends
+                # the missing root's turn would start once the turn before it ends
                 since = max(arrived, coll.turn_ends()[-1])
             self._sync_to(since + w.timeout)
-            raise Timeout(f"{key[1]} {key[-1]}: a member died before its deposit")
+            raise Timeout(f"{key[1]} {key[-1]}: a member died, finished or moved "
+                          "on before its deposit")
         return coll
 
     def barrier(self, group: Group, tag: object) -> None:
@@ -806,8 +727,8 @@ class RankContext:
         per root, made in order, costs.  With e_i root i's arrival clock,
         its turn starts at D_0 = e_0 and D_i = max(e_i, C_{i-1}) and ends at
         C_i = D_i + collective_base + payload_ticks(nbytes_i); every caller
-        syncs to the last C_i.  When root i died before its deposit, every
-        caller syncs to max(its arrival, C_{i-1}) + timeout and raises
+        syncs to the last C_i.  When root i is gone before its deposit,
+        every caller syncs to max(its arrival, C_{i-1}) + timeout and raises
         Timeout.  A deposit made before its root died still counts.
 
         Each root's payload is copied once, when it deposits, and frozen
@@ -827,79 +748,22 @@ class RankContext:
 
         `records` rows are grouped by destination position: position p gets
         records[ends[p - 1]:ends[p]] (from row 0 for p = 0).  The call costs
-        exactly what one `send` to each peer, then one `recv` from each, in
-        position order, cost (module docstring).
+        exactly what one `send` to each peer, then one receive from each, in
+        position order, cost (module docstring); it gives up as every group
+        operation does.  An `ends` that does not give one end per member
+        fails the slot for every caller.
         """
-        w = self._world
-        rank = self.rank
-        members = group.members
-        me = group.position(rank)
-        entry = self._vt
+        me = group.position(self.rank)
         key = (group.generation, "xchg", tag)
-        coll = self._slot(group, key)
-        if len(ends) != len(members):
-            coll.error = f"exchange {tag!r}: {len(ends)} ends for {len(members)} members"
+        if len(ends) != group.size:
+            coll = self._slot(group, key)
+            coll.error = f"exchange {tag!r}: {len(ends)} ends for {group.size} members"
             raise ConfigError(coll.error)
-        peers = members[:me] + members[me + 1:]
-        # the sends: one to a peer the caller knows is dead raises, after
-        # the sends before it went out
-        reach = len(peers)
-        if self._known_dead:
-            reach = next((j for j, m in enumerate(peers) if m in self._known_dead), reach)
-        self._charge(COSTS.send * min(reach + 1, len(peers)))
-        coll.deposits[rank] = entry
-        coll.values[rank] = (changed, _freeze(_share(records)), tuple(ends))
-        if w.record_trace:
-            w._trace_event("xchg", rank, key)
-        if reach < len(peers):
-            coll.reach[rank] = reach
-            self._leave(key, coll)
-            raise PeerDead(f"send to corrupt rank {peers[reach]}")
-
-        gen = group.generation
-        dead, finished, ctxs = w._death_vt, w._results, w._ctxs
-        got = 0      # peers[:got] have deposited records that reach the caller
-
-        def ready() -> bool:
-            # polled at every handoff; `got` only grows, as the receive loop
-            # it stands for only moves on
-            nonlocal got
-            while got < len(peers):
-                src = peers[got]
-                if src not in coll.deposits:
-                    break
-                short = coll.reach.get(src)
-                # reached: the caller's index among the sender's peers is below it
-                if short is not None and short <= me - (got < me):
-                    break
-                got += 1
-            else:
-                return True
-            return bool(coll.error) or src in dead or src in finished \
-                or ctxs[src]._generation > gen
-
-        if not ready():
-            w._sched.switch(rank, ready)
-        if coll.error:
-            raise ConfigError(coll.error)
-        self._leave(key, coll)
-        if got == len(peers) and not coll.reach:
-            flag, clock, inbox = coll.settle()[me]
-            self._sync_to(clock)
-            return flag, inbox
-        # some member's records did not reach every peer: receive, in
-        # order, what reached the caller, then give up on the first peer
-        # whose records did not, if any
-        flag, clock, inbox = coll.received(me, got, self._vt)
+        self._charge(COSTS.send * (group.size - 1))
+        coll = self._rendezvous(group, key, (changed, _freeze(_share(records)), tuple(ends)))
+        flag, clock, inbox = coll.settle()[me]
         self._sync_to(clock)
-        if got == len(peers):
-            return flag or changed, inbox
-        src = peers[got]
-        if src in dead:
-            self._known_dead.add(src)
-            raise PeerDead(f"exchange {tag!r}: rank {src} is corrupt")
-        raise Timeout(f"exchange {tag!r}: rank {src} finished or left generation "
-                      f"{gen} without sending")
+        return flag, inbox
 
     def state_vector(self) -> dict[int, Health]:
         w = self._world
@@ -977,14 +841,15 @@ class ClusterHandle:
         self.record_trace = record_trace
         self.trace: list[tuple] = []
 
-        # _channels[dst][src]: FIFO of (payload, arrival vt, generation)
-        self._channels: list[list[deque[tuple[object, int, int]]]] = [
+        # _channels[dst][src]: FIFO of (payload, arrival vt)
+        self._channels: list[list[deque[tuple[object, int]]]] = [
             [deque() for _ in range(world_size)] for _ in range(world_size)]
         self._death_vt: dict[int, int] = {}      # the one death record: clock at the kill
         self._segments: dict[tuple[int, int], bytearray] = {}
         self._pending: list[Token] = []
         self._collectives: dict[tuple, _Collective] = {}
         self._in_recv_any: set[int] = set()
+        self._newest_generation = 0      # the highest any rank has entered
         self._xfer_seq = 0
         self._results: dict[int, RankResult] = {}
 
@@ -1091,6 +956,19 @@ class ClusterHandle:
 
     def _alive(self, rank: int) -> bool:
         return rank not in self._death_vt
+
+    def _owed_gone(self, coll: _Collective, generation: int) -> bool:
+        """True once a member that owes `coll`, a slot of `generation`, a
+        deposit is dead, has finished or has entered a later generation.
+        In a broadcast only the first root without a deposit counts.
+        """
+        dead, finished, ctxs = self._death_vt, self._results, self._ctxs
+        if coll.roots is None:
+            owing = [m for m in coll.members if m not in coll.deposits]
+        else:
+            owing = [next(r for r in coll.roots if r not in coll.deposits)]
+        return any(m in dead or m in finished or ctxs[m]._generation > generation
+                   for m in owing)
 
 
 def _payload_nbytes(value: object) -> int:

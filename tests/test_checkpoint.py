@@ -217,10 +217,10 @@ class TestTwoPhase:
             cp = Checkpointer(ctx, g, k, d)
             cp.start(5, payload)
             ctx.send(1, "started")
-            ctx.recv(1)
+            ctx.recv_any()
 
         def holder(ctx):
-            ctx.recv(0)
+            ctx.recv_any()
             early = ctx.read_local(SEG_MIRROR, slot_offset(1, k, d), HEADER.size)
             ctx.charge(500_000)
             late_buf = ctx.read_local(SEG_MIRROR, slot_offset(1, k, d), slot_size(k, d))
@@ -373,7 +373,7 @@ class TestRestore:
             return "done"
 
         def replacement(ctx):
-            ctx.recv(1)
+            ctx.recv_any()
             cp = Checkpointer(ctx, g_new, K, D, last_committed=1)
             return cp.fetch(), cp.last_committed
 
@@ -399,8 +399,8 @@ class TestRestore:
             return "survived"
 
         def replacement(ctx):
-            for r in g_old.members:
-                ctx.recv(r)
+            for _ in g_old.members:
+                ctx.recv_any()
             while (sum(h.value == "corrupt" for h in ctx.state_vector().values())
                    < len(dead)):
                 ctx.charge(1)
@@ -440,7 +440,7 @@ class TestRestore:
             return "done"
 
         def replacement(ctx):
-            ctx.recv(1)
+            ctx.recv_any()
             cp = Checkpointer(ctx, g_new, K, D, last_committed=1)
             iteration, entries = cp.fetch()
             cp.adopt(iteration, entries)

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 from kmft.runtime import KILL_POINTS
-from kmft.simcluster import FailPhase
+from kmft.simcluster import FailPhase, RankContext
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -99,3 +99,19 @@ def test_kill_points_name_every_failure_point_of_the_rank_program():
     calls = _failure_points(ast.parse(path.read_text(), filename=str(path)))
     assert len(set(KILL_POINTS)) == len(KILL_POINTS)
     assert set(calls) == set(KILL_POINTS)
+
+
+def test_every_rank_operation_has_a_caller_outside_the_simulator():
+    """Each public `RankContext` operation is called as an attribute
+    somewhere in the package outside `simcluster.py`, so no op is kept
+    that no rank program uses."""
+    public = {name for name, value in vars(RankContext).items()
+              if not name.startswith("_") and callable(value)}
+    called: set[str] = set()
+    for path in (ROOT / "src/kmft").rglob("*.py"):
+        if path.name == "simcluster.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    assert sorted(public - called) == []

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from kmft import kmeans, parallel, runtime, simcluster
 from kmft.checkpoint import Checkpointer, CheckpointPolicy, mirror_target
-from kmft.errors import (ConfigError, InitError, InvariantError, SimDeadlock,
-                         UnrecoverableError)
+from kmft.errors import ConfigError, InitError, InvariantError, UnrecoverableError
 from kmft.datasets import make_blobs
 from kmft.kmeans import Dataset, KmeansConfig, objective, run_sequential
 from kmft.parallel import Method, run_parallel
@@ -409,7 +408,8 @@ class TestAborts:
         assert out.reason == "communication fault without a detectable failure"
         assert out.centroids is None and out.table is None
 
-    def test_spare_whose_restore_fails_ends_with_the_reason(self, monkeypatch):
+    @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
+    def test_spare_whose_restore_fails_ends_with_the_reason(self, monkeypatch, method):
         """A woken spare joins inside `run`, so its restore gives up the one
         way every step does: its driver carries the error as its reason."""
         real_fetch = Checkpointer.fetch
@@ -427,14 +427,18 @@ class TestAborts:
 
         monkeypatch.setattr(Checkpointer, "fetch", fetch)
         monkeypatch.setattr(runtime, "spawn_world", spawn)
-        # no agreement step tells the survivors, who still wait for the
-        # spare in the replayed pass
-        with pytest.raises(SimDeadlock):
-            run_ft_kmeans(DATA, CFG, Method.SAMPLES, POLICY, LAYOUT, plan=kill(2, 7))
-        res = worlds[0]._results[4]
-        assert res.status == "done"
-        assert res.value.reason == "no copy for the promoted spare"
-        assert not res.value.converged
+        # no agreement step tells the survivors: they give up on the finished
+        # spare in the replayed pass, find no dead rank and end with their own
+        # reason.  ROADMAP item 6 replaces the two reasons with one shared one.
+        with pytest.raises(InvariantError, match=r"ranks disagree on it: \['0', '4'\]"):
+            run_ft_kmeans(DATA, CFG, method, POLICY, LAYOUT, plan=kill(2, 7))
+        results = worlds[0]._results
+        assert results[4].status == "done"
+        assert results[4].value.reason == "no copy for the promoted spare"
+        assert not results[4].value.converged
+        for survivor in (0, 1, 3):
+            assert (results[survivor].value.reason
+                    == "communication fault without a detectable failure")
 
     def test_kill_aimed_at_parked_spare_never_fires(self):
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY,
@@ -696,7 +700,7 @@ class TestCentersExchange:
         """Each pass is one exchange per rank, which hands each peer its
         flag and records, and needs no reduce; the only send is the shutdown
         of the parked spare."""
-        calls = {"exchange": 0, "send": 0, "recv": 0, "reduce_all": 0}
+        calls = {"exchange": 0, "send": 0, "reduce_all": 0}
 
         def counting(name):
             real = getattr(simcluster.RankContext, name)
@@ -711,7 +715,7 @@ class TestCentersExchange:
         out = run_ft_kmeans(DATA, CFG, Method.CENTERS, POLICY, LAYOUT,
                             force_iters=iters)
         assert out.iterations == iters and out.recoveries == 0 and not out.reason
-        assert calls == {"exchange": 4 * iters, "send": 1, "recv": 0, "reduce_all": 0}
+        assert calls == {"exchange": 4 * iters, "send": 1, "reduce_all": 0}
 
     # 1-D centers 0, 10, ..., 50 in blocks (0, 2), (2, 4), (4, 6); sample i < 6
     # sits on center i, sample 6 (value 1) is nearest center 0

@@ -6,7 +6,8 @@ the Lloyd kernels.
 Runs against the kmft package under SRC (default: the `src` directory next
 to this script), pinned to one CPU, and prints microseconds per operation,
 the best and the median of ROUNDS rounds of N calls each:
-  * a `send` + `recv` pair: one rank sends to itself and receives it back;
+  * a `send` + `recv_any` pair: one rank sends to itself and receives it
+    back;
   * `charge(1)`;
   * a `failure_point` that does not fire;
   * an empty `with ctx.phase(...)` scope;
@@ -17,12 +18,9 @@ the best and the median of ROUNDS rounds of N calls each:
   * a 16-root `broadcast` of (1, 4) float64 blocks on 16 ranks, as
     wide-centers' means step makes it, the run's wall time split over the
     broadcasts;
-  * an all-to-all pass on 16 ranks, as wide-centers' centers pass made
-    it before the `exchange` op: each rank sends one message to each peer,
-    then receives one from each, the run's wall time split over the
-    rank-passes;
-  * the same pass as one `exchange` per rank, as wide-centers' centers
-    pass makes it, with no records (where the checkout has the op).
+  * an all-to-all pass on 16 ranks as one `exchange` per rank, as
+    wide-centers' centers pass makes it, with no records, the run's wall
+    time split over the rank-passes (where the checkout has the op).
 Then, per `assign_labels` and per `center_sums` call, the same statistics
 at each benchmark workload's per-rank shape (5,000 x 4 with k=8, 5,000 x 8
 with k=16, 250 x 4 with k=16) and at its oracle shape (20,000 x 4 with k=8,
@@ -109,11 +107,11 @@ def _timed(body, ctx) -> float:
     return time.perf_counter() - t0
 
 
-def _send_recv(ctx) -> None:
-    send, recv = ctx.send, ctx.recv
+def _send_recv_any(ctx) -> None:
+    send, recv_any = ctx.send, ctx.recv_any
     for _ in range(N):
         send(0, b"x")
-        recv(0)
+        recv_any()
 
 
 def _charge(ctx) -> None:
@@ -186,25 +184,6 @@ def _broadcast(kmft) -> float:
     t0 = time.perf_counter()
     world.run({rank: prog for rank in group.members})
     return (time.perf_counter() - t0) / BROADCASTS
-
-
-def _all_to_all(kmft) -> float:
-    """Seconds per rank-pass of a 16-rank exchange: one `send` to and one
-    `recv` from each peer, a centers pass message with no records."""
-    world = kmft.spawn_world(WIDE)
-
-    def prog(ctx) -> None:
-        send, recv = ctx.send, ctx.recv
-        peers = [r for r in range(WIDE) if r != ctx.rank]
-        for _ in range(PASSES):
-            for peer in peers:
-                send(peer, (False, b""))
-            for peer in peers:
-                recv(peer)
-
-    t0 = time.perf_counter()
-    world.run({rank: prog for rank in range(WIDE)})
-    return (time.perf_counter() - t0) / (PASSES * WIDE)
 
 
 def _exchange(kmft) -> float:
@@ -433,14 +412,13 @@ def main(argv: list[str]) -> int:
     from kmft import simcluster as kmft
 
     cases = {
-        "send+recv pair": lambda: _in_one_rank(kmft, _send_recv) / N,
+        "send+recv_any pair": lambda: _in_one_rank(kmft, _send_recv_any) / N,
         "charge": lambda: _in_one_rank(kmft, _charge) / N,
         "failure_point (no fire)": lambda: _in_one_rank(kmft, _failure_point(kmft)) / N,
         "phase scope": lambda: _in_one_rank(kmft, _phase(kmft)) / N,
         "baton handoff": lambda: _handoff(kmft),
         "reduce_all 4 ranks (8, 5) f64": lambda: _reduce(kmft),
         "broadcast 16 roots (1, 4) f64": lambda: _broadcast(kmft),
-        "all-to-all pass 16 ranks": lambda: _all_to_all(kmft),
     }
     if hasattr(kmft.RankContext, "exchange"):
         cases["exchange 16 ranks"] = lambda: _exchange(kmft)
