@@ -39,9 +39,9 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    PeerDead,
     PolicyError,
     SequenceError,
+    Timeout,
     UnrecoverableError,
 )
 from .simcluster import Group, RankContext, Token, VtPhase
@@ -180,7 +180,8 @@ class Checkpointer:
         failed predecessor at the same position.  Every member captures the
         same bytes for an epoch, so when that holder is dead or stale any
         other member's own slot serves: they are tried in ring order from
-        the right neighbor, skipping dead ones and stale epochs.  Fresh
+        the right neighbor, skipping stale epochs and dead holders, each of
+        which costs the world's timeout (its read raises Timeout).  Fresh
         members are not tried: whether one has adopted yet depends on the
         schedule, and so would the reads charged.
         """
@@ -200,7 +201,7 @@ class Checkpointer:
         for holder, seg in copies:
             try:
                 buf = self.ctx.read_remote(holder, seg, off, self.slot_bytes)
-            except PeerDead:
+            except Timeout:
                 continue
             got = self._try_decode(buf, epoch)
             if got is not None:

@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "every pass that does not converge, checkpointing or "
                           "not: the same instant as barrier)")
     run.add_argument("--timeout-ticks", type=int, default=DEFAULT_TIMEOUT,
-                     help="ticks a collective waits for a dead member")
+                     help="ticks any op waits for a dead peer")
     run.add_argument("--out", default=None, help="CSV to append the row to")
 
     rep = sub.add_parser("report", help="aggregate a report CSV")

@@ -33,16 +33,8 @@ class InvariantError(KmftError):
     """An internal invariant broke; indicates a bug, not bad input."""
 
 
-class CommError(KmftError):
-    """Base class for communication failures surfaced to callers."""
-
-
-class Timeout(CommError):
-    """A blocking operation gave up waiting on a peer or a group."""
-
-
-class PeerDead(CommError):
-    """The peer of a point-to-point or one-sided operation is corrupt."""
+class Timeout(KmftError):
+    """A blocking operation gave up waiting on a dead peer or a group."""
 
 
 class SimDeadlock(KmftError):

@@ -91,9 +91,10 @@ import numpy as np
 from .checkpoint import (
     Checkpointer,
     CheckpointPolicy,
+    encode_snapshot,
     segment_spec,
 )
-from .errors import ConfigError, InvariantError, PeerDead, Timeout, UnrecoverableError
+from .errors import ConfigError, InvariantError, Timeout, UnrecoverableError
 from .kmeans import (
     AssignmentTable,
     CentroidSet,
@@ -209,11 +210,7 @@ def detect_failures(ctx: RankContext, group: Group) -> tuple[int, ...]:
 
 
 def _digest(centers: np.ndarray, epoch: int, iteration: int) -> str:
-    h = hashlib.sha256()
-    h.update(epoch.to_bytes(8, "little"))
-    h.update(iteration.to_bytes(8, "little"))
-    h.update(centers.tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(encode_snapshot(epoch, iteration, centers)).hexdigest()
 
 
 # -- per-method communication around the parallel.py position state ---------
@@ -351,7 +348,7 @@ class _ActiveDriver:
                         self._end()
                         break
                     self._iterate(self.it + 1)
-                except (Timeout, PeerDead):
+                except Timeout:
                     self._recover_after_fault()
         except UnrecoverableError as exc:
             self.reason = str(exc)
@@ -401,8 +398,8 @@ class _ActiveDriver:
     # -- failure handling ------------------------------------------------
 
     def _recover_after_fault(self) -> None:
-        """A collective timed out or met a dead peer: recover from the dead,
-        or give up when the state vector names none."""
+        """An op waited the timeout for a dead or departed peer: recover
+        from the dead, or give up when the state vector names none."""
         failed = detect_failures(self.ctx, self.group)
         if not failed:
             raise UnrecoverableError("communication fault without a detectable failure")

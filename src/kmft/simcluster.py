@@ -16,17 +16,17 @@ re-checked at every handoff.  Two runs with the same seed replay the
 identical event order, and results do not depend on the seed.
 
 Each rank is one RankContext.  It holds the rank's own state (its clock,
-per-phase ledger, entered generation and the set of corrupt peers reported
-to it), and every operation is the RankContext method of that name.  The
-ClusterHandle holds only what ranks share: channels (one FIFO per ordered
-pair of ranks, built at spawn), segments, pending transfers, collective
-slots, the death record, the results and the scheduler.  State is touched
-only by the rank holding the baton, so the scheduler's own lock and one
-baton lock per rank are the only synchronization.  A deadlock is found
-structurally: when no rank can run, the run raises SimDeadlock.  A livelock,
-a run that never ends, raises it once the WALL_GUARD of host seconds has
-passed.  After either, the released ranks only unwind, and a rank that never
-waits meets the poison at its next operation.
+per-phase ledger and entered generation), and every operation is the
+RankContext method of that name.  The ClusterHandle holds only what ranks
+share: channels (one FIFO per ordered pair of ranks, built at spawn),
+segments, pending transfers, collective slots, the death record, the results
+and the scheduler.  State is touched only by the rank holding the baton, so
+the scheduler's own lock and one baton lock per rank are the only
+synchronization.  A deadlock is found structurally: when no rank can run,
+the run raises SimDeadlock.  A livelock, a run that never ends, raises it
+once the WALL_GUARD of host seconds has passed.  After either, the released
+ranks only unwind, and a rank that never waits meets the poison at its next
+operation.
 
 Time is virtual: every rank owns an integer tick clock, operations charge
 costs from the one CostModel, `COSTS`, and synchronizing operations pull a
@@ -36,13 +36,19 @@ always sum to the rank's total virtual time.
 
 Failure model is crash-stop.  A FailurePlan names (rank, iteration, phase)
 instants; when the rank's program reaches that point its context is killed,
-its state flips to CORRUPT forever, and it never communicates again.  A
-failure is reported only where it is decided in virtual time, never by where
-the victim's thread happened to run.  As in ULFM, a send raises PeerDead
-only to a rank the sender already knows is corrupt (from a state vector or
-a read that reported it); otherwise the message to a corrupt rank is lost.
-A token wait always completes at the transfer's ready time and reports
-FAILED when the destination's clock at its kill was below that time.
+its state flips to CORRUPT forever, and it never communicates again.  As
+a GASPI call does, an op learns of a dead peer one way: it waits the
+world's `timeout` and raises Timeout (a group op, below, and `read_remote`
+of a dead owner).  A message to a dead rank is lost.  A token wait always
+completes at the transfer's ready time and reports FAILED when the
+destination has died at a clock below that time.
+
+The rendezvous decides a death in virtual time, but `state_vector`, `wait`
+and `read_remote` see one in host order: a death counts once the victim's
+thread has reached its kill, whatever the two clocks.  Their outcome can
+therefore depend on the schedule seed: a `state_vector` or a `wait` can
+miss a death at a clock below the caller's or the ready time, and a
+`read_remote` can fail on a death at a clock above the caller's.
 
 Messages only wake and stop parked ranks: a message arrives msg_latency
 after its send, and `recv_any` takes the oldest message of the lowest
@@ -98,7 +104,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    PeerDead,
     SegmentError,
     SimDeadlock,
     Timeout,
@@ -426,8 +431,8 @@ class RankResult:
 
 
 class RankContext:
-    """One rank: its clock, ledger, generation and known-dead set, and every
-    operation its program makes on the cluster."""
+    """One rank: its clock, ledger and generation, and every operation its
+    program makes on the cluster."""
 
     def __init__(self, world: "ClusterHandle", rank: int):
         self._world = world
@@ -437,7 +442,6 @@ class RankContext:
         self._vt = 0
         self._ledger = [0] * len(_PHASES)
         self._generation = 0                  # entered so far
-        self._known_dead: set[int] = set()    # corrupt ranks reported to this one
         self._inbox = world._channels[rank]   # one FIFO per source rank
 
     @property
@@ -556,8 +560,8 @@ class RankContext:
         w._check_rank(owner)
         w._sched.switch(self.rank)
         if not w._alive(owner):
-            self._known_dead.add(owner)
-            raise PeerDead(f"rank {owner} is corrupt; its segments are unreadable")
+            self._charge(w.timeout)
+            raise Timeout(f"rank {owner} is corrupt; its segments are unreadable")
         w._check_bounds(owner, seg, offset, size)
         w._settle_segment(owner, seg)
         self._charge(COSTS.transfer_ticks(size))
@@ -573,8 +577,6 @@ class RankContext:
         if not 0 <= dst < w.world_size:
             raise ConfigError(f"no such rank {dst}")
         self._charge(COSTS.send)
-        if dst in self._known_dead:
-            raise PeerDead(f"send to corrupt rank {dst}")
         if w.record_trace:
             w._trace_event("send", self.rank, dst)
         if dst in w._death_vt:
@@ -771,7 +773,6 @@ class RankContext:
         self._charge(COSTS.state_query)
         if w.record_trace:
             w._trace_event("sv", self.rank)
-        self._known_dead.update(w._death_vt)
         return w.state_vector()
 
 
@@ -837,7 +838,7 @@ class ClusterHandle:
         plan.validate(world_size)
         self.world_size = world_size
         self.plan = plan
-        self.timeout = timeout       # ticks a collective waits for a dead member
+        self.timeout = timeout       # ticks any op waits for a dead peer
         self.record_trace = record_trace
         self.trace: list[tuple] = []
 

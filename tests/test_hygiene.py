@@ -1,8 +1,10 @@
 """Source hygiene: checks over the text of the package and its tests."""
 
 import ast
+import inspect
 from pathlib import Path
 
+from kmft import errors
 from kmft.runtime import KILL_POINTS
 from kmft.simcluster import FailPhase, RankContext
 
@@ -115,3 +117,23 @@ def test_every_rank_operation_has_a_caller_outside_the_simulator():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 called.add(node.func.attr)
     assert sorted(public - called) == []
+
+
+def test_every_error_class_is_raised_or_is_the_base_of_one_that_is():
+    """Each exception class in `errors.py` is raised (or built, to be
+    raised later) somewhere else in the package, or is a base of one that
+    is, so no failure signal is kept that no op reports."""
+    classes = {name: cls for name, cls in vars(errors).items()
+               if inspect.isclass(cls) and cls.__module__ == errors.__name__}
+    raised: set[str] = set()
+    for path in (ROOT / "src/kmft").rglob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name):
+                raised.add(node.exc.id)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                raised.add(node.func.id)
+    unraised = [name for name, cls in classes.items()
+                if not any(issubclass(classes[r], cls) for r in raised & classes.keys())]
+    assert unraised == []

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kmft import simcluster
-from kmft.errors import ConfigError, PeerDead, SegmentError, SimDeadlock, Timeout
+from kmft.errors import ConfigError, SegmentError, SimDeadlock, Timeout
 from kmft.simcluster import (
     CostModel,
     FailPhase,
@@ -265,26 +265,6 @@ class TestMessages:
         # sender vt 2 after send, arrival 2+10, +2 recv cost
         assert res[1].value == 14
 
-    def test_send_to_corrupt_peer_raises(self):
-        plan = FailurePlan([FailureEvent(1, 1, FailPhase.DURING_COMPUTE)])
-        w = spawn_world(2, plan=plan)
-
-        def sender(ctx):
-            while ctx.state_vector()[1] is Health.HEALTHY:
-                ctx.charge(1)
-            try:
-                ctx.send(1, "x")
-            except PeerDead:
-                return "peerdead"
-            return "sent"
-
-        def victim(ctx):
-            ctx.failure_point(1, FailPhase.DURING_COMPUTE)
-
-        res = w.run({0: sender, 1: victim})
-        assert res[0].value == "peerdead"
-        assert res[1].status == "killed"
-
     def test_recv_any_drains_predeath_messages_then_times_out(self):
         """Messages sent before a crash stay deliverable; after that, Timeout."""
         plan = FailurePlan([FailureEvent(0, 1, FailPhase.DURING_COMPUTE)])
@@ -356,7 +336,8 @@ class TestMessages:
         assert res[1].value == "timeout"
 
     def test_send_to_unreported_corrupt_peer_is_lost(self):
-        """Only a death the sender has seen raises at the send."""
+        """A send to a dead rank is lost, before and after the sender's
+        state vector has reported the death."""
         plan = FailurePlan([FailureEvent(1, 1, FailPhase.DURING_COMPUTE)])
         w = spawn_world(3, plan=plan)
         pair = Group((0, 1))
@@ -366,11 +347,8 @@ class TestMessages:
             ctx.barrier(pair, "queued")
             ctx.recv_any()              # rank 1 is dead by now, but unseen
             ctx.send(1, "lost")
-            ctx.state_vector()
-            try:
-                ctx.send(1, "refused")
-            except PeerDead:
-                return "peerdead"
+            assert ctx.state_vector()[1] is Health.CORRUPT
+            ctx.send(1, "lost too")
             return "sent"
 
         def victim(ctx):
@@ -383,8 +361,8 @@ class TestMessages:
             ctx.send(0, "go")
 
         res = w.run({0: sender, 1: victim, 2: witness})
-        assert res[0].value == "peerdead"
-        assert not w._channels[1][0]    # nothing kept for the dead rank
+        assert res[0].value == "sent"
+        assert not any(w._channels[1])    # nothing kept for the dead rank
 
     def test_payloads_are_isolated_copies(self):
         w = spawn_world(2)
@@ -535,24 +513,27 @@ class TestOneSidedWrites:
         assert res[0].value == (state, 20)
 
     def test_read_remote_from_corrupt_owner_raises(self):
+        """A dead owner's bytes never arrive: the reader waits the world's
+        timeout from its call, then gets Timeout."""
         plan = FailurePlan([FailureEvent(1, 1, FailPhase.DURING_COMPUTE)])
-        w = spawn_world(2, plan=plan, segments=self.SEG)
+        w = spawn_world(2, plan=plan, timeout=300, segments=self.SEG)
 
         def reader(ctx):
             while ctx.state_vector()[1] is Health.HEALTHY:
                 ctx.charge(1)
+            called = ctx.vt
             try:
                 ctx.read_remote(1, 0, 0, 8)
-            except PeerDead:
-                return "peerdead"
-            return "read"
+            except Timeout:
+                return "timeout", ctx.vt - called
+            return "read", ctx.vt - called
 
         def victim(ctx):
             ctx.write_local(0, 0, b"treasure")
             ctx.failure_point(1, FailPhase.DURING_COMPUTE)
 
         res = w.run({0: reader, 1: victim})
-        assert res[0].value == "peerdead"
+        assert res[0].value == ("timeout", 300)
 
     def test_read_remote_returns_owner_bytes(self):
         w = spawn_world(2, segments=self.SEG)
