@@ -352,14 +352,20 @@ def assign_bounded(points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
 
 
 def init_centroids(data: Dataset, k: int) -> CentroidSet:
-    """First k pairwise-distinct samples, in ascending sample order."""
+    """First k pairwise-distinct samples, in ascending sample order.
+
+    Rows are compared by their bytes after adding 0.0, which folds -0.0
+    into 0.0; samples are finite, so equal bytes mean equal values.
+    """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     chosen: list[int] = []
+    seen: set[bytes] = set()
     for i in range(data.n):
-        row = data.values[i]
-        if any(np.array_equal(row, data.values[j]) for j in chosen):
+        key = (data.values[i] + 0.0).tobytes()
+        if key in seen:
             continue
+        seen.add(key)
         chosen.append(i)
         if len(chosen) == k:
             break

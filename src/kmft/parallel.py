@@ -40,7 +40,8 @@ such: a pass's `records`, grouped by destination with `ends`, go to the
 runtime's one all-to-all exchange as they are, never encoded to bytes.
 `entries` gives a position's labels in that form.  `reset` puts a position
 back in the bootstrap state, every sample on center 0 (in the center split,
-all owned by position 0); the runtime restores a position that way and runs
+each position owning the contiguous slice of sample ids that is its block
+in the sample split); the runtime restores a position that way and runs
 the pass again from the centers that pass read.
 """
 
@@ -215,15 +216,22 @@ class CentersPosition:
         self.values = values
         self.blocks = partition(k, procs)
         self.block_ends = np.array([hi for _, hi in self.blocks], dtype=np.int64)
+        self.slices = partition(len(values), procs)
         self.reset(position)
 
     def reset(self, position: int) -> None:
-        """The bootstrap state: every sample starts on center 0, owned by
-        position 0."""
+        """The bootstrap state: the position owns the ascending ids of its
+        slice of the samples, each labelled center 0 as a placeholder, so
+        pass 1 assigns every row once, spread evenly over the positions.
+
+        Where a row starts moves no value: its label depends only on its
+        row and the centers, and a center's recompute adds its members in
+        ascending id order whichever position assigned them.
+        """
         self.position = position
-        n = len(self.values) if position == 0 else 0
-        self.ids = np.arange(n, dtype=np.int64)
-        self.labels = np.zeros(n, dtype=np.int64)
+        lo, hi = self.slices[position]
+        self.ids = np.arange(lo, hi, dtype=np.int64)
+        self.labels = np.zeros(hi - lo, dtype=np.int64)
         self.bound: NearestBound | None = None
 
     @property

@@ -19,10 +19,11 @@ recovery runs no exchange and no barrier of its own.
 
 A snapshot of iteration t holds c_{t-1}, the centers pass t read, and not
 the labels it derived: labels_t = assign(values, c_{t-1}) whatever rows are
-assigned.  A restore resets its position to the bootstrap state (every
-sample on center 0, in the center split all owned by position 0) and sets
-the iteration to t - 1 and the centers to c_{t-1}, so the loop's own
-iteration t replays the pass: it assigns every sample once, its means step
+assigned.  A restore resets its position to the bootstrap state of the
+fresh start (every sample on center 0, each position holding its own
+contiguous slice of the sample ids) and sets the iteration to t - 1 and
+the centers to c_{t-1}, so the loop's own iteration t replays the pass:
+every position assigns its slice once, spread evenly, and its means step
 rebuilds c_t with c_{t-1} as the previous centers, which a center with no
 members keeps, as the pass did, and its capture protects the state again,
 which pass t + 1 commits.  The replayed pass starts from placeholder

@@ -446,6 +446,16 @@ class TestInitCentroids:
         with pytest.raises(InitError):
             init_centroids(data, 2)
 
+    def test_exact_and_signed_zero_repeats_are_one_row(self):
+        """Rows that repeat exactly or differ only in the sign of a zero
+        are equal values: the first of each is chosen, in sample order."""
+        data = Dataset(np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [0.0, 1.0],
+                                 [2.0, 0.0], [-0.0, -1.0], [0.0, -1.0], [3.0, 3.0]]))
+        c = init_centroids(data, 4)
+        assert c.centers.tobytes() == data.values[[0, 2, 5, 7]].tobytes()
+        with pytest.raises(InitError, match="found only 4"):
+            init_centroids(data, 5)
+
 
 class TestLloydStep:
     def test_hand_traced_1d_split(self):

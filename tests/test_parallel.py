@@ -148,6 +148,29 @@ class TestCentersPass:
         assert {dst: recs.tolist() for dst, recs in out.outgoing.items()} == \
             {1: [[2, 1], [3, 1]]}
 
+    @pytest.mark.parametrize("n,k,procs", [(3, 2, 5), (40, 3, 6), (9, 9, 4)],
+                             ids=["n<P", "k<P", "k=n>P"])
+    def test_bootstrap_gives_each_position_its_slice(self, n, k, procs):
+        """Positions start on disjoint ascending slices of the ids that
+        cover them all, every label the placeholder 0, and in pass 1 a
+        position that owns no center routes every row it holds away."""
+        data = random_dataset(8, n=n)
+        states = [CentersPosition(data.values, k, procs, p) for p in range(procs)]
+        for state, (lo, hi) in zip(states, partition(n, procs)):
+            assert np.array_equal(state.ids, np.arange(lo, hi))
+            assert state.ids.dtype == state.labels.dtype == np.int64
+            assert not state.labels.any() and state.bound is None
+        assert np.array_equal(np.concatenate([s.ids for s in states]), np.arange(n))
+
+        centers = init_centroids(data, k).centers
+        idle = [s for s in states if s.blocks[s.position] == (k, k)]
+        assert (len(idle) > 0) == (k < procs)
+        assert k >= procs or any(s.load for s in idle)
+        for state in idle:
+            out = state.compute(centers)
+            assert len(out.kept_ids) == 0 and len(out.records) == state.load
+            assert np.array_equal(np.sort(out.records[:, 0]), state.ids)
+
     def test_no_samples_no_change(self):
         values = np.zeros((2, 1))
         centers = np.zeros((1, 1))
@@ -270,6 +293,9 @@ class TestCentersPass:
 
     def test_a_pass_on_the_same_centers_computes_only_arrivals(self, bounded,
                                                                rows_assigned):
+        """Pass 1 from the bootstrap slices, then a second pass on the same
+        centers: each position reassigns only the rows that arrived, whose
+        gap is 0, and no label changes."""
         data = random_dataset(21, n=90)
         centers = init_centroids(data, 4).centers
         states = [CentersPosition(data.values, k=4, procs=2, position=p) for p in (0, 1)]
@@ -279,8 +305,8 @@ class TestCentersPass:
             batches = [passes[1 - p].outgoing[p]] if p in passes[1 - p].outgoing else []
             arrived.append(sum(len(b) for b in batches))
             state.absorb(passes[p], batches)
-        # position 0 kept its rows' bounds; every row of position 1 arrived
-        assert arrived == [0, states[1].load] and states[0].load > 0
+        # each position kept some rows with their bounds and took some over
+        assert all(0 < rows < state.load for rows, state in zip(arrived, states))
         want = assign_labels(data.values, centers)
         for state, rows in zip(states, arrived):
             rows_assigned.clear()

@@ -568,10 +568,11 @@ class TestLedgerAcrossRecovery:
 class TestReplayedPass:
     def test_a_centers_recovery_assigns_each_sample_once(self, monkeypatch):
         """On 8+1 ranks, from each rank's recovery plan to the end of its
-        first means step after it, the replayed iteration's, the new group
-        sends n rows through the distance kernel in all: the replayed pass
-        starts from the bootstrap ownership, so position 0 assigns every
-        sample once and routes it, and no rank assigns all n for itself."""
+        first means step after it, the replayed iteration's, each member of
+        the new group sends exactly its bootstrap slice of the sample ids
+        through the distance kernel: the replayed pass assigns every sample
+        once, spread evenly over the positions, the two positions that own
+        no center (k=6) included."""
         layout = WorldLayout(active=8, spares=1)
         rows, windows, closed = {}, {}, []     # windows: rank thread -> rank
         kernel = kmeans.pairwise_sqdist
@@ -602,7 +603,9 @@ class TestReplayedPass:
         assert out.recoveries == 1 and not out.reason
         assert out.recovery_events[0]["resumed_iteration"] == 5
         assert sorted(closed) == sorted(out.final_group) and windows == {}
-        assert sum(rows.values()) == DATA.n
+        slices = parallel.partition(DATA.n, layout.active)
+        assert rows == {rank: hi - lo for rank, (lo, hi) in zip(out.final_group, slices)}
+        assert set(rows.values()) == {DATA.n // layout.active}
 
     @pytest.mark.parametrize("method", [Method.CENTERS, Method.SAMPLES])
     def test_a_kill_in_the_replayed_pass_recovers_from_the_same_epoch(self, method):
